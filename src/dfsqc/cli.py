@@ -5,28 +5,29 @@ Subcommands
 ``dfsqc run <config.json>``
     Run one experiment described by a JSON config (schema below) and
     write ``report.json``, ``matrices.json`` and any scan CSV files into
-    the configured output directory.  Exit code 2 flags an invalid
-    config, 3 a numerical-contract violation (oscillator truncation or
-    gate-closure failure).
+    the configured output directory, each atomically.  Exit code 2 flags
+    an invalid config, found before any computation; 3 a
+    numerical-contract violation (oscillator truncation or gate-closure
+    failure).
 ``dfsqc dump-sequence [--control N --target M]``
     Print the compiled CNOT pulse sequence as JSON (durations in
     seconds, total in microseconds) on stdout.
 ``dfsqc validate <config.json>``
-    Schema-check a config without running it.
+    Check a config without running it.
 
-``--seed`` overrides the config seed; ``--threads`` (or the env var
-``DFSQC_THREADS``) sets the worker count for Monte-Carlo sampling.
-Reports are reproducible: the same (config, seed) yields byte-identical
-files for any thread count.
+``--seed`` overrides the config seed.  Reports are reproducible: the
+same (config, seed) gives the same bytes.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
 import sys
+import tempfile
 from typing import Optional
 
 import jsonschema
@@ -35,7 +36,8 @@ import numpy as np
 from . import __version__, motional
 from .encoding import (LogicalRegister, coherence_ratio, decode_in_dfs,
                        encode, logical_basis_indices)
-from .errors import ClosureError, ConfigError, DfsqcError, TruncationError
+from .errors import (ClosureError, ConfigError, DfsqcError, LayoutError,
+                     TruncationError, ValidationError)
 from .gates import (GateParams, PulseSequence, bell_state_logical,
                     cnot_logical_matrix, compile_cnot, ms_pulse,
                     sequence_unitary)
@@ -71,7 +73,6 @@ CONFIG_SCHEMA = {
             "properties": {
                 "delta_ms": {"type": "number", "exclusiveMinimum": 0},
                 "delta_cp": {"type": "number", "exclusiveMinimum": 0},
-                "omega_z": {"type": "number", "exclusiveMinimum": 0},
             },
         },
         "noise": {
@@ -113,14 +114,22 @@ REFERENCE_EXPERIMENT = {
 }
 
 
+def _reject_constant(name: str):
+    raise ConfigError(f"config is not strict JSON: {name} is not a number")
+
+
 def load_config(path: str) -> dict:
+    """Parse, schema-check and semantically check a config file.
+
+    Every problem raises :class:`ConfigError` naming the field at fault.
+    """
     try:
         with open(path) as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     try:
-        config = json.loads(text)
+        config = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"config is not valid JSON (line {exc.lineno}, column {exc.colno}): "
@@ -132,7 +141,38 @@ def load_config(path: str) -> dict:
             f"{'.'.join(str(p) for p in e.path) or '<root>'}: {e.message}"
             for e in errors)
         raise ConfigError(f"config failed schema validation: {details}")
+    _check_semantics(config)
     return config
+
+
+@contextlib.contextmanager
+def _field(name: str):
+    try:
+        yield
+    except DfsqcError as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
+
+
+def _check_semantics(config: dict) -> None:
+    """Build what the experiment derives from the config, so that a
+    config the schema admits but the physics does not is refused before
+    any computation."""
+    experiment = config["experiment"]
+    uses_cnot = experiment in ("bell", "cnot-tomo")
+    with _field("register"):
+        register = _register(config)
+        if uses_cnot and register.n_logical != 2:
+            raise LayoutError(f"{experiment} needs 2 logical qubits, "
+                              f"got {register.n_logical}")
+    with _field("gate_params"):
+        params = _gate_params(config)
+    with _field("noise"):
+        _noise(config)
+    if uses_cnot:
+        control, target = config.get("control", 0), config.get("target", 1)
+        with _field("control/target"):
+            compile_cnot(control, target, register, params)
+            cnot_logical_matrix(control, target)
 
 
 def config_hash(config: dict) -> str:
@@ -141,14 +181,30 @@ def config_hash(config: dict) -> str:
 
 
 def _atomic_write(path: str, text: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    """Write ``text`` to a unique temporary file next to ``path``, sync it
+    and rename it over ``path``, so readers never see a partial file."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
+                               prefix=os.path.basename(path) + ".")
+    try:
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)
+        with os.fdopen(fd, "w", newline="") as fh:
+            fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
-def _write_json(path: str, obj) -> None:
-    _atomic_write(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+def _json_text(obj) -> str:
+    try:
+        return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise ValidationError(f"output is not strict JSON: {exc}") from exc
 
 
 def _register(config: dict) -> LogicalRegister:
@@ -180,15 +236,14 @@ def _encode_logical_superop(register: LogicalRegister) -> np.ndarray:
 
 
 def _physical_channel(seq: PulseSequence, noise_model: Optional[NoiseModel],
-                      n_samples: int, seed: int, threads: int):
+                      n_samples: int, seed: int):
     """Callable logical rho -> physical rho for the tomography pipeline."""
     register = seq.register
     iso = _encode_logical_superop(register)
     if noise_model is None:
         u = sequence_unitary(seq) @ iso
         return lambda rho_l: u @ rho_l @ u.conj().T
-    sop = channel_superoperator(seq, noise_model, n_samples, seed=seed,
-                                threads=threads)
+    sop = channel_superoperator(seq, noise_model, n_samples, seed=seed)
     dim = register.dim
 
     def channel(rho_l):
@@ -198,7 +253,7 @@ def _physical_channel(seq: PulseSequence, noise_model: Optional[NoiseModel],
     return channel
 
 
-def run_bell(config: dict, seed: int, threads: int) -> tuple:
+def run_bell(config: dict, seed: int) -> tuple:
     register = _register(config)
     params = _gate_params(config)
     noise_model = _noise(config)
@@ -218,7 +273,7 @@ def run_bell(config: dict, seed: int, threads: int) -> tuple:
             rho = np.outer(out, out.conj())
         else:
             rho = sample_noisy_channel(seq, psi0, noise_model, n_samples,
-                                       seed=seed, threads=threads)
+                                       seed=seed)
         ideal = bell_state_logical(bits) if control == 0 else None
         if ideal is None:
             swap = np.array([[1, 0, 0, 0], [0, 0, 1, 0],
@@ -234,7 +289,7 @@ def run_bell(config: dict, seed: int, threads: int) -> tuple:
     return metrics, matrices, []
 
 
-def run_cnot_tomo(config: dict, seed: int, threads: int) -> tuple:
+def run_cnot_tomo(config: dict, seed: int) -> tuple:
     register = _register(config)
     params = _gate_params(config)
     noise_model = _noise(config)
@@ -245,7 +300,7 @@ def run_cnot_tomo(config: dict, seed: int, threads: int) -> tuple:
     control = config.get("control", 0)
     target = config.get("target", 1)
     cnot = compile_cnot(control, target, register, params)
-    channel = _physical_channel(cnot, noise_model, n_samples, seed, threads)
+    channel = _physical_channel(cnot, noise_model, n_samples, seed)
     result = process_tomography(channel, shots=shots, seed=seed,
                                 register=register)
     ideal = cnot_logical_matrix(control, target)
@@ -266,7 +321,7 @@ def run_cnot_tomo(config: dict, seed: int, threads: int) -> tuple:
     return metrics, matrices, []
 
 
-def run_coherence(config: dict, seed: int, threads: int) -> tuple:
+def run_coherence(config: dict, seed: int) -> tuple:
     phi_std = config.get("phi_std", float(np.pi))
     n = config.get("n_phase_samples", 100_000)
     ratio = coherence_ratio(phi_std, n, seed)
@@ -276,7 +331,7 @@ def run_coherence(config: dict, seed: int, threads: int) -> tuple:
     return metrics, {}, []
 
 
-def run_scan(config: dict, seed: int, threads: int, kind: str) -> tuple:
+def run_scan(config: dict, seed: int, kind: str) -> tuple:
     params = _gate_params(config)
     delta = params.delta_ms if kind == "ms" else params.delta_cp
     spin_phase = config.get("spin_phase", float(np.pi / 8))
@@ -289,21 +344,21 @@ def run_scan(config: dict, seed: int, threads: int, kind: str) -> tuple:
     rows = motional.off_resonant_error_scan(model, fractions)
     metrics = {"detuning": delta, "spin_phase": spin_phase,
                "rows": [{"fraction": f, "infidelity": i} for f, i in rows]}
-    return metrics, {}, [(f"{kind}_scan.csv", rows)]
+    return metrics, {}, [(f"{kind}_scan.csv", motional.scan_csv_text(rows))]
 
 
-def run_experiment(config: dict, seed: int, threads: int) -> tuple:
+def run_experiment(config: dict, seed: int) -> tuple:
     kind = config["experiment"]
     if kind == "bell":
-        return run_bell(config, seed, threads)
+        return run_bell(config, seed)
     if kind == "cnot-tomo":
-        return run_cnot_tomo(config, seed, threads)
+        return run_cnot_tomo(config, seed)
     if kind == "coherence":
-        return run_coherence(config, seed, threads)
+        return run_coherence(config, seed)
     if kind == "ms-scan":
-        return run_scan(config, seed, threads, "ms")
+        return run_scan(config, seed, "ms")
     if kind == "cp-scan":
-        return run_scan(config, seed, threads, "cp")
+        return run_scan(config, seed, "cp")
     raise ConfigError(f"unknown experiment {kind!r}")
 
 
@@ -314,14 +369,11 @@ def cmd_run(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     seed = args.seed if args.seed is not None else config["seed"]
-    threads = _resolve_threads(args.threads)
     try:
-        metrics, matrices, csvs = run_experiment(config, seed, threads)
+        metrics, matrices, csvs = run_experiment(config, seed)
     except (TruncationError, ClosureError) as exc:
         print(f"numerical contract violated: {exc}", file=sys.stderr)
         return 3
-    out_dir = config["output_dir"]
-    os.makedirs(out_dir, exist_ok=True)
     report = {
         "tool": "dfsqc",
         "version": __version__,
@@ -331,11 +383,13 @@ def cmd_run(args) -> int:
         "metrics": metrics,
         "context": {"reference_experiment": REFERENCE_EXPERIMENT},
     }
-    _write_json(os.path.join(out_dir, "report.json"), report)
+    files = [("report.json", _json_text(report))]
     if matrices:
-        _write_json(os.path.join(out_dir, "matrices.json"), matrices)
-    for name, rows in csvs:
-        motional.scan_to_csv(rows, os.path.join(out_dir, name))
+        files.append(("matrices.json", _json_text(matrices)))
+    out_dir = config["output_dir"]
+    os.makedirs(out_dir, exist_ok=True)
+    for name, text in files + csvs:
+        _atomic_write(os.path.join(out_dir, name), text)
     print(f"wrote {os.path.join(out_dir, 'report.json')}")
     return 0
 
@@ -359,18 +413,6 @@ def cmd_validate(args) -> int:
     return 0
 
 
-def _resolve_threads(flag: Optional[int]) -> int:
-    if flag is not None:
-        return max(1, flag)
-    env = os.environ.get("DFSQC_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dfsqc",
@@ -387,9 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("config", help="path to a JSON experiment config")
     p_run.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
-    p_run.add_argument("--threads", type=int, default=None,
-                       help="Monte-Carlo worker threads "
-                            "(default: DFSQC_THREADS or 1)")
     p_run.set_defaults(fn=cmd_run)
 
     p_dump = sub.add_parser("dump-sequence",
@@ -398,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dump.add_argument("--target", type=int, default=1)
     p_dump.set_defaults(fn=cmd_dump_sequence)
 
-    p_val = sub.add_parser("validate", help="schema-check a config file")
+    p_val = sub.add_parser("validate", help="check a config file")
     p_val.add_argument("config")
     p_val.set_defaults(fn=cmd_validate)
     return parser

@@ -58,7 +58,7 @@ CNOT_LOGICAL = np.array([
 
 @dataclass(frozen=True)
 class GateParams:
-    """Detunings of the two bichromatic gates and the axial mode frequency.
+    """Detunings of the two bichromatic gates.
 
     All values are angular frequencies in rad/s.  Gate times follow as
     ``2 pi / detuning`` (one closed motional loop) and are never stored
@@ -67,10 +67,9 @@ class GateParams:
 
     delta_ms: float = 2 * np.pi * 7_000.0
     delta_cp: float = 2 * np.pi / 470e-6
-    omega_z: float = 2 * np.pi * 1.2e6
 
     def __post_init__(self):
-        if min(self.delta_ms, self.delta_cp, self.omega_z) <= 0:
+        if min(self.delta_ms, self.delta_cp) <= 0:
             raise ValidationError("gate parameters must be positive")
 
     @property
@@ -84,8 +83,7 @@ class GateParams:
         return 2 * np.pi / self.delta_cp
 
     def to_json(self) -> dict:
-        return {"delta_ms": self.delta_ms, "delta_cp": self.delta_cp,
-                "omega_z": self.omega_z}
+        return {"delta_ms": self.delta_ms, "delta_cp": self.delta_cp}
 
     @classmethod
     def from_json(cls, obj: dict) -> "GateParams":
@@ -166,33 +164,47 @@ class PulseSequence:
         return cls.from_json(json.loads(text))
 
 
-def _embed(ops_by_ion: dict, n_ions: int) -> np.ndarray:
-    mats = [ops_by_ion.get(i, linalg.ID2) for i in range(n_ions)]
-    return linalg.tensor(*mats)
+def pulse_unitary(op: PulseOp, n_ions: int, weights: Optional[dict] = None,
+                  angle_offset: float = 0.0) -> np.ndarray:
+    """Unitary of one pulse whose Pauli ``P`` acts on each ion with a weight.
 
+    ``weights`` maps ion index to weight and defaults to 1 on the addressed
+    ions; ``P`` is ``sigma_z`` for z-type pulses (``ACStarkZ``, ``CPGate``)
+    and ``sigma_phi`` for x-type ones.  With ``S = sum_i w_i P_i`` and
+    ``a = angle + angle_offset``, single-ion pulses give ``exp(-i a/2 S)``
+    and two-ion pulses ``exp(-i a/4 (S^2 - sum_i w_i^2))``; the subtracted
+    identity part is a global phase that makes unit weights reproduce
+    ``exp(-i a/2 P (x) P)`` exactly.
 
-def _axis(phase: float) -> np.ndarray:
-    return np.cos(phase) * linalg.SIGMA_X + np.sin(phase) * linalg.SIGMA_Y
-
-
-def op_generator(op: PulseOp, n_ions: int) -> np.ndarray:
-    """Hermitian generator ``G`` such that the op unitary is ``exp(-i angle/2 G)``."""
-    if op.kind == AC_STARK_Z:
-        return _embed({op.targets[0]: linalg.SIGMA_Z}, n_ions)
-    if op.kind == PHYSICAL_FLIP:
-        return _embed({op.targets[0]: _axis(op.phase)}, n_ions)
-    if op.kind == MS_ROTATION:
-        s = _axis(op.phase)
-        return _embed({op.targets[0]: s, op.targets[1]: s}, n_ions)
-    if op.kind == CP_GATE:
-        return _embed({op.targets[0]: linalg.SIGMA_Z,
-                       op.targets[1]: linalg.SIGMA_Z}, n_ions)
-    raise ValidationError(f"unknown pulse kind {op.kind!r}")
+    ``S`` is diagonal, with eigenvalue ``s = sum_i w_i z_i`` on the basis
+    state whose ions read ``z_i = +-1``, once every weighted ion is rotated
+    by ``V = Rz(phi) H`` (``V sigma_z V+ = sigma_phi``), so no
+    eigendecomposition is needed.
+    """
+    if weights is None:
+        weights = {t: 1.0 for t in op.targets}
+    a = op.angle + angle_offset
+    index = np.arange(2 ** n_ions)
+    s = np.zeros(2 ** n_ions)
+    for ion, w in weights.items():
+        s += w * (1 - 2 * ((index >> (n_ions - 1 - ion)) & 1))
+    if op.kind in (MS_ROTATION, CP_GATE):
+        self_weight = sum(w * w for w in weights.values())
+        phases = np.exp(-0.25j * a * (s * s - self_weight))
+    else:
+        phases = np.exp(-0.5j * a * s)
+    if op.kind in (AC_STARK_Z, CP_GATE):
+        return np.diag(phases)
+    e = np.exp(1j * op.phase)
+    frame = np.array([[1.0, 1.0], [e, -e]]) / np.sqrt(2)
+    v = linalg.tensor(*[frame if i in weights else linalg.ID2
+                        for i in range(n_ions)])
+    return (v * phases) @ linalg.dag(v)
 
 
 def op_unitary(op: PulseOp, n_ions: int) -> np.ndarray:
     """Ideal (noise-free) unitary of a single pulse on the full ion space."""
-    return linalg.expm_hermitian(op_generator(op, n_ions), op.angle / 2.0)
+    return pulse_unitary(op, n_ions)
 
 
 def sequence_unitary(seq: PulseSequence) -> np.ndarray:

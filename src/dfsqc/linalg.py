@@ -153,52 +153,6 @@ def partial_trace(rho: np.ndarray, keep: Iterable[int],
     return reshaped.reshape(d_keep, d_keep)
 
 
-def check_state_vector(psi: np.ndarray, atol: float = 1e-12) -> np.ndarray:
-    """Validate normalization of a state vector; returns it unchanged."""
-    psi = np.asarray(psi, dtype=complex)
-    if psi.ndim != 1:
-        raise DimensionError("state vector must be 1-D")
-    norm = np.linalg.norm(psi)
-    if abs(norm - 1.0) > atol:
-        raise ValidationError(f"state norm {norm} deviates from 1 by more than {atol}")
-    return psi
-
-
-def check_density_matrix(rho: np.ndarray, herm_atol: float = 1e-10,
-                         trace_atol: float = 1e-10,
-                         eig_floor: float = -1e-9) -> np.ndarray:
-    """Validate Hermiticity, unit trace and positivity of a density matrix."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise DimensionError("density matrix must be square")
-    if not is_hermitian(rho, herm_atol):
-        raise ValidationError("density matrix is not Hermitian within tolerance")
-    tr = np.trace(rho)
-    if abs(tr - 1.0) > trace_atol:
-        raise ValidationError(f"trace {tr} deviates from 1")
-    evals = np.linalg.eigvalsh((rho + dag(rho)) / 2)
-    if evals.min() < eig_floor:
-        raise ValidationError(f"negative eigenvalue {evals.min():.3e}")
-    return rho
-
-
-def check_unitary(u: np.ndarray, atol: float = 1e-10) -> np.ndarray:
-    """Validate ``U+ U = 1``; returns ``u`` unchanged."""
-    u = np.asarray(u, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise DimensionError("unitary must be square")
-    err = np.max(np.abs(dag(u) @ u - np.eye(u.shape[0])))
-    if err > atol:
-        raise ValidationError(f"unitarity violation {err:.3e} exceeds {atol}")
-    return u
-
-
-def projector(vectors: Sequence[np.ndarray]) -> np.ndarray:
-    """Orthogonal projector onto the span of the given orthonormal vectors."""
-    cols = np.stack([np.asarray(v, dtype=complex) for v in vectors], axis=1)
-    return cols @ dag(cols)
-
-
 def canonicalize_phase(m: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     """Fix the global phase so the first entry of magnitude above ``tol``
     (row-major scan) is real and positive."""

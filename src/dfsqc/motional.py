@@ -25,6 +25,7 @@ space (4-dimensional) most significant.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -255,13 +256,20 @@ def off_resonant_error_scan(model: DrivenOscillatorModel,
     return rows
 
 
+def scan_csv_text(rows) -> str:
+    """``(fraction, infidelity)`` rows as two-column CSV text."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["fraction", "infidelity"])
+    for f, infid in rows:
+        writer.writerow([repr(float(f)), repr(float(infid))])
+    return buf.getvalue()
+
+
 def scan_to_csv(rows, path) -> None:
     """Write ``(fraction, infidelity)`` rows as a two-column CSV file."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["fraction", "infidelity"])
-        for f, infid in rows:
-            writer.writerow([repr(float(f)), repr(float(infid))])
+        fh.write(scan_csv_text(rows))
 
 
 def coupling_for_phase(theta: float, delta: float) -> float:

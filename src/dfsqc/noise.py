@@ -21,23 +21,22 @@ trace preserving):
   are immune by construction.
 
 Monte-Carlo averages are reproducible: shot ``i`` draws from a generator
-seeded with ``(seed, i)``, so results do not depend on scheduling.
+seeded with ``(seed, i)``, so the same seed gives the same result bit for
+bit.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from . import linalg
 from .encoding import collective_phase_unitary
 from .errors import DimensionError, ValidationError
 from .gates import (AC_STARK_Z, CP_GATE, MS_ROTATION, PulseOp,
-                    PulseSequence)
+                    PulseSequence, pulse_unitary)
 
 
 @dataclass(frozen=True)
@@ -113,53 +112,23 @@ def string_neighbors(targets, n_ions: int) -> tuple:
     return tuple(out)
 
 
-def _axis(phase: float) -> np.ndarray:
-    return np.cos(phase) * linalg.SIGMA_X + np.sin(phase) * linalg.SIGMA_Y
-
-
-def _weighted_collective(op: PulseOp, n_ions: int, ratio: float,
-                         epsilon: float):
-    """Weighted collective spin of a two-ion pulse and the sum of squared
-    weights: the addressed pair at weights ``(1 + epsilon, 1)``, string
-    neighbors at ``ratio``."""
-    s1 = _axis(op.phase) if op.kind == MS_ROTATION else linalg.SIGMA_Z
-    weights = {op.targets[0]: 1.0 + epsilon, op.targets[1]: 1.0}
-    for n in string_neighbors(op.targets, n_ions):
-        weights[n] = weights.get(n, 0.0) + ratio
-    total = np.zeros((2 ** n_ions, 2 ** n_ions), dtype=complex)
-    for ion, w in weights.items():
-        mats = [linalg.ID2] * n_ions
-        mats[ion] = s1
-        total = total + w * linalg.tensor(*mats)
-    return total, float(sum(w * w for w in weights.values()))
-
-
 def noisy_op_unitary(op: PulseOp, n_ions: int, ratio: float = 0.0,
                      epsilon: float = 0.0, angle_offset: float = 0.0) -> np.ndarray:
     """Unitary of one pulse under coherent crosstalk and imbalance.
 
-    Two-ion pulses use the squared weighted collective spin,
-    ``exp(-i angle/4 (S_w^2 - sum w^2))``; the subtracted identity part
-    is a global phase and makes the error-free limit coincide with the
-    ideal op exactly.  Single-ion pulses extend their generator to the
-    neighbors at the crosstalk weight.  ``angle_offset`` adds AC-Stark
-    phase jitter to z pulses.
+    The pulse's Pauli carries weight ``1 + epsilon`` on the first
+    addressed ion of a two-ion pulse, 1 on the other addressed ions and
+    ``ratio`` on the string neighbors; :func:`~dfsqc.gates.pulse_unitary`
+    builds the unitary from these weights.  ``angle_offset`` adds
+    AC-Stark phase jitter to z pulses.
     """
-    angle = op.angle + (angle_offset if op.kind == AC_STARK_Z else 0.0)
+    weights = {t: 1.0 for t in op.targets}
     if op.kind in (MS_ROTATION, CP_GATE):
-        s_w, self_weight = _weighted_collective(op, n_ions, ratio, epsilon)
-        gen = s_w @ s_w - self_weight * np.eye(2 ** n_ions)
-        return linalg.expm_hermitian(gen, angle / 4.0)
-    base = linalg.SIGMA_Z if op.kind == AC_STARK_Z else _axis(op.phase)
-    mats = [linalg.ID2] * n_ions
-    mats[op.targets[0]] = base
-    gen = linalg.tensor(*mats)
-    if ratio != 0.0:
-        for n in string_neighbors(op.targets, n_ions):
-            mats = [linalg.ID2] * n_ions
-            mats[n] = base
-            gen = gen + ratio * linalg.tensor(*mats)
-    return linalg.expm_hermitian(gen, angle / 2.0)
+        weights[op.targets[0]] += epsilon
+    for n in string_neighbors(op.targets, n_ions):
+        weights[n] = ratio
+    offset = angle_offset if op.kind == AC_STARK_Z else 0.0
+    return pulse_unitary(op, n_ions, weights, offset)
 
 
 def addressing_crosstalk(op: PulseOp, ratio: float, n_ions: int) -> np.ndarray:
@@ -218,107 +187,61 @@ def _static_ops(seq: PulseSequence, model: NoiseModel) -> list:
     return out
 
 
-def channel_unitaries(seq: PulseSequence, model: NoiseModel, n_samples: int,
-                      seed: Optional[int] = None) -> np.ndarray:
-    """Stack of per-shot sequence unitaries, shape (n_samples, dim, dim).
+def _shot_unitaries(seq: PulseSequence, model: NoiseModel, n_samples: int,
+                    seed: Optional[int]):
+    """Yield the sequence unitary of each Monte-Carlo shot in order.
 
-    Shot ``i`` is drawn from ``default_rng((seed, i))``; with no
-    stochastic terms in the model a single unitary is returned.
+    Shot ``i`` draws from ``default_rng((seed, i))``; with no stochastic
+    terms in the model there is a single shot.
     """
     if n_samples < 1:
         raise ValidationError("need at least one sample")
     seed = model.seed if seed is None else seed
     if seed is None:
         raise ValidationError("a seed is required for reproducible sampling")
-    static = _static_ops(seq, model)
     if not model.is_stochastic:
         n_samples = 1
-    out = np.empty((n_samples, seq.register.dim, seq.register.dim), dtype=complex)
+    static = _static_ops(seq, model)
     for i in range(n_samples):
-        rng = np.random.default_rng((seed, i))
-        out[i] = _sample_unitary(seq, model, static, rng)
-    return out
+        yield _sample_unitary(seq, model, static, np.random.default_rng((seed, i)))
+
+
+def channel_unitaries(seq: PulseSequence, model: NoiseModel, n_samples: int,
+                      seed: Optional[int] = None) -> np.ndarray:
+    """Stack of per-shot sequence unitaries, shape (n_samples, dim, dim).
+
+    With no stochastic terms in the model a single unitary is returned.
+    """
+    return np.stack(list(_shot_unitaries(seq, model, n_samples, seed)))
 
 
 def sample_noisy_channel(seq: PulseSequence, psi: np.ndarray, model: NoiseModel,
-                         n_samples: int, seed: Optional[int] = None,
-                         threads: int = 1) -> np.ndarray:
+                         n_samples: int, seed: Optional[int] = None) -> np.ndarray:
     """Monte-Carlo averaged output density matrix for a pure input.
 
     Averages the pure-state outcomes over the sampled jitter
-    realizations; deterministic for a given ``(seed, parameters)``
-    independent of ``threads``, which only parallelizes fixed chunks of
-    the shot index range.
+    realizations; deterministic for a given ``(seed, parameters)``.
     """
     if psi.shape != (seq.register.dim,):
         raise DimensionError("input state does not match the register")
-    seed = model.seed if seed is None else seed
-    if seed is None:
-        raise ValidationError("a seed is required for reproducible sampling")
-    if not model.is_stochastic:
-        n_samples = 1
-    static = _static_ops(seq, model)
-    chunks = _fixed_chunks(n_samples)
-
-    def chunk_sum(bounds):
-        lo, hi = bounds
-        acc = np.zeros((seq.register.dim, seq.register.dim), dtype=complex)
-        for i in range(lo, hi):
-            rng = np.random.default_rng((seed, i))
-            out = _sample_unitary(seq, model, static, rng) @ psi
-            acc += np.outer(out, out.conj())
-        return acc
-
-    partials = _run_chunks(chunk_sum, chunks, threads)
-    total = partials[0]
-    for p in partials[1:]:
-        total = total + p
-    return total / n_samples
+    d = seq.register.dim
+    acc = np.zeros((d, d), dtype=complex)
+    for n, u in enumerate(_shot_unitaries(seq, model, n_samples, seed), 1):
+        out = u @ psi
+        acc += np.outer(out, out.conj())
+    return acc / n
 
 
 def channel_superoperator(seq: PulseSequence, model: NoiseModel, n_samples: int,
-                          seed: Optional[int] = None, threads: int = 1) -> np.ndarray:
+                          seed: Optional[int] = None) -> np.ndarray:
     """Row-major superoperator of the Monte-Carlo averaged channel.
 
     Acts on ``rho.reshape(-1)`` (C order): ``E(rho) = (S @ rho.ravel())
     .reshape(d, d)``.  Built from the same per-shot unitaries as
     :func:`sample_noisy_channel`, so the two agree shot for shot.
     """
-    seed = model.seed if seed is None else seed
-    if seed is None:
-        raise ValidationError("a seed is required for reproducible sampling")
-    if not model.is_stochastic:
-        n_samples = 1
-    static = _static_ops(seq, model)
     d = seq.register.dim
-    chunks = _fixed_chunks(n_samples)
-
-    def chunk_sum(bounds):
-        lo, hi = bounds
-        acc = np.zeros((d * d, d * d), dtype=complex)
-        for i in range(lo, hi):
-            rng = np.random.default_rng((seed, i))
-            u = _sample_unitary(seq, model, static, rng)
-            acc += np.kron(u, u.conj())
-        return acc
-
-    partials = _run_chunks(chunk_sum, chunks, threads)
-    total = partials[0]
-    for p in partials[1:]:
-        total = total + p
-    return total / n_samples
-
-
-def _fixed_chunks(n: int, n_chunks: int = 64) -> list:
-    """Contiguous index ranges with boundaries independent of thread count."""
-    n_chunks = min(n_chunks, n)
-    edges = np.linspace(0, n, n_chunks + 1, dtype=int)
-    return [(int(edges[i]), int(edges[i + 1])) for i in range(n_chunks)
-            if edges[i + 1] > edges[i]]
-
-
-def _run_chunks(fn, chunks, threads: int) -> list:
-    if threads <= 1 or len(chunks) <= 1:
-        return [fn(c) for c in chunks]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, chunks))
+    acc = np.zeros((d * d, d * d), dtype=complex)
+    for n, u in enumerate(_shot_unitaries(seq, model, n_samples, seed), 1):
+        acc += np.kron(u, u.conj())
+    return acc / n

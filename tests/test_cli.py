@@ -1,9 +1,10 @@
 import json
+import time
 
 import numpy as np
 import pytest
 
-from dfsqc import linalg
+from dfsqc import cli, linalg
 from dfsqc.cli import main
 from dfsqc.encoding import LogicalRegister, restrict_to_dfs
 from dfsqc.gates import CNOT_LOGICAL, PulseSequence, sequence_unitary
@@ -46,6 +47,57 @@ class TestValidate:
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "nope.json")]) == 2
+
+
+class TestStrictJson:
+    def test_nan_in_config_rejected(self, tmp_path, capsys):
+        path, _ = write_config(
+            tmp_path, noise={"ac_stark_phase_jitter_std": float("nan"),
+                             "seed": 1})
+        assert "NaN" in path.read_text()
+        assert main(["run", str(path)]) == 2
+        assert "NaN" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_infinity_in_config_rejected(self, tmp_path, capsys):
+        path, _ = write_config(tmp_path, experiment="coherence",
+                               phi_std=float("inf"))
+        assert main(["validate", str(path)]) == 2
+        assert main(["run", str(path)]) == 2
+        assert "Infinity" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_non_finite_output_not_written(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "run_coherence", lambda config, seed: (
+            {"coherence_ratio": float("nan")}, {}, []))
+        path, _ = write_config(tmp_path, experiment="coherence")
+        assert main(["run", str(path)]) != 0
+        assert not (tmp_path / "out" / "report.json").exists()
+
+
+class TestSemanticConfigErrors:
+    def test_control_equals_target(self, tmp_path, capsys):
+        path, _ = write_config(tmp_path, control=1, target=1)
+        assert main(["run", str(path)]) == 2
+        assert "control/target" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_qubit_out_of_range(self, tmp_path, capsys):
+        path, _ = write_config(tmp_path, experiment="cnot-tomo", target=2)
+        assert main(["validate", str(path)]) == 2
+        assert main(["run", str(path)]) == 2
+        assert "control/target" in capsys.readouterr().err
+
+    def test_three_qubit_cnot_tomo_refused_at_once(self, tmp_path, capsys):
+        register = {"n_logical": 3, "pairs": [[0, 1], [2, 3], [4, 5]]}
+        path, _ = write_config(
+            tmp_path, experiment="cnot-tomo", register=register,
+            control=1, target=2, noise={"seed": 1})
+        start = time.perf_counter()
+        assert main(["run", str(path)]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert "register" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestRunBell:
@@ -123,6 +175,9 @@ class TestRunScans:
         rows = report["metrics"]["rows"]
         assert rows[0]["infidelity"] < 1e-5
         assert rows[1]["infidelity"] > rows[0]["infidelity"]
+        # atomic writes leave no temporary files behind
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == sorted(
+            ["report.json", csv_path.name])
 
 
 class TestNumericalContractExit:
@@ -135,7 +190,7 @@ class TestNumericalContractExit:
 
 
 class TestReproducibility:
-    def test_identical_reports_across_runs_and_threads(self, tmp_path):
+    def test_identical_reports_across_runs(self, tmp_path):
         config = {
             "experiment": "bell",
             "seed": 23,
@@ -147,9 +202,9 @@ class TestReproducibility:
         }
         path = tmp_path / "conf.json"
         path.write_text(json.dumps(config))
-        assert main(["run", str(path), "--threads", "1"]) == 0
+        assert main(["run", str(path)]) == 0
         first = (tmp_path / "a" / "report.json").read_bytes()
-        assert main(["run", str(path), "--threads", "4"]) == 0
+        assert main(["run", str(path)]) == 0
         second = (tmp_path / "a" / "report.json").read_bytes()
         assert first == second
 
@@ -158,11 +213,6 @@ class TestReproducibility:
         main(["run", str(path), "--seed", "99"])
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["seed"] == 99
-
-    def test_env_thread_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("DFSQC_THREADS", "2")
-        path, _ = write_config(tmp_path)
-        assert main(["run", str(path)]) == 0
 
 
 class TestDumpSequence:

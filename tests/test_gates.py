@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dfsqc import linalg
 from dfsqc.encoding import (LogicalRegister, dfs_projector, encode,
@@ -11,8 +13,9 @@ from dfsqc.errors import LayoutError, ValidationError
 from dfsqc.gates import (CNOT_LOGICAL, GateParams, PulseOp, PulseSequence,
                          apply_sequence, bell_state_logical, compile_cnot,
                          cp_gate_logical, cp_pulse, ms_pulse, op_unitary,
-                         sequence_unitary, x_rotation_logical,
+                         pulse_unitary, sequence_unitary, x_rotation_logical,
                          z_rotation_logical)
+from dfsqc.noise import string_neighbors
 
 from conftest import random_state
 
@@ -47,6 +50,51 @@ class TestPulseOp:
     def test_json_roundtrip(self):
         op = PulseOp("MSRotation", (2, 3), -np.pi / 2, 0.1, 1e-4)
         assert PulseOp.from_json(op.to_json()) == op
+
+
+def dense_pulse_generator(op, n_ions, weights):
+    """Reference generator and exponent scale of a weighted pulse, written
+    out as dense Kronecker sums: ``S = sum_i w_i P_i`` for single-ion
+    pulses (unitary ``exp(-i a/2 S)``), ``S^2 - sum_i w_i^2`` for two-ion
+    pulses (unitary ``exp(-i a/4 (S^2 - sum_i w_i^2))``)."""
+    if op.kind in ("ACStarkZ", "CPGate"):
+        pauli = linalg.SIGMA_Z
+    else:
+        pauli = (np.cos(op.phase) * linalg.SIGMA_X
+                 + np.sin(op.phase) * linalg.SIGMA_Y)
+    s = sum(w * linalg.tensor(*[pauli if i == ion else linalg.ID2
+                                for i in range(n_ions)])
+            for ion, w in weights.items())
+    if len(op.targets) == 1:
+        return s, 0.5
+    self_weight = sum(w * w for w in weights.values())
+    return s @ s - self_weight * np.eye(2 ** n_ions), 0.25
+
+
+class TestPulseUnitary:
+    @settings(deadline=None, max_examples=200)
+    @given(kind=st.sampled_from(["ACStarkZ", "MSRotation", "CPGate",
+                                 "PhysicalFlip"]),
+           n_logical=st.integers(1, 3), first=st.integers(0, 5),
+           angle=st.floats(-2 * np.pi, 2 * np.pi),
+           phase=st.floats(0.0, 2 * np.pi),
+           ratio=st.floats(0.0, 1.0, exclude_max=True),
+           epsilon=st.floats(-0.5, 0.5), offset=st.floats(-1.0, 1.0))
+    def test_matches_dense_generator(self, kind, n_logical, first, angle,
+                                     phase, ratio, epsilon, offset):
+        # crosstalk and imbalance weights as the noise model sets them
+        n_ions = 2 * n_logical
+        n_targets = 1 if kind in ("ACStarkZ", "PhysicalFlip") else 2
+        lo = first % (n_ions - n_targets + 1)
+        op = PulseOp(kind, tuple(range(lo, lo + n_targets)), angle, phase)
+        weights = {t: 1.0 for t in op.targets}
+        weights[lo] += epsilon
+        for n in string_neighbors(op.targets, n_ions):
+            weights[n] = ratio
+        gen, scale = dense_pulse_generator(op, n_ions, weights)
+        ref = linalg.expm_hermitian(gen, scale * (angle + offset))
+        u = pulse_unitary(op, n_ions, weights, offset)
+        assert np.max(np.abs(u - ref)) < 1e-12
 
 
 class TestZRotation:

@@ -183,15 +183,6 @@ class TestSampledChannel:
         b = sample_noisy_channel(seq, psi, CALIBRATED_NOISE, 40, seed=77)
         assert np.array_equal(a, b)
 
-    def test_thread_count_does_not_change_result(self, reg):
-        seq = compile_cnot(0, 1, reg)
-        psi = encode(reg, "01")
-        a = sample_noisy_channel(seq, psi, CALIBRATED_NOISE, 64, seed=3,
-                                 threads=1)
-        b = sample_noisy_channel(seq, psi, CALIBRATED_NOISE, 64, seed=3,
-                                 threads=4)
-        assert np.array_equal(a, b)
-
     def test_seed_required(self, reg):
         seq = compile_cnot(0, 1, reg)
         model = NoiseModel(seed=None)
