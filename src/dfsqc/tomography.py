@@ -74,18 +74,31 @@ def measurement_probabilities(rho: np.ndarray, setting: str) -> np.ndarray:
     return probs / probs.sum()
 
 
+def _draw_counts(probs: np.ndarray, shots: int, seed) -> np.ndarray:
+    """Multinomial counts by inverse-CDF sampling from ``default_rng(seed)``.
+
+    Each shot lands in the first outcome whose cumulative probability
+    exceeds a uniform draw, so a rounding-level change in ``probs`` moves
+    a count only when a draw falls within rounding of a bin edge.  Draws
+    past the last edge (the sum may fall short of one by rounding) go to
+    the last outcome of nonzero probability.
+    """
+    u = np.random.default_rng(seed).random(shots)
+    idx = np.searchsorted(np.cumsum(probs), u, side="right")
+    idx = np.minimum(idx, np.flatnonzero(probs)[-1])
+    return np.bincount(idx, minlength=len(probs))
+
+
 def simulate_measurement(rho: np.ndarray, setting: str, shots: int,
                          seed) -> dict:
     """Multinomial shot histogram for one setting, bitstring to count.
 
-    Deterministic for a given seed; only outcomes with nonzero counts
-    appear in the histogram.
+    Deterministic for a given seed and stable under rounding-level changes
+    of ``rho``; only outcomes with nonzero counts appear in the histogram.
     """
     if shots < 1:
         raise ValidationError("shots must be at least 1")
-    probs = measurement_probabilities(rho, setting)
-    rng = np.random.default_rng(seed)
-    counts = rng.multinomial(shots, probs)
+    counts = _draw_counts(measurement_probabilities(rho, setting), shots, seed)
     n = len(setting)
     return {format(b, f"0{n}b"): int(c) for b, c in enumerate(counts) if c > 0}
 

@@ -17,7 +17,7 @@ from dfsqc.tomography import (ChiMatrix, TomographyDataset, acquire_dataset,
                               preparation_states, process_fidelity,
                               process_tomography, project_chi_cp,
                               project_to_physical, reconstruct_state,
-                              simulate_measurement)
+                              simulate_measurement, _draw_counts)
 
 from conftest import random_density_matrix, random_unitary
 
@@ -73,6 +73,23 @@ class TestMeasurement:
         a = simulate_measurement(rho, "XY", 100, seed=5)
         b = simulate_measurement(rho, "XY", 100, seed=5)
         assert a == b
+
+    def test_histogram_stable_under_last_bit_change(self):
+        # a one-ulp shift of an exactly even distribution must not move
+        # counts; a multinomial switching algorithm at 1/2 moves most seeds
+        rho = np.eye(2, dtype=complex) / 2
+        nudged = rho.copy()
+        nudged[0, 0] += 2.0 ** -53
+        nudged[1, 1] -= 2.0 ** -53
+        for seed in range(50):
+            assert (simulate_measurement(rho, "Z", 100, seed)
+                    == simulate_measurement(nudged, "Z", 100, seed))
+
+    def test_draws_past_last_edge_stay_on_support(self):
+        probs = np.array([0.25, 0.0, 0.749, 0.0])
+        counts = _draw_counts(probs, 100_000, seed=3)
+        assert counts.sum() == 100_000
+        assert counts[1] == 0 and counts[3] == 0
 
 
 class TestDataset:
