@@ -13,6 +13,13 @@ permanence), and finally fit the process matrix ``chi`` defined by
 
 over the fixed logical Pauli basis ``A = {I,X,Y,Z} (x) {I,X,Y,Z}``.
 
+Measurements are products over ions, so state tomography is a per-ion
+contraction with the single-ion effects ``E[s, b] = R_s+ |b><b| R_s``.
+With all settings, linear inversion is ``3^-n sum_sb f[s, b] (x)_k
+(3 E[s_k, b_k] - 1)``: the all-settings classical-shadow estimator (Huang,
+Kueng & Preskill, arXiv:2002.08953).  Shots are drawn by inverse-CDF
+sampling, so histograms do not move under rounding of the state.
+
 Mean gate fidelity is the Haar average of
 ``<psi| U+ E(|psi><psi|) U |psi>`` over pure logical inputs, sampled with
 normalized complex Gaussian vectors (exactly Haar for states); the
@@ -45,48 +52,78 @@ MEASUREMENT_ROTATIONS = {
     "Z": linalg.ID2,
 }
 
+_ROT = np.stack([MEASUREMENT_ROTATIONS[c] for c in BASIS_LETTERS])
+#: Single-ion effects ``E[s, b, i, j] = (R_s+ |b><b| R_s)[i, j]``.
+_EFFECTS = _ROT.conj()[:, :, :, None] * _ROT[:, :, None, :]
+# Tables of _contract_ions: the Born rule (i, j) -> (s, b) through
+# E[s, b, j, i] = conj(E[s, b, i, j]), its adjoint, and the dual 3E - 1.
+_BORN = _EFFECTS.conj()
+_ADJOINT = _EFFECTS.transpose(2, 3, 0, 1)
+_DUAL = (3.0 * _EFFECTS - linalg.ID2).transpose(2, 3, 0, 1)
+
 
 def all_settings(n_ions: int) -> list:
     """The complete set of ``3^n`` per-ion basis labels, lexicographic."""
     return ["".join(c) for c in itertools.product(BASIS_LETTERS, repeat=n_ions)]
 
 
-def _setting_rotation(setting: str) -> np.ndarray:
-    try:
-        mats = [MEASUREMENT_ROTATIONS[c] for c in setting]
-    except KeyError as exc:
-        raise ValidationError(f"invalid basis letter {exc} in setting") from exc
-    return linalg.tensor(*mats)
+def _contract_ions(t: np.ndarray, tables: Sequence[np.ndarray]) -> np.ndarray:
+    """``out[a.., b..] = sum t[c.., d..] prod_k tables[k][a_k, b_k, c_k, d_k]``
+    for matrices whose row and column indices each run over all ions."""
+    n = len(tables)
+    t = t.reshape([tb.shape[2] for tb in tables] + [tb.shape[3] for tb in tables])
+    for k, table in enumerate(tables):  # ion k's (c, d) are axes 0, n - k
+        t = np.tensordot(t, table, axes=([0, n - k], [2, 3]))
+    t = t.transpose(*range(0, 2 * n, 2), *range(1, 2 * n, 2))
+    return t.reshape(-1, np.prod(t.shape[n:], dtype=int))
 
 
-def measurement_probabilities(rho: np.ndarray, setting: str) -> np.ndarray:
-    """Outcome distribution over bitstrings for one measurement setting."""
-    dim = 2 ** len(setting)
-    if rho.shape != (dim, dim):
-        raise DimensionError(
-            f"state dim {rho.shape} does not match setting {setting!r}")
-    u = _setting_rotation(setting)
-    probs = np.real(np.einsum("ij,jk,ik->i", u, rho, u.conj()))
+def _setting_rows(settings: Sequence[str], n: int) -> np.ndarray:
+    """Row of each setting in the lexicographic :func:`all_settings` order."""
+    # one code point per letter; X, Y, Z are consecutive
+    chars = np.array(list(settings), dtype=str).view(np.uint32)
+    digits = chars.reshape(len(settings), -1).astype(np.int64) - ord("X")
+    if digits.shape[1] != n or np.any((digits < 0) | (digits > 2)):
+        raise ValidationError(f"settings must be {n} letters from {BASIS_LETTERS}")
+    return np.ravel_multi_index(digits.T, (3,) * n)
+
+
+def _distributions(rho: np.ndarray, tables: Sequence[np.ndarray]) -> np.ndarray:
+    """Outcome distributions, one row per setting the per-ion tables select."""
+    n = len(tables)
+    if rho.shape != (2 ** n, 2 ** n):
+        raise DimensionError(f"state dim {rho.shape} does not match {n} ions")
+    probs = np.real(_contract_ions(rho, tables))
     if probs.min() < -1e-9:
         raise ValidationError(
             f"negative outcome probability {probs.min():.3e} below -1e-9")
     probs = np.clip(probs, 0.0, None)
-    return probs / probs.sum()
+    return probs / probs.sum(axis=1, keepdims=True)
+
+
+def measurement_probabilities(rho: np.ndarray, setting: str) -> np.ndarray:
+    """Outcome distribution over bitstrings for one measurement setting."""
+    n = len(setting)
+    digits = np.unravel_index(_setting_rows([setting], n), (3,) * n)
+    return _distributions(rho, [_BORN[d] for d in digits])[0]
 
 
 def _draw_counts(probs: np.ndarray, shots: int, seed) -> np.ndarray:
-    """Multinomial counts by inverse-CDF sampling from ``default_rng(seed)``.
-
-    Each shot lands in the first outcome whose cumulative probability
-    exceeds a uniform draw, so a rounding-level change in ``probs`` moves
-    a count only when a draw falls within rounding of a bin edge.  Draws
-    past the last edge (the sum may fall short of one by rounding) go to
-    the last outcome of nonzero probability.
-    """
+    """Multinomial counts by inverse-CDF sampling from ``default_rng(seed)``:
+    a rounding-level change in ``probs`` moves a count only if a draw falls
+    within rounding of a bin edge.  Draws past the last edge (the sum may
+    fall short of one) go to the last outcome of nonzero probability."""
+    if shots < 1:
+        raise ValidationError("shots must be at least 1")
     u = np.random.default_rng(seed).random(shots)
     idx = np.searchsorted(np.cumsum(probs), u, side="right")
     idx = np.minimum(idx, np.flatnonzero(probs)[-1])
     return np.bincount(idx, minlength=len(probs))
+
+
+def _histogram(values: np.ndarray, n: int) -> dict:
+    """Bitstring to value for the outcomes with a positive value."""
+    return {format(b, f"0{n}b"): v.item() for b, v in enumerate(values) if v > 0}
 
 
 def simulate_measurement(rho: np.ndarray, setting: str, shots: int,
@@ -96,11 +133,8 @@ def simulate_measurement(rho: np.ndarray, setting: str, shots: int,
     Deterministic for a given seed and stable under rounding-level changes
     of ``rho``; only outcomes with nonzero counts appear in the histogram.
     """
-    if shots < 1:
-        raise ValidationError("shots must be at least 1")
-    counts = _draw_counts(measurement_probabilities(rho, setting), shots, seed)
-    n = len(setting)
-    return {format(b, f"0{n}b"): int(c) for b, c in enumerate(counts) if c > 0}
+    probs = measurement_probabilities(rho, setting)
+    return _histogram(_draw_counts(probs, shots, seed), len(setting))
 
 
 @dataclass
@@ -155,62 +189,35 @@ class TomographyDataset:
 def acquire_dataset(rho: np.ndarray, shots: Optional[int], seed=None,
                     settings: Optional[Sequence[str]] = None) -> TomographyDataset:
     """Measure a state in every setting; ``shots=None`` records the exact
-    outcome distributions instead of sampling."""
+    outcome distributions instead of sampling.  Setting ``i`` draws its
+    shots from ``default_rng((seed, i))``."""
     n = rho.shape[0].bit_length() - 1
     settings = list(settings) if settings is not None else all_settings(n)
-    counts = []
-    for i, s in enumerate(settings):
-        if shots is None:
-            probs = measurement_probabilities(rho, s)
-            counts.append({format(b, f"0{n}b"): float(p)
-                           for b, p in enumerate(probs) if p > 0})
-        else:
-            counts.append(simulate_measurement(rho, s, shots, (seed, i)))
+    probs = _distributions(rho, [_BORN] * n)[_setting_rows(settings, n)]
+    if shots is None:
+        counts = [_histogram(p, n) for p in probs]
+    else:
+        counts = [_histogram(_draw_counts(p, shots, (seed, i)), n)
+                  for i, p in enumerate(probs)]
     return TomographyDataset(settings=settings, counts=counts,
                              shots_per_setting=shots)
 
 
-def _parity_signs(n: int, support_mask: int) -> np.ndarray:
-    b = np.arange(2 ** n)
-    masked = b & support_mask
-    parity = np.zeros(2 ** n, dtype=int)
-    m = masked
-    while np.any(m):
-        parity ^= m & 1
-        m >>= 1
-    return 1.0 - 2.0 * parity
-
-
 def linear_inversion(dataset: TomographyDataset) -> np.ndarray:
-    """Raw density matrix from Pauli expectation values.
+    """Raw density matrix ``3^-n sum_sb f[s, b] (x)_k (3 E[s_k, b_k] - 1)``.
 
-    Every Pauli string expectation is averaged over all settings whose
+    This averages every Pauli-string expectation over all settings whose
     basis letters match on the string's support; with exact frequencies
     the result equals the true state.  Requires the complete ``3^n``
-    setting set.
+    setting set, in any order.
     """
     n = dataset.n_ions
-    if sorted(dataset.settings) != all_settings(n):
+    rows = _setting_rows(dataset.settings, n)
+    if not np.array_equal(np.sort(rows), np.arange(3 ** n)):
         raise CoverageError(
             f"linear inversion needs the complete {3 ** n}-setting set")
-    freq = dataset.frequencies()
-    settings = dataset.settings
-    dim = 2 ** n
-    rho = np.zeros((dim, dim), dtype=complex)
-    for letters in itertools.product("IXYZ", repeat=n):
-        support = [(i, c) for i, c in enumerate(letters) if c != "I"]
-        if not support:
-            rho += np.eye(dim, dtype=complex)
-            continue
-        mask = 0
-        for i, _ in support:
-            mask |= 1 << (n - 1 - i)
-        signs = _parity_signs(n, mask)
-        matching = [r for r, s in enumerate(settings)
-                    if all(s[i] == c for i, c in support)]
-        expval = float(np.mean(freq[matching] @ signs))
-        rho += expval * linalg.pauli_string("".join(letters))
-    return rho / dim
+    freq = dataset.frequencies()[np.argsort(rows)]
+    return _contract_ions(freq, [_DUAL] * n) / 3 ** n
 
 
 def project_to_physical(rho: np.ndarray) -> np.ndarray:
@@ -238,18 +245,17 @@ def project_to_physical(rho: np.ndarray) -> np.ndarray:
 
 def mle_refine(rho0: np.ndarray, dataset: TomographyDataset,
                max_iter: int = 200, tol: float = 1e-10) -> np.ndarray:
-    """Iterative maximum-likelihood refinement (R rho R fixed point)."""
+    """Iterative maximum-likelihood refinement (R rho R fixed point), with
+    ``R = sum_sb f[s, b] / p[s, b] E[s, b]`` over the dataset's rows."""
     n = dataset.n_ions
-    dim = 2 ** n
-    rotations = [_setting_rotation(s) for s in dataset.settings]
+    rows = _setting_rows(dataset.settings, n)
     freq = dataset.frequencies()
     rho = rho0.copy()
     for _ in range(max_iter):
-        r = np.zeros((dim, dim), dtype=complex)
-        for u, f in zip(rotations, freq):
-            probs = np.real(np.einsum("ij,jk,ik->i", u, rho, u.conj()))
-            probs = np.clip(probs, 1e-12, None)
-            r += linalg.dag(u) @ ((f / probs)[:, None] * u)
+        probs = np.clip(np.real(_contract_ions(rho, [_BORN] * n))[rows], 1e-12, None)
+        ratio = np.zeros((3 ** n, 2 ** n))
+        np.add.at(ratio, rows, freq / probs)  # repeated settings add up
+        r = _contract_ions(ratio, [_ADJOINT] * n)
         new = r @ rho @ r
         new = (new + linalg.dag(new)) / 2.0
         new /= np.real(np.trace(new))
@@ -333,12 +339,9 @@ class ChiMatrix:
         """Row-major superoperator: ``E(rho) = (S @ rho.ravel()).reshape(d, d)``."""
         ops = chi_basis(self.n_logical)
         d = ops.shape[1]
-        s = np.zeros((d * d, d * d), dtype=complex)
-        for m in range(len(ops)):
-            for n in range(len(ops)):
-                if self.entries[m, n] != 0:
-                    s += self.entries[m, n] * np.kron(ops[m], ops[n].conj())
-        return s
+        s = np.einsum("mn,mij,nkl->ikjl", self.entries, ops, ops.conj(),
+                      optimize=True)
+        return s.reshape(d * d, d * d)
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         d = 2 ** self.n_logical
@@ -347,12 +350,9 @@ class ChiMatrix:
     def trace_preservation_residual(self) -> float:
         """Largest deviation of ``sum_mn chi_mn A_n+ A_m`` from the identity."""
         ops = chi_basis(self.n_logical)
-        d = ops.shape[1]
-        acc = np.zeros((d, d), dtype=complex)
-        for m in range(len(ops)):
-            for n in range(len(ops)):
-                acc += self.entries[m, n] * linalg.dag(ops[n]) @ ops[m]
-        return float(np.max(np.abs(acc - np.eye(d))))
+        acc = np.einsum("mn,nji,mjk->ik", self.entries, ops.conj(), ops,
+                        optimize=True)
+        return float(np.max(np.abs(acc - np.eye(ops.shape[1]))))
 
     def to_json(self) -> dict:
         return {"basis": list(self.basis_labels),
@@ -409,14 +409,8 @@ def preparation_states(n_logical: int = 2) -> list:
         ("+", np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)),
         ("+i", np.array([1.0, 1.0j], dtype=complex) / np.sqrt(2)),
     ]
-    out = []
-    for combo in itertools.product(single, repeat=n_logical):
-        label = ",".join(c[0] for c in combo)
-        vec = combo[0][1]
-        for _, v in combo[1:]:
-            vec = np.kron(vec, v)
-        out.append((label, vec))
-    return out
+    return [(",".join(c[0] for c in combo), linalg.tensor(*[v for _, v in combo]))
+            for combo in itertools.product(single, repeat=n_logical)]
 
 
 def chi_linear_solve(inputs: Sequence[np.ndarray],
@@ -425,16 +419,9 @@ def chi_linear_solve(inputs: Sequence[np.ndarray],
     """Least-squares chi from (input, output) density-matrix pairs."""
     ops = chi_basis(n_logical)
     n_ops = len(ops)
-    d = ops.shape[1]
-    rows = []
-    for rho in inputs:
-        cols = np.empty((n_ops * n_ops, d * d), dtype=complex)
-        for m in range(n_ops):
-            left = ops[m] @ rho
-            for n in range(n_ops):
-                cols[m * n_ops + n] = (left @ linalg.dag(ops[n])).reshape(-1)
-        rows.append(cols.T)
-    mat = np.vstack(rows)
+    # row (r, i, k), column (m, n): (A_m rho_r A_n+)[i, k]
+    mat = np.einsum("mij,rjl,nkl->rikmn", ops, np.asarray(inputs, dtype=complex),
+                    ops.conj(), optimize=True).reshape(-1, n_ops * n_ops)
     b = np.concatenate([np.asarray(o, dtype=complex).reshape(-1) for o in outputs])
     sol, _, rank, _ = np.linalg.lstsq(mat, b, rcond=None)
     if rank < n_ops * n_ops:
@@ -516,13 +503,8 @@ def process_tomography(channel: Callable[[np.ndarray], np.ndarray],
 
 def _channel_superoperator(channel, dim: int) -> np.ndarray:
     """Row-major superoperator of a linear channel probed on matrix units."""
-    s = np.empty((dim * dim, dim * dim), dtype=complex)
-    for j in range(dim):
-        for k in range(dim):
-            e = np.zeros((dim, dim), dtype=complex)
-            e[j, k] = 1.0
-            s[:, j * dim + k] = channel(e).reshape(-1)
-    return s
+    units = np.eye(dim * dim, dtype=complex).reshape(-1, dim, dim)
+    return np.stack([channel(e).reshape(-1) for e in units], axis=1)
 
 
 def mean_gate_fidelity(channel: Union[ChiMatrix, Callable, np.ndarray],

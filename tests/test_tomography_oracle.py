@@ -1,0 +1,90 @@
+"""The per-ion contractions of ``dfsqc.tomography`` against the loop
+implementations in ``tomography_reference``, over 1-4 ions, full-rank
+and rank-2 states, exact and 100-shot data, and any setting order."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import tomography_reference as ref
+from conftest import random_density_matrix
+from dfsqc.tomography import (ChiMatrix, TomographyDataset, acquire_dataset,
+                              all_settings, chi_basis_labels, chi_linear_solve,
+                              linear_inversion, measurement_probabilities,
+                              mle_refine, preparation_states)
+
+SEEDS = st.integers(0, 2 ** 32 - 1)
+STATES = dict(n_ions=st.integers(1, 4), rank=st.sampled_from([None, 2]),
+              shots=st.sampled_from([None, 100]), seed=SEEDS)
+
+
+def random_state(n_ions, rank, rng):
+    return random_density_matrix(2 ** n_ions, rng, rank=rank)
+
+
+def shuffled(dataset, rng):
+    order = rng.permutation(len(dataset.settings))
+    return TomographyDataset(settings=[dataset.settings[i] for i in order],
+                             counts=[dataset.counts[i] for i in order],
+                             shots_per_setting=dataset.shots_per_setting)
+
+
+def max_diff(a, b):
+    return float(np.max(np.abs(a - b)))
+
+
+class TestStateTomography:
+    @settings(deadline=None, max_examples=30)
+    @given(**STATES)
+    def test_linear_inversion(self, n_ions, rank, shots, seed):
+        rng = np.random.default_rng(seed)
+        rho = random_state(n_ions, rank, rng)
+        data = shuffled(acquire_dataset(rho, shots, seed=seed), rng)
+        assert max_diff(linear_inversion(data), ref.linear_inversion(data)) < 1e-12
+
+    @settings(deadline=None, max_examples=20)
+    @given(n_ions=STATES["n_ions"], rank=STATES["rank"], seed=SEEDS)
+    def test_probabilities(self, n_ions, rank, seed):
+        rng = np.random.default_rng(seed)
+        rho = random_state(n_ions, rank, rng)
+        labels = list(rng.permutation(all_settings(n_ions)))
+        expected = np.stack([ref.measurement_probabilities(rho, s) for s in labels])
+        single = np.stack([measurement_probabilities(rho, s) for s in labels])
+        assert max_diff(single, expected) < 1e-12
+        batched = acquire_dataset(rho, None, settings=labels).frequencies()
+        assert max_diff(batched, expected) < 1e-12
+
+    @settings(deadline=None, max_examples=20)
+    @given(**STATES, n_repeats=st.integers(0, 5))
+    def test_mle_refine_with_repeated_settings(self, n_ions, rank, shots, seed,
+                                               n_repeats):
+        rng = np.random.default_rng(seed)
+        rho = random_state(n_ions, rank, rng)
+        full = all_settings(n_ions)
+        labels = full + list(rng.choice(full, size=n_repeats))
+        data = shuffled(acquire_dataset(rho, shots, seed=seed, settings=labels), rng)
+        rho0 = random_density_matrix(2 ** n_ions, rng)
+        got = mle_refine(rho0, data, max_iter=5)
+        assert max_diff(got, ref.mle_refine(rho0, data, max_iter=5)) < 1e-10
+
+
+class TestProcessMatrix:
+    @settings(deadline=None, max_examples=20)
+    @given(n_logical=st.integers(1, 2), seed=SEEDS)
+    def test_superoperator_and_trace_residual(self, n_logical, seed):
+        rng = np.random.default_rng(seed)
+        entries = random_density_matrix(4 ** n_logical, rng)
+        chi = ChiMatrix(entries, chi_basis_labels(n_logical))
+        assert max_diff(chi.superoperator(),
+                        ref.superoperator(entries, n_logical)) < 1e-12
+        assert abs(chi.trace_preservation_residual()
+                   - ref.trace_preservation_residual(entries, n_logical)) < 1e-12
+
+    @settings(deadline=None, max_examples=20)
+    @given(n_logical=st.integers(1, 2), seed=SEEDS)
+    def test_chi_linear_solve(self, n_logical, seed):
+        rng = np.random.default_rng(seed)
+        inputs = [np.outer(v, v.conj()) for _, v in preparation_states(n_logical)]
+        outputs = [random_density_matrix(2 ** n_logical, rng) for _ in inputs]
+        assert max_diff(chi_linear_solve(inputs, outputs, n_logical),
+                        ref.chi_linear_solve(inputs, outputs, n_logical)) < 1e-12

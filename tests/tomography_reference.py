@@ -1,0 +1,119 @@
+"""Loop implementations of the tomography estimators, kept as test oracles.
+
+These are the direct, slow forms: one dense rotation per setting, one
+Pauli string at a time for linear inversion, and double loops over the
+chi basis.  ``tests/test_tomography_oracle.py`` checks the vectorized
+code in :mod:`dfsqc.tomography` against them.
+"""
+
+import itertools
+
+import numpy as np
+
+from dfsqc import linalg
+from dfsqc.tomography import MEASUREMENT_ROTATIONS, all_settings, chi_basis
+
+
+def setting_rotation(setting):
+    return linalg.tensor(*[MEASUREMENT_ROTATIONS[c] for c in setting])
+
+
+def measurement_probabilities(rho, setting):
+    u = setting_rotation(setting)
+    probs = np.real(np.einsum("ij,jk,ik->i", u, rho, u.conj()))
+    probs = np.clip(probs, 0.0, None)
+    return probs / probs.sum()
+
+
+def parity_signs(n, support_mask):
+    b = np.arange(2 ** n)
+    masked = b & support_mask
+    parity = np.zeros(2 ** n, dtype=int)
+    m = masked
+    while np.any(m):
+        parity ^= m & 1
+        m >>= 1
+    return 1.0 - 2.0 * parity
+
+
+def linear_inversion(dataset):
+    """Every Pauli-string expectation averaged over the matching settings."""
+    n = dataset.n_ions
+    assert sorted(dataset.settings) == all_settings(n)
+    freq = dataset.frequencies()
+    settings = dataset.settings
+    dim = 2 ** n
+    rho = np.zeros((dim, dim), dtype=complex)
+    for letters in itertools.product("IXYZ", repeat=n):
+        support = [(i, c) for i, c in enumerate(letters) if c != "I"]
+        if not support:
+            rho += np.eye(dim, dtype=complex)
+            continue
+        mask = 0
+        for i, _ in support:
+            mask |= 1 << (n - 1 - i)
+        signs = parity_signs(n, mask)
+        matching = [r for r, s in enumerate(settings)
+                    if all(s[i] == c for i, c in support)]
+        expval = float(np.mean(freq[matching] @ signs))
+        rho += expval * linalg.pauli_string("".join(letters))
+    return rho / dim
+
+
+def mle_refine(rho0, dataset, max_iter=200, tol=1e-10):
+    n = dataset.n_ions
+    dim = 2 ** n
+    rotations = [setting_rotation(s) for s in dataset.settings]
+    freq = dataset.frequencies()
+    rho = rho0.copy()
+    for _ in range(max_iter):
+        r = np.zeros((dim, dim), dtype=complex)
+        for u, f in zip(rotations, freq):
+            probs = np.real(np.einsum("ij,jk,ik->i", u, rho, u.conj()))
+            probs = np.clip(probs, 1e-12, None)
+            r += linalg.dag(u) @ ((f / probs)[:, None] * u)
+        new = r @ rho @ r
+        new = (new + linalg.dag(new)) / 2.0
+        new /= np.real(np.trace(new))
+        if np.max(np.abs(new - rho)) < tol:
+            return new
+        rho = new
+    return rho
+
+
+def superoperator(entries, n_logical):
+    ops = chi_basis(n_logical)
+    d = ops.shape[1]
+    s = np.zeros((d * d, d * d), dtype=complex)
+    for m in range(len(ops)):
+        for n in range(len(ops)):
+            s += entries[m, n] * np.kron(ops[m], ops[n].conj())
+    return s
+
+
+def trace_preservation_residual(entries, n_logical):
+    ops = chi_basis(n_logical)
+    d = ops.shape[1]
+    acc = np.zeros((d, d), dtype=complex)
+    for m in range(len(ops)):
+        for n in range(len(ops)):
+            acc += entries[m, n] * linalg.dag(ops[n]) @ ops[m]
+    return float(np.max(np.abs(acc - np.eye(d))))
+
+
+def chi_linear_solve(inputs, outputs, n_logical):
+    ops = chi_basis(n_logical)
+    n_ops = len(ops)
+    d = ops.shape[1]
+    rows = []
+    for rho in inputs:
+        cols = np.empty((n_ops * n_ops, d * d), dtype=complex)
+        for m in range(n_ops):
+            left = ops[m] @ rho
+            for n in range(n_ops):
+                cols[m * n_ops + n] = (left @ linalg.dag(ops[n])).reshape(-1)
+        rows.append(cols.T)
+    mat = np.vstack(rows)
+    b = np.concatenate([np.asarray(o, dtype=complex).reshape(-1) for o in outputs])
+    sol = np.linalg.lstsq(mat, b, rcond=None)[0]
+    return sol.reshape(n_ops, n_ops)
