@@ -81,7 +81,7 @@ CONFIG_SCHEMA = {
             "properties": {
                 "addressing_ratio": {"type": "number", "minimum": 0,
                                      "exclusiveMaximum": 1},
-                "intensity_imbalance": {"type": "number"},
+                "intensity_imbalance": {"type": "number", "exclusiveMinimum": -1},
                 "ac_stark_phase_jitter_std": {"type": "number", "minimum": 0},
                 "collective_phase_std": {"type": "number", "minimum": 0},
                 "seed": {"type": ["integer", "null"]},
@@ -325,9 +325,10 @@ def run_coherence(config: dict, seed: int) -> tuple:
     phi_std = config.get("phi_std", float(np.pi))
     n = config.get("n_phase_samples", 100_000)
     ratio = coherence_ratio(phi_std, n, seed)
+    phi = float(phi_std)  # a float square underflows the exponential to 0.0
     metrics = {"phi_std": phi_std, "n_phase_samples": n,
                "coherence_ratio": ratio,
-               "physical_coherence_analytic": float(np.exp(-phi_std ** 2 / 2))}
+               "physical_coherence_analytic": float(np.exp(-phi * phi / 2))}
     return metrics, {}, []
 
 

@@ -52,6 +52,8 @@ class NoiseModel:
     def __post_init__(self):
         if not 0.0 <= self.addressing_ratio < 1.0:
             raise ValidationError("addressing_ratio must lie in [0, 1)")
+        if not self.intensity_imbalance > -1.0:
+            raise ValidationError("intensity_imbalance must exceed -1")
         if self.ac_stark_phase_jitter_std < 0 or self.collective_phase_std < 0:
             raise ValidationError("jitter standard deviations must be >= 0")
 

@@ -18,7 +18,7 @@ contraction with the single-ion effects ``E[s, b] = R_s+ |b><b| R_s``.
 With all settings, linear inversion is ``3^-n sum_sb f[s, b] (x)_k
 (3 E[s_k, b_k] - 1)``: the all-settings classical-shadow estimator (Huang,
 Kueng & Preskill, arXiv:2002.08953).  Shots are drawn by inverse-CDF
-sampling, so histograms do not move under rounding of the state.
+sampling, so rounding of the state moves a count only at a bin edge.
 
 Mean gate fidelity is the Haar average of
 ``<psi| U+ E(|psi><psi|) U |psi>`` over pure logical inputs, sampled with
@@ -80,10 +80,11 @@ def _contract_ions(t: np.ndarray, tables: Sequence[np.ndarray]) -> np.ndarray:
 
 def _setting_rows(settings: Sequence[str], n: int) -> np.ndarray:
     """Row of each setting in the lexicographic :func:`all_settings` order."""
-    # one code point per letter; X, Y, Z are consecutive
-    chars = np.array(list(settings), dtype=str).view(np.uint32)
-    digits = chars.reshape(len(settings), -1).astype(np.int64) - ord("X")
-    if digits.shape[1] != n or np.any((digits < 0) | (digits > 2)):
+    # one unsigned code point per letter; X, Y, Z are consecutive and any
+    # other letter, or the padding of a short label, lands above 2
+    chars = np.array(list(settings), dtype=str)
+    digits = chars.view(np.uint32).reshape(-1, chars.itemsize // 4) - ord("X")
+    if digits.shape[1] != n or np.any(digits > 2):
         raise ValidationError(f"settings must be {n} letters from {BASIS_LETTERS}")
     return np.ravel_multi_index(digits.T, (3,) * n)
 

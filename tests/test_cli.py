@@ -82,6 +82,13 @@ class TestSemanticConfigErrors:
         assert "control/target" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_imbalance_at_or_below_minus_one(self, tmp_path, capsys):
+        path, _ = write_config(tmp_path, noise={"intensity_imbalance": -3})
+        assert main(["validate", str(path)]) == 2
+        assert main(["run", str(path)]) == 2
+        assert "noise" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_qubit_out_of_range(self, tmp_path, capsys):
         path, _ = write_config(tmp_path, experiment="cnot-tomo", target=2)
         assert main(["validate", str(path)]) == 2
@@ -159,6 +166,15 @@ class TestRunCoherence:
         assert main(["run", str(path)]) == 0
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["metrics"]["coherence_ratio"] >= 100.0
+
+    @pytest.mark.parametrize("phi_std", [1e200, 10 ** 200], ids=["float", "int"])
+    def test_huge_phase_spread_underflows(self, tmp_path, phi_std):
+        path, _ = write_config(tmp_path, experiment="coherence",
+                               phi_std=phi_std, n_phase_samples=1000)
+        assert main(["run", str(path)]) == 0
+        text = (tmp_path / "out" / "report.json").read_text()
+        report = json.loads(text, parse_constant=lambda name: pytest.fail(name))
+        assert report["metrics"]["physical_coherence_analytic"] == 0.0
 
 
 class TestRunScans:

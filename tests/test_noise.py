@@ -46,6 +46,12 @@ class TestModel:
         with pytest.raises(ValidationError):
             NoiseModel(addressing_ratio=1.0)
 
+    @pytest.mark.parametrize("epsilon", [-1.0, -3.0, float("nan")])
+    def test_imbalance_keeps_first_weight_positive(self, epsilon):
+        with pytest.raises(ValidationError):
+            NoiseModel(intensity_imbalance=epsilon)
+        NoiseModel(intensity_imbalance=-0.99)
+
     def test_json_roundtrip(self):
         m = NoiseModel(0.05, 0.08, 0.3, 0.3, seed=7)
         assert NoiseModel.loads(m.dumps()) == m

@@ -68,6 +68,14 @@ class TestMeasurement:
         with pytest.raises(ValidationError):
             measurement_probabilities(rho, "Z")
 
+    @pytest.mark.parametrize("setting", ["ZQ", "zz", "Z", "ZZZ"])
+    def test_bad_setting_labels_rejected(self, setting):
+        rho = np.eye(4, dtype=complex) / 4
+        with pytest.raises(ValueError):
+            measurement_probabilities(rho, setting)
+        with pytest.raises(ValidationError):
+            acquire_dataset(rho, None, settings=["XX", setting])
+
     def test_same_seed_same_histogram(self, rng):
         rho = random_density_matrix(4, rng)
         a = simulate_measurement(rho, "XY", 100, seed=5)
