@@ -9,22 +9,24 @@
 
 import numpy as np
 
-from dfsqc.encoding import LogicalRegister, logical_basis_indices
-from dfsqc.gates import CNOT_LOGICAL, compile_cnot, sequence_unitary
-from dfsqc.noise import CALIBRATED_NOISE, channel_superoperator
+from dfsqc.encoding import LogicalRegister, embed_in_dfs
+from dfsqc.gates import CNOT_LOGICAL, compile_cnot
+from dfsqc.noise import CALIBRATED_NOISE, sample_noisy_channel
 from dfsqc.tomography import (chi_from_unitary, haar_report, process_fidelity,
                               process_tomography)
 
 reg = LogicalRegister(2)
 cnot = compile_cnot(0, 1, reg)
-iso = np.zeros((16, 4), dtype=complex)
-for col, i in enumerate(logical_basis_indices(reg)):
-    iso[i, col] = 1.0
+
+
+def gate_channel(model, n_samples):
+    """Logical inputs, encoded, through the gate: physical outputs."""
+    return lambda rho_l: sample_noisy_channel(
+        cnot, embed_in_dfs(rho_l, reg), model, n_samples)
+
 
 # ideal gate, exact statistics
-u = sequence_unitary(cnot) @ iso
-ideal_channel = lambda rho_l: u @ rho_l @ u.conj().T
-res = process_tomography(ideal_channel, register=reg)
+res = process_tomography(gate_channel(None, 1), register=reg)
 chi_ideal = chi_from_unitary(CNOT_LOGICAL)
 print("ideal gate, exact statistics:")
 print("  process fidelity:", process_fidelity(res.chi, chi_ideal))
@@ -32,15 +34,8 @@ print("  largest chi entries:",
       sorted(np.round(np.abs(res.chi.entries).ravel(), 4))[-4:])
 
 # noisy gate, 100 shots per setting
-sop = channel_superoperator(cnot, CALIBRATED_NOISE, n_samples=300)
-
-
-def noisy_channel(rho_l):
-    rho_p = iso @ rho_l @ iso.conj().T
-    return (sop @ rho_p.reshape(-1)).reshape(16, 16)
-
-
-noisy = process_tomography(noisy_channel, shots=100, seed=404, register=reg)
+noisy = process_tomography(gate_channel(CALIBRATED_NOISE, 300), shots=100,
+                           seed=404, register=reg)
 print("\ncalibrated noise, 100 shots per setting:")
 print("  process fidelity:", round(process_fidelity(noisy.chi, chi_ideal), 4))
 print("  input permanences: mean %.4f, min %.4f, max %.4f"

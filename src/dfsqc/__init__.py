@@ -11,8 +11,8 @@ Haar-averaged mean gate fidelity.
 
 from . import encoding, gates, linalg, motional, noise, tomography
 from .encoding import (LogicalRegister, coherence_ratio, collective_dephasing,
-                       decode_in_dfs, dfs_projector, encode, encode_state,
-                       restrict_to_dfs)
+                       decode_in_dfs, dfs_projector, embed_in_dfs, encode,
+                       encode_state, restrict_to_dfs)
 from .errors import (ClosureError, ConfigError, ConditioningError,
                      CoverageError, DfsqcError, DimensionError,
                      EmptySubspaceError, LayoutError, TruncationError,

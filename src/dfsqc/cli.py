@@ -25,6 +25,7 @@ import argparse
 import contextlib
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
@@ -35,13 +36,13 @@ import numpy as np
 
 from . import __version__, motional
 from .encoding import (LogicalRegister, coherence_ratio, decode_in_dfs,
-                       encode, logical_basis_indices)
+                       embed_in_dfs, encode)
 from .errors import (ClosureError, ConfigError, DfsqcError, LayoutError,
                      TruncationError, ValidationError)
-from .gates import (GateParams, PulseSequence, bell_state_logical,
-                    cnot_logical_matrix, compile_cnot, ms_pulse,
-                    sequence_unitary)
-from .noise import NoiseModel, channel_superoperator, sample_noisy_channel
+from .gates import (SWAP_LOGICAL, GateParams, PulseSequence,
+                    bell_state_logical, cnot_logical_matrix, compile_cnot,
+                    ms_pulse)
+from .noise import NoiseModel, sample_noisy_channel
 from .tomography import (chi_from_unitary, dfs_report, haar_report,
                          matrix_to_json, process_fidelity, process_tomography)
 
@@ -118,6 +119,14 @@ def _reject_constant(name: str):
     raise ConfigError(f"config is not strict JSON: {name} is not a number")
 
 
+def _reject_overflow(text: str) -> str:
+    """Pass a JSON number's text on if it fits in a float, else refuse it."""
+    if math.isinf(float(text)):
+        shown = text if len(text) <= 24 else f"{text[:20]}... ({len(text)} characters)"
+        raise ConfigError(f"config number {shown} is outside the float range")
+    return text
+
+
 def load_config(path: str) -> dict:
     """Parse, schema-check and semantically check a config file.
 
@@ -129,7 +138,10 @@ def load_config(path: str) -> dict:
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     try:
-        config = json.loads(text, parse_constant=_reject_constant)
+        config = json.loads(
+            text, parse_constant=_reject_constant,
+            parse_float=lambda t: float(_reject_overflow(t)),
+            parse_int=lambda t: int(_reject_overflow(t)))
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"config is not valid JSON (line {exc.lineno}, column {exc.colno}): "
@@ -225,62 +237,27 @@ def _noise(config: dict) -> Optional[NoiseModel]:
     return None
 
 
-def _encode_logical_superop(register: LogicalRegister) -> np.ndarray:
-    """Isometry superoperator embedding logical density matrices."""
-    idx = logical_basis_indices(register)
-    d_l = 2 ** register.n_logical
-    iso = np.zeros((register.dim, d_l), dtype=complex)
-    for col, i in enumerate(idx):
-        iso[i, col] = 1.0
-    return iso
-
-
-def _physical_channel(seq: PulseSequence, noise_model: Optional[NoiseModel],
-                      n_samples: int, seed: int):
-    """Callable logical rho -> physical rho for the tomography pipeline."""
-    register = seq.register
-    iso = _encode_logical_superop(register)
-    if noise_model is None:
-        u = sequence_unitary(seq) @ iso
-        return lambda rho_l: u @ rho_l @ u.conj().T
-    sop = channel_superoperator(seq, noise_model, n_samples, seed=seed)
-    dim = register.dim
-
-    def channel(rho_l):
-        rho_p = iso @ rho_l @ iso.conj().T
-        return (sop @ rho_p.reshape(-1)).reshape(dim, dim)
-
-    return channel
-
-
 def run_bell(config: dict, seed: int) -> tuple:
     register = _register(config)
     params = _gate_params(config)
-    noise_model = _noise(config)
-    n_samples = config.get("noise_samples", 300)
     control = config.get("control", 0)
     target = config.get("target", 1)
     cnot = compile_cnot(control, target, register, params)
-    metrics = {"inputs": [], "fidelity": [], "permanence": [], "overall": []}
+    prep = ms_pulse(np.pi / 2, control, register, 0.0, params)
+    seq = PulseSequence(ops=[prep] + list(cnot.ops), register=register)
+    inputs = [format(k, "02b") for k in range(4)]
+    psi = np.stack([encode(register, bits) for bits in inputs])
+    rhos = sample_noisy_channel(seq, psi[:, :, None] * psi[:, None, :].conj(),
+                                _noise(config), config.get("noise_samples", 300),
+                                seed=seed)
+    metrics = {"inputs": inputs, "fidelity": [], "permanence": [], "overall": []}
     matrices = {}
-    for k in range(4):
-        bits = format(k, "02b")
-        prep = ms_pulse(np.pi / 2, control, register, 0.0, params)
-        seq = PulseSequence(ops=[prep] + list(cnot.ops), register=register)
-        psi0 = encode(register, bits)
-        if noise_model is None:
-            out = sequence_unitary(seq) @ psi0
-            rho = np.outer(out, out.conj())
+    for bits, rho in zip(inputs, rhos):
+        if control == 0:
+            ideal = bell_state_logical(bits)
         else:
-            rho = sample_noisy_channel(seq, psi0, noise_model, n_samples,
-                                       seed=seed)
-        ideal = bell_state_logical(bits) if control == 0 else None
-        if ideal is None:
-            swap = np.array([[1, 0, 0, 0], [0, 0, 1, 0],
-                             [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
-            ideal = swap @ bell_state_logical(bits[::-1])
+            ideal = SWAP_LOGICAL @ bell_state_logical(bits[::-1])
         perm, fid, overall = dfs_report(rho, ideal, register)
-        metrics["inputs"].append(bits)
         metrics["fidelity"].append(fid)
         metrics["permanence"].append(perm)
         metrics["overall"].append(overall)
@@ -300,7 +277,11 @@ def run_cnot_tomo(config: dict, seed: int) -> tuple:
     control = config.get("control", 0)
     target = config.get("target", 1)
     cnot = compile_cnot(control, target, register, params)
-    channel = _physical_channel(cnot, noise_model, n_samples, seed)
+
+    def channel(rho_l):
+        return sample_noisy_channel(cnot, embed_in_dfs(rho_l, register),
+                                    noise_model, n_samples, seed=seed)
+
     result = process_tomography(channel, shots=shots, seed=seed,
                                 register=register)
     ideal = cnot_logical_matrix(control, target)

@@ -123,10 +123,7 @@ def encode_state(register: LogicalRegister, logical_vec: np.ndarray) -> np.ndarr
 
 def dfs_projector(register: LogicalRegister) -> np.ndarray:
     """Projector onto the decoherence-free subspace (rank ``2^n_logical``)."""
-    p = np.zeros((register.dim, register.dim), dtype=complex)
-    for idx in logical_basis_indices(register):
-        p[idx, idx] = 1.0
-    return p
+    return embed_in_dfs(np.eye(2 ** register.n_logical), register)
 
 
 def restrict_to_dfs(op: np.ndarray, register: LogicalRegister) -> np.ndarray:
@@ -135,6 +132,24 @@ def restrict_to_dfs(op: np.ndarray, register: LogicalRegister) -> np.ndarray:
         raise DimensionError("operator dimension does not match register")
     idx = logical_basis_indices(register)
     return op[np.ix_(idx, idx)]
+
+
+def embed_in_dfs(op_logical: np.ndarray, register: LogicalRegister) -> np.ndarray:
+    """Physical operator whose block on the logical basis is ``op_logical``
+    and which is zero elsewhere; the inverse of :func:`restrict_to_dfs`.
+
+    Accepts one logical operator or a stack, shape ``(..., 2^n, 2^n)``.
+    """
+    op_logical = np.asarray(op_logical, dtype=complex)
+    d_l = 2 ** register.n_logical
+    if op_logical.shape[-2:] != (d_l, d_l):
+        raise DimensionError(
+            f"logical operator shape {op_logical.shape} does not end in ({d_l}, {d_l})")
+    idx = np.array(logical_basis_indices(register))
+    out = np.zeros(op_logical.shape[:-2] + (register.dim, register.dim),
+                   dtype=complex)
+    out[..., idx[:, None], idx] = op_logical
+    return out
 
 
 def permanence(rho_physical: np.ndarray, register: LogicalRegister) -> float:

@@ -55,6 +55,10 @@ CNOT_LOGICAL = np.array([
     [0.0, 0.0, 0.0, 1.0j],
 ], dtype=complex)
 
+#: Exchange of the two logical qubits on the same ordered basis.
+SWAP_LOGICAL = np.array([[1, 0, 0, 0], [0, 0, 1, 0],
+                         [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
+
 
 @dataclass(frozen=True)
 class GateParams:
@@ -341,27 +345,15 @@ def cnot_logical_matrix(control: int, target: int) -> np.ndarray:
         raise LayoutError("logical matrix defined for a two-qubit register")
     if control == 0:
         return CNOT_LOGICAL.copy()
-    swap = np.array([[1, 0, 0, 0], [0, 0, 1, 0],
-                     [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
-    return swap @ CNOT_LOGICAL @ swap
+    return SWAP_LOGICAL @ CNOT_LOGICAL @ SWAP_LOGICAL
 
 
-def apply_sequence(seq: PulseSequence, psi: np.ndarray, noise=None,
-                   n_samples: int = 256, seed: Optional[int] = None):
-    """Apply the sequence to a state vector.
-
-    Without noise the result is the evolved state vector.  With a
-    :class:`~dfsqc.noise.NoiseModel` attached the result is the density
-    matrix of the Monte-Carlo averaged noisy channel (``n_samples``
-    jitter draws, reproducible from the seed).
-    """
+def apply_sequence(seq: PulseSequence, psi: np.ndarray) -> np.ndarray:
+    """Apply the ideal sequence to a state vector."""
     if psi.shape != (seq.register.dim,):
         raise DimensionError(
             f"state dim {psi.shape} does not match register dim {seq.register.dim}")
-    if noise is None:
-        return sequence_unitary(seq) @ psi
-    from .noise import sample_noisy_channel
-    return sample_noisy_channel(seq, psi, noise, n_samples=n_samples, seed=seed)
+    return sequence_unitary(seq) @ psi
 
 
 def bell_state_logical(input_bits: str) -> np.ndarray:

@@ -20,9 +20,11 @@ trace preserving):
   ions, Gaussian per sequence shot.  States inside the encoded subspace
   are immune by construction.
 
-Monte-Carlo averages are reproducible: shot ``i`` draws from a generator
-seeded with ``(seed, i)``, so the same seed gives the same result bit for
-bit.
+:func:`sample_noisy_channel` is the one shot average: it applies the
+averaged channel to a density matrix or a stack of them, so a set of
+inputs shares one pass over the shots.  It is reproducible: shot ``i``
+draws from a generator seeded with ``(seed, i)``, so the same seed gives
+the same result bit for bit.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import numpy as np
 from .encoding import collective_phase_unitary
 from .errors import DimensionError, ValidationError
 from .gates import (AC_STARK_Z, CP_GATE, MS_ROTATION, PulseOp,
-                    PulseSequence, pulse_unitary)
+                    PulseSequence, pulse_unitary, sequence_unitary)
 
 
 @dataclass(frozen=True)
@@ -208,42 +210,26 @@ def _shot_unitaries(seq: PulseSequence, model: NoiseModel, n_samples: int,
         yield _sample_unitary(seq, model, static, np.random.default_rng((seed, i)))
 
 
-def channel_unitaries(seq: PulseSequence, model: NoiseModel, n_samples: int,
-                      seed: Optional[int] = None) -> np.ndarray:
-    """Stack of per-shot sequence unitaries, shape (n_samples, dim, dim).
+def sample_noisy_channel(seq: PulseSequence, rho: np.ndarray,
+                         model: Optional[NoiseModel], n_samples: int,
+                         seed: Optional[int] = None) -> np.ndarray:
+    """Shot-averaged output of the sequence for one or a stack of inputs.
 
-    With no stochastic terms in the model a single unitary is returned.
-    """
-    return np.stack(list(_shot_unitaries(seq, model, n_samples, seed)))
-
-
-def sample_noisy_channel(seq: PulseSequence, psi: np.ndarray, model: NoiseModel,
-                         n_samples: int, seed: Optional[int] = None) -> np.ndarray:
-    """Monte-Carlo averaged output density matrix for a pure input.
-
-    Averages the pure-state outcomes over the sampled jitter
-    realizations; deterministic for a given ``(seed, parameters)``.
-    """
-    if psi.shape != (seq.register.dim,):
-        raise DimensionError("input state does not match the register")
-    d = seq.register.dim
-    acc = np.zeros((d, d), dtype=complex)
-    for n, u in enumerate(_shot_unitaries(seq, model, n_samples, seed), 1):
-        out = u @ psi
-        acc += np.outer(out, out.conj())
-    return acc / n
-
-
-def channel_superoperator(seq: PulseSequence, model: NoiseModel, n_samples: int,
-                          seed: Optional[int] = None) -> np.ndarray:
-    """Row-major superoperator of the Monte-Carlo averaged channel.
-
-    Acts on ``rho.reshape(-1)`` (C order): ``E(rho) = (S @ rho.ravel())
-    .reshape(d, d)``.  Built from the same per-shot unitaries as
-    :func:`sample_noisy_channel`, so the two agree shot for shot.
+    ``rho`` holds density matrices, shape ``(..., dim, dim)``; each output
+    is the mean of ``U rho U+`` over the Monte-Carlo shot unitaries ``U``,
+    deterministic for a given ``(seed, parameters)``.  ``model=None`` is
+    the ideal sequence: one shot, ``U = sequence_unitary(seq)``, no seed.
     """
     d = seq.register.dim
-    acc = np.zeros((d * d, d * d), dtype=complex)
-    for n, u in enumerate(_shot_unitaries(seq, model, n_samples, seed), 1):
-        acc += np.kron(u, u.conj())
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape[-2:] != (d, d):
+        raise DimensionError(
+            f"input shape {rho.shape} does not end in the register's ({d}, {d})")
+    if model is None:
+        shots = [sequence_unitary(seq)]
+    else:
+        shots = _shot_unitaries(seq, model, n_samples, seed)
+    acc = np.zeros_like(rho)
+    for n, u in enumerate(shots, 1):
+        acc += u @ rho @ u.conj().T
     return acc / n

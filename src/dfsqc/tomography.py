@@ -191,7 +191,9 @@ def acquire_dataset(rho: np.ndarray, shots: Optional[int], seed=None,
                     settings: Optional[Sequence[str]] = None) -> TomographyDataset:
     """Measure a state in every setting; ``shots=None`` records the exact
     outcome distributions instead of sampling.  Setting ``i`` draws its
-    shots from ``default_rng((seed, i))``."""
+    shots from ``default_rng((seed, i))``, so sampling needs a seed."""
+    if shots is not None and seed is None:
+        raise ValidationError("a seed is required for reproducible sampling")
     n = rho.shape[0].bit_length() - 1
     settings = list(settings) if settings is not None else all_settings(n)
     probs = _distributions(rho, [_BORN] * n)[_setting_rows(settings, n)]
@@ -345,8 +347,10 @@ class ChiMatrix:
         return s.reshape(d * d, d * d)
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
+        """The channel applied to a density matrix or a stack, ``(..., d, d)``."""
         d = 2 ** self.n_logical
-        return (self.superoperator() @ rho.reshape(-1)).reshape(d, d)
+        flat = rho.reshape(rho.shape[:-2] + (d * d,))
+        return (flat @ self.superoperator().T).reshape(rho.shape)
 
     def trace_preservation_residual(self) -> float:
         """Largest deviation of ``sum_mn chi_mn A_n+ A_m`` from the identity."""
@@ -462,51 +466,49 @@ def process_tomography(channel: Callable[[np.ndarray], np.ndarray],
                        mle: bool = False) -> ProcessCharacterization:
     """Reconstruct the chi matrix of a black-box channel on the logical space.
 
-    ``channel`` maps a logical density matrix to either a logical density
-    matrix (used directly) or a physical one (dimension ``4^n``), in
-    which case the output is put through measurement simulation at
-    ``shots`` per setting (exact statistics when ``shots`` is ``None``),
-    state reconstruction, and projection into the encoded subspace with
-    the permanence recorded per input.
+    ``channel`` is called once, with the stack of all input density
+    matrices, shape ``(k, 2^n, 2^n)``.  It returns the stack of logical
+    outputs (used directly) or of physical ones (dimension ``4^n``); each
+    physical output is put through measurement simulation at ``shots``
+    per setting (exact statistics when ``shots`` is ``None``), state
+    reconstruction, and projection into the encoded subspace with the
+    permanence recorded per input.  Sampling needs a ``seed``.
     """
     register = register or LogicalRegister(2)
+    if shots is not None and seed is None:
+        raise ValidationError("a seed is required for reproducible sampling")
     n_logical = register.n_logical
     dim_l = 2 ** n_logical
     labels, vecs = zip(*preparation_states(n_logical))
-    inputs = [np.outer(v, v.conj()) for v in vecs]
-    outputs = []
+    vecs = np.stack(vecs)
+    inputs = vecs[:, :, None] * vecs[:, None, :].conj()
+    outputs = np.asarray(channel(inputs))
     permanences = []
-    for k, rho_in in enumerate(inputs):
-        out = channel(rho_in)
-        if out.shape == (dim_l, dim_l):
-            outputs.append(out)
-            continue
-        if out.shape != (register.dim, register.dim):
+    if outputs.shape != inputs.shape:
+        if outputs.shape != (len(inputs), register.dim, register.dim):
             raise DimensionError(
-                f"channel returned shape {out.shape}; expected logical "
-                f"({dim_l}) or physical ({register.dim}) dimension")
-        if shots is not None:
-            data = acquire_dataset(out, shots, seed=(seed, k))
-            out = reconstruct_state(data, mle=mle)
-        rho_l, perm = decode_in_dfs(out, register)
-        outputs.append(rho_l)
-        permanences.append(perm)
+                f"channel returned shape {outputs.shape}; expected "
+                f"{len(inputs)} logical ({dim_l}) or physical "
+                f"({register.dim}) matrices")
+        logical = []
+        for k, out in enumerate(outputs):
+            if shots is not None:
+                data = acquire_dataset(out, shots, seed=(seed, k))
+                out = reconstruct_state(data, mle=mle)
+            rho_l, perm = decode_in_dfs(out, register)
+            logical.append(rho_l)
+            permanences.append(perm)
+        outputs = np.stack(logical)
     chi_raw = chi_linear_solve(inputs, outputs, n_logical)
     chi = ChiMatrix(project_chi_cp(chi_raw), chi_basis_labels(n_logical))
     return ProcessCharacterization(
-        chi=chi, input_labels=list(labels), input_states=np.stack(vecs),
-        logical_outputs=np.stack(outputs),
+        chi=chi, input_labels=list(labels), input_states=vecs,
+        logical_outputs=outputs,
         permanences=np.array(permanences) if permanences else None)
 
 
 # ---------------------------------------------------------------------------
 # Haar-averaged figures of merit
-
-def _channel_superoperator(channel, dim: int) -> np.ndarray:
-    """Row-major superoperator of a linear channel probed on matrix units."""
-    units = np.eye(dim * dim, dtype=complex).reshape(-1, dim, dim)
-    return np.stack([channel(e).reshape(-1) for e in units], axis=1)
-
 
 def mean_gate_fidelity(channel: Union[ChiMatrix, Callable, np.ndarray],
                        ideal: np.ndarray, n_samples: int = 200_000,
@@ -514,9 +516,9 @@ def mean_gate_fidelity(channel: Union[ChiMatrix, Callable, np.ndarray],
     """Haar-averaged fidelity of a channel against an ideal unitary.
 
     ``channel`` may be a :class:`ChiMatrix`, a row-major superoperator,
-    or a linear callable on density matrices (probed on a matrix-unit
-    basis once, then evaluated in vectorized form).  Returns
-    ``(mean, standard error)`` over ``n_samples`` Haar states.
+    or a linear callable on stacks of density matrices (probed once with
+    the stack of all matrix units, then evaluated in vectorized form).
+    Returns ``(mean, standard error)`` over ``n_samples`` Haar states.
     """
     if n_samples < 1000:
         raise ValidationError("need at least 1000 Haar samples")
@@ -524,7 +526,13 @@ def mean_gate_fidelity(channel: Union[ChiMatrix, Callable, np.ndarray],
     if isinstance(channel, ChiMatrix):
         sop = channel.superoperator()
     elif callable(channel):
-        sop = _channel_superoperator(channel, d)
+        units = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
+        images = np.asarray(channel(units))
+        if images.shape != units.shape:
+            raise DimensionError(
+                f"channel returned shape {images.shape} for matrix units "
+                f"of shape {units.shape}")
+        sop = images.reshape(d * d, d * d).T
     else:
         sop = np.asarray(channel, dtype=complex)
         if sop.shape != (d * d, d * d):

@@ -10,15 +10,15 @@ import numpy as np
 from dfsqc import linalg
 from dfsqc.cli import main as cli_main
 from dfsqc.encoding import (LogicalRegister, coherence_ratio,
-                            collective_dephasing, encode,
+                            collective_dephasing, embed_in_dfs, encode,
                             logical_basis_indices)
 from dfsqc.gates import (CNOT_LOGICAL, PulseSequence, bell_state_logical,
                          compile_cnot, ms_pulse, op_unitary, sequence_unitary)
 from dfsqc.motional import (SPIN_X, SPIN_Z, DrivenOscillatorModel,
                             coupling_for_phase, motional_transfer_block,
                             propagate)
-from dfsqc.noise import (CALIBRATED_NOISE, channel_superoperator,
-                         imbalance_perturbation, sample_noisy_channel)
+from dfsqc.noise import (CALIBRATED_NOISE, imbalance_perturbation,
+                         sample_noisy_channel)
 from dfsqc.tomography import (ChiMatrix, chi_from_unitary, dfs_report,
                               haar_report, haar_states, mean_gate_fidelity,
                               process_fidelity, process_tomography)
@@ -71,10 +71,11 @@ def test_criterion_2_bell_generation():
             for j in range(i + 1, 4):
                 assert abs(np.vdot(outputs[i], outputs[j])) < 1e-10
         # calibrated-noise demo: all four fidelities inside [0.85, 0.95]
-        for k in range(4):
-            bits = format(k, "02b")
-            rho = sample_noisy_channel(seq, encode(REG, bits),
-                                       CALIBRATED_NOISE, n_samples=300)
+        labels = [format(k, "02b") for k in range(4)]
+        psi = np.stack([encode(REG, bits) for bits in labels])
+        rhos = sample_noisy_channel(seq, psi[:, :, None] * psi[:, None, :],
+                                    CALIBRATED_NOISE, n_samples=300)
+        for bits, rho in zip(labels, rhos):
             _, fid, _ = dfs_report(rho, bell_state_logical(bits), REG)
             assert 0.85 <= fid <= 0.95
 
@@ -118,11 +119,7 @@ def test_criterion_4_motional_closure():
 
 def _ideal_physical_cnot_channel():
     u = sequence_unitary(compile_cnot(0, 1, REG))
-    iso = np.zeros((16, 4), complex)
-    for col, i in enumerate(logical_basis_indices(REG)):
-        iso[i, col] = 1.0
-    up = u @ iso
-    return lambda rho_l: up @ rho_l @ up.conj().T
+    return lambda rho_l: u @ embed_in_dfs(rho_l, REG) @ u.conj().T
 
 
 def test_criterion_5_process_tomography_pipeline():
@@ -136,15 +133,11 @@ def test_criterion_5_process_tomography_pipeline():
         assert np.max(np.abs(res_id.chi.entries - e_ii)) < 1e-6
 
         # shot-based pipeline with the calibrated noise model
-        sop = channel_superoperator(compile_cnot(0, 1, REG), CALIBRATED_NOISE,
-                                    n_samples=300)
-        iso = np.zeros((16, 4), complex)
-        for col, i in enumerate(logical_basis_indices(REG)):
-            iso[i, col] = 1.0
+        cnot = compile_cnot(0, 1, REG)
 
         def channel(rho_l):
-            rho_p = iso @ rho_l @ iso.conj().T
-            return (sop @ rho_p.reshape(-1)).reshape(16, 16)
+            return sample_noisy_channel(cnot, embed_in_dfs(rho_l, REG),
+                                        CALIBRATED_NOISE, n_samples=300)
 
         noisy = process_tomography(channel, shots=100, seed=404, register=REG)
         w = noisy.permanence_functional()

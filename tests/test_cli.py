@@ -67,6 +67,16 @@ class TestStrictJson:
         assert "Infinity" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("number", ["1e400", "1" + "0" * 400],
+                             ids=["float", "int"])
+    def test_number_outside_float_range_rejected(self, tmp_path, capsys,
+                                                 number):
+        path, _ = write_config(tmp_path, experiment="coherence", phi_std=0.5)
+        path.write_text(path.read_text().replace("0.5", number))
+        assert main(["run", str(path)]) == 2
+        assert number[:20] in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_non_finite_output_not_written(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "run_coherence", lambda config, seed: (
             {"coherence_ratio": float("nan")}, {}, []))
@@ -120,6 +130,14 @@ class TestRunBell:
         matrices = json.loads((tmp_path / "out" / "matrices.json").read_text())
         assert "bell_00_logical" in matrices
 
+    def test_noiseless_perfect_swapped_roles(self, tmp_path):
+        path, _ = write_config(tmp_path, control=1, target=0)
+        assert main(["run", str(path)]) == 0
+        metrics = json.loads(
+            (tmp_path / "out" / "report.json").read_text())["metrics"]
+        for value in metrics["fidelity"] + metrics["permanence"]:
+            assert value == pytest.approx(1.0, abs=1e-10)
+
     def test_calibrated_noise_band(self, tmp_path):
         path, _ = write_config(
             tmp_path,
@@ -156,6 +174,21 @@ class TestRunCnotTomo:
         matrices = json.loads((tmp_path / "out" / "matrices.json").read_text())
         assert "chi" in matrices and "chi_ideal" in matrices
         assert matrices["chi"]["basis"][0] == "II"
+
+    def test_six_ion_register(self, tmp_path):
+        path, _ = write_config(
+            tmp_path, experiment="cnot-tomo", exact_statistics=True,
+            register={"n_logical": 2, "pairs": [[2, 3], [4, 5]]},
+            noise={"addressing_ratio": 0.05, "intensity_imbalance": 0.08,
+                   "ac_stark_phase_jitter_std": 0.3,
+                   "collective_phase_std": 0.3},
+            noise_samples=4, n_haar_samples=1000)
+        assert main(["run", str(path)]) == 0
+        m = json.loads((tmp_path / "out" / "report.json").read_text())["metrics"]
+        figures = [v for k, v in m.items() if k != "shots_per_setting"]
+        figures = [x for v in figures for x in (v if isinstance(v, list) else [v])]
+        assert len(figures) == 24
+        assert all(0.0 <= x <= 1.0 for x in figures)
 
 
 class TestRunCoherence:

@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from dfsqc.encoding import LogicalRegister, encode, logical_basis_indices, permanence
-from dfsqc.errors import ValidationError
+from dfsqc.errors import DimensionError, ValidationError
 from dfsqc.gates import (PulseSequence, compile_cnot, cp_pulse, ms_pulse,
                          op_unitary, sequence_unitary, z_pulse)
 from dfsqc.noise import (CALIBRATED_NOISE, NoiseModel, addressing_crosstalk,
-                         channel_superoperator, channel_unitaries,
                          imbalance_perturbation, sample_noisy_channel,
                          string_neighbors)
 
@@ -28,6 +27,12 @@ def reg():
 @pytest.fixture
 def reg1():
     return LogicalRegister(1)
+
+
+def encoded_inputs(reg, labels):
+    """Density matrices of the encoded logical basis states, stacked."""
+    psi = np.stack([encode(reg, bits) for bits in labels])
+    return psi[:, :, None] * psi[:, None, :].conj()
 
 
 def mean_gate_fidelity_unitary(u, ideal):
@@ -103,11 +108,9 @@ class TestCrosstalk:
     def test_cnot_permanence_golden(self, reg):
         cnot = compile_cnot(0, 1, reg)
         model = NoiseModel(addressing_ratio=0.05, seed=0)
-        u = channel_unitaries(cnot, model, 1, seed=0)[0]
-        perms = []
-        for k in range(4):
-            out = u @ encode(reg, format(k, "02b"))
-            perms.append(permanence(np.outer(out, out.conj()), reg))
+        rhos = sample_noisy_channel(
+            cnot, encoded_inputs(reg, ["00", "01", "10", "11"]), model, 1)
+        perms = [permanence(rho, reg) for rho in rhos]
         assert np.mean(perms) == pytest.approx(
             GOLDEN_CNOT_CROSSTALK_PERMANENCE, abs=1e-9)
         # plausibility band around the published mean permanence of 89(7)%
@@ -157,7 +160,7 @@ class TestSampledChannel:
         seq = compile_cnot(0, 1, reg)
         model = NoiseModel(addressing_ratio=0.0, seed=9)
         psi = encode(reg, "00")
-        rho = sample_noisy_channel(seq, psi, model, n_samples=17)
+        rho = sample_noisy_channel(seq, np.outer(psi, psi), model, n_samples=17)
         ideal = sequence_unitary(seq) @ psi
         assert np.max(np.abs(rho - np.outer(ideal, ideal.conj()))) < 1e-12
         evals = np.linalg.eigvalsh(rho)
@@ -170,39 +173,55 @@ class TestSampledChannel:
         model = NoiseModel(addressing_ratio=0.0, collective_phase_std=1.5,
                            seed=21)
         psi = encode(reg, "10")
-        rho = sample_noisy_channel(seq, psi, model, n_samples=64)
+        rho = sample_noisy_channel(seq, np.outer(psi, psi), model, n_samples=64)
         ideal = sequence_unitary(seq) @ psi
         assert np.max(np.abs(rho - np.outer(ideal, ideal.conj()))) < 1e-10
 
     def test_trace_preserving_and_positive(self, reg):
         seq = compile_cnot(0, 1, reg)
-        psi = encode(reg, "11")
-        rho = sample_noisy_channel(seq, psi, CALIBRATED_NOISE, n_samples=50,
-                                   seed=5)
+        rho = sample_noisy_channel(seq, encoded_inputs(reg, ["11"])[0],
+                                   CALIBRATED_NOISE, n_samples=50, seed=5)
         assert abs(np.trace(rho) - 1) < 1e-10
         assert np.min(np.linalg.eigvalsh((rho + rho.conj().T) / 2)) > -1e-9
 
     def test_reproducible_bit_exact(self, reg):
         seq = compile_cnot(0, 1, reg)
-        psi = encode(reg, "00")
-        a = sample_noisy_channel(seq, psi, CALIBRATED_NOISE, 40, seed=77)
-        b = sample_noisy_channel(seq, psi, CALIBRATED_NOISE, 40, seed=77)
+        rho = encoded_inputs(reg, ["00"])[0]
+        a = sample_noisy_channel(seq, rho, CALIBRATED_NOISE, 40, seed=77)
+        b = sample_noisy_channel(seq, rho, CALIBRATED_NOISE, 40, seed=77)
         assert np.array_equal(a, b)
 
     def test_seed_required(self, reg):
         seq = compile_cnot(0, 1, reg)
         model = NoiseModel(seed=None)
         with pytest.raises(ValidationError):
-            sample_noisy_channel(seq, encode(reg, "00"), model, 8)
+            sample_noisy_channel(seq, encoded_inputs(reg, ["00"]), model, 8)
 
-    def test_superoperator_matches_sampling(self, reg):
+    def test_stack_matches_single_inputs_bit_exact(self, reg, rng):
         seq = compile_cnot(0, 1, reg)
-        psi = encode(reg, "00")
-        rho_direct = sample_noisy_channel(seq, psi, CALIBRATED_NOISE, 32, seed=11)
-        sop = channel_superoperator(seq, CALIBRATED_NOISE, 32, seed=11)
-        rho_in = np.outer(psi, psi.conj())
-        rho_sop = (sop @ rho_in.reshape(-1)).reshape(16, 16)
-        assert np.max(np.abs(rho_direct - rho_sop)) < 1e-12
+        psi = rng.normal(size=(3, 16)) + 1j * rng.normal(size=(3, 16))
+        rhos = np.stack([np.outer(v, v.conj()) / np.vdot(v, v) for v in psi])
+        stack = np.stack([rhos, encoded_inputs(reg, ["00", "01", "11"])])
+        out = sample_noisy_channel(seq, stack, CALIBRATED_NOISE, 20, seed=3)
+        assert out.shape == (2, 3, 16, 16)
+        for idx in np.ndindex(2, 3):
+            single = sample_noisy_channel(seq, stack[idx], CALIBRATED_NOISE,
+                                          20, seed=3)
+            assert np.array_equal(out[idx], single)
+
+    def test_no_model_is_the_ideal_sequence(self, reg, rng):
+        seq = compile_cnot(1, 0, reg)
+        psi = rng.normal(size=16) + 1j * rng.normal(size=16)
+        rho = np.outer(psi, psi.conj()) / np.vdot(psi, psi)
+        u = sequence_unitary(seq)
+        out = sample_noisy_channel(seq, rho, None, 1)
+        assert np.max(np.abs(out - u @ rho @ u.conj().T)) < 1e-14
+
+    def test_state_vector_input_rejected(self, reg):
+        seq = compile_cnot(0, 1, reg)
+        with pytest.raises(DimensionError):
+            sample_noisy_channel(seq, encode(reg, "00"), CALIBRATED_NOISE, 4,
+                                 seed=1)
 
 
 class TestCalibratedBellBand:
@@ -210,12 +229,12 @@ class TestCalibratedBellBand:
         from dfsqc.tomography import dfs_report
         from dfsqc.gates import bell_state_logical
         cnot = compile_cnot(0, 1, reg)
-        for k in range(4):
-            bits = format(k, "02b")
-            prep = ms_pulse(np.pi / 2, 0, reg)
-            seq = PulseSequence(ops=[prep] + list(cnot.ops), register=reg)
-            rho = sample_noisy_channel(seq, encode(reg, bits),
-                                       CALIBRATED_NOISE, 300)
+        prep = ms_pulse(np.pi / 2, 0, reg)
+        seq = PulseSequence(ops=[prep] + list(cnot.ops), register=reg)
+        labels = ["00", "01", "10", "11"]
+        rhos = sample_noisy_channel(seq, encoded_inputs(reg, labels),
+                                    CALIBRATED_NOISE, 300)
+        for bits, rho in zip(labels, rhos):
             perm, fid, overall = dfs_report(rho, bell_state_logical(bits), reg)
             assert 0.85 <= fid <= 0.95
             assert overall == pytest.approx(perm * fid, abs=1e-12)

@@ -3,8 +3,9 @@ import pytest
 from scipy import stats
 
 from dfsqc import linalg
-from dfsqc.encoding import LogicalRegister, encode, encode_state, logical_basis_indices
-from dfsqc.errors import (ConditioningError, CoverageError, ValidationError)
+from dfsqc.encoding import LogicalRegister, embed_in_dfs, encode, encode_state
+from dfsqc.errors import (ConditioningError, CoverageError, DimensionError,
+                          ValidationError)
 from dfsqc.gates import (CNOT_LOGICAL, compile_cnot, ms_pulse, PulseSequence,
                          sequence_unitary)
 from dfsqc.tomography import (ChiMatrix, TomographyDataset, acquire_dataset,
@@ -24,12 +25,7 @@ from conftest import random_density_matrix, random_unitary
 
 def ideal_cnot_channel(register):
     u = sequence_unitary(compile_cnot(0, 1, register))
-    idx = logical_basis_indices(register)
-    iso = np.zeros((16, 4), complex)
-    for col, i in enumerate(idx):
-        iso[i, col] = 1.0
-    up = u @ iso
-    return lambda rho_l: up @ rho_l @ up.conj().T
+    return lambda rho_l: u @ embed_in_dfs(rho_l, register) @ u.conj().T
 
 
 def depolarizing_chi(p):
@@ -105,6 +101,10 @@ class TestDataset:
         with pytest.raises(ValidationError):
             TomographyDataset(settings=["Z"], counts=[{"0": 3}],
                               shots_per_setting=5)
+
+    def test_shots_need_a_seed(self, rng):
+        with pytest.raises(ValidationError, match="seed"):
+            acquire_dataset(random_density_matrix(4, rng), 10)
 
     def test_json_roundtrip(self, rng):
         rho = random_density_matrix(4, rng)
@@ -254,7 +254,8 @@ class TestChiMatrix:
         # the fully depolarizing channel has chi = 1/16 on the Pauli basis
         reg = LogicalRegister(2)
         res = process_tomography(
-            lambda rho: np.trace(rho) * np.eye(4, dtype=complex) / 4,
+            lambda rho: (np.trace(rho, axis1=-2, axis2=-1)[..., None, None]
+                         * np.eye(4, dtype=complex) / 4),
             register=reg)
         assert np.max(np.abs(res.chi.entries - np.eye(16) / 16)) < 1e-9
 
@@ -279,10 +280,10 @@ class TestChiMatrix:
 
     def test_superoperator_applies_channel(self, rng):
         chi = depolarizing_chi(0.4)
-        rho = random_density_matrix(4, rng)
-        out = chi.apply(rho)
+        rho = np.stack([random_density_matrix(4, rng) for _ in range(3)])
         expected = 0.6 * rho + 0.4 * np.eye(4) / 4
-        assert np.max(np.abs(out - expected)) < 1e-12
+        assert np.max(np.abs(chi.apply(rho[0]) - expected[0])) < 1e-12
+        assert np.max(np.abs(chi.apply(rho) - expected)) < 1e-12
 
     def test_rank_deficient_inputs_rejected(self):
         rho = np.eye(4, dtype=complex) / 4
@@ -390,6 +391,14 @@ class TestDfsReport:
 
 
 class TestShotBasedProcessTomography:
+    def test_shots_need_a_seed(self):
+        with pytest.raises(ValidationError, match="seed"):
+            process_tomography(ideal_cnot_channel(LogicalRegister(2)), shots=100)
+
+    def test_channel_output_shape_checked(self):
+        with pytest.raises(DimensionError):
+            process_tomography(lambda rho: rho[0])
+
     def test_pipeline_with_shots(self):
         reg = LogicalRegister(2)
         res = process_tomography(ideal_cnot_channel(reg), shots=100, seed=13,
