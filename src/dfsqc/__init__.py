@@ -14,9 +14,8 @@ from .encoding import (LogicalRegister, coherence_ratio, collective_dephasing,
                        decode_in_dfs, dfs_projector, embed_in_dfs, encode,
                        encode_state, restrict_to_dfs)
 from .errors import (ClosureError, ConfigError, ConditioningError,
-                     CoverageError, DfsqcError, DimensionError,
-                     EmptySubspaceError, LayoutError, TruncationError,
-                     ValidationError)
+                     DfsqcError, DimensionError, EmptySubspaceError,
+                     LayoutError, TruncationError, ValidationError)
 from .gates import (CNOT_LOGICAL, GateParams, PulseOp, PulseSequence,
                     apply_sequence, bell_state_logical, compile_cnot,
                     cp_gate_logical, sequence_unitary, x_rotation_logical,
@@ -26,7 +25,7 @@ from .motional import (DrivenOscillatorModel, effective_gate,
                        off_resonant_error_scan, propagate)
 from .noise import (CALIBRATED_NOISE, NoiseModel, addressing_crosstalk,
                     imbalance_perturbation, sample_noisy_channel)
-from .tomography import (ChiMatrix, TomographyDataset, chi_from_unitary,
+from .tomography import (ChiMatrix, chi_from_unitary,
                          dfs_report, haar_state, haar_unitary,
                          mean_gate_fidelity, process_fidelity,
                          process_tomography, reconstruct_state,

@@ -15,8 +15,8 @@ Subcommands
 ``dfsqc validate <config.json>``
     Check a config without running it.
 
-``--seed`` overrides the config seed.  Reports are reproducible: the
-same (config, seed) gives the same bytes.
+``--seed`` overrides the config seed and, like it, must be non-negative.
+Reports are reproducible: the same (config, seed) gives the same bytes.
 """
 
 from __future__ import annotations
@@ -85,7 +85,6 @@ CONFIG_SCHEMA = {
                 "intensity_imbalance": {"type": "number", "exclusiveMinimum": -1},
                 "ac_stark_phase_jitter_std": {"type": "number", "minimum": 0},
                 "collective_phase_std": {"type": "number", "minimum": 0},
-                "seed": {"type": ["integer", "null"]},
             },
         },
         "control": {"type": "integer", "minimum": 0},
@@ -171,6 +170,9 @@ def _check_semantics(config: dict) -> None:
     any computation."""
     experiment = config["experiment"]
     uses_cnot = experiment in ("bell", "cnot-tomo")
+    if config.get("exact_statistics") and config.get("shots") is not None:
+        raise ConfigError(
+            "shots: not used under exact_statistics; give one of the two")
     with _field("register"):
         register = _register(config)
         if uses_cnot and register.n_logical != 2:
@@ -347,6 +349,8 @@ def run_experiment(config: dict, seed: int) -> tuple:
 def cmd_run(args) -> int:
     try:
         config = load_config(args.config)
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError(f"--seed must be non-negative, got {args.seed}")
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -42,11 +42,6 @@ class ClosureError(DfsqcError, RuntimeError):
     large to read off a spin-only gate."""
 
 
-class CoverageError(DfsqcError, ValueError):
-    """A tomography dataset does not contain the complete measurement
-    setting set required for reconstruction."""
-
-
 class ConditioningError(DfsqcError, RuntimeError):
     """A reconstruction linear system is numerically singular."""
 

@@ -13,12 +13,15 @@ permanence), and finally fit the process matrix ``chi`` defined by
 
 over the fixed logical Pauli basis ``A = {I,X,Y,Z} (x) {I,X,Y,Z}``.
 
-Measurements are products over ions, so state tomography is a per-ion
-contraction with the single-ion effects ``E[s, b] = R_s+ |b><b| R_s``.
-With all settings, linear inversion is ``3^-n sum_sb f[s, b] (x)_k
-(3 E[s_k, b_k] - 1)``: the all-settings classical-shadow estimator (Huang,
-Kueng & Preskill, arXiv:2002.08953).  Shots are drawn by inverse-CDF
-sampling, so rounding of the state moves a count only at a bin edge.
+The data of one state is a float array of outcome frequencies ``f[s, b]``,
+shape ``(3^n, 2^n)``: one row per setting in :func:`all_settings` order,
+one column per outcome bitstring.  Measurements are products over ions,
+so state tomography is a per-ion contraction with the single-ion effects
+``E[s, b] = R_s+ |b><b| R_s``.  Linear inversion is ``3^-n sum_sb f[s, b]
+(x)_k (3 E[s_k, b_k] - 1)``: the all-settings classical-shadow estimator
+(Huang, Kueng & Preskill, arXiv:2002.08953).  Shots are drawn by
+inverse-CDF sampling, so rounding of the state moves a count only at a
+bin edge.
 
 Mean gate fidelity is the Haar average of
 ``<psi| U+ E(|psi><psi|) U |psi>`` over pure logical inputs, sampled with
@@ -30,14 +33,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from . import linalg
 from .encoding import LogicalRegister, decode_in_dfs
-from .errors import (ConditioningError, CoverageError, DimensionError,
-                     ValidationError)
+from .errors import ConditioningError, DimensionError, ValidationError
 
 BASIS_LETTERS = "XYZ"
 
@@ -78,17 +80,6 @@ def _contract_ions(t: np.ndarray, tables: Sequence[np.ndarray]) -> np.ndarray:
     return t.reshape(-1, np.prod(t.shape[n:], dtype=int))
 
 
-def _setting_rows(settings: Sequence[str], n: int) -> np.ndarray:
-    """Row of each setting in the lexicographic :func:`all_settings` order."""
-    # one unsigned code point per letter; X, Y, Z are consecutive and any
-    # other letter, or the padding of a short label, lands above 2
-    chars = np.array(list(settings), dtype=str)
-    digits = chars.view(np.uint32).reshape(-1, chars.itemsize // 4) - ord("X")
-    if digits.shape[1] != n or np.any(digits > 2):
-        raise ValidationError(f"settings must be {n} letters from {BASIS_LETTERS}")
-    return np.ravel_multi_index(digits.T, (3,) * n)
-
-
 def _distributions(rho: np.ndarray, tables: Sequence[np.ndarray]) -> np.ndarray:
     """Outcome distributions, one row per setting the per-ion tables select."""
     n = len(tables)
@@ -104,9 +95,12 @@ def _distributions(rho: np.ndarray, tables: Sequence[np.ndarray]) -> np.ndarray:
 
 def measurement_probabilities(rho: np.ndarray, setting: str) -> np.ndarray:
     """Outcome distribution over bitstrings for one measurement setting."""
-    n = len(setting)
-    digits = np.unravel_index(_setting_rows([setting], n), (3,) * n)
-    return _distributions(rho, [_BORN[d] for d in digits])[0]
+    try:  # each ion's table keeps its setting axis, of length one
+        tables = [_BORN[[BASIS_LETTERS.index(c)]] for c in setting]
+    except ValueError:
+        raise ValidationError(
+            f"setting {setting!r} is not letters from {BASIS_LETTERS}") from None
+    return _distributions(rho, tables)[0]
 
 
 def _draw_counts(probs: np.ndarray, shots: int, seed) -> np.ndarray:
@@ -122,104 +116,53 @@ def _draw_counts(probs: np.ndarray, shots: int, seed) -> np.ndarray:
     return np.bincount(idx, minlength=len(probs))
 
 
-def _histogram(values: np.ndarray, n: int) -> dict:
-    """Bitstring to value for the outcomes with a positive value."""
-    return {format(b, f"0{n}b"): v.item() for b, v in enumerate(values) if v > 0}
-
-
 def simulate_measurement(rho: np.ndarray, setting: str, shots: int,
-                         seed) -> dict:
-    """Multinomial shot histogram for one setting, bitstring to count.
+                         seed) -> np.ndarray:
+    """Multinomial shot counts for one setting, indexed by outcome bitstring.
 
     Deterministic for a given seed and stable under rounding-level changes
-    of ``rho``; only outcomes with nonzero counts appear in the histogram.
+    of ``rho``.
     """
-    probs = measurement_probabilities(rho, setting)
-    return _histogram(_draw_counts(probs, shots, seed), len(setting))
+    return _draw_counts(measurement_probabilities(rho, setting), shots, seed)
 
 
-@dataclass
-class TomographyDataset:
-    """Measurement settings with their shot histograms.
+def acquire_dataset(rho: np.ndarray, shots: Optional[int],
+                    seed=None) -> np.ndarray:
+    """Outcome frequencies of a state in every setting, shape ``(3^n, 2^n)``,
+    with rows in :func:`all_settings` order.
 
-    ``shots_per_setting`` of ``None`` marks exact statistics; the
-    histograms then hold outcome probabilities instead of counts.
+    ``shots=None`` gives the exact outcome distributions.  Otherwise
+    setting ``i`` draws its shots from ``default_rng((seed, i))`` and its
+    row is ``counts / shots``, so sampling needs a seed.
     """
-
-    settings: list
-    counts: list
-    shots_per_setting: Optional[int]
-
-    def __post_init__(self):
-        if len(self.settings) != len(self.counts):
-            raise ValidationError("one histogram required per setting")
-        target = 1.0 if self.shots_per_setting is None else float(self.shots_per_setting)
-        for s, hist in zip(self.settings, self.counts):
-            total = sum(hist.values())
-            if abs(total - target) > 1e-9 * max(1.0, target):
-                raise ValidationError(
-                    f"histogram for {s} sums to {total}, expected {target}")
-
-    @property
-    def n_ions(self) -> int:
-        return len(self.settings[0])
-
-    def frequencies(self) -> np.ndarray:
-        """Outcome frequency matrix, shape (n_settings, 2^n)."""
-        n = self.n_ions
-        freq = np.zeros((len(self.settings), 2 ** n))
-        norm = 1.0 if self.shots_per_setting is None else float(self.shots_per_setting)
-        for row, hist in enumerate(self.counts):
-            for bits, c in hist.items():
-                freq[row, int(bits, 2)] = c / norm
-        return freq
-
-    def to_json(self) -> dict:
-        return {"settings": list(self.settings),
-                "counts": [dict(sorted(h.items())) for h in self.counts],
-                "shots_per_setting": self.shots_per_setting}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "TomographyDataset":
-        shots = obj["shots_per_setting"]
-        return cls(settings=list(obj["settings"]),
-                   counts=[dict(h) for h in obj["counts"]],
-                   shots_per_setting=None if shots is None else int(shots))
-
-
-def acquire_dataset(rho: np.ndarray, shots: Optional[int], seed=None,
-                    settings: Optional[Sequence[str]] = None) -> TomographyDataset:
-    """Measure a state in every setting; ``shots=None`` records the exact
-    outcome distributions instead of sampling.  Setting ``i`` draws its
-    shots from ``default_rng((seed, i))``, so sampling needs a seed."""
     if shots is not None and seed is None:
         raise ValidationError("a seed is required for reproducible sampling")
     n = rho.shape[0].bit_length() - 1
-    settings = list(settings) if settings is not None else all_settings(n)
-    probs = _distributions(rho, [_BORN] * n)[_setting_rows(settings, n)]
+    probs = _distributions(rho, [_BORN] * n)
     if shots is None:
-        counts = [_histogram(p, n) for p in probs]
-    else:
-        counts = [_histogram(_draw_counts(p, shots, (seed, i)), n)
-                  for i, p in enumerate(probs)]
-    return TomographyDataset(settings=settings, counts=counts,
-                             shots_per_setting=shots)
+        return probs
+    return np.stack([_draw_counts(p, shots, (seed, i))
+                     for i, p in enumerate(probs)]) / shots
 
 
-def linear_inversion(dataset: TomographyDataset) -> np.ndarray:
+def _n_ions(freq: np.ndarray) -> int:
+    """Ion count of a frequency array, which must have shape ``(3^n, 2^n)``."""
+    n = freq.shape[-1].bit_length() - 1 if freq.ndim == 2 else 0
+    if n < 1 or freq.shape != (3 ** n, 2 ** n):
+        raise DimensionError(
+            f"frequencies of shape {freq.shape} are not one row of 2^n "
+            f"outcomes for each of the 3^n settings")
+    return n
+
+
+def linear_inversion(freq: np.ndarray) -> np.ndarray:
     """Raw density matrix ``3^-n sum_sb f[s, b] (x)_k (3 E[s_k, b_k] - 1)``.
 
     This averages every Pauli-string expectation over all settings whose
     basis letters match on the string's support; with exact frequencies
-    the result equals the true state.  Requires the complete ``3^n``
-    setting set, in any order.
+    the result equals the true state.
     """
-    n = dataset.n_ions
-    rows = _setting_rows(dataset.settings, n)
-    if not np.array_equal(np.sort(rows), np.arange(3 ** n)):
-        raise CoverageError(
-            f"linear inversion needs the complete {3 ** n}-setting set")
-    freq = dataset.frequencies()[np.argsort(rows)]
+    n = _n_ions(freq)
     return _contract_ions(freq, [_DUAL] * n) / 3 ** n
 
 
@@ -246,19 +189,15 @@ def project_to_physical(rho: np.ndarray) -> np.ndarray:
     return (evecs[:, i:] * out[i:]) @ linalg.dag(evecs[:, i:])
 
 
-def mle_refine(rho0: np.ndarray, dataset: TomographyDataset,
+def mle_refine(rho0: np.ndarray, freq: np.ndarray,
                max_iter: int = 200, tol: float = 1e-10) -> np.ndarray:
     """Iterative maximum-likelihood refinement (R rho R fixed point), with
-    ``R = sum_sb f[s, b] / p[s, b] E[s, b]`` over the dataset's rows."""
-    n = dataset.n_ions
-    rows = _setting_rows(dataset.settings, n)
-    freq = dataset.frequencies()
+    ``R = sum_sb f[s, b] / p[s, b] E[s, b]``."""
+    n = _n_ions(freq)
     rho = rho0.copy()
     for _ in range(max_iter):
-        probs = np.clip(np.real(_contract_ions(rho, [_BORN] * n))[rows], 1e-12, None)
-        ratio = np.zeros((3 ** n, 2 ** n))
-        np.add.at(ratio, rows, freq / probs)  # repeated settings add up
-        r = _contract_ions(ratio, [_ADJOINT] * n)
+        probs = np.clip(np.real(_contract_ions(rho, [_BORN] * n)), 1e-12, None)
+        r = _contract_ions(freq / probs, [_ADJOINT] * n)
         new = r @ rho @ r
         new = (new + linalg.dag(new)) / 2.0
         new /= np.real(np.trace(new))
@@ -268,15 +207,15 @@ def mle_refine(rho0: np.ndarray, dataset: TomographyDataset,
     return rho
 
 
-def reconstruct_state(dataset: TomographyDataset, mle: bool = False) -> np.ndarray:
-    """Physical density matrix estimate from a complete dataset.
+def reconstruct_state(freq: np.ndarray, mle: bool = False) -> np.ndarray:
+    """Physical density matrix estimate from the frequencies of all settings.
 
     Linear inversion followed by projection onto the physical set; pass
     ``mle=True`` for an additional maximum-likelihood refinement.
     """
-    rho = project_to_physical(linear_inversion(dataset))
+    rho = project_to_physical(linear_inversion(freq))
     if mle:
-        rho = mle_refine(rho, dataset)
+        rho = mle_refine(rho, freq)
     return rho
 
 
@@ -493,8 +432,8 @@ def process_tomography(channel: Callable[[np.ndarray], np.ndarray],
         logical = []
         for k, out in enumerate(outputs):
             if shots is not None:
-                data = acquire_dataset(out, shots, seed=(seed, k))
-                out = reconstruct_state(data, mle=mle)
+                freq = acquire_dataset(out, shots, seed=(seed, k))
+                out = reconstruct_state(freq, mle=mle)
             rho_l, perm = decode_in_dfs(out, register)
             logical.append(rho_l)
             permanences.append(perm)
@@ -509,41 +448,6 @@ def process_tomography(channel: Callable[[np.ndarray], np.ndarray],
 
 # ---------------------------------------------------------------------------
 # Haar-averaged figures of merit
-
-def mean_gate_fidelity(channel: Union[ChiMatrix, Callable, np.ndarray],
-                       ideal: np.ndarray, n_samples: int = 200_000,
-                       seed=None) -> tuple:
-    """Haar-averaged fidelity of a channel against an ideal unitary.
-
-    ``channel`` may be a :class:`ChiMatrix`, a row-major superoperator,
-    or a linear callable on stacks of density matrices (probed once with
-    the stack of all matrix units, then evaluated in vectorized form).
-    Returns ``(mean, standard error)`` over ``n_samples`` Haar states.
-    """
-    if n_samples < 1000:
-        raise ValidationError("need at least 1000 Haar samples")
-    d = ideal.shape[0]
-    if isinstance(channel, ChiMatrix):
-        sop = channel.superoperator()
-    elif callable(channel):
-        units = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
-        images = np.asarray(channel(units))
-        if images.shape != units.shape:
-            raise DimensionError(
-                f"channel returned shape {images.shape} for matrix units "
-                f"of shape {units.shape}")
-        sop = images.reshape(d * d, d * d).T
-    else:
-        sop = np.asarray(channel, dtype=complex)
-        if sop.shape != (d * d, d * d):
-            raise DimensionError("superoperator has wrong shape")
-    rng = np.random.default_rng(seed)
-    psi = haar_states(d, n_samples, rng)
-    f = _batched_fidelities(sop, ideal, psi)
-    mean = float(np.mean(f))
-    stderr = float(np.std(f, ddof=1) / np.sqrt(n_samples))
-    return mean, stderr
-
 
 def _batched_fidelities(sop: np.ndarray, ideal: np.ndarray,
                         psi: np.ndarray) -> np.ndarray:
@@ -586,6 +490,14 @@ def haar_report(chi: ChiMatrix, ideal: np.ndarray,
             "mean_overall_stderr": float(np.std(overall, ddof=1) / rt),
         })
     return report
+
+
+def mean_gate_fidelity(chi: ChiMatrix, ideal: np.ndarray,
+                       n_samples: int = 200_000, seed=None) -> tuple:
+    """Haar-averaged fidelity of a channel against an ideal unitary, as
+    ``(mean, standard error)``: the gate figures of :func:`haar_report`."""
+    report = haar_report(chi, ideal, n_samples=n_samples, seed=seed)
+    return report["mean_gate_fidelity"], report["mean_gate_fidelity_stderr"]
 
 
 def dfs_report(rho_physical: np.ndarray, ideal_logical: np.ndarray,

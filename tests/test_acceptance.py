@@ -190,7 +190,8 @@ def test_criterion_8_reproducibility(tmp_path):
             "experiment": "bell",
             "seed": 31,
             "output_dir": str(tmp_path / "out"),
-            "noise": CALIBRATED_NOISE.to_json(),
+            "noise": {k: v for k, v in CALIBRATED_NOISE.to_json().items()
+                      if k != "seed"},  # the run seed draws the shots
             "noise_samples": 64,
         }
         path = tmp_path / "config.json"

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -52,8 +56,7 @@ class TestValidate:
 class TestStrictJson:
     def test_nan_in_config_rejected(self, tmp_path, capsys):
         path, _ = write_config(
-            tmp_path, noise={"ac_stark_phase_jitter_std": float("nan"),
-                             "seed": 1})
+            tmp_path, noise={"ac_stark_phase_jitter_std": float("nan")})
         assert "NaN" in path.read_text()
         assert main(["run", str(path)]) == 2
         assert "NaN" in capsys.readouterr().err
@@ -99,6 +102,29 @@ class TestSemanticConfigErrors:
         assert "noise" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_noise_seed_refused(self, tmp_path, capsys):
+        # the run seed draws every shot, so a noise seed would do nothing
+        path, _ = write_config(tmp_path, noise={"collective_phase_std": 0.3,
+                                                "seed": 20090})
+        assert main(["validate", str(path)]) == 2
+        assert main(["run", str(path)]) == 2
+        assert "noise" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_shots_under_exact_statistics_refused(self, tmp_path, capsys):
+        path, _ = write_config(tmp_path, experiment="cnot-tomo",
+                               exact_statistics=True, shots=5)
+        assert main(["validate", str(path)]) == 2
+        assert main(["run", str(path)]) == 2
+        assert "shots" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_seed_flag_refused(self, tmp_path, capsys):
+        path, _ = write_config(tmp_path)
+        assert main(["run", str(path), "--seed", "-1"]) == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_qubit_out_of_range(self, tmp_path, capsys):
         path, _ = write_config(tmp_path, experiment="cnot-tomo", target=2)
         assert main(["validate", str(path)]) == 2
@@ -109,7 +135,7 @@ class TestSemanticConfigErrors:
         register = {"n_logical": 3, "pairs": [[0, 1], [2, 3], [4, 5]]}
         path, _ = write_config(
             tmp_path, experiment="cnot-tomo", register=register,
-            control=1, target=2, noise={"seed": 1})
+            control=1, target=2, noise={"collective_phase_std": 0.3})
         start = time.perf_counter()
         assert main(["run", str(path)]) == 2
         assert time.perf_counter() - start < 1.0
@@ -143,7 +169,7 @@ class TestRunBell:
             tmp_path,
             noise={"addressing_ratio": 0.05, "intensity_imbalance": 0.08,
                    "ac_stark_phase_jitter_std": 0.3,
-                   "collective_phase_std": 0.3, "seed": 20090},
+                   "collective_phase_std": 0.3},
             noise_samples=200)
         assert main(["run", str(path)]) == 0
         report = json.loads((tmp_path / "out" / "report.json").read_text())
@@ -246,7 +272,7 @@ class TestReproducibility:
             "output_dir": str(tmp_path / "a"),
             "noise": {"addressing_ratio": 0.05, "intensity_imbalance": 0.08,
                       "ac_stark_phase_jitter_std": 0.3,
-                      "collective_phase_std": 0.3, "seed": 20090},
+                      "collective_phase_std": 0.3},
             "noise_samples": 64,
         }
         path = tmp_path / "conf.json"
@@ -292,3 +318,16 @@ class TestDumpSequence:
         from dfsqc.gates import cnot_logical_matrix
         u = restrict_to_dfs(sequence_unitary(seq), LogicalRegister(2))
         assert linalg.max_phase_diff(cnot_logical_matrix(1, 0), u) < 1e-10
+
+
+def test_cli_import_needs_no_test_extra():
+    # scipy, hypothesis and pytest are the `test` extra of pyproject.toml
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, dfsqc.cli; print(sorted({m.split('.')[0] for m in "
+            "sys.modules} & {'scipy', 'hypothesis', 'pytest'}))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -36,13 +36,13 @@ def parity_signs(n, support_mask):
     return 1.0 - 2.0 * parity
 
 
-def linear_inversion(dataset):
-    """Every Pauli-string expectation averaged over the matching settings."""
-    n = dataset.n_ions
-    assert sorted(dataset.settings) == all_settings(n)
-    freq = dataset.frequencies()
-    settings = dataset.settings
-    dim = 2 ** n
+def linear_inversion(freq):
+    """Every Pauli-string expectation averaged over the matching settings;
+    ``freq`` has one row per setting, in ``all_settings`` order."""
+    dim = freq.shape[1]
+    n = dim.bit_length() - 1
+    settings = all_settings(n)
+    assert freq.shape == (len(settings), dim)
     rho = np.zeros((dim, dim), dtype=complex)
     for letters in itertools.product("IXYZ", repeat=n):
         support = [(i, c) for i, c in enumerate(letters) if c != "I"]
@@ -60,11 +60,10 @@ def linear_inversion(dataset):
     return rho / dim
 
 
-def mle_refine(rho0, dataset, max_iter=200, tol=1e-10):
-    n = dataset.n_ions
-    dim = 2 ** n
-    rotations = [setting_rotation(s) for s in dataset.settings]
-    freq = dataset.frequencies()
+def mle_refine(rho0, freq, max_iter=200, tol=1e-10):
+    dim = freq.shape[1]
+    rotations = [setting_rotation(s) for s in all_settings(dim.bit_length() - 1)]
+    assert freq.shape == (len(rotations), dim)
     rho = rho0.copy()
     for _ in range(max_iter):
         r = np.zeros((dim, dim), dtype=complex)
