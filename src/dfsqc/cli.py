@@ -46,7 +46,21 @@ from .noise import NoiseModel, sample_noisy_channel
 from .tomography import (chi_from_unitary, dfs_report, haar_report,
                          matrix_to_json, process_fidelity, process_tomography)
 
-EXPERIMENTS = ("bell", "cnot-tomo", "coherence", "ms-scan", "cp-scan")
+#: Fields every experiment reads.
+COMMON_FIELDS = ("experiment", "seed", "output_dir")
+_BELL_FIELDS = ("register", "gate_params", "noise", "noise_samples",
+                "control", "target")
+_SCAN_FIELDS = ("gate_params", "spin_phase", "timing_fractions")
+#: Further fields each experiment reads; a config that sets any other
+#: field is refused.
+EXPERIMENT_FIELDS = {
+    "bell": _BELL_FIELDS,
+    "cnot-tomo": _BELL_FIELDS + ("shots", "exact_statistics", "n_haar_samples"),
+    "coherence": ("phi_std", "n_phase_samples"),
+    "ms-scan": _SCAN_FIELDS,
+    "cp-scan": _SCAN_FIELDS,
+}
+EXPERIMENTS = tuple(EXPERIMENT_FIELDS)
 
 CONFIG_SCHEMA = {
     "$schema": "http://json-schema.org/draft-07/schema#",
@@ -165,10 +179,16 @@ def _field(name: str):
 
 
 def _check_semantics(config: dict) -> None:
-    """Build what the experiment derives from the config, so that a
-    config the schema admits but the physics does not is refused before
-    any computation."""
+    """Refuse any field the chosen experiment does not read, then build
+    what the experiment derives from the config, so that a config the
+    schema admits but the physics does not is refused before any
+    computation."""
     experiment = config["experiment"]
+    ignored = [name for name in config if name not in COMMON_FIELDS
+               and name not in EXPERIMENT_FIELDS[experiment]]
+    if ignored:
+        raise ConfigError(f"{', '.join(ignored)}: not read by the "
+                          f"{experiment} experiment")
     uses_cnot = experiment in ("bell", "cnot-tomo")
     if config.get("exact_statistics") and config.get("shots") is not None:
         raise ConfigError(

@@ -142,6 +142,24 @@ class TestSemanticConfigErrors:
         assert "register" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("experiment, ignored", [
+        ("bell", {"shots": 5, "n_haar_samples": 5000, "phi_std": 1.0,
+                  "timing_fractions": [0.1]}),
+        ("cnot-tomo", {"phi_std": 1.0}),
+        ("coherence", {"noise": {"collective_phase_std": 0.3}}),
+        ("ms-scan", {"register": {"n_logical": 1, "pairs": [[0, 1]]}}),
+        ("cp-scan", {"noise_samples": 10}),
+    ])
+    def test_field_the_experiment_ignores_refused(self, tmp_path, capsys,
+                                                  experiment, ignored):
+        path, _ = write_config(tmp_path, experiment=experiment, **ignored)
+        assert main(["validate", str(path)]) == 2
+        assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert all(name in err for name in ignored)
+        assert f"not read by the {experiment} experiment" in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestRunBell:
     def test_noiseless_perfect(self, tmp_path):
@@ -253,6 +271,26 @@ class TestRunScans:
         # atomic writes leave no temporary files behind
         assert sorted(p.name for p in (tmp_path / "out").iterdir()) == sorted(
             ["report.json", csv_path.name])
+
+    @pytest.mark.parametrize("delta", [1e308, 1e-300])
+    @pytest.mark.parametrize("kind", ["ms-scan", "cp-scan"])
+    def test_extreme_detuning_same_rows(self, tmp_path, kind, delta):
+        # the rows depend on the detuning only through g / delta, which
+        # the spin phase fixes
+        fractions = [-0.3, 0.0, 0.05, 0.2]
+        rows = {}
+        for name, params in (("default", {}),
+                             ("extreme", {f"delta_{kind[:2]}": delta})):
+            path, _ = write_config(
+                tmp_path, name=f"{name}.json", experiment=kind,
+                output_dir=str(tmp_path / name), gate_params=params,
+                timing_fractions=fractions)
+            assert main(["run", str(path)]) == 0
+            report = json.loads((tmp_path / name / "report.json").read_text())
+            rows[name] = report["metrics"]["rows"]
+        assert [r["fraction"] for r in rows["extreme"]] == fractions
+        for got, want in zip(rows["extreme"], rows["default"]):
+            assert abs(got["infidelity"] - want["infidelity"]) < 1e-12
 
 
 class TestNumericalContractExit:

@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dfsqc import linalg
 from dfsqc.errors import ClosureError, TruncationError, ValidationError
 from dfsqc.motional import (SPIN_X, SPIN_Z, DrivenOscillatorModel,
                             coupling_for_phase, effective_gate,
-                            gate_infidelity_with_leakage, hamiltonian,
+                            gate_infidelity_with_leakage,
                             motional_transfer_block, off_resonant_error_scan,
                             propagate, scan_to_csv)
+
+from reference import midpoint_errors, midpoint_propagator
 
 DELTA_CP = 2 * np.pi / 470e-6
 DELTA_MS = 2 * np.pi * 7000.0
@@ -45,6 +49,24 @@ class TestModelValidation:
         with pytest.raises(TruncationError):
             propagate(m, m.tau)
 
+    def test_truncation_guard_checks_mid_loop(self):
+        # the state from |0> brushes the top of an 8-level basis half way
+        # round the loop and is back at |0> at closure: only a check
+        # along the way, not one of the end state, sees the excursion
+        m = model_sz(theta=0.1, n_fock=8)
+
+        def top_two(u):
+            block = u.reshape(4, 8, 4, 8)[:, :, :, 0]
+            return float(np.max(np.sum(np.abs(block[:, -2:, :]) ** 2, axis=1)))
+
+        assert top_two(midpoint_propagator(m, m.tau / 2, 640)) > 1e-7
+        assert top_two(midpoint_propagator(m, m.tau, 1280)) < 1e-10
+        # the excursion peaks half way round, so the checkpoints must span
+        # the whole interval, end included
+        for t in (m.tau, m.tau / 2):
+            with pytest.raises(TruncationError, match="population 3.02"):
+                propagate(m, t)
+
 
 class TestPropagate:
     def test_zero_coupling_identity(self):
@@ -54,7 +76,7 @@ class TestPropagate:
 
     def test_unitary(self):
         m = model_sz()
-        u = propagate(m, 0.37 * m.tau, dt=0.37 * m.tau / 400)
+        u = propagate(m, 0.37 * m.tau)
         assert np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) < 1e-8
 
     def test_unitary_at_checkpoints(self):
@@ -71,30 +93,38 @@ class TestPropagate:
         pops = np.linalg.norm(block, axis=0) ** 2
         assert np.min(pops) >= 1 - 1e-6
 
-    def test_dt_too_coarse_rejected(self):
-        m = model_sz()
-        with pytest.raises(ValidationError):
-            propagate(m, m.tau, dt=m.tau / 100)
-
-    def test_halving_dt_converged(self):
-        m = model_sz()
-        u1 = propagate(m, m.tau)
-        u2 = propagate(m, m.tau, dt=m.tau / (2 * 2 ** 16))
-        assert np.max(np.abs(u1 - u2)) < 1e-7
-
-    def test_matches_step_oracle(self):
-        # oracle: direct midpoint product with dense matrix exponentials;
-        # a multiple of the internal checkpoint count keeps dt identical
+    def test_midpoint_oracle_converges_at_second_order(self):
+        # dense-expm midpoint products approach the exact propagator with
+        # an error that falls fourfold per halving of the step
         m = model_sz(theta=np.pi / 16, n_fock=10)
-        n = 640
-        t = 0.31 * m.tau
-        dt = t / n
-        u_oracle = np.eye(4 * m.n_fock, dtype=complex)
-        for k in range(n):
-            h = hamiltonian(m, (k + 0.5) * dt)
-            u_oracle = linalg.expm_hermitian(h, dt) @ u_oracle
-        u = propagate(m, t, dt=dt)
-        assert np.max(np.abs(u - u_oracle)) < 1e-9
+        errors = midpoint_errors(m, 0.31 * m.tau, [640, 1280, 2560])
+        assert errors[-1] < 1e-7
+        for coarse, fine in zip(errors, errors[1:]):
+            assert 3.5 <= coarse / fine <= 4.5
+
+    @pytest.mark.parametrize("make", [model_sz, model_sx])
+    def test_closure_is_exp_theta_s2(self, make):
+        m = make()
+        block = motional_transfer_block(propagate(m, m.tau), m.n_fock)
+        assert np.max(np.abs(block - m.ideal_gate())) < 1e-12
+
+    @settings(deadline=None, max_examples=25)
+    @given(kind=st.sampled_from([SPIN_Z, SPIN_X]),
+           theta=st.floats(0.0, np.pi / 4, exclude_min=True),
+           fraction=st.floats(-0.5, 0.5, exclude_min=True, exclude_max=True))
+    def test_vacuum_block_matches_magnus(self, kind, theta, fraction):
+        # second-order Magnus, exact for the untruncated oscillator:
+        # <0|U_s(t)|0> = exp(-i r (x - sin x) - r (1 - cos x)),
+        # r = (g s / delta)^2, x = delta t
+        m = (model_sz if kind == SPIN_Z else model_sx)(theta)
+        t = (1.0 + fraction) * m.tau
+        x = m.delta * t
+        s, w = np.linalg.eigh(m.spin_operator())
+        r = (m.coupling * s / m.delta) ** 2
+        expected = (w * np.exp(-1j * r * (x - np.sin(x))
+                               - r * (1 - np.cos(x)))) @ w.conj().T
+        block = motional_transfer_block(propagate(m, t), m.n_fock)
+        assert np.max(np.abs(block - expected)) < 1e-12
 
 
 class TestEffectiveGate:
