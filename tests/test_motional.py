@@ -93,7 +93,7 @@ class TestPropagate:
         pops = np.linalg.norm(block, axis=0) ** 2
         assert np.min(pops) >= 1 - 1e-6
 
-    def test_midpoint_oracle_converges_at_second_order(self):
+    def test_halving_dt_converged(self):
         # dense-expm midpoint products approach the exact propagator with
         # an error that falls fourfold per halving of the step
         m = model_sz(theta=np.pi / 16, n_fock=10)
@@ -101,6 +101,16 @@ class TestPropagate:
         assert errors[-1] < 1e-7
         for coarse, fine in zip(errors, errors[1:]):
             assert 3.5 <= coarse / fine <= 4.5
+
+    def test_matches_step_oracle(self):
+        # the midpoint product's error is even in the step, so the
+        # Richardson combination of 640 and 1280 steps cancels its
+        # second-order term and must land on the exact propagator
+        m = model_sz(theta=np.pi / 16, n_fock=10)
+        t = 0.31 * m.tau
+        u_oracle = (4 * midpoint_propagator(m, t, 1280)
+                    - midpoint_propagator(m, t, 640)) / 3
+        assert np.max(np.abs(propagate(m, t) - u_oracle)) < 1e-9
 
     @pytest.mark.parametrize("make", [model_sz, model_sx])
     def test_closure_is_exp_theta_s2(self, make):
