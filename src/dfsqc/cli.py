@@ -3,15 +3,15 @@
 Subcommands
 -----------
 ``dfsqc run <config.json>``
-    Run one experiment described by a JSON config (schema below) and
-    write ``report.json``, ``matrices.json`` and any scan CSV files into
-    the configured output directory, each atomically.  Exit code 2 flags
-    an invalid config, found before any computation; 3 a
-    numerical-contract violation (oscillator truncation or gate-closure
-    failure).
+    Run one experiment described by a JSON config (fields in
+    ``EXPERIMENT_FIELDS`` below) and write ``report.json``,
+    ``matrices.json`` and any scan CSV files into the configured output
+    directory, each atomically.  Exit code 2 flags an invalid config,
+    found before any computation; 3 a numerical-contract violation
+    (oscillator truncation or gate-closure failure).
 ``dfsqc dump-sequence [--control N --target M]``
-    Print the compiled CNOT pulse sequence as JSON (durations in
-    seconds, total in microseconds) on stdout.
+    Print the compiled CNOT pulse sequence as JSON (durations in seconds,
+    total in microseconds) on stdout; exit 2 flags an invalid pair.
 ``dfsqc validate <config.json>``
     Check a config without running it.
 
@@ -22,6 +22,7 @@ Reports are reproducible: the same (config, seed) gives the same bytes.
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import hashlib
 import json
@@ -31,7 +32,6 @@ import sys
 import tempfile
 from typing import Optional
 
-import jsonschema
 import numpy as np
 
 from . import __version__, motional
@@ -46,75 +46,69 @@ from .noise import NoiseModel, sample_noisy_channel
 from .tomography import (chi_from_unitary, dfs_report, haar_report,
                          matrix_to_json, process_fidelity, process_tomography)
 
-#: Fields every experiment reads.
-COMMON_FIELDS = ("experiment", "seed", "output_dir")
-_BELL_FIELDS = ("register", "gate_params", "noise", "noise_samples",
-                "control", "target")
-_SCAN_FIELDS = ("gate_params", "spin_phase", "timing_fractions")
-#: Further fields each experiment reads; a config that sets any other
-#: field is refused.
+
+#: What one config value must be: ``test(value)`` holds, as ``what`` says.
+FieldSpec = collections.namedtuple("FieldSpec", "test what required",
+                                   defaults=(False,))
+
+
+def _integer(value) -> bool:
+    return type(value) is int  # JSON 1.0 and true are refused
+
+
+def _real(value) -> bool:
+    return type(value) in (int, float)
+
+
+def _int_from(low: int) -> FieldSpec:
+    return FieldSpec(lambda v: _integer(v) and v >= low, f"an integer >= {low}")
+
+
+_INTEGER, _REAL = FieldSpec(_integer, "an integer"), FieldSpec(_real, "a number")
+# Nested objects get types only: LogicalRegister, GateParams and NoiseModel,
+# which _check_semantics builds, check their bounds.
+_CNOT_FIELDS = {
+    "register": {"n_logical": _INTEGER._replace(required=True),
+                 "pairs": FieldSpec(lambda v: type(v) is list and all(
+                     type(p) is list and len(p) == 2 and all(map(_integer, p))
+                     for p in v), "a list of [ion, ion] integer pairs", required=True)},
+    "gate_params": {"delta_ms": _REAL, "delta_cp": _REAL},
+    "noise": dict.fromkeys(("addressing_ratio", "intensity_imbalance",
+                            "ac_stark_phase_jitter_std", "collective_phase_std"),
+                           _REAL),
+    "noise_samples": _int_from(1), "control": _INTEGER, "target": _INTEGER,
+}
+_SCAN_FIELDS = {
+    "spin_phase": FieldSpec(lambda v: _real(v) and v > 0, "a number > 0"),
+    "timing_fractions": FieldSpec(
+        lambda v: type(v) is list and v != []
+        and all(_real(f) and -0.5 < f < 0.5 for f in v),
+        "a non-empty list of numbers in (-0.5, 0.5)"),
+}
+#: The fields each experiment reads besides ``COMMON_FIELDS``, with what
+#: each must be; an object is a nested table of the sub-fields read.  A
+#: config that sets any other field is refused.
 EXPERIMENT_FIELDS = {
-    "bell": _BELL_FIELDS,
-    "cnot-tomo": _BELL_FIELDS + ("shots", "exact_statistics", "n_haar_samples"),
-    "coherence": ("phi_std", "n_phase_samples"),
-    "ms-scan": _SCAN_FIELDS,
-    "cp-scan": _SCAN_FIELDS,
+    "bell": _CNOT_FIELDS,
+    "cnot-tomo": {**_CNOT_FIELDS,
+                  "shots": FieldSpec(lambda v: v is None or _integer(v) and v >= 1,
+                                     "an integer >= 1 or null"),
+                  "exact_statistics": FieldSpec(lambda v: type(v) is bool,
+                                                "true or false"),
+                  "n_haar_samples": _int_from(1000)},
+    "coherence": {"phi_std": FieldSpec(lambda v: _real(v) and v >= 0, "a number >= 0"),
+                  "n_phase_samples": _int_from(1000)},
+    "ms-scan": {"gate_params": {"delta_ms": _REAL}, **_SCAN_FIELDS},
+    "cp-scan": {"gate_params": {"delta_cp": _REAL}, **_SCAN_FIELDS},
 }
 EXPERIMENTS = tuple(EXPERIMENT_FIELDS)
-
-CONFIG_SCHEMA = {
-    "$schema": "http://json-schema.org/draft-07/schema#",
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["experiment", "seed", "output_dir"],
-    "properties": {
-        "experiment": {"enum": list(EXPERIMENTS)},
-        "seed": {"type": "integer", "minimum": 0},
-        "output_dir": {"type": "string", "minLength": 1},
-        "register": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["n_logical", "pairs"],
-            "properties": {
-                "n_logical": {"type": "integer", "minimum": 1},
-                "pairs": {"type": "array", "items": {
-                    "type": "array", "items": {"type": "integer", "minimum": 0},
-                    "minItems": 2, "maxItems": 2}},
-            },
-        },
-        "gate_params": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "delta_ms": {"type": "number", "exclusiveMinimum": 0},
-                "delta_cp": {"type": "number", "exclusiveMinimum": 0},
-            },
-        },
-        "noise": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "addressing_ratio": {"type": "number", "minimum": 0,
-                                     "exclusiveMaximum": 1},
-                "intensity_imbalance": {"type": "number", "exclusiveMinimum": -1},
-                "ac_stark_phase_jitter_std": {"type": "number", "minimum": 0},
-                "collective_phase_std": {"type": "number", "minimum": 0},
-            },
-        },
-        "control": {"type": "integer", "minimum": 0},
-        "target": {"type": "integer", "minimum": 0},
-        "shots": {"type": ["integer", "null"], "minimum": 1},
-        "exact_statistics": {"type": "boolean"},
-        "n_haar_samples": {"type": "integer", "minimum": 1000},
-        "noise_samples": {"type": "integer", "minimum": 1},
-        "phi_std": {"type": "number", "minimum": 0},
-        "n_phase_samples": {"type": "integer", "minimum": 1000},
-        "timing_fractions": {"type": "array",
-                             "items": {"type": "number",
-                                       "exclusiveMinimum": -0.5,
-                                       "exclusiveMaximum": 0.5}},
-        "spin_phase": {"type": "number", "exclusiveMinimum": 0},
-    },
+#: Fields every experiment reads.
+COMMON_FIELDS = {
+    "experiment": FieldSpec(lambda v: v in EXPERIMENTS,
+                            "one of " + ", ".join(EXPERIMENTS), required=True),
+    "seed": _int_from(0)._replace(required=True),
+    "output_dir": FieldSpec(lambda v: type(v) is str and v != "",
+                            "a non-empty string", required=True),
 }
 
 #: Published figures of the trapped-ion experiment this toolkit models,
@@ -128,6 +122,10 @@ REFERENCE_EXPERIMENT = {
 }
 
 
+def _shown(text: str) -> str:
+    return text if len(text) <= 24 else f"{text[:20]}... ({len(text)} characters)"
+
+
 def _reject_constant(name: str):
     raise ConfigError(f"config is not strict JSON: {name} is not a number")
 
@@ -135,37 +133,36 @@ def _reject_constant(name: str):
 def _reject_overflow(text: str) -> str:
     """Pass a JSON number's text on if it fits in a float, else refuse it."""
     if math.isinf(float(text)):
-        shown = text if len(text) <= 24 else f"{text[:20]}... ({len(text)} characters)"
-        raise ConfigError(f"config number {shown} is outside the float range")
+        raise ConfigError(f"config number {_shown(text)} is outside the float range")
     return text
 
 
-def load_config(path: str) -> dict:
-    """Parse, schema-check and semantically check a config file.
+def _reject_duplicates(pairs: list) -> dict:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        twice = [n for n in obj if [k for k, _ in pairs].count(n) > 1]
+        raise ConfigError(f"{', '.join(twice)}: duplicate key in config")
+    return obj
 
-    Every problem raises :class:`ConfigError` naming the field at fault.
-    """
+
+def load_config(path: str) -> dict:
+    """Parse a UTF-8, strict-JSON config file and check it with
+    :func:`_check_semantics`; every problem raises :class:`ConfigError`."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     try:
         config = json.loads(
             text, parse_constant=_reject_constant,
+            object_pairs_hook=_reject_duplicates,
             parse_float=lambda t: float(_reject_overflow(t)),
             parse_int=lambda t: int(_reject_overflow(t)))
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"config is not valid JSON (line {exc.lineno}, column {exc.colno}): "
             f"{exc.msg}") from exc
-    validator = jsonschema.Draft7Validator(CONFIG_SCHEMA)
-    errors = sorted(validator.iter_errors(config), key=lambda e: list(e.path))
-    if errors:
-        details = "; ".join(
-            f"{'.'.join(str(p) for p in e.path) or '<root>'}: {e.message}"
-            for e in errors)
-        raise ConfigError(f"config failed schema validation: {details}")
     _check_semantics(config)
     return config
 
@@ -178,17 +175,34 @@ def _field(name: str):
         raise ConfigError(f"{name}: {exc}") from exc
 
 
-def _check_semantics(config: dict) -> None:
-    """Refuse any field the chosen experiment does not read, then build
-    what the experiment derives from the config, so that a config the
-    schema admits but the physics does not is refused before any
-    computation."""
-    experiment = config["experiment"]
-    ignored = [name for name in config if name not in COMMON_FIELDS
-               and name not in EXPERIMENT_FIELDS[experiment]]
-    if ignored:
-        raise ConfigError(f"{', '.join(ignored)}: not read by the "
+def _check_fields(value, table: dict, path: str, experiment) -> None:
+    """Check an object against a field table, naming a field at fault by
+    its dotted path: a required field missing, a value not what the table
+    says, or a field the table does not list."""
+    if type(value) is not dict:
+        raise ConfigError(f"{path[:-1] or 'config'}: must be an object")
+    for name, spec in table.items():
+        if name not in value:
+            if getattr(spec, "required", False):
+                raise ConfigError(f"{path}{name}: required")
+        elif isinstance(spec, dict):
+            _check_fields(value[name], spec, f"{path}{name}.", experiment)
+        elif not spec.test(value[name]):
+            raise ConfigError(f"{path}{name}: must be {spec.what}, "
+                              f"got {_shown(json.dumps(value[name]))}")
+    unread = [path + name for name in value if name not in table]
+    if unread:
+        raise ConfigError(f"{', '.join(unread)}: not read by the "
                           f"{experiment} experiment")
+
+
+def _check_semantics(config) -> None:
+    """Check the config against ``COMMON_FIELDS`` and its experiment's
+    ``EXPERIMENT_FIELDS``, then build what the run derives from it and look
+    at its output directory, so that no run starts that cannot finish."""
+    experiment = config.get("experiment") if type(config) is dict else None
+    fields = EXPERIMENT_FIELDS[experiment] if experiment in EXPERIMENTS else {}
+    _check_fields(config, {**COMMON_FIELDS, **fields}, "", experiment)
     uses_cnot = experiment in ("bell", "cnot-tomo")
     if config.get("exact_statistics") and config.get("shots") is not None:
         raise ConfigError(
@@ -207,6 +221,11 @@ def _check_semantics(config: dict) -> None:
         with _field("control/target"):
             compile_cnot(control, target, register, params)
             cnot_logical_matrix(control, target)
+    parent = config["output_dir"]  # the nearest path that exists
+    while parent and not os.path.lexists(parent):
+        parent = os.path.dirname(parent)
+    if parent and not os.path.isdir(parent):
+        raise ConfigError(f"output_dir: {parent} is not a directory")
 
 
 def config_hash(config: dict) -> str:
@@ -248,15 +267,11 @@ def _register(config: dict) -> LogicalRegister:
 
 
 def _gate_params(config: dict) -> GateParams:
-    if "gate_params" in config:
-        return GateParams.from_json(config["gate_params"])
-    return GateParams()
+    return GateParams.from_json(config.get("gate_params", {}))
 
 
 def _noise(config: dict) -> Optional[NoiseModel]:
-    if "noise" in config:
-        return NoiseModel.from_json(config["noise"])
-    return None
+    return NoiseModel.from_json(config["noise"]) if "noise" in config else None
 
 
 def run_bell(config: dict, seed: int) -> tuple:
@@ -353,27 +368,16 @@ def run_scan(config: dict, seed: int, kind: str) -> tuple:
 
 def run_experiment(config: dict, seed: int) -> tuple:
     kind = config["experiment"]
-    if kind == "bell":
-        return run_bell(config, seed)
-    if kind == "cnot-tomo":
-        return run_cnot_tomo(config, seed)
-    if kind == "coherence":
-        return run_coherence(config, seed)
-    if kind == "ms-scan":
-        return run_scan(config, seed, "ms")
-    if kind == "cp-scan":
-        return run_scan(config, seed, "cp")
-    raise ConfigError(f"unknown experiment {kind!r}")
+    if kind in ("ms-scan", "cp-scan"):
+        return run_scan(config, seed, kind[:2])
+    runs = {"bell": run_bell, "cnot-tomo": run_cnot_tomo, "coherence": run_coherence}
+    return runs[kind](config, seed)
 
 
 def cmd_run(args) -> int:
-    try:
-        config = load_config(args.config)
-        if args.seed is not None and args.seed < 0:
-            raise ConfigError(f"--seed must be non-negative, got {args.seed}")
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    config = load_config(args.config)
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError(f"--seed must be non-negative, got {args.seed}")
     seed = args.seed if args.seed is not None else config["seed"]
     try:
         metrics, matrices, csvs = run_experiment(config, seed)
@@ -401,8 +405,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_dump_sequence(args) -> int:
-    register = LogicalRegister(2)
-    seq = compile_cnot(args.control, args.target, register, GateParams())
+    with _field("--control/--target"):
+        seq = compile_cnot(args.control, args.target, LogicalRegister(2), GateParams())
     doc = seq.to_json()
     doc["total_duration_us"] = seq.total_duration * 1e6
     print(json.dumps(doc, indent=2))
@@ -410,11 +414,7 @@ def cmd_dump_sequence(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    try:
-        load_config(args.config)
-    except ConfigError as exc:
-        print(f"invalid: {exc}", file=sys.stderr)
-        return 2
+    load_config(args.config)
     print("config ok")
     return 0
 
@@ -455,7 +455,7 @@ def main(argv=None) -> int:
         return args.fn(args)
     except DfsqcError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ConfigError) else 1
 
 
 if __name__ == "__main__":

@@ -47,4 +47,5 @@ class ConditioningError(DfsqcError, RuntimeError):
 
 
 class ConfigError(DfsqcError, ValueError):
-    """An experiment configuration failed schema validation."""
+    """An experiment configuration, or a command-line option, cannot be
+    run; the message names the field at fault."""

@@ -52,6 +52,47 @@ class TestValidate:
     def test_missing_file(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "nope.json")]) == 2
 
+    def test_non_utf8_config_refused(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_bytes(b"\xff\xfe{")
+        assert main(["validate", str(path)]) == 2
+        assert main(["run", str(path)]) == 2
+        assert "utf-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, text", [
+        ("noise_samples", '"noise_samples": 10, "noise_samples": 20'),
+        ("collective_phase_std", '"noise": {"collective_phase_std": 0.1, '
+                                 '"collective_phase_std": 0.2}'),
+    ], ids=["top", "nested"])
+    def test_duplicate_key_refused(self, tmp_path, capsys, key, text):
+        path, _ = write_config(tmp_path)
+        path.write_text(path.read_text()[:-1] + ", " + text + "}")
+        assert main(["validate", str(path)]) == 2
+        assert main(["run", str(path)]) == 2
+        assert f"{key}: duplicate key" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("config, field", [
+        ([1, 2], "config: must be an object"),
+        ({"seed": 1, "output_dir": "out"}, "experiment: required"),
+        ({"experiment": "bogus", "seed": 1, "output_dir": "out"}, "experiment"),
+        ({"experiment": "bell", "seed": 1, "output_dir": ""}, "output_dir"),
+        ({"experiment": "bell", "seed": 1, "output_dir": "out",
+          "register": {"n_logical": 2}}, "register.pairs: required"),
+        ({"experiment": "bell", "seed": 1, "output_dir": "out",
+          "register": 5}, "register: must be an object"),
+    ], ids=["array", "no-experiment", "unknown-experiment", "empty-output-dir",
+            "no-pairs", "register-not-object"])
+    def test_malformed_config_refused(self, tmp_path, capsys, monkeypatch,
+                                      config, field):
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))
+        assert main(["validate", str(path)]) == 2
+        assert main(["run", str(path)]) == 2
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestStrictJson:
     def test_nan_in_config_rejected(self, tmp_path, capsys):
@@ -149,6 +190,8 @@ class TestSemanticConfigErrors:
         ("coherence", {"noise": {"collective_phase_std": 0.3}}),
         ("ms-scan", {"register": {"n_logical": 1, "pairs": [[0, 1]]}}),
         ("cp-scan", {"noise_samples": 10}),
+        ("ms-scan", {"gate_params": {"delta_cp": 1e9}}),
+        ("cp-scan", {"gate_params": {"delta_ms": 1e9}}),
     ])
     def test_field_the_experiment_ignores_refused(self, tmp_path, capsys,
                                                   experiment, ignored):
@@ -159,6 +202,69 @@ class TestSemanticConfigErrors:
         assert all(name in err for name in ignored)
         assert f"not read by the {experiment} experiment" in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("field, overrides", [
+        ("seed", {"seed": 1.0}),
+        ("control", {"control": 1.0}),
+        ("n_phase_samples", {"experiment": "coherence",
+                             "n_phase_samples": 1000.0}),
+        ("shots", {"experiment": "cnot-tomo", "shots": 10.0}),
+        ("noise_samples", {"noise": {"collective_phase_std": 0.3},
+                           "noise_samples": 10.0}),
+        ("register.pairs", {"register": {"n_logical": 2,
+                                         "pairs": [[0.0, 1], [2, 3]]}}),
+    ])
+    def test_integral_float_in_integer_field_refused(self, tmp_path, capsys,
+                                                     field, overrides):
+        path, _ = write_config(tmp_path, **overrides)
+        assert main(["validate", str(path)]) == 2
+        assert main(["run", str(path)]) == 2
+        assert f"{field}: must be" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("field, overrides", [
+        ("seed", {"seed": -1}),
+        ("noise_samples", {"noise_samples": 0}),
+        ("control", {"control": True}),
+        ("shots", {"experiment": "cnot-tomo", "shots": 0}),
+        ("exact_statistics", {"experiment": "cnot-tomo", "exact_statistics": 1}),
+        ("n_haar_samples", {"experiment": "cnot-tomo", "n_haar_samples": 999}),
+        ("phi_std", {"experiment": "coherence", "phi_std": -0.1}),
+        ("n_phase_samples", {"experiment": "coherence", "n_phase_samples": 999}),
+        ("spin_phase", {"experiment": "ms-scan", "spin_phase": 0}),
+        ("timing_fractions", {"experiment": "cp-scan",
+                              "timing_fractions": [0.1, -0.5]}),
+        ("gate_params.delta_ms", {"gate_params": {"delta_ms": "7e3"}}),
+    ])
+    def test_value_outside_its_field_refused(self, tmp_path, capsys, field,
+                                             overrides):
+        path, _ = write_config(tmp_path, **overrides)
+        assert main(["validate", str(path)]) == 2
+        assert main(["run", str(path)]) == 2
+        assert f"{field}: must be" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kind", ["ms-scan", "cp-scan"])
+    def test_empty_timing_fractions_refused(self, tmp_path, capsys, kind):
+        path, _ = write_config(tmp_path, experiment=kind, timing_fractions=[])
+        assert main(["validate", str(path)]) == 2
+        assert main(["run", str(path)]) == 2
+        assert "timing_fractions" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("under", ["", "sub"], ids=["file", "under-file"])
+    def test_output_dir_blocked_by_file_refused(self, tmp_path, capsys, under):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("not a directory")
+        path, _ = write_config(tmp_path, output_dir=str(blocker / under))
+        before = sorted(tmp_path.rglob("*"))
+        assert main(["validate", str(path)]) == 2
+        assert sorted(tmp_path.rglob("*")) == before
+        start = time.perf_counter()
+        assert main(["run", str(path)]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert "output_dir" in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == before
 
 
 class TestRunBell:
@@ -349,6 +455,15 @@ class TestDumpSequence:
         assert doc["total_duration_us"] == pytest.approx(total)
         assert doc["total_duration_us"] == pytest.approx(1654.29, abs=0.01)
 
+    @pytest.mark.parametrize("argv", [["--control", "5"],
+                                      ["--control", "0", "--target", "0"],
+                                      ["--target", "-1"]])
+    def test_bad_qubit_refused(self, capsys, argv):
+        assert main(["dump-sequence"] + argv) == 2
+        captured = capsys.readouterr()
+        assert "--control/--target" in captured.err
+        assert captured.out == ""
+
     def test_swapped_roles(self, capsys):
         assert main(["dump-sequence", "--control", "1", "--target", "0"]) == 0
         doc = json.loads(capsys.readouterr().out)
@@ -359,12 +474,13 @@ class TestDumpSequence:
 
 
 def test_cli_import_needs_no_test_extra():
-    # scipy, hypothesis and pytest are the `test` extra of pyproject.toml
+    # scipy, hypothesis and pytest are the `test` extra of pyproject.toml;
+    # jsonschema is no dependency at all
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     code = ("import sys, dfsqc.cli; print(sorted({m.split('.')[0] for m in "
-            "sys.modules} & {'scipy', 'hypothesis', 'pytest'}))")
+            "sys.modules} & {'scipy', 'hypothesis', 'pytest', 'jsonschema'}))")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
