@@ -11,24 +11,19 @@ Haar-averaged mean gate fidelity.
 
 from . import encoding, gates, linalg, motional, noise, tomography
 from .encoding import (LogicalRegister, coherence_ratio, collective_dephasing,
-                       decode_in_dfs, dfs_projector, embed_in_dfs, encode,
-                       encode_state, restrict_to_dfs)
+                       decode_in_dfs, embed_in_dfs, encode, restrict_to_dfs)
 from .errors import (ClosureError, ConfigError, ConditioningError,
                      DfsqcError, DimensionError, EmptySubspaceError,
                      LayoutError, TruncationError, ValidationError)
 from .gates import (CNOT_LOGICAL, GateParams, PulseOp, PulseSequence,
-                    apply_sequence, bell_state_logical, compile_cnot,
-                    cp_gate_logical, sequence_unitary, x_rotation_logical,
-                    z_rotation_logical)
-from .linalg import (expm_hermitian, fidelity, partial_trace, tensor)
+                    bell_state_logical, compile_cnot, sequence_unitary,
+                    x_rotation_logical, z_rotation_logical)
+from .linalg import expm_hermitian, fidelity, tensor
 from .motional import (DrivenOscillatorModel, effective_gate,
                        off_resonant_error_scan, propagate)
-from .noise import (CALIBRATED_NOISE, NoiseModel, addressing_crosstalk,
-                    imbalance_perturbation, sample_noisy_channel)
-from .tomography import (ChiMatrix, chi_from_unitary,
-                         dfs_report, haar_state, haar_unitary,
-                         mean_gate_fidelity, process_fidelity,
-                         process_tomography, reconstruct_state,
-                         simulate_measurement)
+from .noise import CALIBRATED_NOISE, NoiseModel, sample_noisy_channel
+from .tomography import (ChiMatrix, chi_from_unitary, dfs_report, haar_report,
+                         process_fidelity, process_tomography,
+                         reconstruct_state)
 
 __version__ = "0.1.0"

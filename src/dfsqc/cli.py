@@ -34,11 +34,11 @@ from typing import Optional
 
 import numpy as np
 
-from . import __version__, motional
+from . import __version__, linalg, motional
 from .encoding import (LogicalRegister, coherence_ratio, decode_in_dfs,
                        embed_in_dfs, encode)
-from .errors import (ClosureError, ConfigError, DfsqcError, LayoutError,
-                     TruncationError, ValidationError)
+from .errors import (ClosureError, ConfigError, DfsqcError, DimensionError,
+                     LayoutError, TruncationError, ValidationError)
 from .gates import (SWAP_LOGICAL, GateParams, PulseSequence,
                     bell_state_logical, cnot_logical_matrix, compile_cnot,
                     ms_pulse)
@@ -212,6 +212,10 @@ def _check_semantics(config) -> None:
         if uses_cnot and register.n_logical != 2:
             raise LayoutError(f"{experiment} needs 2 logical qubits, "
                               f"got {register.n_logical}")
+        # by ion count: the 2^n of a huge ion index is itself too costly
+        if register.n_ions > linalg.MAX_TENSOR_DIM.bit_length() - 1:
+            raise DimensionError(f"{register.n_ions} ions exceed the state "
+                                 f"dimension cap {linalg.MAX_TENSOR_DIM}")
     with _field("gate_params"):
         params = _gate_params(config)
     with _field("noise"):

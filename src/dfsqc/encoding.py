@@ -72,7 +72,7 @@ class LogicalRegister:
                    pairs=tuple(tuple(p) for p in obj["pairs"]))
 
 
-def _bits_to_index(bits: Sequence[int], n_ions: int) -> int:
+def _bits_to_index(bits: Sequence[int]) -> int:
     idx = 0
     for b in bits:
         idx = 2 * idx + int(b)
@@ -92,7 +92,7 @@ def logical_basis_index(register: LogicalRegister, logical_bits: str) -> int:
             phys[a], phys[b] = 0, 1
         else:
             raise ValidationError(f"invalid logical bit {bit!r}")
-    return _bits_to_index(phys, register.n_ions)
+    return _bits_to_index(phys)
 
 
 def logical_basis_indices(register: LogicalRegister) -> list:
@@ -109,21 +109,6 @@ def encode(register: LogicalRegister, logical_bits: str) -> np.ndarray:
     """
     return linalg.basis_state(logical_basis_index(register, logical_bits),
                               register.dim)
-
-
-def encode_state(register: LogicalRegister, logical_vec: np.ndarray) -> np.ndarray:
-    """Embed an arbitrary logical state vector into the physical space."""
-    logical_vec = np.asarray(logical_vec, dtype=complex)
-    if logical_vec.shape != (2 ** register.n_logical,):
-        raise DimensionError("logical vector has wrong dimension")
-    psi = np.zeros(register.dim, dtype=complex)
-    psi[logical_basis_indices(register)] = logical_vec
-    return psi
-
-
-def dfs_projector(register: LogicalRegister) -> np.ndarray:
-    """Projector onto the decoherence-free subspace (rank ``2^n_logical``)."""
-    return embed_in_dfs(np.eye(2 ** register.n_logical), register)
 
 
 def restrict_to_dfs(op: np.ndarray, register: LogicalRegister) -> np.ndarray:
@@ -150,12 +135,6 @@ def embed_in_dfs(op_logical: np.ndarray, register: LogicalRegister) -> np.ndarra
                    dtype=complex)
     out[..., idx[:, None], idx] = op_logical
     return out
-
-
-def permanence(rho_physical: np.ndarray, register: LogicalRegister) -> float:
-    """Weight of the state inside the DFS, ``tr(P rho P)``."""
-    idx = logical_basis_indices(register)
-    return float(np.real(np.sum(np.diag(rho_physical)[idx])))
 
 
 def decode_in_dfs(rho_physical: np.ndarray, register: LogicalRegister):

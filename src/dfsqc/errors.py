@@ -7,7 +7,7 @@ class DfsqcError(Exception):
 
 class DimensionError(DfsqcError, ValueError):
     """Operands have incompatible dimensions, or a tensor product would
-    exceed the configured dimension cap."""
+    exceed the dimension cap ``linalg.MAX_TENSOR_DIM``."""
 
 
 class ValidationError(DfsqcError, ValueError):

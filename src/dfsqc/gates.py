@@ -28,7 +28,6 @@ phase) and is regression-tested against that matrix.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional
 
@@ -36,14 +35,13 @@ import numpy as np
 
 from . import linalg
 from .encoding import LogicalRegister
-from .errors import DimensionError, LayoutError, ValidationError
+from .errors import LayoutError, ValidationError
 
 AC_STARK_Z = "ACStarkZ"
 MS_ROTATION = "MSRotation"
 CP_GATE = "CPGate"
-PHYSICAL_FLIP = "PhysicalFlip"
 
-_KINDS = (AC_STARK_Z, MS_ROTATION, CP_GATE, PHYSICAL_FLIP)
+_KINDS = (AC_STARK_Z, MS_ROTATION, CP_GATE)
 
 #: Ideal logical unitary of the compiled CNOT on the ordered basis
 #: |00>, |01>, |10>, |11> (qubit 0 is the control).  The target flips,
@@ -86,9 +84,6 @@ class GateParams:
         """Duration of one CP pulse (one motional loop), seconds."""
         return 2 * np.pi / self.delta_cp
 
-    def to_json(self) -> dict:
-        return {"delta_ms": self.delta_ms, "delta_cp": self.delta_cp}
-
     @classmethod
     def from_json(cls, obj: dict) -> "GateParams":
         return cls(**{k: float(v) for k, v in obj.items()})
@@ -113,7 +108,7 @@ class PulseOp:
             raise ValidationError(f"unknown pulse kind {self.kind!r}")
         targets = tuple(int(t) for t in self.targets)
         object.__setattr__(self, "targets", targets)
-        if self.kind in (AC_STARK_Z, PHYSICAL_FLIP):
+        if self.kind == AC_STARK_Z:
             if len(targets) != 1:
                 raise ValidationError(f"{self.kind} addresses exactly one ion")
         else:
@@ -125,12 +120,6 @@ class PulseOp:
         return {"kind": self.kind, "targets": list(self.targets),
                 "angle": self.angle, "phase": self.phase,
                 "duration": self.duration}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "PulseOp":
-        return cls(kind=obj["kind"], targets=tuple(obj["targets"]),
-                   angle=float(obj["angle"]), phase=float(obj["phase"]),
-                   duration=float(obj["duration"]))
 
 
 @dataclass
@@ -154,18 +143,6 @@ class PulseSequence:
     def to_json(self) -> dict:
         return {"register": self.register.to_json(),
                 "ops": [op.to_json() for op in self.ops]}
-
-    def dumps(self, indent: Optional[int] = 2) -> str:
-        return json.dumps(self.to_json(), indent=indent)
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "PulseSequence":
-        return cls(ops=[PulseOp.from_json(o) for o in obj["ops"]],
-                   register=LogicalRegister.from_json(obj["register"]))
-
-    @classmethod
-    def loads(cls, text: str) -> "PulseSequence":
-        return cls.from_json(json.loads(text))
 
 
 def pulse_unitary(op: PulseOp, n_ions: int, weights: Optional[dict] = None,
@@ -206,16 +183,11 @@ def pulse_unitary(op: PulseOp, n_ions: int, weights: Optional[dict] = None,
     return (v * phases) @ linalg.dag(v)
 
 
-def op_unitary(op: PulseOp, n_ions: int) -> np.ndarray:
-    """Ideal (noise-free) unitary of a single pulse on the full ion space."""
-    return pulse_unitary(op, n_ions)
-
-
 def sequence_unitary(seq: PulseSequence) -> np.ndarray:
     """Product of the op unitaries, first op rightmost."""
     u = np.eye(seq.register.dim, dtype=complex)
     for op in seq.ops:
-        u = op_unitary(op, seq.register.n_ions) @ u
+        u = pulse_unitary(op, seq.register.n_ions) @ u
     return u
 
 
@@ -227,7 +199,7 @@ def z_rotation_logical(theta: float, logical_qubit: int,
     ``1 (x) sigma_z`` coincides with the logical ``sigma_z``.
     """
     op = z_pulse(theta, logical_qubit, register)
-    return op_unitary(op, register.n_ions)
+    return pulse_unitary(op, register.n_ions)
 
 
 def x_rotation_logical(theta: float, logical_qubit: int,
@@ -239,18 +211,11 @@ def x_rotation_logical(theta: float, logical_qubit: int,
     ``axis_phase``; the phase only changes the action outside the DFS.
     """
     op = ms_pulse(theta, logical_qubit, register, axis_phase)
-    return op_unitary(op, register.n_ions)
+    return pulse_unitary(op, register.n_ions)
 
 
-def cp_gate_logical(theta: float, pair, register: LogicalRegister) -> np.ndarray:
-    """Phase gate ``exp(-i theta/2 sigma_z (x) sigma_z)`` on the center ions
-    of two adjacent logical qubits."""
-    op = cp_pulse(theta, pair, register)
-    return op_unitary(op, register.n_ions)
-
-
-def z_pulse(theta: float, logical_qubit: int, register: LogicalRegister,
-            params: Optional[GateParams] = None) -> PulseOp:
+def z_pulse(theta: float, logical_qubit: int,
+            register: LogicalRegister) -> PulseOp:
     _check_lq(logical_qubit, register)
     ion = register.pairs[logical_qubit][1]
     return PulseOp(AC_STARK_Z, (ion,), theta, 0.0, 0.0)
@@ -328,9 +293,9 @@ def compile_cnot(control: int, target: int, register: Optional[LogicalRegister] 
         ms_pulse(a["echo"], target, register, 0.0, params),
         cp_pulse(a["cp_half"], (control, target), register, params),
         ms_pulse(a["echo"], control, register, 0.0, params),
-        z_pulse(a["composite_z1"], target, register, params),
+        z_pulse(a["composite_z1"], target, register),
         ms_pulse(a["composite_x"], target, register, 0.0, params),
-        z_pulse(a["composite_z2"], target, register, params),
+        z_pulse(a["composite_z2"], target, register),
     ]
     return PulseSequence(ops=ops, register=register)
 
@@ -346,14 +311,6 @@ def cnot_logical_matrix(control: int, target: int) -> np.ndarray:
     if control == 0:
         return CNOT_LOGICAL.copy()
     return SWAP_LOGICAL @ CNOT_LOGICAL @ SWAP_LOGICAL
-
-
-def apply_sequence(seq: PulseSequence, psi: np.ndarray) -> np.ndarray:
-    """Apply the ideal sequence to a state vector."""
-    if psi.shape != (seq.register.dim,):
-        raise DimensionError(
-            f"state dim {psi.shape} does not match register dim {seq.register.dim}")
-    return sequence_unitary(seq) @ psi
 
 
 def bell_state_logical(input_bits: str) -> np.ndarray:

@@ -11,13 +11,11 @@ All functions are pure; nothing here keeps mutable state.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
-
 import numpy as np
 
 from .errors import DimensionError, ValidationError
 
-#: Default cap on the dimension produced by :func:`tensor`.
+#: Cap on the dimension produced by :func:`tensor`, and so on a register's.
 MAX_TENSOR_DIM = 2 ** 12
 
 ID2 = np.eye(2, dtype=complex)
@@ -31,20 +29,16 @@ KET0 = np.array([1.0, 0.0], dtype=complex)
 KET1 = np.array([0.0, 1.0], dtype=complex)
 
 
-def _dim(a: np.ndarray) -> int:
-    return a.shape[0]
-
-
 def dag(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose."""
     return a.conj().T
 
 
-def tensor(*factors: np.ndarray, max_dim: int = MAX_TENSOR_DIM) -> np.ndarray:
+def tensor(*factors: np.ndarray) -> np.ndarray:
     """Kronecker product of states or operators, first factor most significant.
 
     Raises :class:`DimensionError` if the resulting dimension would exceed
-    ``max_dim`` (default 4096).
+    ``MAX_TENSOR_DIM``.
     """
     if not factors:
         raise DimensionError("tensor() needs at least one factor")
@@ -53,9 +47,9 @@ def tensor(*factors: np.ndarray, max_dim: int = MAX_TENSOR_DIM) -> np.ndarray:
         if f.shape[0] <= 0:
             raise DimensionError("tensor factors must have positive dimension")
         dim *= f.shape[0]
-    if dim > max_dim:
+    if dim > MAX_TENSOR_DIM:
         raise DimensionError(
-            f"tensor product dimension {dim} exceeds cap {max_dim}")
+            f"tensor product dimension {dim} exceeds cap {MAX_TENSOR_DIM}")
     out = np.asarray(factors[0], dtype=complex)
     for f in factors[1:]:
         out = np.kron(out, np.asarray(f, dtype=complex))
@@ -115,44 +109,6 @@ def fidelity(rho: np.ndarray, psi: np.ndarray) -> float:
     return float(val.real)
 
 
-def state_fidelity(phi: np.ndarray, psi: np.ndarray) -> float:
-    """Squared overlap ``|<phi|psi>|^2`` of two pure states."""
-    if phi.shape != psi.shape:
-        raise DimensionError("state dimensions differ")
-    return float(abs(np.vdot(phi, psi)) ** 2)
-
-
-def partial_trace(rho: np.ndarray, keep: Iterable[int],
-                  dims: Sequence[int]) -> np.ndarray:
-    """Trace out all subsystems not listed in ``keep``.
-
-    Parameters
-    ----------
-    rho : complex matrix of dimension ``prod(dims)``
-    keep : indices of the subsystems to retain; the result orders them
-        as they appear in the original system (ascending index)
-    dims : dimension of each subsystem, most significant first
-
-    Returns the reduced density matrix; Hermiticity and trace are
-    preserved exactly by the contraction.
-    """
-    dims = list(dims)
-    n = len(dims)
-    keep = sorted(set(int(k) for k in keep))
-    if any(k < 0 or k >= n for k in keep):
-        raise DimensionError(f"keep indices {keep} invalid for {n} subsystems")
-    d = int(np.prod(dims))
-    if rho.shape != (d, d):
-        raise DimensionError(
-            f"rho has shape {rho.shape}, expected ({d}, {d}) from dims {dims}")
-    reshaped = rho.reshape(dims + dims)
-    drop = [i for i in range(n) if i not in keep]
-    for i in reversed(drop):
-        reshaped = np.trace(reshaped, axis1=i, axis2=i + reshaped.ndim // 2)
-    d_keep = int(np.prod([dims[k] for k in keep])) if keep else 1
-    return reshaped.reshape(d_keep, d_keep)
-
-
 def canonicalize_phase(m: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     """Fix the global phase so the first entry of magnitude above ``tol``
     (row-major scan) is real and positive."""
@@ -170,11 +126,6 @@ def phase_aligned(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if abs(tr) < 1e-14:
         return np.array(b, copy=True)
     return b * (tr / abs(tr))
-
-
-def max_phase_diff(a: np.ndarray, b: np.ndarray) -> float:
-    """Largest entrywise deviation between ``a`` and ``b`` modulo a global phase."""
-    return float(np.max(np.abs(a - phase_aligned(a, b))))
 
 
 def unitary_trace_distance(a: np.ndarray, b: np.ndarray) -> float:

@@ -29,7 +29,6 @@ the same result bit for bit.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional
 
@@ -64,15 +63,6 @@ class NoiseModel:
         return (self.ac_stark_phase_jitter_std > 0
                 or self.collective_phase_std > 0)
 
-    def to_json(self) -> dict:
-        return {
-            "addressing_ratio": self.addressing_ratio,
-            "intensity_imbalance": self.intensity_imbalance,
-            "ac_stark_phase_jitter_std": self.ac_stark_phase_jitter_std,
-            "collective_phase_std": self.collective_phase_std,
-            "seed": self.seed,
-        }
-
     @classmethod
     def from_json(cls, obj: dict) -> "NoiseModel":
         seed = obj.get("seed")
@@ -83,14 +73,6 @@ class NoiseModel:
             collective_phase_std=float(obj.get("collective_phase_std", 0.0)),
             seed=None if seed is None else int(seed),
         )
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True)
-
-    @classmethod
-    def loads(cls, text: str) -> "NoiseModel":
-        return cls.from_json(json.loads(text))
-
 
 #: Parameter set used by the noisy demos: crosstalk at the measured 5%
 #: Rabi ratio plus jitter magnitudes tuned so the encoded Bell states
@@ -133,30 +115,6 @@ def noisy_op_unitary(op: PulseOp, n_ions: int, ratio: float = 0.0,
         weights[n] = ratio
     offset = angle_offset if op.kind == AC_STARK_Z else 0.0
     return pulse_unitary(op, n_ions, weights, offset)
-
-
-def addressing_crosstalk(op: PulseOp, ratio: float, n_ions: int) -> np.ndarray:
-    """Pulse unitary with residual light on the string neighbors.
-
-    ``ratio`` is the neighbor-to-addressed Rabi-frequency ratio; zero
-    recovers the ideal op.  The error is coherent and exactly unitary.
-    """
-    if not 0.0 <= ratio < 1.0:
-        raise ValidationError("crosstalk ratio must lie in [0, 1)")
-    return noisy_op_unitary(op, n_ions, ratio=ratio)
-
-
-def imbalance_perturbation(op: PulseOp, epsilon: float, n_ions: int) -> np.ndarray:
-    """Two-ion pulse with a fractional Rabi-frequency difference ``epsilon``.
-
-    The brighter (first) ion carries weight ``1 + epsilon`` in the
-    collective spin entering the squared generator; the resulting error
-    is an over-rotation of the pair coupling, with infidelity growing
-    as ``epsilon^2``.
-    """
-    if op.kind not in (MS_ROTATION, CP_GATE):
-        raise ValidationError("imbalance applies to two-ion pulses only")
-    return noisy_op_unitary(op, n_ions, epsilon=epsilon)
 
 
 def _sample_unitary(seq: PulseSequence, model: NoiseModel,

@@ -14,8 +14,8 @@ permanence), and finally fit the process matrix ``chi`` defined by
 over the fixed logical Pauli basis ``A = {I,X,Y,Z} (x) {I,X,Y,Z}``.
 
 The data of one state is a float array of outcome frequencies ``f[s, b]``,
-shape ``(3^n, 2^n)``: one row per setting in :func:`all_settings` order,
-one column per outcome bitstring.  Measurements are products over ions,
+shape ``(3^n, 2^n)``: one row per setting, the per-ion basis letters
+``XYZ`` in lexicographic order, one column per outcome bitstring.  Measurements are products over ions,
 so state tomography is a per-ion contraction with the single-ion effects
 ``E[s, b] = R_s+ |b><b| R_s``.  Linear inversion is ``3^-n sum_sb f[s, b]
 (x)_k (3 E[s_k, b_k] - 1)``: the all-settings classical-shadow estimator
@@ -25,8 +25,7 @@ bin edge.
 
 Mean gate fidelity is the Haar average of
 ``<psi| U+ E(|psi><psi|) U |psi>`` over pure logical inputs, sampled with
-normalized complex Gaussian vectors (exactly Haar for states); the
-QR-based Haar unitary construction is included as a cross-check.
+normalized complex Gaussian vectors (exactly Haar for states).
 """
 
 from __future__ import annotations
@@ -64,11 +63,6 @@ _ADJOINT = _EFFECTS.transpose(2, 3, 0, 1)
 _DUAL = (3.0 * _EFFECTS - linalg.ID2).transpose(2, 3, 0, 1)
 
 
-def all_settings(n_ions: int) -> list:
-    """The complete set of ``3^n`` per-ion basis labels, lexicographic."""
-    return ["".join(c) for c in itertools.product(BASIS_LETTERS, repeat=n_ions)]
-
-
 def _contract_ions(t: np.ndarray, tables: Sequence[np.ndarray]) -> np.ndarray:
     """``out[a.., b..] = sum t[c.., d..] prod_k tables[k][a_k, b_k, c_k, d_k]``
     for matrices whose row and column indices each run over all ions."""
@@ -78,29 +72,6 @@ def _contract_ions(t: np.ndarray, tables: Sequence[np.ndarray]) -> np.ndarray:
         t = np.tensordot(t, table, axes=([0, n - k], [2, 3]))
     t = t.transpose(*range(0, 2 * n, 2), *range(1, 2 * n, 2))
     return t.reshape(-1, np.prod(t.shape[n:], dtype=int))
-
-
-def _distributions(rho: np.ndarray, tables: Sequence[np.ndarray]) -> np.ndarray:
-    """Outcome distributions, one row per setting the per-ion tables select."""
-    n = len(tables)
-    if rho.shape != (2 ** n, 2 ** n):
-        raise DimensionError(f"state dim {rho.shape} does not match {n} ions")
-    probs = np.real(_contract_ions(rho, tables))
-    if probs.min() < -1e-9:
-        raise ValidationError(
-            f"negative outcome probability {probs.min():.3e} below -1e-9")
-    probs = np.clip(probs, 0.0, None)
-    return probs / probs.sum(axis=1, keepdims=True)
-
-
-def measurement_probabilities(rho: np.ndarray, setting: str) -> np.ndarray:
-    """Outcome distribution over bitstrings for one measurement setting."""
-    try:  # each ion's table keeps its setting axis, of length one
-        tables = [_BORN[[BASIS_LETTERS.index(c)]] for c in setting]
-    except ValueError:
-        raise ValidationError(
-            f"setting {setting!r} is not letters from {BASIS_LETTERS}") from None
-    return _distributions(rho, tables)[0]
 
 
 def _draw_counts(probs: np.ndarray, shots: int, seed) -> np.ndarray:
@@ -116,20 +87,10 @@ def _draw_counts(probs: np.ndarray, shots: int, seed) -> np.ndarray:
     return np.bincount(idx, minlength=len(probs))
 
 
-def simulate_measurement(rho: np.ndarray, setting: str, shots: int,
-                         seed) -> np.ndarray:
-    """Multinomial shot counts for one setting, indexed by outcome bitstring.
-
-    Deterministic for a given seed and stable under rounding-level changes
-    of ``rho``.
-    """
-    return _draw_counts(measurement_probabilities(rho, setting), shots, seed)
-
-
 def acquire_dataset(rho: np.ndarray, shots: Optional[int],
                     seed=None) -> np.ndarray:
     """Outcome frequencies of a state in every setting, shape ``(3^n, 2^n)``,
-    with rows in :func:`all_settings` order.
+    with rows in lexicographic setting order (ion 0's letter most significant).
 
     ``shots=None`` gives the exact outcome distributions.  Otherwise
     setting ``i`` draws its shots from ``default_rng((seed, i))`` and its
@@ -138,7 +99,14 @@ def acquire_dataset(rho: np.ndarray, shots: Optional[int],
     if shots is not None and seed is None:
         raise ValidationError("a seed is required for reproducible sampling")
     n = rho.shape[0].bit_length() - 1
-    probs = _distributions(rho, [_BORN] * n)
+    if rho.shape != (2 ** n, 2 ** n):
+        raise DimensionError(f"state dim {rho.shape} does not match {n} ions")
+    probs = np.real(_contract_ions(rho, [_BORN] * n))
+    if probs.min() < -1e-9:
+        raise ValidationError(
+            f"negative outcome probability {probs.min():.3e} below -1e-9")
+    probs = np.clip(probs, 0.0, None)
+    probs = probs / probs.sum(axis=1, keepdims=True)
     if shots is None:
         return probs
     return np.stack([_draw_counts(p, shots, (seed, i))
@@ -222,28 +190,10 @@ def reconstruct_state(freq: np.ndarray, mle: bool = False) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Haar sampling
 
-def haar_state(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """One Haar-random pure state (normalized complex Gaussian vector)."""
-    z = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return z / np.linalg.norm(z)
-
-
 def haar_states(dim: int, n: int, rng: np.random.Generator) -> np.ndarray:
     """Batch of Haar-random pure states, shape (n, dim)."""
     z = rng.normal(size=(n, dim)) + 1j * rng.normal(size=(n, dim))
     return z / np.linalg.norm(z, axis=1, keepdims=True)
-
-
-def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random unitary via QR of a Ginibre matrix.
-
-    The R diagonal is rephased to unit modulus, which removes the QR
-    gauge ambiguity and makes the distribution exactly Haar.
-    """
-    z = (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))) / np.sqrt(2)
-    q, r = np.linalg.qr(z)
-    d = np.diag(r)
-    return q * (d / np.abs(d))
 
 
 # ---------------------------------------------------------------------------
@@ -285,12 +235,6 @@ class ChiMatrix:
                       optimize=True)
         return s.reshape(d * d, d * d)
 
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        """The channel applied to a density matrix or a stack, ``(..., d, d)``."""
-        d = 2 ** self.n_logical
-        flat = rho.reshape(rho.shape[:-2] + (d * d,))
-        return (flat @ self.superoperator().T).reshape(rho.shape)
-
     def trace_preservation_residual(self) -> float:
         """Largest deviation of ``sum_mn chi_mn A_n+ A_m`` from the identity."""
         ops = chi_basis(self.n_logical)
@@ -302,19 +246,9 @@ class ChiMatrix:
         return {"basis": list(self.basis_labels),
                 "entries": matrix_to_json(self.entries)}
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "ChiMatrix":
-        return cls(entries=matrix_from_json(obj["entries"]),
-                   basis_labels=list(obj["basis"]))
-
-
 def matrix_to_json(m: np.ndarray) -> list:
     """Row-major nested list of [re, im] pairs."""
     return [[[float(x.real), float(x.imag)] for x in row] for row in np.asarray(m)]
-
-
-def matrix_from_json(rows: list) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in rows])
 
 
 def chi_from_unitary(u: np.ndarray) -> ChiMatrix:
@@ -379,9 +313,7 @@ class ProcessCharacterization:
     """Everything the tomography pipeline measures about one channel."""
 
     chi: ChiMatrix
-    input_labels: list
     input_states: np.ndarray
-    logical_outputs: np.ndarray
     permanences: Optional[np.ndarray] = None
 
     def permanence_functional(self) -> np.ndarray:
@@ -418,8 +350,7 @@ def process_tomography(channel: Callable[[np.ndarray], np.ndarray],
         raise ValidationError("a seed is required for reproducible sampling")
     n_logical = register.n_logical
     dim_l = 2 ** n_logical
-    labels, vecs = zip(*preparation_states(n_logical))
-    vecs = np.stack(vecs)
+    vecs = np.stack([v for _, v in preparation_states(n_logical)])
     inputs = vecs[:, :, None] * vecs[:, None, :].conj()
     outputs = np.asarray(channel(inputs))
     permanences = []
@@ -441,8 +372,7 @@ def process_tomography(channel: Callable[[np.ndarray], np.ndarray],
     chi_raw = chi_linear_solve(inputs, outputs, n_logical)
     chi = ChiMatrix(project_chi_cp(chi_raw), chi_basis_labels(n_logical))
     return ProcessCharacterization(
-        chi=chi, input_labels=list(labels), input_states=vecs,
-        logical_outputs=outputs,
+        chi=chi, input_states=vecs,
         permanences=np.array(permanences) if permanences else None)
 
 
@@ -490,14 +420,6 @@ def haar_report(chi: ChiMatrix, ideal: np.ndarray,
             "mean_overall_stderr": float(np.std(overall, ddof=1) / rt),
         })
     return report
-
-
-def mean_gate_fidelity(chi: ChiMatrix, ideal: np.ndarray,
-                       n_samples: int = 200_000, seed=None) -> tuple:
-    """Haar-averaged fidelity of a channel against an ideal unitary, as
-    ``(mean, standard error)``: the gate figures of :func:`haar_report`."""
-    report = haar_report(chi, ideal, n_samples=n_samples, seed=seed)
-    return report["mean_gate_fidelity"], report["mean_gate_fidelity_stderr"]
 
 
 def dfs_report(rho_physical: np.ndarray, ideal_logical: np.ndarray,

@@ -4,7 +4,7 @@ PASS/FAIL line with its runtime (run with ``pytest -s`` to see them)."""
 import json
 import time
 from contextlib import contextmanager
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -14,15 +14,16 @@ from dfsqc.encoding import (LogicalRegister, coherence_ratio,
                             collective_dephasing, embed_in_dfs, encode,
                             logical_basis_indices)
 from dfsqc.gates import (CNOT_LOGICAL, PulseSequence, bell_state_logical,
-                         compile_cnot, ms_pulse, op_unitary, sequence_unitary)
+                         compile_cnot, ms_pulse, pulse_unitary,
+                         sequence_unitary)
 from dfsqc.motional import (SPIN_X, SPIN_Z, DrivenOscillatorModel,
                             coupling_for_phase, motional_transfer_block,
                             propagate)
-from dfsqc.noise import (CALIBRATED_NOISE, imbalance_perturbation,
+from dfsqc.noise import (CALIBRATED_NOISE, noisy_op_unitary,
                          sample_noisy_channel)
 from dfsqc.tomography import (ChiMatrix, chi_from_unitary, dfs_report,
-                              haar_report, haar_states, mean_gate_fidelity,
-                              process_fidelity, process_tomography)
+                              haar_report, haar_states, process_fidelity,
+                              process_tomography)
 
 from conftest import random_state
 from reference import midpoint_errors
@@ -159,8 +160,10 @@ def test_criterion_6_haar_estimator():
     with criterion(6, "Haar estimator against the depolarizing analytic", 30.0):
         p = 0.2
         chi = ChiMatrix(np.diag([1 - p + p / 16] + [p / 16] * 15).astype(complex))
-        mean, se = mean_gate_fidelity(chi, np.eye(4, dtype=complex),
-                                      n_samples=200_000, seed=6)
+        report = haar_report(chi, np.eye(4, dtype=complex),
+                             n_samples=200_000, seed=6)
+        mean = report["mean_gate_fidelity"]
+        se = report["mean_gate_fidelity_stderr"]
         assert abs(mean - 0.85) <= max(3 * se, 1e-12)
         # second-moment Haar checks
         rng = np.random.default_rng(8)
@@ -179,11 +182,11 @@ def test_criterion_7_imbalance_scaling_law():
     with criterion(7, "imbalance infidelity scales with exponent 2", 10.0):
         reg1 = LogicalRegister(1)
         op = ms_pulse(np.pi / 2, 0, reg1)
-        ideal = op_unitary(op, reg1.n_ions)
+        ideal = pulse_unitary(op, reg1.n_ions)
         eps = np.logspace(-3, -1, 13)
         infid = []
         for e in eps:
-            u = imbalance_perturbation(op, e, reg1.n_ions)
+            u = noisy_op_unitary(op, reg1.n_ions, epsilon=e)
             tr = abs(np.trace(ideal.conj().T @ u)) ** 2
             infid.append(1 - (tr + 4) / 20)
         slope = np.polyfit(np.log(eps), np.log(infid), 1)[0]
@@ -196,7 +199,7 @@ def test_criterion_8_reproducibility(tmp_path):
             "experiment": "bell",
             "seed": 31,
             "output_dir": str(tmp_path / "out"),
-            "noise": {k: v for k, v in CALIBRATED_NOISE.to_json().items()
+            "noise": {k: v for k, v in asdict(CALIBRATED_NOISE).items()
                       if k != "seed"},  # the run seed draws the shots
             "noise_samples": 64,
         }

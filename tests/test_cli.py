@@ -11,7 +11,9 @@ import pytest
 from dfsqc import cli, linalg
 from dfsqc.cli import main
 from dfsqc.encoding import LogicalRegister, restrict_to_dfs
-from dfsqc.gates import CNOT_LOGICAL, PulseSequence, sequence_unitary
+from dfsqc.gates import CNOT_LOGICAL, sequence_unitary
+
+from reference import max_phase_diff, sequence_from_json
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -181,6 +183,20 @@ class TestSemanticConfigErrors:
         assert main(["run", str(path)]) == 2
         assert time.perf_counter() - start < 1.0
         assert "register" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("experiment", ["bell", "cnot-tomo"])
+    def test_register_beyond_the_tensor_cap_refused(self, tmp_path, capsys,
+                                                    experiment):
+        register = {"n_logical": 2, "pairs": [[9, 10], [11, 12]]}
+        assert LogicalRegister(2, ((9, 10), (11, 12))).dim > linalg.MAX_TENSOR_DIM
+        path, _ = write_config(tmp_path, experiment=experiment,
+                               register=register)
+        start = time.perf_counter()
+        assert main(["validate", str(path)]) == 2
+        assert main(["run", str(path)]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert "register: 13 ions" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("experiment, ignored", [
@@ -438,10 +454,10 @@ class TestDumpSequence:
     def test_roundtrip_same_unitary(self, capsys):
         assert main(["dump-sequence"]) == 0
         doc = json.loads(capsys.readouterr().out)
-        seq = PulseSequence.from_json(doc)
+        seq = sequence_from_json(doc)
         reg = LogicalRegister(2)
         u = restrict_to_dfs(sequence_unitary(seq), reg)
-        assert linalg.max_phase_diff(CNOT_LOGICAL, u) < 1e-10
+        assert max_phase_diff(CNOT_LOGICAL, u) < 1e-10
 
     def test_structure_and_duration(self, capsys):
         main(["dump-sequence"])
@@ -467,10 +483,10 @@ class TestDumpSequence:
     def test_swapped_roles(self, capsys):
         assert main(["dump-sequence", "--control", "1", "--target", "0"]) == 0
         doc = json.loads(capsys.readouterr().out)
-        seq = PulseSequence.from_json(doc)
+        seq = sequence_from_json(doc)
         from dfsqc.gates import cnot_logical_matrix
         u = restrict_to_dfs(sequence_unitary(seq), LogicalRegister(2))
-        assert linalg.max_phase_diff(cnot_logical_matrix(1, 0), u) < 1e-10
+        assert max_phase_diff(cnot_logical_matrix(1, 0), u) < 1e-10
 
 
 def test_cli_import_needs_no_test_extra():

@@ -4,8 +4,8 @@ import pytest
 from dfsqc import linalg
 from dfsqc.encoding import (LogicalRegister, coherence_ratio,
                             collective_dephasing, collective_phase_unitary,
-                            decode_in_dfs, dfs_projector, encode,
-                            encode_state, logical_basis_indices, permanence)
+                            decode_in_dfs, embed_in_dfs, encode,
+                            logical_basis_indices, restrict_to_dfs)
 from dfsqc.errors import (DimensionError, EmptySubspaceError, ValidationError)
 
 from conftest import random_density_matrix
@@ -45,19 +45,20 @@ class TestEncode:
             encode(register2, "0")
 
     def test_encode_state_superposition(self, register1):
-        psi = encode_state(register1, np.array([1, 1j]) / np.sqrt(2))
+        v = np.array([1, 1j]) / np.sqrt(2)
+        rho = embed_in_dfs(np.outer(v, v.conj()), register1)
         expected = (encode(register1, "0") + 1j * encode(register1, "1")) / np.sqrt(2)
-        assert np.allclose(psi, expected)
+        assert np.allclose(rho, np.outer(expected, expected.conj()))
 
 
 class TestProjector:
     def test_idempotent_and_rank(self, register2):
-        p = dfs_projector(register2)
+        p = embed_in_dfs(np.eye(4), register2)
         assert np.max(np.abs(p @ p - p)) < 1e-12
         assert int(round(np.trace(p).real)) == 4
 
     def test_commutes_with_collective_phase(self, register2):
-        p = dfs_projector(register2)
+        p = embed_in_dfs(np.eye(4), register2)
         for phi in (0.3, 1.7, np.pi, 5.4):
             u = collective_phase_unitary(register2.n_ions, phi)
             assert np.max(np.abs(p @ u - u @ p)) < 1e-12
@@ -91,7 +92,7 @@ class TestDecode:
 
     def test_permanence_in_unit_interval(self, register2, rng):
         rho = random_density_matrix(16, rng)
-        assert 0.0 <= permanence(rho, register2) <= 1.0
+        assert 0.0 <= np.trace(restrict_to_dfs(rho, register2)).real <= 1.0
 
 
 class TestCollectiveDephasing:
@@ -169,6 +170,6 @@ class TestSymmetricEvolutionConservesPermanence:
         h = h * mask  # project onto the commutant
         u = linalg.expm_hermitian(h, 0.9)
         rho = random_density_matrix(4, rng)
-        before = permanence(rho, register1)
-        after = permanence(u @ rho @ u.conj().T, register1)
+        before = np.trace(restrict_to_dfs(rho, register1)).real
+        after = np.trace(restrict_to_dfs(u @ rho @ u.conj().T, register1)).real
         assert abs(before - after) < 1e-12

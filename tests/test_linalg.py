@@ -3,10 +3,10 @@ import pytest
 
 from dfsqc.errors import DimensionError, ValidationError
 from dfsqc.linalg import (ID2, KET0, KET1, SIGMA_X, SIGMA_Z,
-                          canonicalize_phase, expm_hermitian, fidelity,
-                          max_phase_diff, partial_trace, tensor)
+                          canonicalize_phase, expm_hermitian, fidelity, tensor)
 
 from conftest import random_density_matrix, random_state, random_unitary
+from reference import max_phase_diff
 
 
 def kron_oracle(a, b):
@@ -119,56 +119,6 @@ class TestFidelity:
     def test_dim_mismatch(self):
         with pytest.raises(DimensionError):
             fidelity(np.eye(4) / 4, KET0)
-
-
-class TestPartialTrace:
-    def test_bell_marginal(self):
-        phi = np.array([1, 0, 0, 1], complex) / np.sqrt(2)
-        rho = np.outer(phi, phi.conj())
-        assert np.allclose(partial_trace(rho, [0], [2, 2]), np.eye(2) / 2)
-
-    def test_product_state(self, rng):
-        a = random_density_matrix(2, rng)
-        b = random_density_matrix(4, rng)
-        rho = np.kron(a, b)
-        assert np.max(np.abs(partial_trace(rho, [0], [2, 4]) - a)) < 1e-10
-        assert np.max(np.abs(partial_trace(rho, [1], [2, 4]) - b)) < 1e-10
-
-    def test_explicit_sum_oracle(self, rng):
-        # trace two qubits out of a random 4-qubit state by explicit loops
-        rho = random_density_matrix(16, rng)
-        keep = [2, 3]
-        oracle = np.zeros((4, 4), complex)
-        for a in range(4):          # kept part, row
-            for b in range(4):      # kept part, column
-                for t in range(4):  # traced part
-                    oracle[a, b] += rho[(t << 2) | a, (t << 2) | b]
-        assert np.allclose(partial_trace(rho, keep, [2, 2, 2, 2]), oracle)
-
-    def test_bell_encoded_state_marginal(self, rng):
-        from dfsqc import encoding, gates
-        reg = encoding.LogicalRegister(2)
-        psi = gates.sequence_unitary(gates.compile_cnot(0, 1, reg)) \
-            @ encoding.encode(reg, "00")
-        rho = np.outer(psi, psi.conj())
-        reduced = partial_trace(rho, [0, 1], [2, 2, 2, 2])
-        oracle = np.zeros((4, 4), complex)
-        for a in range(4):
-            for b in range(4):
-                for t in range(4):
-                    oracle[a, b] += rho[(a << 2) | t, (b << 2) | t]
-        assert np.allclose(reduced, oracle, atol=1e-12)
-        assert abs(np.trace(reduced) - 1) < 1e-10
-        assert np.max(np.abs(reduced - reduced.conj().T)) < 1e-12
-
-    def test_trace_preserved(self, rng):
-        rho = random_density_matrix(8, rng)
-        red = partial_trace(rho, [1], [2, 2, 2])
-        assert abs(np.trace(red) - 1) < 1e-10
-
-    def test_invalid_index(self, rng):
-        with pytest.raises(DimensionError):
-            partial_trace(np.eye(4) / 4, [2], [2, 2])
 
 
 class TestPhaseHandling:

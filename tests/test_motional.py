@@ -11,7 +11,7 @@ from dfsqc.motional import (SPIN_X, SPIN_Z, DrivenOscillatorModel,
                             motional_transfer_block, off_resonant_error_scan,
                             propagate, scan_to_csv)
 
-from reference import midpoint_errors, midpoint_propagator
+from reference import max_phase_diff, midpoint_errors, midpoint_propagator
 
 DELTA_CP = 2 * np.pi / 470e-6
 DELTA_MS = 2 * np.pi * 7000.0
@@ -145,7 +145,7 @@ class TestEffectiveGate:
         ideal = m.ideal_gate()
         assert linalg.unitary_trace_distance(g, ideal) < 1e-5
         zz = linalg.tensor(linalg.SIGMA_Z, linalg.SIGMA_Z)
-        assert linalg.max_phase_diff(
+        assert max_phase_diff(
             linalg.expm_hermitian(zz, np.pi / 2), g) < 1e-4
 
     def test_sx_closed_form(self):
@@ -153,7 +153,7 @@ class TestEffectiveGate:
         g = effective_gate(m)
         assert linalg.unitary_trace_distance(g, m.ideal_gate()) < 1e-5
         xx = linalg.tensor(linalg.SIGMA_X, linalg.SIGMA_X)
-        assert linalg.max_phase_diff(
+        assert max_phase_diff(
             linalg.expm_hermitian(xx, np.pi / 4), g) < 1e-4
 
     def test_detuning_doubled_theta_quartered(self):

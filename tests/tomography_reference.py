@@ -11,7 +11,12 @@ import itertools
 import numpy as np
 
 from dfsqc import linalg
-from dfsqc.tomography import MEASUREMENT_ROTATIONS, all_settings, chi_basis
+from dfsqc.tomography import BASIS_LETTERS, MEASUREMENT_ROTATIONS, chi_basis
+
+
+def all_settings(n_ions):
+    """The ``3^n`` per-ion basis labels, in the row order of the data."""
+    return ["".join(c) for c in itertools.product(BASIS_LETTERS, repeat=n_ions)]
 
 
 def setting_rotation(setting):
