@@ -64,7 +64,23 @@ def _int_from(low: int) -> FieldSpec:
     return FieldSpec(lambda v: _integer(v) and v >= low, f"an integer >= {low}")
 
 
+#: Bytes the working arrays of one sampled quantity may take.
+MEMORY_BUDGET = 2 ** 30
+
+
+def _samples(low: int, bytes_each: int) -> FieldSpec:
+    """A sample count >= ``low`` whose arrays, at ``bytes_each`` bytes per
+    sample, fit in ``MEMORY_BUDGET``."""
+    high = MEMORY_BUDGET // bytes_each
+    return FieldSpec(lambda v: _integer(v) and low <= v <= high,
+                     f"an integer from {low} to {high} (more do not fit "
+                     f"in the {MEMORY_BUDGET >> 20} MiB memory budget)")
+
+
 _INTEGER, _REAL = FieldSpec(_integer, "an integer"), FieldSpec(_real, "a number")
+# Sample counts, at bytes per sample rounded up from the tracemalloc peak of
+# the arrays a run builds: 24 per shot, 960 per Haar state, 40 per phase.
+_SHOTS, _HAAR, _PHASES = _samples(1, 32), _samples(1000, 1024), _samples(1000, 64)
 # Nested objects get types only: LogicalRegister, GateParams and NoiseModel,
 # which _check_semantics builds, check their bounds.
 _CNOT_FIELDS = {
@@ -91,13 +107,13 @@ _SCAN_FIELDS = {
 EXPERIMENT_FIELDS = {
     "bell": _CNOT_FIELDS,
     "cnot-tomo": {**_CNOT_FIELDS,
-                  "shots": FieldSpec(lambda v: v is None or _integer(v) and v >= 1,
-                                     "an integer >= 1 or null"),
+                  "shots": FieldSpec(lambda v: v is None or _SHOTS.test(v),
+                                     f"null or {_SHOTS.what}"),
                   "exact_statistics": FieldSpec(lambda v: type(v) is bool,
                                                 "true or false"),
-                  "n_haar_samples": _int_from(1000)},
+                  "n_haar_samples": _HAAR},
     "coherence": {"phi_std": FieldSpec(lambda v: _real(v) and v >= 0, "a number >= 0"),
-                  "n_phase_samples": _int_from(1000)},
+                  "n_phase_samples": _PHASES},
     "ms-scan": {"gate_params": {"delta_ms": _REAL}, **_SCAN_FIELDS},
     "cp-scan": {"gate_params": {"delta_cp": _REAL}, **_SCAN_FIELDS},
 }
@@ -281,8 +297,7 @@ def _noise(config: dict) -> Optional[NoiseModel]:
 def run_bell(config: dict, seed: int) -> tuple:
     register = _register(config)
     params = _gate_params(config)
-    control = config.get("control", 0)
-    target = config.get("target", 1)
+    control, target = config.get("control", 0), config.get("target", 1)
     cnot = compile_cnot(control, target, register, params)
     prep = ms_pulse(np.pi / 2, control, register, 0.0, params)
     seq = PulseSequence(ops=[prep] + list(cnot.ops), register=register)
@@ -315,8 +330,7 @@ def run_cnot_tomo(config: dict, seed: int) -> tuple:
     shots = None if exact else config.get("shots", 100)
     n_haar = config.get("n_haar_samples", 200_000)
     n_samples = config.get("noise_samples", 300)
-    control = config.get("control", 0)
-    target = config.get("target", 1)
+    control, target = config.get("control", 0), config.get("target", 1)
     cnot = compile_cnot(control, target, register, params)
 
     def channel(rho_l):

@@ -72,13 +72,6 @@ class LogicalRegister:
                    pairs=tuple(tuple(p) for p in obj["pairs"]))
 
 
-def _bits_to_index(bits: Sequence[int]) -> int:
-    idx = 0
-    for b in bits:
-        idx = 2 * idx + int(b)
-    return idx
-
-
 def logical_basis_index(register: LogicalRegister, logical_bits: str) -> int:
     """Physical basis index of the encoded logical computational state."""
     if len(logical_bits) != register.n_logical:
@@ -92,7 +85,7 @@ def logical_basis_index(register: LogicalRegister, logical_bits: str) -> int:
             phys[a], phys[b] = 0, 1
         else:
             raise ValidationError(f"invalid logical bit {bit!r}")
-    return _bits_to_index(phys)
+    return int("".join(map(str, phys)), 2)
 
 
 def logical_basis_indices(register: LogicalRegister) -> list:
@@ -156,17 +149,6 @@ def decode_in_dfs(rho_physical: np.ndarray, register: LogicalRegister):
     return block / p, p
 
 
-def collective_phase_unitary(n_ions: int, phi: float) -> np.ndarray:
-    """``exp(-i phi/2 sum_k sigma_z_k)``, the same phase on every ion.
-
-    Diagonal; the eigenvalue on a basis state with ``k`` ions in
-    ``|1>_P`` out of ``n`` is ``exp(-i phi (n - 2k) / 2)``.
-    """
-    weights = np.array([bin(b).count("1") for b in range(2 ** n_ions)])
-    lam = n_ions - 2 * weights  # sum sigma_z eigenvalues
-    return np.diag(np.exp(-1j * phi / 2 * lam))
-
-
 def collective_dephasing(rho: np.ndarray, phi_samples: Sequence[float]) -> np.ndarray:
     """Average of ``U(phi) rho U(phi)+`` over the given phase samples.
 
@@ -174,15 +156,13 @@ def collective_dephasing(rho: np.ndarray, phi_samples: Sequence[float]) -> np.nd
     a chosen width); a single sample ``[0.0]`` is the identity channel.
     States supported on the DFS are left untouched for any phase list.
     """
-    dim = rho.shape[0]
-    n_ions = dim.bit_length() - 1
-    if 2 ** n_ions != dim:
+    n_ions = rho.shape[0].bit_length() - 1
+    if 2 ** n_ions != rho.shape[0]:
         raise DimensionError("collective dephasing needs a 2^n dimensional state")
-    phis = np.asarray(list(phi_samples), dtype=float)
+    phis = np.asarray(phi_samples, dtype=float)
     if phis.size == 0:
         raise ValidationError("need at least one phase sample")
-    weights = np.array([bin(b).count("1") for b in range(dim)])
-    lam = n_ions - 2 * weights
+    lam = linalg.z_eigenvalues(n_ions, dict.fromkeys(range(n_ions), 1.0))
     # U(phi) is diagonal, so the channel only multiplies each entry of rho
     # by the average phase factor exp(-i phi (lam_j - lam_k) / 2).
     delta = lam[:, None] - lam[None, :]
@@ -208,7 +188,7 @@ def coherence_ratio(phi_std: float, n_samples: int, seed: int,
     """
     if n_samples < 1000:
         raise ValidationError("coherence_ratio needs at least 1000 samples")
-    if phi_std < 0:
+    if not phi_std >= 0:
         raise ValidationError("phi_std must be non-negative")
     rng = np.random.default_rng(seed)
     phis = rng.normal(0.0, phi_std, size=n_samples)

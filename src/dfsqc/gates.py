@@ -71,7 +71,7 @@ class GateParams:
     delta_cp: float = 2 * np.pi / 470e-6
 
     def __post_init__(self):
-        if min(self.delta_ms, self.delta_cp) <= 0:
+        if not (self.delta_ms > 0 and self.delta_cp > 0):
             raise ValidationError("gate parameters must be positive")
 
     @property
@@ -145,35 +145,30 @@ class PulseSequence:
                 "ops": [op.to_json() for op in self.ops]}
 
 
-def pulse_unitary(op: PulseOp, n_ions: int, weights: Optional[dict] = None,
-                  angle_offset: float = 0.0) -> np.ndarray:
+def pulse_unitary(op: PulseOp, n_ions: int,
+                  weights: Optional[dict] = None) -> np.ndarray:
     """Unitary of one pulse whose Pauli ``P`` acts on each ion with a weight.
 
     ``weights`` maps ion index to weight and defaults to 1 on the addressed
     ions; ``P`` is ``sigma_z`` for z-type pulses (``ACStarkZ``, ``CPGate``)
     and ``sigma_phi`` for x-type ones.  With ``S = sum_i w_i P_i`` and
-    ``a = angle + angle_offset``, single-ion pulses give ``exp(-i a/2 S)``
-    and two-ion pulses ``exp(-i a/4 (S^2 - sum_i w_i^2))``; the subtracted
+    ``a`` the pulse angle, single-ion pulses give ``exp(-i a/2 S)`` and
+    two-ion pulses ``exp(-i a/4 (S^2 - sum_i w_i^2))``; the subtracted
     identity part is a global phase that makes unit weights reproduce
     ``exp(-i a/2 P (x) P)`` exactly.
 
-    ``S`` is diagonal, with eigenvalue ``s = sum_i w_i z_i`` on the basis
-    state whose ions read ``z_i = +-1``, once every weighted ion is rotated
-    by ``V = Rz(phi) H`` (``V sigma_z V+ = sigma_phi``), so no
-    eigendecomposition is needed.
+    ``S`` is diagonal, with eigenvalues :func:`~dfsqc.linalg.z_eigenvalues`,
+    once every weighted ion is rotated by ``V = Rz(phi) H``
+    (``V sigma_z V+ = sigma_phi``), so no eigendecomposition is needed.
     """
     if weights is None:
         weights = {t: 1.0 for t in op.targets}
-    a = op.angle + angle_offset
-    index = np.arange(2 ** n_ions)
-    s = np.zeros(2 ** n_ions)
-    for ion, w in weights.items():
-        s += w * (1 - 2 * ((index >> (n_ions - 1 - ion)) & 1))
+    s = linalg.z_eigenvalues(n_ions, weights)
     if op.kind in (MS_ROTATION, CP_GATE):
         self_weight = sum(w * w for w in weights.values())
-        phases = np.exp(-0.25j * a * (s * s - self_weight))
+        phases = np.exp(-0.25j * op.angle * (s * s - self_weight))
     else:
-        phases = np.exp(-0.5j * a * s)
+        phases = np.exp(-0.5j * op.angle * s)
     if op.kind in (AC_STARK_Z, CP_GATE):
         return np.diag(phases)
     e = np.exp(1j * op.phase)

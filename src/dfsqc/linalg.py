@@ -74,6 +74,17 @@ def basis_state(index: int, dim: int) -> np.ndarray:
     return v
 
 
+def z_eigenvalues(n_ions: int, weights: dict) -> np.ndarray:
+    """Diagonal ``s = sum_i w_i z_i`` of ``sum_i w_i sigma_z_i``, with
+    ``weights`` mapping ion ``i`` to ``w_i`` and ``z_i = +1`` (``-1``) on
+    the basis states whose ion ``i`` is in ``|0>`` (``|1>``)."""
+    index = np.arange(2 ** n_ions)
+    s = np.zeros(2 ** n_ions)
+    for ion, w in weights.items():
+        s += w * (1 - 2 * ((index >> (n_ions - 1 - ion)) & 1))
+    return s
+
+
 def is_hermitian(m: np.ndarray, atol: float = 1e-10) -> bool:
     return bool(np.max(np.abs(m - dag(m))) <= atol)
 

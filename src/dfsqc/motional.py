@@ -73,7 +73,7 @@ class DrivenOscillatorModel:
     def __post_init__(self):
         if self.n_fock < 8:
             raise ValidationError("n_fock must be at least 8")
-        if self.delta <= 0:
+        if not self.delta > 0:
             raise ValidationError("delta must be positive")
         if self.spin_op_kind not in (SPIN_Z, SPIN_X):
             raise ValidationError(f"unknown spin operator kind {self.spin_op_kind!r}")
@@ -139,7 +139,7 @@ def propagate(model: DrivenOscillatorModel, t: float) -> np.ndarray:
     ``initial_fock`` puts more than 1e-8 of its population in the top two
     number states at any of 128 evenly spaced checkpoints in ``(0, t]``.
     """
-    if t <= 0:
+    if not t > 0:
         raise ValidationError("propagation time must be positive")
     x = model.delta * t
 
@@ -252,6 +252,6 @@ def scan_to_csv(rows, path) -> None:
 
 def coupling_for_phase(theta: float, delta: float) -> float:
     """Drive strength giving the spin phase ``theta`` at closure."""
-    if theta < 0:
+    if not theta >= 0:
         raise ValidationError("spin phase must be non-negative")
     return delta * math.sqrt(theta / (2 * np.pi))

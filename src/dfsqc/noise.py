@@ -20,6 +20,10 @@ trace preserving):
   ions, Gaussian per sequence shot.  States inside the encoded subspace
   are immune by construction.
 
+Both stochastic terms are random phases on diagonal generators, so a
+shot is the products of the static noisy pulses between jittered z
+pulses, built once per call, with a phase vector applied to the rows
+after each jittered pulse and one for the collective phase at the end.
 :func:`sample_noisy_channel` is the one shot average: it applies the
 averaged channel to a density matrix or a stack of them, so a set of
 inputs shares one pass over the shots.  It is reproducible: shot ``i``
@@ -34,7 +38,7 @@ from typing import Optional
 
 import numpy as np
 
-from .encoding import collective_phase_unitary
+from . import linalg
 from .errors import DimensionError, ValidationError
 from .gates import (AC_STARK_Z, CP_GATE, MS_ROTATION, PulseOp,
                     PulseSequence, pulse_unitary, sequence_unitary)
@@ -55,7 +59,8 @@ class NoiseModel:
             raise ValidationError("addressing_ratio must lie in [0, 1)")
         if not self.intensity_imbalance > -1.0:
             raise ValidationError("intensity_imbalance must exceed -1")
-        if self.ac_stark_phase_jitter_std < 0 or self.collective_phase_std < 0:
+        if not (self.ac_stark_phase_jitter_std >= 0
+                and self.collective_phase_std >= 0):
             raise ValidationError("jitter standard deviations must be >= 0")
 
     @property
@@ -66,13 +71,8 @@ class NoiseModel:
     @classmethod
     def from_json(cls, obj: dict) -> "NoiseModel":
         seed = obj.get("seed")
-        return cls(
-            addressing_ratio=float(obj.get("addressing_ratio", 0.05)),
-            intensity_imbalance=float(obj.get("intensity_imbalance", 0.0)),
-            ac_stark_phase_jitter_std=float(obj.get("ac_stark_phase_jitter_std", 0.0)),
-            collective_phase_std=float(obj.get("collective_phase_std", 0.0)),
-            seed=None if seed is None else int(seed),
-        )
+        return cls(**{k: float(v) for k, v in obj.items() if k != "seed"},
+                   seed=None if seed is None else int(seed))
 
 #: Parameter set used by the noisy demos: crosstalk at the measured 5%
 #: Rabi ratio plus jitter magnitudes tuned so the encoded Bell states
@@ -90,71 +90,58 @@ CALIBRATED_NOISE = NoiseModel(
 def string_neighbors(targets, n_ions: int) -> tuple:
     """Ions adjacent to the addressed block, clipped to the string."""
     lo, hi = min(targets), max(targets)
-    out = []
-    if lo - 1 >= 0:
-        out.append(lo - 1)
-    if hi + 1 < n_ions:
-        out.append(hi + 1)
-    return tuple(out)
+    return tuple(i for i in (lo - 1, hi + 1) if 0 <= i < n_ions)
 
 
-def noisy_op_unitary(op: PulseOp, n_ions: int, ratio: float = 0.0,
-                     epsilon: float = 0.0, angle_offset: float = 0.0) -> np.ndarray:
-    """Unitary of one pulse under coherent crosstalk and imbalance.
-
-    The pulse's Pauli carries weight ``1 + epsilon`` on the first
+def _weights(op: PulseOp, n_ions: int, ratio: float, epsilon: float) -> dict:
+    """Weight of the pulse's Pauli on each ion: ``1 + epsilon`` on the first
     addressed ion of a two-ion pulse, 1 on the other addressed ions and
-    ``ratio`` on the string neighbors; :func:`~dfsqc.gates.pulse_unitary`
-    builds the unitary from these weights.  ``angle_offset`` adds
-    AC-Stark phase jitter to z pulses.
-    """
+    ``ratio`` on the string neighbors."""
     weights = {t: 1.0 for t in op.targets}
     if op.kind in (MS_ROTATION, CP_GATE):
         weights[op.targets[0]] += epsilon
     for n in string_neighbors(op.targets, n_ions):
         weights[n] = ratio
-    offset = angle_offset if op.kind == AC_STARK_Z else 0.0
-    return pulse_unitary(op, n_ions, weights, offset)
+    return weights
 
 
-def _sample_unitary(seq: PulseSequence, model: NoiseModel,
-                    static_ops: list, rng: np.random.Generator) -> np.ndarray:
-    """One jitter realization of the full sequence unitary."""
+def noisy_op_unitary(op: PulseOp, n_ions: int, ratio: float = 0.0,
+                     epsilon: float = 0.0) -> np.ndarray:
+    """Unitary of one pulse under coherent crosstalk and imbalance, built by
+    :func:`~dfsqc.gates.pulse_unitary` from the pulse's noisy weights."""
+    return pulse_unitary(op, n_ions, _weights(op, n_ions, ratio, epsilon))
+
+
+def _shot_plan(seq: PulseSequence, model: NoiseModel) -> list:
+    """The static part of every shot, as ``(product, s)`` pairs applied in
+    order: ``product`` is the noisy pulses up to and including a jittered
+    ``ACStarkZ`` pulse and ``s`` that pulse's z eigenvalues; a last pair
+    with ``s=None`` holds the pulses after the last jittered one."""
     n_ions = seq.register.n_ions
-    u = np.eye(seq.register.dim, dtype=complex)
-    for op, static in zip(seq.ops, static_ops):
-        if static is None:
-            offset = rng.normal(0.0, model.ac_stark_phase_jitter_std)
-            u = noisy_op_unitary(op, n_ions, model.addressing_ratio,
-                                 model.intensity_imbalance, offset) @ u
-        else:
-            u = static @ u
-    if model.collective_phase_std > 0:
-        phi = rng.normal(0.0, model.collective_phase_std)
-        u = collective_phase_unitary(n_ions, phi) @ u
-    return u
-
-
-def _static_ops(seq: PulseSequence, model: NoiseModel) -> list:
-    """Precomputed unitaries for ops that carry no per-shot randomness."""
-    jitter_z = model.ac_stark_phase_jitter_std > 0
-    out = []
+    ratio, epsilon = model.addressing_ratio, model.intensity_imbalance
+    plan, u = [], None
     for op in seq.ops:
-        if jitter_z and op.kind == AC_STARK_Z:
-            out.append(None)
-        else:
-            out.append(noisy_op_unitary(op, seq.register.n_ions,
-                                        model.addressing_ratio,
-                                        model.intensity_imbalance))
-    return out
+        static = noisy_op_unitary(op, n_ions, ratio, epsilon)
+        u = static if u is None else static @ u
+        if model.ac_stark_phase_jitter_std > 0 and op.kind == AC_STARK_Z:
+            weights = _weights(op, n_ions, ratio, epsilon)
+            plan.append((u, linalg.z_eigenvalues(n_ions, weights)))
+            u = None
+    if u is not None or not plan:
+        plan.append((np.eye(seq.register.dim) if u is None else u, None))
+    return plan
 
 
 def _shot_unitaries(seq: PulseSequence, model: NoiseModel, n_samples: int,
                     seed: Optional[int]):
     """Yield the sequence unitary of each Monte-Carlo shot in order.
 
-    Shot ``i`` draws from ``default_rng((seed, i))``; with no stochastic
-    terms in the model there is a single shot.
+    A shot chains the products of :func:`_shot_plan`, scaling the rows by
+    ``exp(-i delta/2 s)`` after each jittered pulse and at the end by
+    ``exp(-i phi/2 lam)``, ``lam`` the eigenvalues of ``sum_k sigma_z_k``.
+    Shot ``i`` draws the angle errors ``delta`` in pulse order, then the
+    collective phase ``phi``, from ``default_rng((seed, i))``; with no
+    stochastic terms in the model there is a single shot.
     """
     if n_samples < 1:
         raise ValidationError("need at least one sample")
@@ -163,9 +150,21 @@ def _shot_unitaries(seq: PulseSequence, model: NoiseModel, n_samples: int,
         raise ValidationError("a seed is required for reproducible sampling")
     if not model.is_stochastic:
         n_samples = 1
-    static = _static_ops(seq, model)
+    plan = _shot_plan(seq, model)
+    n_ions = seq.register.n_ions
+    lam = linalg.z_eigenvalues(n_ions, dict.fromkeys(range(n_ions), 1.0))
     for i in range(n_samples):
-        yield _sample_unitary(seq, model, static, np.random.default_rng((seed, i)))
+        rng = np.random.default_rng((seed, i))
+        u = None
+        for product, s in plan:
+            u = product if u is None else product @ u
+            if s is not None:
+                delta = rng.normal(0.0, model.ac_stark_phase_jitter_std)
+                u = np.exp(-0.5j * delta * s)[:, None] * u
+        if model.collective_phase_std > 0:
+            phi = rng.normal(0.0, model.collective_phase_std)
+            u = np.exp(-0.5j * phi * lam)[:, None] * u
+        yield u
 
 
 def sample_noisy_channel(seq: PulseSequence, rho: np.ndarray,

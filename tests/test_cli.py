@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -259,6 +260,34 @@ class TestSemanticConfigErrors:
         assert main(["run", str(path)]) == 2
         assert f"{field}: must be" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("field, overrides", [
+        ("n_haar_samples", {"experiment": "cnot-tomo", "n_haar_samples": 10 ** 9}),
+        ("shots", {"experiment": "cnot-tomo", "shots": 10 ** 12}),
+        ("n_phase_samples", {"experiment": "coherence",
+                             "n_phase_samples": 10 ** 11}),
+    ])
+    def test_sample_count_beyond_the_memory_budget_refused(
+            self, tmp_path, capsys, field, overrides):
+        path, _ = write_config(tmp_path, **overrides)
+        tracemalloc.start()
+        try:
+            assert main(["validate", str(path)]) == 2
+            assert main(["run", str(path)]) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20  # refused before any array is built
+        assert f"{field}: must be" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("overrides", [
+        {"experiment": "cnot-tomo", "shots": 100, "n_haar_samples": 200_000},
+        {"experiment": "coherence", "n_phase_samples": 100_000},
+    ])
+    def test_default_sample_counts_within_the_budget(self, tmp_path, overrides):
+        path, _ = write_config(tmp_path, **overrides)
+        assert main(["validate", str(path)]) == 0
 
     @pytest.mark.parametrize("kind", ["ms-scan", "cp-scan"])
     def test_empty_timing_fractions_refused(self, tmp_path, capsys, kind):

@@ -3,12 +3,12 @@ import pytest
 
 from dfsqc import linalg
 from dfsqc.encoding import (LogicalRegister, coherence_ratio,
-                            collective_dephasing, collective_phase_unitary,
-                            decode_in_dfs, embed_in_dfs, encode,
-                            logical_basis_indices, restrict_to_dfs)
+                            collective_dephasing, decode_in_dfs, embed_in_dfs,
+                            encode, logical_basis_indices, restrict_to_dfs)
 from dfsqc.errors import (DimensionError, EmptySubspaceError, ValidationError)
 
 from conftest import random_density_matrix
+from reference import dense_collective_phase
 
 
 class TestRegister:
@@ -60,7 +60,7 @@ class TestProjector:
     def test_commutes_with_collective_phase(self, register2):
         p = embed_in_dfs(np.eye(4), register2)
         for phi in (0.3, 1.7, np.pi, 5.4):
-            u = collective_phase_unitary(register2.n_ions, phi)
+            u = dense_collective_phase(register2.n_ions, phi)
             assert np.max(np.abs(p @ u - u @ p)) < 1e-12
 
 
@@ -125,7 +125,7 @@ class TestCollectiveDephasing:
         phis = rng.normal(0, 1.0, size=40)
         acc = np.zeros_like(rho)
         for phi in phis:
-            u = collective_phase_unitary(3, phi)
+            u = dense_collective_phase(3, phi)
             acc += u @ rho @ u.conj().T
         assert np.allclose(collective_dephasing(rho, phis), acc / len(phis),
                            atol=1e-12)

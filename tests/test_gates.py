@@ -87,9 +87,9 @@ class TestPulseUnitary:
            angle=st.floats(-2 * np.pi, 2 * np.pi),
            phase=st.floats(0.0, 2 * np.pi),
            ratio=st.floats(0.0, 1.0, exclude_max=True),
-           epsilon=st.floats(-0.5, 0.5), offset=st.floats(-1.0, 1.0))
+           epsilon=st.floats(-0.5, 0.5))
     def test_matches_dense_generator(self, kind, n_logical, first, angle,
-                                     phase, ratio, epsilon, offset):
+                                     phase, ratio, epsilon):
         # crosstalk and imbalance weights as the noise model sets them
         n_ions = 2 * n_logical
         n_targets = 1 if kind == "ACStarkZ" else 2
@@ -100,8 +100,8 @@ class TestPulseUnitary:
         for n in string_neighbors(op.targets, n_ions):
             weights[n] = ratio
         gen, scale = dense_pulse_generator(op, n_ions, weights)
-        ref = linalg.expm_hermitian(gen, scale * (angle + offset))
-        u = pulse_unitary(op, n_ions, weights, offset)
+        ref = linalg.expm_hermitian(gen, scale * angle)
+        u = pulse_unitary(op, n_ions, weights)
         assert np.max(np.abs(u - ref)) < 1e-12
 
 

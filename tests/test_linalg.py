@@ -3,7 +3,8 @@ import pytest
 
 from dfsqc.errors import DimensionError, ValidationError
 from dfsqc.linalg import (ID2, KET0, KET1, SIGMA_X, SIGMA_Z,
-                          canonicalize_phase, expm_hermitian, fidelity, tensor)
+                          canonicalize_phase, expm_hermitian, fidelity, tensor,
+                          z_eigenvalues)
 
 from conftest import random_density_matrix, random_state, random_unitary
 from reference import max_phase_diff
@@ -17,6 +18,20 @@ def kron_oracle(a, b):
             out[i * b.shape[0]:(i + 1) * b.shape[0],
                 j * b.shape[1]:(j + 1) * b.shape[1]] = a[i, j] * b
     return out
+
+
+class TestZEigenvalues:
+    def test_diagonal_of_weighted_z_sum(self, rng):
+        weights = {0: 0.3, 2: 1.0, 3: -0.7}
+        dense = sum(w * tensor(*[SIGMA_Z if i == ion else ID2 for i in range(4)])
+                    for ion, w in weights.items())
+        assert np.array_equal(np.diag(np.diag(dense)), dense)
+        assert np.max(np.abs(z_eigenvalues(4, weights) - np.diag(dense))) < 1e-15
+
+    def test_collective_counts_excitations(self):
+        # all weights 1: n minus twice the number of ions in |1>
+        lam = z_eigenvalues(3, dict.fromkeys(range(3), 1.0))
+        assert lam.tolist() == [3 - 2 * bin(b).count("1") for b in range(8)]
 
 
 class TestTensor:

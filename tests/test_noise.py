@@ -2,14 +2,19 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dfsqc.encoding import (LogicalRegister, encode, logical_basis_indices,
                             restrict_to_dfs)
 from dfsqc.errors import DimensionError, ValidationError
 from dfsqc.gates import (PulseSequence, compile_cnot, cp_pulse, ms_pulse,
                          pulse_unitary, sequence_unitary, z_pulse)
-from dfsqc.noise import (CALIBRATED_NOISE, NoiseModel, noisy_op_unitary,
-                         sample_noisy_channel, string_neighbors)
+from dfsqc.noise import (CALIBRATED_NOISE, NoiseModel, _shot_unitaries,
+                         noisy_op_unitary, sample_noisy_channel,
+                         string_neighbors)
+
+from reference import shot_unitaries
 
 # mean permanence of the compiled CNOT over the four logical basis inputs
 # under pure 5% addressing crosstalk, frozen from the first run; the
@@ -222,6 +227,51 @@ class TestSampledChannel:
         with pytest.raises(DimensionError):
             sample_noisy_channel(seq, encode(reg, "00"), CALIBRATED_NOISE, 4,
                                  seed=1)
+
+
+STDS = st.just(0.0) | st.floats(0.05, 1.5)
+
+
+@st.composite
+def noisy_sequences(draw):
+    """A pulse sequence on 1-3 logical qubits whose pairs sit after 0-2
+    spectator ions: a CNOT, or a Bell preparation and CNOT, between
+    adjacent logical qubits, then a few z and MS pulses."""
+    n_logical = draw(st.integers(1, 3))
+    offset = draw(st.integers(0, 2))
+    reg = LogicalRegister(n_logical, tuple((offset + 2 * j, offset + 2 * j + 1)
+                                           for j in range(n_logical)))
+    ops = []
+    if n_logical > 1:
+        q = draw(st.integers(0, n_logical - 2))
+        control, target = draw(st.permutations([q, q + 1]))
+        if draw(st.booleans()):
+            ops.append(ms_pulse(np.pi / 2, control, reg))
+        ops += compile_cnot(control, target, reg).ops
+    angle = st.floats(-np.pi, np.pi)
+    for kind, q, theta in draw(st.lists(
+            st.tuples(st.sampled_from([z_pulse, ms_pulse]),
+                      st.integers(0, n_logical - 1), angle),
+            min_size=0 if ops else 1, max_size=3)):
+        ops.append(kind(theta, q, reg))
+    return PulseSequence(ops=ops, register=reg)
+
+
+class TestShotUnitaries:
+    @settings(deadline=None, max_examples=60)
+    @given(seq=noisy_sequences(), ratio=st.floats(0.0, 0.3),
+           epsilon=st.floats(-0.3, 0.3), jitter=STDS, collective=STDS,
+           n_samples=st.integers(1, 3), seed=st.integers(0, 2 ** 32))
+    def test_match_per_pulse_reference(self, seq, ratio, epsilon, jitter,
+                                       collective, n_samples, seed):
+        # each shot against the one-pulse-at-a-time product that rebuilds
+        # every jittered z pulse at its drawn angle
+        model = NoiseModel(ratio, epsilon, jitter, collective)
+        got = list(_shot_unitaries(seq, model, n_samples, seed))
+        want = shot_unitaries(seq, model, n_samples, seed)
+        assert len(got) == len(want)
+        for u, ref in zip(got, want):
+            assert np.max(np.abs(u - ref)) < 1e-12
 
 
 class TestCalibratedBellBand:
