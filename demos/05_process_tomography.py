@@ -22,7 +22,7 @@ cnot = compile_cnot(0, 1, reg)
 def gate_channel(model, n_samples):
     """Logical inputs, encoded, through the gate: physical outputs."""
     return lambda rho_l: sample_noisy_channel(
-        cnot, embed_in_dfs(rho_l, reg), model, n_samples)
+        cnot, embed_in_dfs(rho_l, reg), model, n_samples, seed=20090)
 
 
 # ideal gate, exact statistics

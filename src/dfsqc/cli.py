@@ -79,8 +79,8 @@ def _samples(low: int, bytes_each: int) -> FieldSpec:
 
 _INTEGER, _REAL = FieldSpec(_integer, "an integer"), FieldSpec(_real, "a number")
 # Sample counts, at bytes per sample rounded up from the tracemalloc peak of
-# the arrays a run builds: 24 per shot, 960 per Haar state, 40 per phase.
-_SHOTS, _HAAR, _PHASES = _samples(1, 32), _samples(1000, 1024), _samples(1000, 64)
+# the arrays a run builds: 24 per shot and 960 per Haar state.
+_SHOTS, _HAAR = _samples(1, 32), _samples(1000, 1024)
 # Nested objects get types only: LogicalRegister, GateParams and NoiseModel,
 # which _check_semantics builds, check their bounds.
 _CNOT_FIELDS = {
@@ -109,11 +109,8 @@ EXPERIMENT_FIELDS = {
     "cnot-tomo": {**_CNOT_FIELDS,
                   "shots": FieldSpec(lambda v: v is None or _SHOTS.test(v),
                                      f"null or {_SHOTS.what}"),
-                  "exact_statistics": FieldSpec(lambda v: type(v) is bool,
-                                                "true or false"),
                   "n_haar_samples": _HAAR},
-    "coherence": {"phi_std": FieldSpec(lambda v: _real(v) and v >= 0, "a number >= 0"),
-                  "n_phase_samples": _PHASES},
+    "coherence": {"phi_std": FieldSpec(lambda v: _real(v) and v >= 0, "a number >= 0")},
     "ms-scan": {"gate_params": {"delta_ms": _REAL}, **_SCAN_FIELDS},
     "cp-scan": {"gate_params": {"delta_cp": _REAL}, **_SCAN_FIELDS},
 }
@@ -220,9 +217,6 @@ def _check_semantics(config) -> None:
     fields = EXPERIMENT_FIELDS[experiment] if experiment in EXPERIMENTS else {}
     _check_fields(config, {**COMMON_FIELDS, **fields}, "", experiment)
     uses_cnot = experiment in ("bell", "cnot-tomo")
-    if config.get("exact_statistics") and config.get("shots") is not None:
-        raise ConfigError(
-            "shots: not used under exact_statistics; give one of the two")
     with _field("register"):
         register = _register(config)
         if uses_cnot and register.n_logical != 2:
@@ -326,8 +320,7 @@ def run_cnot_tomo(config: dict, seed: int) -> tuple:
     register = _register(config)
     params = _gate_params(config)
     noise_model = _noise(config)
-    exact = config.get("exact_statistics", False)
-    shots = None if exact else config.get("shots", 100)
+    shots = config.get("shots", 100)  # null: exact statistics
     n_haar = config.get("n_haar_samples", 200_000)
     n_samples = config.get("noise_samples", 300)
     control, target = config.get("control", 0), config.get("target", 1)
@@ -359,11 +352,8 @@ def run_cnot_tomo(config: dict, seed: int) -> tuple:
 
 def run_coherence(config: dict, seed: int) -> tuple:
     phi_std = config.get("phi_std", float(np.pi))
-    n = config.get("n_phase_samples", 100_000)
-    ratio = coherence_ratio(phi_std, n, seed)
     phi = float(phi_std)  # a float square underflows the exponential to 0.0
-    metrics = {"phi_std": phi_std, "n_phase_samples": n,
-               "coherence_ratio": ratio,
+    metrics = {"phi_std": phi_std, "coherence_ratio": coherence_ratio(phi_std),
                "physical_coherence_analytic": float(np.exp(-phi * phi / 2))}
     return metrics, {}, []
 

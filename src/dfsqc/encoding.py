@@ -8,6 +8,8 @@ so both logical basis states carry exactly one excitation per pair.  An
 energy shift common to all ions, ``U(phi) = exp(-i phi/2 sum_k sigma_z_k)``,
 acts trivially on that subspace, which therefore forms a
 decoherence-free subspace (DFS) for collective dephasing.
+:func:`collective_dephasing` is the exact average of ``U(phi)`` over a
+Gaussian ``phi``, the one place the package averages it.
 
 Ion 0 of a pair is the most significant tensor factor.  For several
 logical qubits, pair ``j`` of the register occupies ions ``(2j, 2j+1)``
@@ -17,7 +19,6 @@ by default and logical bit strings are ordered with qubit 0 first.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -26,6 +27,8 @@ from .errors import DimensionError, EmptySubspaceError, ValidationError
 
 #: Logical-part weight below which the renormalized state is refused.
 MIN_PERMANENCE = 1e-9
+#: Cap on :func:`coherence_ratio`, which grows like ``exp(phi_std^2 / 2)``.
+MAX_COHERENCE_RATIO = 1e6
 
 
 @dataclass(frozen=True)
@@ -149,60 +152,49 @@ def decode_in_dfs(rho_physical: np.ndarray, register: LogicalRegister):
     return block / p, p
 
 
-def collective_dephasing(rho: np.ndarray, phi_samples: Sequence[float]) -> np.ndarray:
-    """Average of ``U(phi) rho U(phi)+`` over the given phase samples.
+def collective_dephasing(rho: np.ndarray, phi_std: float) -> np.ndarray:
+    """Exact average of ``U(phi) rho U(phi)+`` over a Gaussian collective
+    phase ``phi`` of mean 0 and standard deviation ``phi_std``.
 
-    The caller supplies the phase ensemble (for example Gaussian draws of
-    a chosen width); a single sample ``[0.0]`` is the identity channel.
-    States supported on the DFS are left untouched for any phase list.
+    ``rho`` is a density matrix or a stack, shape ``(..., 2^n, 2^n)``.
+    ``U(phi)`` is diagonal with eigenvalues ``exp(-i phi/2 lam)``, so the
+    average multiplies entry ``jk`` by the Gaussian characteristic
+    function ``exp(-phi_std^2 (lam_j - lam_k)^2 / 8)``.  States supported
+    on the DFS, where ``lam`` is constant, are left untouched.
     """
-    n_ions = rho.shape[0].bit_length() - 1
-    if 2 ** n_ions != rho.shape[0]:
-        raise DimensionError("collective dephasing needs a 2^n dimensional state")
-    phis = np.asarray(phi_samples, dtype=float)
-    if phis.size == 0:
-        raise ValidationError("need at least one phase sample")
-    lam = linalg.z_eigenvalues(n_ions, dict.fromkeys(range(n_ions), 1.0))
-    # U(phi) is diagonal, so the channel only multiplies each entry of rho
-    # by the average phase factor exp(-i phi (lam_j - lam_k) / 2).
-    delta = lam[:, None] - lam[None, :]
-    factors = np.ones_like(rho, dtype=complex)
-    for d in np.unique(delta):
-        if d == 0:
-            continue
-        factors[delta == d] = np.mean(np.exp(-1j * phis * (d / 2.0)))
-    return rho * factors
+    if not 0 <= phi_std < np.inf:
+        raise ValidationError("phi_std must be finite and non-negative")
+    rho = np.asarray(rho, dtype=complex)
+    n_ions = rho.shape[-1].bit_length() - 1 if rho.ndim >= 2 else -1
+    if n_ions < 0 or rho.shape[-2:] != (2 ** n_ions,) * 2:
+        raise DimensionError("collective dephasing needs 2^n dimensional states")
+    half = linalg.z_eigenvalues(n_ions, dict.fromkeys(range(n_ions), 0.5))
+    # (lam_j - lam_k)/2 is an integer m, and the factor is the power m^2 of
+    # the unit-step factor, which underflows to 0.0 where phi_std^2 overflows
+    step = np.exp(-float(phi_std) * float(phi_std) / 2)
+    return rho * step ** ((half[:, None] - half[None, :]) ** 2)
 
 
-def coherence_ratio(phi_std: float, n_samples: int, seed: int,
-                    max_ratio: float = 1e6) -> float:
-    """Ratio of logical to physical coherence surviving sampled dephasing.
+def coherence_ratio(phi_std: float) -> float:
+    """Ratio of logical to physical coherence surviving collective dephasing.
 
     Prepares an equal superposition once as a logical qubit (two ions)
     and once as a bare physical qubit, sends both through the collective
-    dephasing channel with ``n_samples`` Gaussian phases of standard
-    deviation ``phi_std``, and compares the surviving off-diagonal
-    magnitudes.  The logical coherence is exactly 1; the physical one
-    decays like ``exp(-phi_std^2 / 2)``, so the ratio grows without
-    bound and is capped at ``max_ratio``.
+    dephasing channel of standard deviation ``phi_std``, and compares the
+    surviving off-diagonal magnitudes.  The logical coherence is exactly
+    1; the physical one is ``exp(-phi_std^2 / 2)``, so the ratio grows
+    without bound and is capped at ``MAX_COHERENCE_RATIO``.
     """
-    if n_samples < 1000:
-        raise ValidationError("coherence_ratio needs at least 1000 samples")
-    if not phi_std >= 0:
-        raise ValidationError("phi_std must be non-negative")
-    rng = np.random.default_rng(seed)
-    phis = rng.normal(0.0, phi_std, size=n_samples)
-
     reg = LogicalRegister(1)
     psi_l = (encode(reg, "0") + encode(reg, "1")) / np.sqrt(2)
-    rho_l = collective_dephasing(np.outer(psi_l, psi_l.conj()), phis)
+    rho_l = collective_dephasing(np.outer(psi_l, psi_l.conj()), phi_std)
     i0, i1 = logical_basis_indices(reg)
     coh_logical = 2.0 * abs(rho_l[i0, i1])
 
     psi_p = (linalg.KET0 + linalg.KET1) / np.sqrt(2)
-    rho_p = collective_dephasing(np.outer(psi_p, psi_p.conj()), phis)
+    rho_p = collective_dephasing(np.outer(psi_p, psi_p.conj()), phi_std)
     coh_physical = 2.0 * abs(rho_p[0, 1])
 
-    if coh_physical <= coh_logical / max_ratio:
-        return max_ratio
-    return min(coh_logical / coh_physical, max_ratio)
+    if coh_physical <= coh_logical / MAX_COHERENCE_RATIO:
+        return MAX_COHERENCE_RATIO
+    return coh_logical / coh_physical

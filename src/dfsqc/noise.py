@@ -17,18 +17,20 @@ trace preserving):
 * AC-Stark phase jitter: intensity fluctuations of the far-detuned beam
   make each z-pulse angle jitter, Gaussian per pulse and per shot.
 * collective phase noise: a quasi-static random phase common to all
-  ions, Gaussian per sequence shot.  States inside the encoded subspace
+  ions, Gaussian per sequence run.  States inside the encoded subspace
   are immune by construction.
 
-Both stochastic terms are random phases on diagonal generators, so a
-shot is the products of the static noisy pulses between jittered z
-pulses, built once per call, with a phase vector applied to the rows
-after each jittered pulse and one for the collective phase at the end.
-:func:`sample_noisy_channel` is the one shot average: it applies the
-averaged channel to a density matrix or a stack of them, so a set of
-inputs shares one pass over the shots.  It is reproducible: shot ``i``
-draws from a generator seeded with ``(seed, i)``, so the same seed gives
-the same result bit for bit.
+Both stochastic terms are random phases on diagonal generators.  A shot
+draws only the jitters: it is the products of the static noisy pulses
+between jittered z pulses, built once per call, with a phase vector
+applied to the rows after each jittered pulse.  The collective phase
+acts after the sequence and independently of the jitters, so it is
+averaged exactly, by one Gaussian mask of
+:func:`~dfsqc.encoding.collective_dephasing` on the shot average.  :func:`sample_noisy_channel` is the one shot average:
+it applies the averaged channel to a density matrix or a stack of them,
+so a set of inputs shares one pass over the shots.  It is reproducible:
+shot ``i`` draws from a generator seeded with ``(seed, i)``, so the same
+seed gives the same result bit for bit.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from typing import Optional
 import numpy as np
 
 from . import linalg
+from .encoding import collective_dephasing
 from .errors import DimensionError, ValidationError
 from .gates import (AC_STARK_Z, CP_GATE, MS_ROTATION, PulseOp,
                     PulseSequence, pulse_unitary, sequence_unitary)
@@ -52,27 +55,20 @@ class NoiseModel:
     intensity_imbalance: float = 0.0
     ac_stark_phase_jitter_std: float = 0.0
     collective_phase_std: float = 0.0
-    seed: Optional[int] = None
 
     def __post_init__(self):
         if not 0.0 <= self.addressing_ratio < 1.0:
             raise ValidationError("addressing_ratio must lie in [0, 1)")
-        if not self.intensity_imbalance > -1.0:
-            raise ValidationError("intensity_imbalance must exceed -1")
-        if not (self.ac_stark_phase_jitter_std >= 0
-                and self.collective_phase_std >= 0):
-            raise ValidationError("jitter standard deviations must be >= 0")
-
-    @property
-    def is_stochastic(self) -> bool:
-        return (self.ac_stark_phase_jitter_std > 0
-                or self.collective_phase_std > 0)
+        if not -1.0 < self.intensity_imbalance < np.inf:
+            raise ValidationError("intensity_imbalance must be finite and exceed -1")
+        if not (0 <= self.ac_stark_phase_jitter_std < np.inf
+                and 0 <= self.collective_phase_std < np.inf):
+            raise ValidationError(
+                "jitter standard deviations must be finite and >= 0")
 
     @classmethod
     def from_json(cls, obj: dict) -> "NoiseModel":
-        seed = obj.get("seed")
-        return cls(**{k: float(v) for k, v in obj.items() if k != "seed"},
-                   seed=None if seed is None else int(seed))
+        return cls(**{k: float(v) for k, v in obj.items()})
 
 #: Parameter set used by the noisy demos: crosstalk at the measured 5%
 #: Rabi ratio plus jitter magnitudes tuned so the encoded Bell states
@@ -83,7 +79,6 @@ CALIBRATED_NOISE = NoiseModel(
     intensity_imbalance=0.08,
     ac_stark_phase_jitter_std=0.3,
     collective_phase_std=0.3,
-    seed=20090,
 )
 
 
@@ -137,22 +132,18 @@ def _shot_unitaries(seq: PulseSequence, model: NoiseModel, n_samples: int,
     """Yield the sequence unitary of each Monte-Carlo shot in order.
 
     A shot chains the products of :func:`_shot_plan`, scaling the rows by
-    ``exp(-i delta/2 s)`` after each jittered pulse and at the end by
-    ``exp(-i phi/2 lam)``, ``lam`` the eigenvalues of ``sum_k sigma_z_k``.
-    Shot ``i`` draws the angle errors ``delta`` in pulse order, then the
-    collective phase ``phi``, from ``default_rng((seed, i))``; with no
-    stochastic terms in the model there is a single shot.
+    ``exp(-i delta/2 s)`` after each jittered pulse.  Shot ``i`` draws the
+    angle errors ``delta`` in pulse order from ``default_rng((seed, i))``;
+    a model without jitter draws nothing, needs no seed and is one shot.
     """
     if n_samples < 1:
         raise ValidationError("need at least one sample")
-    seed = model.seed if seed is None else seed
+    plan = _shot_plan(seq, model)
+    if model.ac_stark_phase_jitter_std == 0:
+        yield plan[0][0]  # the one static product
+        return
     if seed is None:
         raise ValidationError("a seed is required for reproducible sampling")
-    if not model.is_stochastic:
-        n_samples = 1
-    plan = _shot_plan(seq, model)
-    n_ions = seq.register.n_ions
-    lam = linalg.z_eigenvalues(n_ions, dict.fromkeys(range(n_ions), 1.0))
     for i in range(n_samples):
         rng = np.random.default_rng((seed, i))
         u = None
@@ -161,21 +152,20 @@ def _shot_unitaries(seq: PulseSequence, model: NoiseModel, n_samples: int,
             if s is not None:
                 delta = rng.normal(0.0, model.ac_stark_phase_jitter_std)
                 u = np.exp(-0.5j * delta * s)[:, None] * u
-        if model.collective_phase_std > 0:
-            phi = rng.normal(0.0, model.collective_phase_std)
-            u = np.exp(-0.5j * phi * lam)[:, None] * u
         yield u
 
 
 def sample_noisy_channel(seq: PulseSequence, rho: np.ndarray,
                          model: Optional[NoiseModel], n_samples: int,
                          seed: Optional[int] = None) -> np.ndarray:
-    """Shot-averaged output of the sequence for one or a stack of inputs.
+    """Noise-averaged output of the sequence for one or a stack of inputs.
 
-    ``rho`` holds density matrices, shape ``(..., dim, dim)``; each output
-    is the mean of ``U rho U+`` over the Monte-Carlo shot unitaries ``U``,
-    deterministic for a given ``(seed, parameters)``.  ``model=None`` is
-    the ideal sequence: one shot, ``U = sequence_unitary(seq)``, no seed.
+    ``rho`` holds density matrices, shape ``(..., dim, dim)``.  Each output
+    is the mean of ``U rho U+`` over the Monte-Carlo jitter shots ``U``,
+    then averaged exactly over the collective phase; it is deterministic
+    for a given ``(seed, parameters)``, and ``seed`` is needed only when
+    the model jitters.  ``model=None`` is the ideal sequence: one shot,
+    ``U = sequence_unitary(seq)``.
     """
     d = seq.register.dim
     rho = np.asarray(rho, dtype=complex)
@@ -189,4 +179,6 @@ def sample_noisy_channel(seq: PulseSequence, rho: np.ndarray,
     acc = np.zeros_like(rho)
     for n, u in enumerate(shots, 1):
         acc += u @ rho @ u.conj().T
+    if model is not None:
+        acc = collective_dephasing(acc, model.collective_phase_std)
     return acc / n

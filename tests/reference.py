@@ -7,11 +7,14 @@ interaction-frame structure that :func:`dfsqc.motional.propagate` rests
 on.  ``tests/test_motional.py`` checks that it converges to
 ``propagate`` at second order in the step.  :func:`shot_unitaries`
 multiplies out every noisy pulse of every shot, rebuilding each jittered
-z pulse at its drawn angle, and :func:`dense_collective_phase` is the
-dense collective phase; ``tests/test_noise.py`` checks
-``dfsqc.noise._shot_unitaries`` against them.  :func:`max_phase_diff`
-compares two matrices or states up to a global phase, and
-:func:`sequence_from_json` reads back a ``dump-sequence`` document.
+z pulse at its drawn angle; :func:`dense_collective_phase` is the dense
+collective phase, :func:`quadrature_dephasing` its Gaussian average by
+quadrature, and :func:`noisy_channel` averages both.  The tests check
+``dfsqc.noise._shot_unitaries``, ``sample_noisy_channel`` and
+``dfsqc.encoding.collective_dephasing`` against them.
+:func:`max_phase_diff` compares two matrices or states up to a global
+phase, and :func:`sequence_from_json` reads back a ``dump-sequence``
+document.
 """
 
 import dataclasses
@@ -71,13 +74,13 @@ def dense_collective_phase(n_ions, phi):
 
 
 def shot_unitaries(seq, model, n_samples, seed):
-    """Sequence unitary of each shot, one noisy pulse at a time: shot ``i``
-    draws from ``default_rng((seed, i))`` an angle error per ``ACStarkZ``
-    pulse in order when the jitter is on, then the collective phase."""
+    """Sequence unitary of each jitter shot, one noisy pulse at a time:
+    shot ``i`` draws from ``default_rng((seed, i))`` an angle error per
+    ``ACStarkZ`` pulse in order; a model without jitter is one shot."""
     n_ions = seq.register.n_ions
-    jitter, collective = model.ac_stark_phase_jitter_std, model.collective_phase_std
+    jitter = model.ac_stark_phase_jitter_std
     shots = []
-    for i in range(n_samples if model.is_stochastic else 1):
+    for i in range(n_samples if jitter > 0 else 1):
         rng = np.random.default_rng((seed, i))
         u = np.eye(seq.register.dim, dtype=complex)
         for op in seq.ops:
@@ -85,7 +88,26 @@ def shot_unitaries(seq, model, n_samples, seed):
                 op = dataclasses.replace(op, angle=op.angle + rng.normal(0.0, jitter))
             u = noisy_op_unitary(op, n_ions, model.addressing_ratio,
                                  model.intensity_imbalance) @ u
-        if collective > 0:
-            u = dense_collective_phase(n_ions, rng.normal(0.0, collective)) @ u
         shots.append(u)
     return shots
+
+
+def quadrature_dephasing(rho, std, n_nodes=100):
+    """Mean of ``U(phi) rho U(phi)+`` with :func:`dense_collective_phase`
+    over a Gaussian ``phi`` of standard deviation ``std``, by ``n_nodes``-
+    point Gauss-Hermite quadrature.  100 nodes integrate its phase factors
+    to 1e-15 for ``std * |lam_j - lam_k| / 2`` up to 12."""
+    n_ions = rho.shape[-1].bit_length() - 1
+    out = np.zeros_like(rho)
+    for x, w in zip(*np.polynomial.hermite.hermgauss(n_nodes)):
+        u = dense_collective_phase(n_ions, np.sqrt(2) * std * x)
+        out += w / np.sqrt(np.pi) * (u @ rho @ u.conj().T)
+    return out
+
+
+def noisy_channel(seq, rho, model, n_samples, seed):
+    """Mean of ``U rho U+`` over :func:`shot_unitaries`, then averaged over
+    the collective phase by :func:`quadrature_dephasing`."""
+    shots = shot_unitaries(seq, model, n_samples, seed)
+    avg = sum(u @ rho @ u.conj().T for u in shots) / len(shots)
+    return quadrature_dephasing(avg, model.collective_phase_std)

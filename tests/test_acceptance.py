@@ -26,7 +26,7 @@ from dfsqc.tomography import (ChiMatrix, chi_from_unitary, dfs_report,
                               process_tomography)
 
 from conftest import random_state
-from reference import midpoint_errors
+from reference import dense_collective_phase, midpoint_errors
 
 REG = LogicalRegister(2)
 
@@ -77,7 +77,7 @@ def test_criterion_2_bell_generation():
         labels = [format(k, "02b") for k in range(4)]
         psi = np.stack([encode(REG, bits) for bits in labels])
         rhos = sample_noisy_channel(seq, psi[:, :, None] * psi[:, None, :],
-                                    CALIBRATED_NOISE, n_samples=300)
+                                    CALIBRATED_NOISE, n_samples=300, seed=20090)
         for bits, rho in zip(labels, rhos):
             _, fid, _ = dfs_report(rho, bell_state_logical(bits), REG)
             assert 0.85 <= fid <= 0.95
@@ -93,13 +93,19 @@ def test_criterion_3_dfs_immunity():
             rng.normal(0, np.pi, size=1000),
             np.array([1e4, -377.1, 0.25]),
         ]
+        # each list's phases as dense collective-phase unitaries
+        unitary_lists = [[dense_collective_phase(REG.n_ions, phi) for phi in phis]
+                         for phis in phase_lists]
         for _ in range(5):
             psi = np.zeros(16, complex)
             psi[idx] = random_state(4, rng)
             rho = np.outer(psi, psi.conj())
-            for phis in phase_lists:
-                assert np.max(np.abs(collective_dephasing(rho, phis) - rho)) < 1e-12
-        assert coherence_ratio(np.pi, 100_000, seed=12) >= 100.0
+            for us in unitary_lists:
+                out = sum(u @ rho @ u.conj().T for u in us) / len(us)
+                assert np.max(np.abs(out - rho)) < 1e-12
+            for std in (0.0, 1.0, np.pi, 1e4):
+                assert np.max(np.abs(collective_dephasing(rho, std) - rho)) < 1e-12
+        assert coherence_ratio(np.pi) >= 100.0
 
 
 def test_criterion_4_motional_closure():
@@ -144,7 +150,8 @@ def test_criterion_5_process_tomography_pipeline():
 
         def channel(rho_l):
             return sample_noisy_channel(cnot, embed_in_dfs(rho_l, REG),
-                                        CALIBRATED_NOISE, n_samples=300)
+                                        CALIBRATED_NOISE, n_samples=300,
+                                        seed=20090)
 
         noisy = process_tomography(channel, shots=100, seed=404, register=REG)
         w = noisy.permanence_functional()
@@ -199,8 +206,7 @@ def test_criterion_8_reproducibility(tmp_path):
             "experiment": "bell",
             "seed": 31,
             "output_dir": str(tmp_path / "out"),
-            "noise": {k: v for k, v in asdict(CALIBRATED_NOISE).items()
-                      if k != "seed"},  # the run seed draws the shots
+            "noise": asdict(CALIBRATED_NOISE),
             "noise_samples": 64,
         }
         path = tmp_path / "config.json"

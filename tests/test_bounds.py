@@ -1,18 +1,20 @@
-"""Bounds of the library's parameter classes refuse NaN as well as values
-on the wrong side: each check is written so that a comparison with NaN,
-which is always false, fails it."""
+"""Bounds of the library's parameter classes refuse NaN and infinities as
+well as values on the wrong side: each check is written so that a
+comparison with NaN, which is always false, fails it, and the noise
+parameters and phase spreads are bounded above by infinity."""
 
 import math
 
+import numpy as np
 import pytest
 
-from dfsqc.encoding import coherence_ratio
+from dfsqc.encoding import coherence_ratio, collective_dephasing
 from dfsqc.errors import ValidationError
 from dfsqc.gates import GateParams
 from dfsqc.motional import DrivenOscillatorModel, coupling_for_phase, propagate
 from dfsqc.noise import NoiseModel
 
-NAN = math.nan
+NAN, INF = math.nan, math.inf
 
 
 @pytest.mark.parametrize("build", [
@@ -26,10 +28,18 @@ NAN = math.nan
     lambda: DrivenOscillatorModel(coupling=1.0, delta=NAN),
     lambda: propagate(DrivenOscillatorModel(coupling=1.0, delta=1.0), NAN),
     lambda: coupling_for_phase(NAN, 1.0),
-    lambda: coherence_ratio(NAN, 1000, seed=1),
+    lambda: coherence_ratio(NAN),
+    lambda: NoiseModel(addressing_ratio=INF),
+    lambda: NoiseModel(intensity_imbalance=INF),
+    lambda: NoiseModel(ac_stark_phase_jitter_std=INF),
+    lambda: NoiseModel(collective_phase_std=INF),
+    lambda: coherence_ratio(INF),
+    lambda: collective_dephasing(np.eye(4) / 4, INF),
 ], ids=["addressing_ratio", "intensity_imbalance", "jitter_std",
         "collective_std", "both_stds", "delta_ms", "delta_cp", "delta",
-        "propagate_time", "spin_phase", "phi_std"])
+        "propagate_time", "spin_phase", "phi_std", "inf_addressing_ratio",
+        "inf_intensity_imbalance", "inf_jitter_std", "inf_collective_std",
+        "inf_phi_std", "inf_dephasing_std"])
 def test_nan_refused(build):
     with pytest.raises(ValidationError):
         build()

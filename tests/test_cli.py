@@ -155,14 +155,6 @@ class TestSemanticConfigErrors:
         assert "noise" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    def test_shots_under_exact_statistics_refused(self, tmp_path, capsys):
-        path, _ = write_config(tmp_path, experiment="cnot-tomo",
-                               exact_statistics=True, shots=5)
-        assert main(["validate", str(path)]) == 2
-        assert main(["run", str(path)]) == 2
-        assert "shots" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-
     def test_negative_seed_flag_refused(self, tmp_path, capsys):
         path, _ = write_config(tmp_path)
         assert main(["run", str(path), "--seed", "-1"]) == 2
@@ -203,8 +195,9 @@ class TestSemanticConfigErrors:
     @pytest.mark.parametrize("experiment, ignored", [
         ("bell", {"shots": 5, "n_haar_samples": 5000, "phi_std": 1.0,
                   "timing_fractions": [0.1]}),
-        ("cnot-tomo", {"phi_std": 1.0}),
-        ("coherence", {"noise": {"collective_phase_std": 0.3}}),
+        ("cnot-tomo", {"phi_std": 1.0, "exact_statistics": True}),
+        ("coherence", {"noise": {"collective_phase_std": 0.3},
+                       "n_phase_samples": 100_000}),
         ("ms-scan", {"register": {"n_logical": 1, "pairs": [[0, 1]]}}),
         ("cp-scan", {"noise_samples": 10}),
         ("ms-scan", {"gate_params": {"delta_cp": 1e9}}),
@@ -223,8 +216,7 @@ class TestSemanticConfigErrors:
     @pytest.mark.parametrize("field, overrides", [
         ("seed", {"seed": 1.0}),
         ("control", {"control": 1.0}),
-        ("n_phase_samples", {"experiment": "coherence",
-                             "n_phase_samples": 1000.0}),
+        ("target", {"target": 0.0}),
         ("shots", {"experiment": "cnot-tomo", "shots": 10.0}),
         ("noise_samples", {"noise": {"collective_phase_std": 0.3},
                            "noise_samples": 10.0}),
@@ -244,10 +236,10 @@ class TestSemanticConfigErrors:
         ("noise_samples", {"noise_samples": 0}),
         ("control", {"control": True}),
         ("shots", {"experiment": "cnot-tomo", "shots": 0}),
-        ("exact_statistics", {"experiment": "cnot-tomo", "exact_statistics": 1}),
+        ("shots", {"experiment": "cnot-tomo", "shots": "100"}),
         ("n_haar_samples", {"experiment": "cnot-tomo", "n_haar_samples": 999}),
         ("phi_std", {"experiment": "coherence", "phi_std": -0.1}),
-        ("n_phase_samples", {"experiment": "coherence", "n_phase_samples": 999}),
+        ("phi_std", {"experiment": "coherence", "phi_std": True}),
         ("spin_phase", {"experiment": "ms-scan", "spin_phase": 0}),
         ("timing_fractions", {"experiment": "cp-scan",
                               "timing_fractions": [0.1, -0.5]}),
@@ -264,8 +256,6 @@ class TestSemanticConfigErrors:
     @pytest.mark.parametrize("field, overrides", [
         ("n_haar_samples", {"experiment": "cnot-tomo", "n_haar_samples": 10 ** 9}),
         ("shots", {"experiment": "cnot-tomo", "shots": 10 ** 12}),
-        ("n_phase_samples", {"experiment": "coherence",
-                             "n_phase_samples": 10 ** 11}),
     ])
     def test_sample_count_beyond_the_memory_budget_refused(
             self, tmp_path, capsys, field, overrides):
@@ -283,7 +273,6 @@ class TestSemanticConfigErrors:
 
     @pytest.mark.parametrize("overrides", [
         {"experiment": "cnot-tomo", "shots": 100, "n_haar_samples": 200_000},
-        {"experiment": "coherence", "n_phase_samples": 100_000},
     ])
     def test_default_sample_counts_within_the_budget(self, tmp_path, overrides):
         path, _ = write_config(tmp_path, **overrides)
@@ -357,7 +346,7 @@ class TestRunBell:
 class TestRunCnotTomo:
     def test_exact_statistics(self, tmp_path):
         path, _ = write_config(
-            tmp_path, experiment="cnot-tomo", exact_statistics=True,
+            tmp_path, experiment="cnot-tomo", shots=None,
             n_haar_samples=20_000)
         assert main(["run", str(path)]) == 0
         report = json.loads((tmp_path / "out" / "report.json").read_text())
@@ -372,7 +361,7 @@ class TestRunCnotTomo:
 
     def test_six_ion_register(self, tmp_path):
         path, _ = write_config(
-            tmp_path, experiment="cnot-tomo", exact_statistics=True,
+            tmp_path, experiment="cnot-tomo", shots=None,
             register={"n_logical": 2, "pairs": [[2, 3], [4, 5]]},
             noise={"addressing_ratio": 0.05, "intensity_imbalance": 0.08,
                    "ac_stark_phase_jitter_std": 0.3,
@@ -389,16 +378,25 @@ class TestRunCnotTomo:
 class TestRunCoherence:
     def test_ratio_above_hundred(self, tmp_path):
         path, _ = write_config(
-            tmp_path, experiment="coherence", phi_std=float(np.pi),
-            n_phase_samples=100_000, seed=3)
+            tmp_path, experiment="coherence", phi_std=float(np.pi), seed=3)
         assert main(["run", str(path)]) == 0
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["metrics"]["coherence_ratio"] >= 100.0
 
+    def test_report_does_not_depend_on_the_seed(self, tmp_path):
+        # the ratio is exact: nothing is sampled, so only the seed field moves
+        metrics = []
+        for seed in (3, 4):
+            path, _ = write_config(tmp_path, experiment="coherence", seed=seed)
+            assert main(["run", str(path)]) == 0
+            report = json.loads((tmp_path / "out" / "report.json").read_text())
+            metrics.append(report["metrics"])
+        assert metrics[0] == metrics[1]
+
     @pytest.mark.parametrize("phi_std", [1e200, 10 ** 200], ids=["float", "int"])
     def test_huge_phase_spread_underflows(self, tmp_path, phi_std):
         path, _ = write_config(tmp_path, experiment="coherence",
-                               phi_std=phi_std, n_phase_samples=1000)
+                               phi_std=phi_std)
         assert main(["run", str(path)]) == 0
         text = (tmp_path / "out" / "report.json").read_text()
         report = json.loads(text, parse_constant=lambda name: pytest.fail(name))

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from dfsqc import linalg
-from dfsqc.encoding import (LogicalRegister, coherence_ratio,
-                            collective_dephasing, decode_in_dfs, embed_in_dfs,
-                            encode, logical_basis_indices, restrict_to_dfs)
-from dfsqc.errors import (DimensionError, EmptySubspaceError, ValidationError)
+from dfsqc.encoding import (MAX_COHERENCE_RATIO, LogicalRegister,
+                            coherence_ratio, collective_dephasing,
+                            decode_in_dfs, embed_in_dfs, encode,
+                            logical_basis_indices, restrict_to_dfs)
+from dfsqc.errors import DimensionError, EmptySubspaceError, ValidationError
 
 from conftest import random_density_matrix
-from reference import dense_collective_phase
+from reference import dense_collective_phase, quadrature_dephasing
 
 
 class TestRegister:
@@ -95,6 +96,9 @@ class TestDecode:
         assert 0.0 <= np.trace(restrict_to_dfs(rho, register2)).real <= 1.0
 
 
+STDS = (0.0, 1.0, np.pi, 1e4)
+
+
 class TestCollectiveDephasing:
     def test_dfs_states_immune(self, register2, rng):
         idx = logical_basis_indices(register2)
@@ -103,60 +107,69 @@ class TestCollectiveDephasing:
         psi = np.zeros(16, complex)
         psi[idx] = amp
         rho = np.outer(psi, psi.conj())
-        phis = rng.uniform(0, 2 * np.pi, size=500)
-        assert np.max(np.abs(collective_dephasing(rho, phis) - rho)) < 1e-12
+        for std in STDS:
+            assert np.max(np.abs(collective_dephasing(rho, std) - rho)) < 1e-12
 
     def test_physical_superposition_decays(self):
         psi = np.array([1, 1], complex) / np.sqrt(2)
         rho = np.outer(psi, psi.conj())
-        # exact uniform grid: mean of exp(-i phi) vanishes identically
-        phis = 2 * np.pi * np.arange(360) / 360
-        out = collective_dephasing(rho, phis)
-        assert abs(out[0, 1]) < 1e-12
+        out = collective_dephasing(rho, 1.0)
+        assert out[0, 1] == pytest.approx(0.5 * np.exp(-0.5), rel=1e-14)
         assert out[0, 0] == pytest.approx(0.5)
+        # a spread far past 2 pi wipes the coherence out exactly
+        assert collective_dephasing(rho, 1e4)[0, 1] == 0.0
 
     def test_single_zero_phase_is_identity(self, rng):
         rho = random_density_matrix(4, rng)
-        assert np.allclose(collective_dephasing(rho, [0.0]), rho)
+        assert np.array_equal(collective_dephasing(rho, 0.0), rho)
 
     def test_matches_explicit_average(self, rng):
-        # oracle: build the channel by explicitly averaging U rho U+
+        # oracle: average U rho U+ over the Gaussian phase by quadrature
         rho = random_density_matrix(8, rng)
-        phis = rng.normal(0, 1.0, size=40)
-        acc = np.zeros_like(rho)
-        for phi in phis:
-            u = dense_collective_phase(3, phi)
-            acc += u @ rho @ u.conj().T
-        assert np.allclose(collective_dephasing(rho, phis), acc / len(phis),
-                           atol=1e-12)
+        for std in (0.0, 0.3, 1.0, 2.0):
+            assert np.max(np.abs(collective_dephasing(rho, std)
+                                 - quadrature_dephasing(rho, std))) < 1e-12
+
+    def test_stack_matches_single_matrices(self, rng):
+        stack = np.stack([random_density_matrix(8, rng) for _ in range(6)])
+        out = collective_dephasing(stack.reshape(2, 3, 8, 8), 0.7)
+        for rho, got in zip(stack, out.reshape(6, 8, 8)):
+            assert np.array_equal(got, collective_dephasing(rho, 0.7))
+
+    @pytest.mark.parametrize("shape", [(), (4,), (0, 0), (3, 3), (2, 6, 6),
+                                       (4, 2)])
+    def test_non_power_of_two_refused(self, shape):
+        with pytest.raises(DimensionError):
+            collective_dephasing(np.zeros(shape), 1.0)
 
 
 class TestCoherenceRatio:
     def test_no_noise_ratio_one(self):
-        assert coherence_ratio(0.0, 1000, seed=1) == pytest.approx(1.0)
+        assert coherence_ratio(0.0) == 1.0
 
     def test_large_noise_exceeds_hundred(self):
         # analytic physical coherence exp(-pi^2/2) ~ 7.2e-3, logical stays 1
-        ratio = coherence_ratio(np.pi, 100_000, seed=12)
+        ratio = coherence_ratio(np.pi)
         assert ratio >= 100.0
 
-    def test_logical_coherence_always_unity(self, rng):
+    @pytest.mark.parametrize("std", [0.0, 0.5, 1.0, 2.0, np.pi, 6.0])
+    def test_is_the_analytic_ratio(self, std):
+        want = min(np.exp(std ** 2 / 2), MAX_COHERENCE_RATIO)
+        assert coherence_ratio(std) == pytest.approx(want, rel=1e-12)
+
+    def test_logical_coherence_always_unity(self):
         reg = LogicalRegister(1)
         psi = (encode(reg, "0") + encode(reg, "1")) / np.sqrt(2)
         rho = np.outer(psi, psi.conj())
-        for std in (0.1, 1.0, np.pi, 10.0):
-            phis = rng.normal(0, std, size=2000)
-            out = collective_dephasing(rho, phis)
+        for std in (0.1, 1.0, np.pi, 10.0, 1e200):
+            out = collective_dephasing(rho, std)
             i0, i1 = logical_basis_indices(reg)
             assert abs(out[i0, i1] - 0.5) < 1e-12
 
-    def test_requires_enough_samples(self):
-        with pytest.raises(ValidationError):
-            coherence_ratio(1.0, 10, seed=1)
-
     def test_cap(self):
-        # the true ratio at phi_std=pi is well above 50, so a small cap binds
-        assert coherence_ratio(np.pi, 100_000, seed=3, max_ratio=50.0) == 50.0
+        # the true ratio at phi_std=6 is exp(18) ~ 6.6e7, above the cap
+        assert coherence_ratio(6.0) == MAX_COHERENCE_RATIO
+        assert coherence_ratio(1e200) == MAX_COHERENCE_RATIO
 
 
 class TestSymmetricEvolutionConservesPermanence:

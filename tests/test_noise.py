@@ -14,7 +14,8 @@ from dfsqc.noise import (CALIBRATED_NOISE, NoiseModel, _shot_unitaries,
                          noisy_op_unitary, sample_noisy_channel,
                          string_neighbors)
 
-from reference import shot_unitaries
+from conftest import random_density_matrix
+from reference import noisy_channel, shot_unitaries
 
 # mean permanence of the compiled CNOT over the four logical basis inputs
 # under pure 5% addressing crosstalk, frozen from the first run; the
@@ -52,7 +53,7 @@ class TestModel:
     def test_defaults(self):
         m = NoiseModel()
         assert m.addressing_ratio == 0.05
-        assert not m.is_stochastic
+        assert m.ac_stark_phase_jitter_std == m.collective_phase_std == 0.0
 
     def test_ratio_range(self):
         with pytest.raises(ValidationError):
@@ -65,7 +66,7 @@ class TestModel:
         NoiseModel(intensity_imbalance=-0.99)
 
     def test_json_roundtrip(self):
-        m = NoiseModel(0.05, 0.08, 0.3, 0.3, seed=7)
+        m = NoiseModel(0.05, 0.08, 0.3, 0.3)
         assert NoiseModel.from_json(dataclasses.asdict(m)) == m
 
 
@@ -116,7 +117,7 @@ class TestCrosstalk:
 
     def test_cnot_permanence_golden(self, reg):
         cnot = compile_cnot(0, 1, reg)
-        model = NoiseModel(addressing_ratio=0.05, seed=0)
+        model = NoiseModel(addressing_ratio=0.05)
         rhos = sample_noisy_channel(
             cnot, encoded_inputs(reg, ["00", "01", "10", "11"]), model, 1)
         perms = [np.trace(restrict_to_dfs(rho, reg)).real for rho in rhos]
@@ -163,7 +164,7 @@ class TestImbalance:
 class TestSampledChannel:
     def test_deterministic_model_gives_rank_one(self, reg):
         seq = compile_cnot(0, 1, reg)
-        model = NoiseModel(addressing_ratio=0.0, seed=9)
+        model = NoiseModel(addressing_ratio=0.0)
         psi = encode(reg, "00")
         rho = sample_noisy_channel(seq, np.outer(psi, psi), model, n_samples=17)
         ideal = sequence_unitary(seq) @ psi
@@ -175,8 +176,7 @@ class TestSampledChannel:
         # the compiled CNOT keeps DFS inputs inside the subspace, so pure
         # collective-phase noise must act as the identity channel
         seq = compile_cnot(0, 1, reg)
-        model = NoiseModel(addressing_ratio=0.0, collective_phase_std=1.5,
-                           seed=21)
+        model = NoiseModel(addressing_ratio=0.0, collective_phase_std=1.5)
         psi = encode(reg, "10")
         rho = sample_noisy_channel(seq, np.outer(psi, psi), model, n_samples=64)
         ideal = sequence_unitary(seq) @ psi
@@ -198,9 +198,19 @@ class TestSampledChannel:
 
     def test_seed_required(self, reg):
         seq = compile_cnot(0, 1, reg)
-        model = NoiseModel(seed=None)
+        model = NoiseModel(ac_stark_phase_jitter_std=0.3)
         with pytest.raises(ValidationError):
             sample_noisy_channel(seq, encoded_inputs(reg, ["00"]), model, 8)
+
+    @pytest.mark.parametrize("model", [NoiseModel(), NoiseModel(
+        intensity_imbalance=0.08, collective_phase_std=0.3)])
+    def test_no_seed_needed_without_jitter(self, reg, model):
+        # nothing is drawn, so one shot and no seed
+        seq = compile_cnot(0, 1, reg)
+        rho = encoded_inputs(reg, ["00", "11"])
+        out = sample_noisy_channel(seq, rho, model, 8)
+        assert np.array_equal(out, sample_noisy_channel(seq, rho, model, 1,
+                                                        seed=5))
 
     def test_stack_matches_single_inputs_bit_exact(self, reg, rng):
         seq = compile_cnot(0, 1, reg)
@@ -274,6 +284,25 @@ class TestShotUnitaries:
             assert np.max(np.abs(u - ref)) < 1e-12
 
 
+class TestNoisyChannel:
+    @settings(deadline=None, max_examples=30)
+    @given(seq=noisy_sequences(), ratio=st.floats(0.0, 0.3),
+           epsilon=st.floats(-0.3, 0.3), jitter=STDS, collective=STDS,
+           n_samples=st.integers(1, 3), seed=st.integers(0, 2 ** 32))
+    def test_matches_quadrature_reference(self, seq, ratio, epsilon, jitter,
+                                          collective, n_samples, seed):
+        # the exact collective-phase mask on the jitter-shot average
+        # against Gauss-Hermite quadrature of the dense collective phase,
+        # on full density matrices, so every coherence is tested
+        model = NoiseModel(ratio, epsilon, jitter, collective)
+        rng = np.random.default_rng(seed)
+        rho = np.stack([random_density_matrix(seq.register.dim, rng)
+                        for _ in range(2)])
+        got = sample_noisy_channel(seq, rho, model, n_samples, seed=seed)
+        want = noisy_channel(seq, rho, model, n_samples, seed)
+        assert np.max(np.abs(got - want)) < 1e-12
+
+
 class TestCalibratedBellBand:
     def test_all_four_fidelities_in_band(self, reg):
         from dfsqc.tomography import dfs_report
@@ -283,7 +312,7 @@ class TestCalibratedBellBand:
         seq = PulseSequence(ops=[prep] + list(cnot.ops), register=reg)
         labels = ["00", "01", "10", "11"]
         rhos = sample_noisy_channel(seq, encoded_inputs(reg, labels),
-                                    CALIBRATED_NOISE, 300)
+                                    CALIBRATED_NOISE, 300, seed=20090)
         for bits, rho in zip(labels, rhos):
             perm, fid, overall = dfs_report(rho, bell_state_logical(bits), reg)
             assert 0.85 <= fid <= 0.95
