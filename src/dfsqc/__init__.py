@@ -23,7 +23,6 @@ from .motional import (DrivenOscillatorModel, effective_gate,
                        off_resonant_error_scan, propagate)
 from .noise import CALIBRATED_NOISE, NoiseModel, sample_noisy_channel
 from .tomography import (ChiMatrix, chi_from_unitary, dfs_report, haar_report,
-                         process_fidelity, process_tomography,
-                         reconstruct_state)
+                         process_fidelity, process_tomography)
 
 __version__ = "0.1.0"

@@ -43,8 +43,8 @@ from .gates import (SWAP_LOGICAL, GateParams, PulseSequence,
                     bell_state_logical, cnot_logical_matrix, compile_cnot,
                     ms_pulse)
 from .noise import NoiseModel, sample_noisy_channel
-from .tomography import (chi_from_unitary, dfs_report, haar_report,
-                         matrix_to_json, process_fidelity, process_tomography)
+from .tomography import (chi_from_unitary, haar_report, matrix_to_json,
+                         process_fidelity, process_tomography)
 
 
 #: What one config value must be: ``test(value)`` holds, as ``what`` says.
@@ -231,7 +231,7 @@ def _check_semantics(config) -> None:
     with _field("noise"):
         _noise(config)
     if uses_cnot:
-        control, target = config.get("control", 0), config.get("target", 1)
+        control, target = _roles(config)
         with _field("control/target"):
             compile_cnot(control, target, register, params)
             cnot_logical_matrix(control, target)
@@ -288,18 +288,29 @@ def _noise(config: dict) -> Optional[NoiseModel]:
     return NoiseModel.from_json(config["noise"]) if "noise" in config else None
 
 
+def _roles(config: dict) -> tuple:
+    """The (control, target) logical qubits of a CNOT experiment."""
+    return config.get("control", 0), config.get("target", 1)
+
+
+def _noisy_outputs(config: dict, seq: PulseSequence, rhos: np.ndarray,
+                   seed: int) -> np.ndarray:
+    """Physical states ``rhos`` after ``seq`` under the config's noise."""
+    return sample_noisy_channel(seq, rhos, _noise(config),
+                                config.get("noise_samples", 300), seed=seed)
+
+
 def run_bell(config: dict, seed: int) -> tuple:
     register = _register(config)
     params = _gate_params(config)
-    control, target = config.get("control", 0), config.get("target", 1)
+    control, target = _roles(config)
     cnot = compile_cnot(control, target, register, params)
     prep = ms_pulse(np.pi / 2, control, register, 0.0, params)
     seq = PulseSequence(ops=[prep] + list(cnot.ops), register=register)
     inputs = [format(k, "02b") for k in range(4)]
     psi = np.stack([encode(register, bits) for bits in inputs])
-    rhos = sample_noisy_channel(seq, psi[:, :, None] * psi[:, None, :].conj(),
-                                _noise(config), config.get("noise_samples", 300),
-                                seed=seed)
+    rhos = _noisy_outputs(config, seq, psi[:, :, None] * psi[:, None, :].conj(),
+                          seed)
     metrics = {"inputs": inputs, "fidelity": [], "permanence": [], "overall": []}
     matrices = {}
     for bits, rho in zip(inputs, rhos):
@@ -307,31 +318,26 @@ def run_bell(config: dict, seed: int) -> tuple:
             ideal = bell_state_logical(bits)
         else:
             ideal = SWAP_LOGICAL @ bell_state_logical(bits[::-1])
-        perm, fid, overall = dfs_report(rho, ideal, register)
+        rho_l, perm = decode_in_dfs(rho, register)
+        fid = linalg.fidelity(rho_l, ideal)
         metrics["fidelity"].append(fid)
         metrics["permanence"].append(perm)
-        metrics["overall"].append(overall)
-        rho_l, _ = decode_in_dfs(rho, register)
+        metrics["overall"].append(perm * fid)
         matrices[f"bell_{bits}_logical"] = matrix_to_json(rho_l)
     return metrics, matrices, []
 
 
 def run_cnot_tomo(config: dict, seed: int) -> tuple:
     register = _register(config)
-    params = _gate_params(config)
-    noise_model = _noise(config)
     shots = config.get("shots", 100)  # null: exact statistics
     n_haar = config.get("n_haar_samples", 200_000)
-    n_samples = config.get("noise_samples", 300)
-    control, target = config.get("control", 0), config.get("target", 1)
-    cnot = compile_cnot(control, target, register, params)
+    control, target = _roles(config)
+    cnot = compile_cnot(control, target, register, _gate_params(config))
 
     def channel(rho_l):
-        return sample_noisy_channel(cnot, embed_in_dfs(rho_l, register),
-                                    noise_model, n_samples, seed=seed)
+        return _noisy_outputs(config, cnot, embed_in_dfs(rho_l, register), seed)
 
-    result = process_tomography(channel, shots=shots, seed=seed,
-                                register=register)
+    result = process_tomography(channel, register, shots=shots, seed=seed)
     ideal = cnot_logical_matrix(control, target)
     chi_ideal = chi_from_unitary(ideal)
     w = result.permanence_functional()
@@ -387,6 +393,11 @@ def cmd_run(args) -> int:
     if args.seed is not None and args.seed < 0:
         raise ConfigError(f"--seed must be non-negative, got {args.seed}")
     seed = args.seed if args.seed is not None else config["seed"]
+    out_dir = config["output_dir"]
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output_dir: {exc}") from exc
     try:
         metrics, matrices, csvs = run_experiment(config, seed)
     except (TruncationError, ClosureError) as exc:
@@ -404,8 +415,6 @@ def cmd_run(args) -> int:
     files = [("report.json", _json_text(report))]
     if matrices:
         files.append(("matrices.json", _json_text(matrices)))
-    out_dir = config["output_dir"]
-    os.makedirs(out_dir, exist_ok=True)
     for name, text in files + csvs:
         _atomic_write(os.path.join(out_dir, name), text)
     print(f"wrote {os.path.join(out_dir, 'report.json')}")

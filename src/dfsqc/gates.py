@@ -73,6 +73,9 @@ class GateParams:
     def __post_init__(self):
         if not (self.delta_ms > 0 and self.delta_cp > 0):
             raise ValidationError("gate parameters must be positive")
+        if not (np.isfinite(self.tau_ms) and np.isfinite(self.tau_cp)):
+            raise ValidationError("a detuning is so small that its loop time "
+                                  "2 pi / detuning overflows")
 
     @property
     def tau_ms(self) -> float:

@@ -2,12 +2,13 @@
 Haar-averaged gate-fidelity estimator.
 
 The characterization pipeline mirrors the experimental procedure: prepare
-each of 16 informationally complete logical inputs, run the channel on
-the physical register, measure every ion in all ``3^n`` Pauli bases
-(``n = 4`` ions, 81 settings, a fixed number of shots each), reconstruct
-the physical density matrix by linear inversion plus projection onto the
-physical set, project into the encoded subspace (recording the
-permanence), and finally fit the process matrix ``chi`` defined by
+each of 16 informationally complete logical inputs, run the channel, which
+takes logical inputs and returns the physical outputs of the register,
+measure every ion in all ``3^n`` Pauli bases (``n = 4`` ions, 81
+settings, a fixed number of shots each), reconstruct the physical density
+matrix by linear inversion plus projection onto the physical set, project
+into the encoded subspace (recording the permanence), and finally fit the
+process matrix ``chi`` defined by
 
     E(rho) = sum_mn chi_mn A_m rho A_n+
 
@@ -57,9 +58,8 @@ _ROT = np.stack([MEASUREMENT_ROTATIONS[c] for c in BASIS_LETTERS])
 #: Single-ion effects ``E[s, b, i, j] = (R_s+ |b><b| R_s)[i, j]``.
 _EFFECTS = _ROT.conj()[:, :, :, None] * _ROT[:, :, None, :]
 # Tables of _contract_ions: the Born rule (i, j) -> (s, b) through
-# E[s, b, j, i] = conj(E[s, b, i, j]), its adjoint, and the dual 3E - 1.
+# E[s, b, j, i] = conj(E[s, b, i, j]), and the dual 3E - 1.
 _BORN = _EFFECTS.conj()
-_ADJOINT = _EFFECTS.transpose(2, 3, 0, 1)
 _DUAL = (3.0 * _EFFECTS - linalg.ID2).transpose(2, 3, 0, 1)
 
 
@@ -157,36 +157,6 @@ def project_to_physical(rho: np.ndarray) -> np.ndarray:
     return (evecs[:, i:] * out[i:]) @ linalg.dag(evecs[:, i:])
 
 
-def mle_refine(rho0: np.ndarray, freq: np.ndarray,
-               max_iter: int = 200, tol: float = 1e-10) -> np.ndarray:
-    """Iterative maximum-likelihood refinement (R rho R fixed point), with
-    ``R = sum_sb f[s, b] / p[s, b] E[s, b]``."""
-    n = _n_ions(freq)
-    rho = rho0.copy()
-    for _ in range(max_iter):
-        probs = np.clip(np.real(_contract_ions(rho, [_BORN] * n)), 1e-12, None)
-        r = _contract_ions(freq / probs, [_ADJOINT] * n)
-        new = r @ rho @ r
-        new = (new + linalg.dag(new)) / 2.0
-        new /= np.real(np.trace(new))
-        if np.max(np.abs(new - rho)) < tol:
-            return new
-        rho = new
-    return rho
-
-
-def reconstruct_state(freq: np.ndarray, mle: bool = False) -> np.ndarray:
-    """Physical density matrix estimate from the frequencies of all settings.
-
-    Linear inversion followed by projection onto the physical set; pass
-    ``mle=True`` for an additional maximum-likelihood refinement.
-    """
-    rho = project_to_physical(linear_inversion(freq))
-    if mle:
-        rho = mle_refine(rho, freq)
-    return rho
-
-
 # ---------------------------------------------------------------------------
 # Haar sampling
 
@@ -234,13 +204,6 @@ class ChiMatrix:
         s = np.einsum("mn,mij,nkl->ikjl", self.entries, ops, ops.conj(),
                       optimize=True)
         return s.reshape(d * d, d * d)
-
-    def trace_preservation_residual(self) -> float:
-        """Largest deviation of ``sum_mn chi_mn A_n+ A_m`` from the identity."""
-        ops = chi_basis(self.n_logical)
-        acc = np.einsum("mn,nji,mjk->ik", self.entries, ops.conj(), ops,
-                        optimize=True)
-        return float(np.max(np.abs(acc - np.eye(ops.shape[1]))))
 
     def to_json(self) -> dict:
         return {"basis": list(self.basis_labels),
@@ -314,13 +277,11 @@ class ProcessCharacterization:
 
     chi: ChiMatrix
     input_states: np.ndarray
-    permanences: Optional[np.ndarray] = None
+    permanences: np.ndarray
 
     def permanence_functional(self) -> np.ndarray:
         """Hermitian ``W`` with ``perm(rho) = tr(W rho)`` fitted from the
         measured per-input permanences (permanence is linear in the input)."""
-        if self.permanences is None:
-            raise ValidationError("no permanence data recorded")
         rows = np.stack([np.asarray(np.outer(v, v.conj())).T.reshape(-1)
                          for v in self.input_states])
         sol, _, rank, _ = np.linalg.lstsq(rows, self.permanences, rcond=None)
@@ -332,48 +293,40 @@ class ProcessCharacterization:
 
 
 def process_tomography(channel: Callable[[np.ndarray], np.ndarray],
-                       shots: Optional[int] = None, seed=None,
-                       register: Optional[LogicalRegister] = None,
-                       mle: bool = False) -> ProcessCharacterization:
+                       register: LogicalRegister, shots: Optional[int] = None,
+                       seed=None) -> ProcessCharacterization:
     """Reconstruct the chi matrix of a black-box channel on the logical space.
 
-    ``channel`` is called once, with the stack of all input density
-    matrices, shape ``(k, 2^n, 2^n)``.  It returns the stack of logical
-    outputs (used directly) or of physical ones (dimension ``4^n``); each
-    physical output is put through measurement simulation at ``shots``
-    per setting (exact statistics when ``shots`` is ``None``), state
-    reconstruction, and projection into the encoded subspace with the
-    permanence recorded per input.  Sampling needs a ``seed``.
+    ``channel`` is called once, with the stack of all logical input density
+    matrices, shape ``(k, 2^n, 2^n)``, and returns the stack of physical
+    outputs of ``register``, shape ``(k, 4^n, 4^n)``.  With ``shots`` each
+    output goes through measurement simulation at ``shots`` per setting
+    (sampling needs a ``seed``) and state reconstruction; with ``None``
+    it is used exactly.  Every output is then projected into the encoded
+    subspace, with its permanence recorded.
     """
-    register = register or LogicalRegister(2)
     if shots is not None and seed is None:
         raise ValidationError("a seed is required for reproducible sampling")
     n_logical = register.n_logical
-    dim_l = 2 ** n_logical
     vecs = np.stack([v for _, v in preparation_states(n_logical)])
     inputs = vecs[:, :, None] * vecs[:, None, :].conj()
     outputs = np.asarray(channel(inputs))
-    permanences = []
-    if outputs.shape != inputs.shape:
-        if outputs.shape != (len(inputs), register.dim, register.dim):
-            raise DimensionError(
-                f"channel returned shape {outputs.shape}; expected "
-                f"{len(inputs)} logical ({dim_l}) or physical "
-                f"({register.dim}) matrices")
-        logical = []
-        for k, out in enumerate(outputs):
-            if shots is not None:
-                freq = acquire_dataset(out, shots, seed=(seed, k))
-                out = reconstruct_state(freq, mle=mle)
-            rho_l, perm = decode_in_dfs(out, register)
-            logical.append(rho_l)
-            permanences.append(perm)
-        outputs = np.stack(logical)
-    chi_raw = chi_linear_solve(inputs, outputs, n_logical)
+    if outputs.shape != (len(inputs), register.dim, register.dim):
+        raise DimensionError(
+            f"channel returned shape {outputs.shape}; expected {len(inputs)} "
+            f"physical {register.dim}x{register.dim} matrices")
+    logical, permanences = [], []
+    for k, out in enumerate(outputs):
+        if shots is not None:
+            out = project_to_physical(linear_inversion(
+                acquire_dataset(out, shots, seed=(seed, k))))
+        rho_l, perm = decode_in_dfs(out, register)
+        logical.append(rho_l)
+        permanences.append(perm)
+    chi_raw = chi_linear_solve(inputs, logical, n_logical)
     chi = ChiMatrix(project_chi_cp(chi_raw), chi_basis_labels(n_logical))
-    return ProcessCharacterization(
-        chi=chi, input_states=vecs,
-        permanences=np.array(permanences) if permanences else None)
+    return ProcessCharacterization(chi=chi, input_states=vecs,
+                                   permanences=np.array(permanences))
 
 
 # ---------------------------------------------------------------------------
@@ -389,8 +342,7 @@ def _batched_fidelities(sop: np.ndarray, ideal: np.ndarray,
     return np.real(np.einsum("ne,ne->n", out_vec, proj_vec))
 
 
-def haar_report(chi: ChiMatrix, ideal: np.ndarray,
-                permanence_w: Optional[np.ndarray] = None,
+def haar_report(chi: ChiMatrix, ideal: np.ndarray, permanence_w: np.ndarray,
                 n_samples: int = 200_000, seed=None) -> dict:
     """Mean gate fidelity, mean permanence and their product over Haar inputs.
 
@@ -406,24 +358,20 @@ def haar_report(chi: ChiMatrix, ideal: np.ndarray,
     psi = haar_states(d, n_samples, rng)
     f = _batched_fidelities(chi.superoperator(), ideal, psi)
     rt = np.sqrt(float(n_samples))
-    report = {
+    perm = np.real(np.einsum("ni,ij,nj->n", psi.conj(), permanence_w, psi))
+    overall = perm * f
+    return {
         "mean_gate_fidelity": float(np.mean(f)),
         "mean_gate_fidelity_stderr": float(np.std(f, ddof=1) / rt),
+        "mean_permanence": float(np.mean(perm)),
+        "mean_permanence_stderr": float(np.std(perm, ddof=1) / rt),
+        "mean_overall": float(np.mean(overall)),
+        "mean_overall_stderr": float(np.std(overall, ddof=1) / rt),
     }
-    if permanence_w is not None:
-        perm = np.real(np.einsum("ni,ij,nj->n", psi.conj(), permanence_w, psi))
-        overall = perm * f
-        report.update({
-            "mean_permanence": float(np.mean(perm)),
-            "mean_permanence_stderr": float(np.std(perm, ddof=1) / rt),
-            "mean_overall": float(np.mean(overall)),
-            "mean_overall_stderr": float(np.std(overall, ddof=1) / rt),
-        })
-    return report
 
 
 def dfs_report(rho_physical: np.ndarray, ideal_logical: np.ndarray,
-               register: Optional[LogicalRegister] = None) -> tuple:
+               register: LogicalRegister) -> tuple:
     """Permanence, fidelity within the subspace, and their product.
 
     The in-subspace fidelity is evaluated against ``ideal_logical`` after
@@ -431,7 +379,6 @@ def dfs_report(rho_physical: np.ndarray, ideal_logical: np.ndarray,
     fidelity`` equals the plain physical-space fidelity against the
     encoded ideal state.
     """
-    register = register or LogicalRegister(2)
     rho_l, perm = decode_in_dfs(rho_physical, register)
     fid = linalg.fidelity(rho_l, ideal_logical)
     return perm, fid, perm * fid

@@ -140,7 +140,7 @@ def test_criterion_5_process_tomography_pipeline():
         # exact statistics: ideal CNOT and identity
         res = process_tomography(_ideal_physical_cnot_channel(), register=REG)
         assert process_fidelity(res.chi, chi_from_unitary(CNOT_LOGICAL)) > 0.999
-        res_id = process_tomography(lambda r: r, register=REG)
+        res_id = process_tomography(lambda r: embed_in_dfs(r, REG), register=REG)
         e_ii = np.zeros((16, 16))
         e_ii[0, 0] = 1.0
         assert np.max(np.abs(res_id.chi.entries - e_ii)) < 1e-6
@@ -167,7 +167,7 @@ def test_criterion_6_haar_estimator():
     with criterion(6, "Haar estimator against the depolarizing analytic", 30.0):
         p = 0.2
         chi = ChiMatrix(np.diag([1 - p + p / 16] + [p / 16] * 15).astype(complex))
-        report = haar_report(chi, np.eye(4, dtype=complex),
+        report = haar_report(chi, np.eye(4, dtype=complex), np.eye(4),
                              n_samples=200_000, seed=6)
         mean = report["mean_gate_fidelity"]
         se = report["mean_gate_fidelity_stderr"]

@@ -84,8 +84,13 @@ class TestValidate:
           "register": {"n_logical": 2}}, "register.pairs: required"),
         ({"experiment": "bell", "seed": 1, "output_dir": "out",
           "register": 5}, "register: must be an object"),
+        # loop times 2 pi / delta beyond the float range
+        ({"experiment": "cp-scan", "seed": 1, "output_dir": "out",
+          "gate_params": {"delta_cp": 1e-310}}, "gate_params: "),
+        ({"experiment": "ms-scan", "seed": 1, "output_dir": "out",
+          "gate_params": {"delta_ms": 5e-324}}, "gate_params: "),
     ], ids=["array", "no-experiment", "unknown-experiment", "empty-output-dir",
-            "no-pairs", "register-not-object"])
+            "no-pairs", "register-not-object", "tiny-delta-cp", "tiny-delta-ms"])
     def test_malformed_config_refused(self, tmp_path, capsys, monkeypatch,
                                       config, field):
         monkeypatch.chdir(tmp_path)
@@ -299,6 +304,14 @@ class TestSemanticConfigErrors:
         assert time.perf_counter() - start < 1.0
         assert "output_dir" in capsys.readouterr().err
         assert sorted(tmp_path.rglob("*")) == before
+
+    def test_output_dir_that_cannot_be_made_refused(self, tmp_path, capsys,
+                                                    monkeypatch):
+        path, _ = write_config(tmp_path, output_dir=str(tmp_path / ("x" * 300)))
+        monkeypatch.setattr(cli, "run_experiment", lambda config, seed: (
+            pytest.fail("ran an experiment it cannot write")))
+        assert main(["run", str(path)]) == 2
+        assert "output_dir: " in capsys.readouterr().err
 
 
 class TestRunBell:

@@ -1,10 +1,11 @@
 """The package's surface is what its command line and demos use.
 
 Every module-level function or class of ``src/dfsqc`` (``__init__``
-aside) must be referenced by name, bare or as an attribute, from ``src/``
-or ``demos/``; references from tests and the re-exports of ``__init__``
-do not count, nor does a function's reference to itself.  Every module-level import must be used
-in its module.
+aside), and every public method or property of such a class, must be
+referenced by name, bare or as an attribute, from ``src/`` or ``demos/``;
+references from tests and the re-exports of ``__init__`` do not count,
+nor does a function's or method's reference to itself.  Every
+module-level import must be used in its module.
 """
 
 import ast
@@ -25,23 +26,33 @@ def _defs(tree: ast.Module) -> list:
             if isinstance(n, (ast.FunctionDef, ast.ClassDef))]
 
 
-def _loads(node: ast.AST):
-    """Names a subtree reads, bare or as an attribute."""
-    for n in ast.walk(node):
-        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
-            yield n.id
-        elif isinstance(n, ast.Attribute):
-            yield n.attr
+def _methods(cls: ast.ClassDef) -> list:
+    """Functions defined in a class body: its methods and properties."""
+    return [n for n in cls.body if isinstance(n, ast.FunctionDef)]
+
+
+def _load(node: ast.AST):
+    """The name a node reads, bare or as an attribute, or ``None``."""
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
 
 
 def _references() -> set:
-    """``(file, owner, name)`` for every name read in ``USERS``, ``owner``
-    being the module-level def or class the read sits in, or ``None``."""
+    """``(file, owner, method, name)`` for every name read in ``USERS``,
+    ``owner`` being the module-level def or class the read sits in, or
+    ``None``, and ``method`` the function of the class body it sits in,
+    or ``None``."""
     refs = set()
     for path in USERS:
         for top in _tree(path).body:
             owner = getattr(top, "name", None)
-            refs.update((path, owner, name) for name in _loads(top))
+            methods = _methods(top) if isinstance(top, ast.ClassDef) else []
+            inside = {id(n): m.name for m in methods for n in ast.walk(m)}
+            refs.update((path, owner, inside.get(id(n)), _load(n))
+                        for n in ast.walk(top) if _load(n))
     return refs
 
 
@@ -50,7 +61,12 @@ def test_every_module_level_def_has_a_caller():
     uncalled = [f"{path.stem}.{name}" for path in MODULES
                 for name in _defs(_tree(path))
                 if not any(n == name and (p, o) != (path, name)
-                           for p, o, n in refs)]
+                           for p, o, _, n in refs)]
+    uncalled += [f"{path.stem}.{cls.name}.{m.name}" for path in MODULES
+                 for cls in _tree(path).body if isinstance(cls, ast.ClassDef)
+                 for m in _methods(cls) if not m.name.startswith("_")
+                 if not any(n == m.name and (p, o, f) != (path, cls.name, m.name)
+                            for p, o, f, n in refs)]
     assert uncalled == []
 
 

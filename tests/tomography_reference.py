@@ -65,26 +65,6 @@ def linear_inversion(freq):
     return rho / dim
 
 
-def mle_refine(rho0, freq, max_iter=200, tol=1e-10):
-    dim = freq.shape[1]
-    rotations = [setting_rotation(s) for s in all_settings(dim.bit_length() - 1)]
-    assert freq.shape == (len(rotations), dim)
-    rho = rho0.copy()
-    for _ in range(max_iter):
-        r = np.zeros((dim, dim), dtype=complex)
-        for u, f in zip(rotations, freq):
-            probs = np.real(np.einsum("ij,jk,ik->i", u, rho, u.conj()))
-            probs = np.clip(probs, 1e-12, None)
-            r += linalg.dag(u) @ ((f / probs)[:, None] * u)
-        new = r @ rho @ r
-        new = (new + linalg.dag(new)) / 2.0
-        new /= np.real(np.trace(new))
-        if np.max(np.abs(new - rho)) < tol:
-            return new
-        rho = new
-    return rho
-
-
 def superoperator(entries, n_logical):
     ops = chi_basis(n_logical)
     d = ops.shape[1]
