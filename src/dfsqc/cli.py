@@ -6,9 +6,11 @@ Subcommands
     Run one experiment described by a JSON config (fields in
     ``EXPERIMENT_FIELDS`` below) and write ``report.json``,
     ``matrices.json`` and any scan CSV files into the configured output
-    directory, each atomically.  Exit code 2 flags an invalid config,
-    found before any computation; 3 a numerical-contract violation
-    (oscillator truncation or gate-closure failure).
+    directory, each atomically.  :func:`load_config` checks the config
+    and returns the run's inputs, built once: the run functions read
+    only those.  Exit code 2 flags an invalid config, found before any
+    computation; 3 a numerical-contract violation (a scan's oscillator
+    population reaching the truncated basis edge).
 ``dfsqc dump-sequence [--control N --target M]``
     Print the compiled CNOT pulse sequence as JSON (durations in seconds,
     total in microseconds) on stdout; exit 2 flags an invalid pair.
@@ -30,15 +32,14 @@ import math
 import os
 import sys
 import tempfile
-from typing import Optional
 
 import numpy as np
 
 from . import __version__, linalg, motional
 from .encoding import (LogicalRegister, coherence_ratio, decode_in_dfs,
                        embed_in_dfs, encode)
-from .errors import (ClosureError, ConfigError, DfsqcError, DimensionError,
-                     LayoutError, TruncationError, ValidationError)
+from .errors import (ConfigError, DfsqcError, DimensionError, LayoutError,
+                     TruncationError, ValidationError)
 from .gates import (SWAP_LOGICAL, GateParams, PulseSequence,
                     bell_state_logical, cnot_logical_matrix, compile_cnot,
                     ms_pulse)
@@ -47,9 +48,10 @@ from .tomography import (chi_from_unitary, haar_report, matrix_to_json,
                          process_fidelity, process_tomography)
 
 
-#: What one config value must be: ``test(value)`` holds, as ``what`` says.
-FieldSpec = collections.namedtuple("FieldSpec", "test what required",
-                                   defaults=(False,))
+#: What a config value must be (``test(value)`` holds, as ``what`` says) and its
+#: default or ``_REQUIRED``; a nested object's class holds its sub-fields' defaults.
+FieldSpec = collections.namedtuple("FieldSpec", "test what default", defaults=(None,))
+_REQUIRED = object()
 
 
 def _integer(value) -> bool:
@@ -84,33 +86,36 @@ _SHOTS, _HAAR = _samples(1, 32), _samples(1000, 1024)
 # Nested objects get types only: LogicalRegister, GateParams and NoiseModel,
 # which _check_semantics builds, check their bounds.
 _CNOT_FIELDS = {
-    "register": {"n_logical": _INTEGER._replace(required=True),
+    "register": {"n_logical": _INTEGER._replace(default=_REQUIRED),
                  "pairs": FieldSpec(lambda v: type(v) is list and all(
                      type(p) is list and len(p) == 2 and all(map(_integer, p))
-                     for p in v), "a list of [ion, ion] integer pairs", required=True)},
+                     for p in v), "a list of [ion, ion] integer pairs", _REQUIRED)},
     "gate_params": {"delta_ms": _REAL, "delta_cp": _REAL},
     "noise": dict.fromkeys(("addressing_ratio", "intensity_imbalance",
                             "ac_stark_phase_jitter_std", "collective_phase_std"),
                            _REAL),
-    "noise_samples": _int_from(1), "control": _INTEGER, "target": _INTEGER,
+    "noise_samples": _int_from(1)._replace(default=300),
+    "control": _INTEGER._replace(default=0), "target": _INTEGER._replace(default=1),
 }
 _SCAN_FIELDS = {
-    "spin_phase": FieldSpec(lambda v: _real(v) and v > 0, "a number > 0"),
+    "spin_phase": FieldSpec(lambda v: _real(v) and v > 0, "a number > 0", math.pi / 8),
     "timing_fractions": FieldSpec(
         lambda v: type(v) is list and v != []
         and all(_real(f) and -0.5 < f < 0.5 for f in v),
-        "a non-empty list of numbers in (-0.5, 0.5)"),
+        "a non-empty list of numbers in (-0.5, 0.5)",
+        (0.0, 0.01, 0.02, 0.05, 0.1, 0.2)),
 }
 #: The fields each experiment reads besides ``COMMON_FIELDS``, with what
-#: each must be; an object is a nested table of the sub-fields read.  A
-#: config that sets any other field is refused.
+#: each must be and its default; an object is a nested table of the
+#: sub-fields read.  A config that sets any other field is refused.
 EXPERIMENT_FIELDS = {
     "bell": _CNOT_FIELDS,
     "cnot-tomo": {**_CNOT_FIELDS,
                   "shots": FieldSpec(lambda v: v is None or _SHOTS.test(v),
-                                     f"null or {_SHOTS.what}"),
-                  "n_haar_samples": _HAAR},
-    "coherence": {"phi_std": FieldSpec(lambda v: _real(v) and v >= 0, "a number >= 0")},
+                                     f"null or {_SHOTS.what}", 100),
+                  "n_haar_samples": _HAAR._replace(default=200_000)},
+    "coherence": {"phi_std": FieldSpec(lambda v: _real(v) and v >= 0,
+                                       "a number >= 0", math.pi)},
     "ms-scan": {"gate_params": {"delta_ms": _REAL}, **_SCAN_FIELDS},
     "cp-scan": {"gate_params": {"delta_cp": _REAL}, **_SCAN_FIELDS},
 }
@@ -118,10 +123,10 @@ EXPERIMENTS = tuple(EXPERIMENT_FIELDS)
 #: Fields every experiment reads.
 COMMON_FIELDS = {
     "experiment": FieldSpec(lambda v: v in EXPERIMENTS,
-                            "one of " + ", ".join(EXPERIMENTS), required=True),
-    "seed": _int_from(0)._replace(required=True),
+                            "one of " + ", ".join(EXPERIMENTS), _REQUIRED),
+    "seed": _int_from(0)._replace(default=_REQUIRED),
     "output_dir": FieldSpec(lambda v: type(v) is str and v != "",
-                            "a non-empty string", required=True),
+                            "a non-empty string", _REQUIRED),
 }
 
 #: Published figures of the trapped-ion experiment this toolkit models,
@@ -159,8 +164,9 @@ def _reject_duplicates(pairs: list) -> dict:
 
 
 def load_config(path: str) -> dict:
-    """Parse a UTF-8, strict-JSON config file and check it with
-    :func:`_check_semantics`; every problem raises :class:`ConfigError`."""
+    """Parse a UTF-8, strict-JSON config file and return the run inputs
+    that :func:`_check_semantics` builds from it; every problem raises
+    :class:`ConfigError`."""
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
@@ -176,8 +182,7 @@ def load_config(path: str) -> dict:
         raise ConfigError(
             f"config is not valid JSON (line {exc.lineno}, column {exc.colno}): "
             f"{exc.msg}") from exc
-    _check_semantics(config)
-    return config
+    return _check_semantics(config)
 
 
 @contextlib.contextmanager
@@ -196,7 +201,7 @@ def _check_fields(value, table: dict, path: str, experiment) -> None:
         raise ConfigError(f"{path[:-1] or 'config'}: must be an object")
     for name, spec in table.items():
         if name not in value:
-            if getattr(spec, "required", False):
+            if getattr(spec, "default", None) is _REQUIRED:
                 raise ConfigError(f"{path}{name}: required")
         elif isinstance(spec, dict):
             _check_fields(value[name], spec, f"{path}{name}.", experiment)
@@ -209,16 +214,20 @@ def _check_fields(value, table: dict, path: str, experiment) -> None:
                           f"{experiment} experiment")
 
 
-def _check_semantics(config) -> None:
+def _check_semantics(config) -> dict:
     """Check the config against ``COMMON_FIELDS`` and its experiment's
-    ``EXPERIMENT_FIELDS``, then build what the run derives from it and look
-    at its output directory, so that no run starts that cannot finish."""
+    ``EXPERIMENT_FIELDS`` and build the run's inputs, creating nothing, so that
+    no run starts that cannot finish: each top-level field's value or default,
+    ``config_hash``, the built ``register``, ``gate_params`` and ``noise``
+    (``None``: ideal), and for a CNOT its compiled ``cnot`` and ``cnot_matrix``."""
     experiment = config.get("experiment") if type(config) is dict else None
     fields = EXPERIMENT_FIELDS[experiment] if experiment in EXPERIMENTS else {}
-    _check_fields(config, {**COMMON_FIELDS, **fields}, "", experiment)
+    table = {**COMMON_FIELDS, **fields}
+    _check_fields(config, table, "", experiment)
     uses_cnot = experiment in ("bell", "cnot-tomo")
     with _field("register"):
-        register = _register(config)
+        register = (LogicalRegister.from_json(config["register"])
+                    if "register" in config else LogicalRegister(2))
         if uses_cnot and register.n_logical != 2:
             raise LayoutError(f"{experiment} needs 2 logical qubits, "
                               f"got {register.n_logical}")
@@ -227,19 +236,33 @@ def _check_semantics(config) -> None:
             raise DimensionError(f"{register.n_ions} ions exceed the state "
                                  f"dimension cap {linalg.MAX_TENSOR_DIM}")
     with _field("gate_params"):
-        params = _gate_params(config)
+        params = GateParams.from_json(config.get("gate_params", {}))
     with _field("noise"):
-        _noise(config)
+        noise = NoiseModel.from_json(config["noise"]) if "noise" in config else None
+    run = {name: getattr(spec, "default", None) for name, spec in table.items()}
+    run.update(config, config_hash=config_hash(config), register=register,
+               gate_params=params, noise=noise)
     if uses_cnot:
-        control, target = _roles(config)
         with _field("control/target"):
-            compile_cnot(control, target, register, params)
-            cnot_logical_matrix(control, target)
-    parent = config["output_dir"]  # the nearest path that exists
+            run["cnot"] = compile_cnot(run["control"], run["target"], register, params)
+            run["cnot_matrix"] = cnot_logical_matrix(run["control"], run["target"])
+    # refuse an output_dir that os.makedirs cannot create
+    try:
+        if b"\0" in os.fsencode(config["output_dir"]):
+            raise ConfigError("output_dir: contains a NUL character")
+    except UnicodeError as exc:
+        raise ConfigError(f"output_dir: not a file name: {exc}") from exc
+    parent, missing = config["output_dir"], []  # up to the nearest path that exists
     while parent and not os.path.lexists(parent):
-        parent = os.path.dirname(parent)
+        parent, name = os.path.split(parent)
+        missing.append(len(os.fsencode(name)))
     if parent and not os.path.isdir(parent):
         raise ConfigError(f"output_dir: {parent} is not a directory")
+    longest = max(missing, default=0)
+    if longest > os.pathconf(parent or ".", "PC_NAME_MAX") >= 0:
+        raise ConfigError(f"output_dir: a {longest}-byte path component is "
+                          "longer than its file system allows")
+    return run
 
 
 def config_hash(config: dict) -> str:
@@ -274,43 +297,14 @@ def _json_text(obj) -> str:
         raise ValidationError(f"output is not strict JSON: {exc}") from exc
 
 
-def _register(config: dict) -> LogicalRegister:
-    if "register" in config:
-        return LogicalRegister.from_json(config["register"])
-    return LogicalRegister(2)
-
-
-def _gate_params(config: dict) -> GateParams:
-    return GateParams.from_json(config.get("gate_params", {}))
-
-
-def _noise(config: dict) -> Optional[NoiseModel]:
-    return NoiseModel.from_json(config["noise"]) if "noise" in config else None
-
-
-def _roles(config: dict) -> tuple:
-    """The (control, target) logical qubits of a CNOT experiment."""
-    return config.get("control", 0), config.get("target", 1)
-
-
-def _noisy_outputs(config: dict, seq: PulseSequence, rhos: np.ndarray,
-                   seed: int) -> np.ndarray:
-    """Physical states ``rhos`` after ``seq`` under the config's noise."""
-    return sample_noisy_channel(seq, rhos, _noise(config),
-                                config.get("noise_samples", 300), seed=seed)
-
-
-def run_bell(config: dict, seed: int) -> tuple:
-    register = _register(config)
-    params = _gate_params(config)
-    control, target = _roles(config)
-    cnot = compile_cnot(control, target, register, params)
-    prep = ms_pulse(np.pi / 2, control, register, 0.0, params)
-    seq = PulseSequence(ops=[prep] + list(cnot.ops), register=register)
+def run_bell(run: dict, seed: int) -> tuple:
+    register, control = run["register"], run["control"]
+    prep = ms_pulse(np.pi / 2, control, register, 0.0, run["gate_params"])
+    seq = PulseSequence(ops=[prep] + list(run["cnot"].ops), register=register)
     inputs = [format(k, "02b") for k in range(4)]
     psi = np.stack([encode(register, bits) for bits in inputs])
-    rhos = _noisy_outputs(config, seq, psi[:, :, None] * psi[:, None, :].conj(),
-                          seed)
+    rhos = sample_noisy_channel(seq, psi[:, :, None] * psi[:, None, :].conj(),
+                                run["noise"], run["noise_samples"], seed=seed)
     metrics = {"inputs": inputs, "fidelity": [], "permanence": [], "overall": []}
     matrices = {}
     for bits, rho in zip(inputs, rhos):
@@ -327,21 +321,17 @@ def run_bell(config: dict, seed: int) -> tuple:
     return metrics, matrices, []
 
 
-def run_cnot_tomo(config: dict, seed: int) -> tuple:
-    register = _register(config)
-    shots = config.get("shots", 100)  # null: exact statistics
-    n_haar = config.get("n_haar_samples", 200_000)
-    control, target = _roles(config)
-    cnot = compile_cnot(control, target, register, _gate_params(config))
+def run_cnot_tomo(run: dict, seed: int) -> tuple:
+    register, shots, ideal = run["register"], run["shots"], run["cnot_matrix"]
 
     def channel(rho_l):
-        return _noisy_outputs(config, cnot, embed_in_dfs(rho_l, register), seed)
+        return sample_noisy_channel(run["cnot"], embed_in_dfs(rho_l, register),
+                                    run["noise"], run["noise_samples"], seed=seed)
 
     result = process_tomography(channel, register, shots=shots, seed=seed)
-    ideal = cnot_logical_matrix(control, target)
     chi_ideal = chi_from_unitary(ideal)
-    w = result.permanence_functional()
-    report = haar_report(result.chi, ideal, w, n_samples=n_haar, seed=seed)
+    report = haar_report(result.chi, ideal, result.permanence_functional(),
+                         n_samples=run["n_haar_samples"], seed=seed)
     gap = abs(report["mean_overall"]
               - report["mean_permanence"] * report["mean_gate_fidelity"])
     metrics = {
@@ -351,63 +341,59 @@ def run_cnot_tomo(config: dict, seed: int) -> tuple:
         "consistency_gap": gap,
         **report,
     }
-    matrices = {"chi": result.chi.to_json(),
-                "chi_ideal": chi_ideal.to_json()}
+    matrices = {"chi": result.chi.to_json(), "chi_ideal": chi_ideal.to_json()}
     return metrics, matrices, []
 
 
-def run_coherence(config: dict, seed: int) -> tuple:
-    phi_std = config.get("phi_std", float(np.pi))
+def run_coherence(run: dict, seed: int) -> tuple:
+    phi_std = run["phi_std"]
     phi = float(phi_std)  # a float square underflows the exponential to 0.0
     metrics = {"phi_std": phi_std, "coherence_ratio": coherence_ratio(phi_std),
                "physical_coherence_analytic": float(np.exp(-phi * phi / 2))}
     return metrics, {}, []
 
 
-def run_scan(config: dict, seed: int, kind: str) -> tuple:
-    params = _gate_params(config)
+def run_scan(run: dict, seed: int, kind: str) -> tuple:
+    params, spin_phase = run["gate_params"], run["spin_phase"]
     delta = params.delta_ms if kind == "ms" else params.delta_cp
-    spin_phase = config.get("spin_phase", float(np.pi / 8))
-    fractions = config.get("timing_fractions",
-                           [0.0, 0.01, 0.02, 0.05, 0.1, 0.2])
     model = motional.DrivenOscillatorModel(
         coupling=motional.coupling_for_phase(spin_phase, delta),
         delta=delta,
         spin_op_kind=motional.SPIN_X if kind == "ms" else motional.SPIN_Z)
-    rows = motional.off_resonant_error_scan(model, fractions)
+    rows = motional.off_resonant_error_scan(model, run["timing_fractions"])
     metrics = {"detuning": delta, "spin_phase": spin_phase,
                "rows": [{"fraction": f, "infidelity": i} for f, i in rows]}
     return metrics, {}, [(f"{kind}_scan.csv", motional.scan_csv_text(rows))]
 
 
-def run_experiment(config: dict, seed: int) -> tuple:
-    kind = config["experiment"]
+def run_experiment(run: dict, seed: int) -> tuple:
+    kind = run["experiment"]
     if kind in ("ms-scan", "cp-scan"):
-        return run_scan(config, seed, kind[:2])
+        return run_scan(run, seed, kind[:2])
     runs = {"bell": run_bell, "cnot-tomo": run_cnot_tomo, "coherence": run_coherence}
-    return runs[kind](config, seed)
+    return runs[kind](run, seed)
 
 
 def cmd_run(args) -> int:
-    config = load_config(args.config)
+    run = load_config(args.config)
     if args.seed is not None and args.seed < 0:
         raise ConfigError(f"--seed must be non-negative, got {args.seed}")
-    seed = args.seed if args.seed is not None else config["seed"]
-    out_dir = config["output_dir"]
+    seed = args.seed if args.seed is not None else run["seed"]
+    out_dir = run["output_dir"]
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"output_dir: {exc}") from exc
     try:
-        metrics, matrices, csvs = run_experiment(config, seed)
-    except (TruncationError, ClosureError) as exc:
+        metrics, matrices, csvs = run_experiment(run, seed)
+    except TruncationError as exc:
         print(f"numerical contract violated: {exc}", file=sys.stderr)
         return 3
     report = {
         "tool": "dfsqc",
         "version": __version__,
-        "experiment": config["experiment"],
-        "config_hash": config_hash(config),
+        "experiment": run["experiment"],
+        "config_hash": run["config_hash"],
         "seed": seed,
         "metrics": metrics,
         "context": {"reference_experiment": REFERENCE_EXPERIMENT},

@@ -343,14 +343,17 @@ def _batched_fidelities(sop: np.ndarray, ideal: np.ndarray,
 
 
 def haar_report(chi: ChiMatrix, ideal: np.ndarray, permanence_w: np.ndarray,
-                n_samples: int = 200_000, seed=None) -> dict:
-    """Mean gate fidelity, mean permanence and their product over Haar inputs.
+                n_samples: int, seed=None) -> dict:
+    """Mean gate fidelity, mean permanence and their product over
+    ``n_samples`` Haar inputs drawn from ``default_rng(seed)``.
 
     The permanence of an arbitrary input is evaluated through the fitted
     linear functional ``W``; the overall figure is the per-state product
     ``perm(psi) * F(psi)``, whose mean is compared against the product
-    of the separate means by the caller.
+    of the separate means by the caller.  Sampling needs a ``seed``.
     """
+    if seed is None:
+        raise ValidationError("a seed is required for reproducible sampling")
     if n_samples < 1000:
         raise ValidationError("need at least 1000 Haar samples")
     d = ideal.shape[0]

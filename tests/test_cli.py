@@ -79,6 +79,9 @@ class TestValidate:
         ([1, 2], "config: must be an object"),
         ({"seed": 1, "output_dir": "out"}, "experiment: required"),
         ({"experiment": "bogus", "seed": 1, "output_dir": "out"}, "experiment"),
+        # unhashable: the experiment is looked up in the table only once known
+        ({"experiment": [], "seed": 1, "output_dir": "out"}, "experiment: must be"),
+        ({"experiment": {}, "seed": 1, "output_dir": "out"}, "experiment: must be"),
         ({"experiment": "bell", "seed": 1, "output_dir": ""}, "output_dir"),
         ({"experiment": "bell", "seed": 1, "output_dir": "out",
           "register": {"n_logical": 2}}, "register.pairs: required"),
@@ -89,7 +92,8 @@ class TestValidate:
           "gate_params": {"delta_cp": 1e-310}}, "gate_params: "),
         ({"experiment": "ms-scan", "seed": 1, "output_dir": "out",
           "gate_params": {"delta_ms": 5e-324}}, "gate_params: "),
-    ], ids=["array", "no-experiment", "unknown-experiment", "empty-output-dir",
+    ], ids=["array", "no-experiment", "unknown-experiment", "experiment-list",
+            "experiment-object", "empty-output-dir",
             "no-pairs", "register-not-object", "tiny-delta-cp", "tiny-delta-ms"])
     def test_malformed_config_refused(self, tmp_path, capsys, monkeypatch,
                                       config, field):
@@ -277,7 +281,9 @@ class TestSemanticConfigErrors:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("overrides", [
-        {"experiment": "cnot-tomo", "shots": 100, "n_haar_samples": 200_000},
+        {"experiment": "cnot-tomo", **{
+            name: cli.EXPERIMENT_FIELDS["cnot-tomo"][name].default
+            for name in ("shots", "n_haar_samples")}},
     ])
     def test_default_sample_counts_within_the_budget(self, tmp_path, overrides):
         path, _ = write_config(tmp_path, **overrides)
@@ -312,6 +318,40 @@ class TestSemanticConfigErrors:
             pytest.fail("ran an experiment it cannot write")))
         assert main(["run", str(path)]) == 2
         assert "output_dir: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["a\0b", "a\ud800b",
+                                      os.path.join("new", "x" * 300)],
+                             ids=["nul", "lone-surrogate", "long-component"])
+    def test_output_dir_makedirs_cannot_create_refused(self, tmp_path, capsys,
+                                                        name):
+        # refused by validate too, and before run creates any parent
+        path, _ = write_config(tmp_path, output_dir=os.path.join(tmp_path, name))
+        before = sorted(tmp_path.rglob("*"))
+        assert main(["validate", str(path)]) == 2
+        assert main(["run", str(path)]) == 2
+        assert capsys.readouterr().err.count("output_dir: ") == 2
+        assert sorted(tmp_path.rglob("*")) == before
+
+
+class TestFieldDefaults:
+    @pytest.mark.parametrize("experiment", cli.EXPERIMENTS)
+    def test_table_default_is_what_an_unset_field_runs(self, tmp_path,
+                                                       experiment):
+        defaults = {name: spec.default
+                    for name, spec in cli.EXPERIMENT_FIELDS[experiment].items()
+                    if isinstance(spec, cli.FieldSpec)}
+        assert defaults and None not in defaults.values()
+        outputs = []
+        for name, fields in (("unset", {}), ("set", defaults)):
+            path, _ = write_config(tmp_path, name=f"{name}.json",
+                                   experiment=experiment,
+                                   output_dir=str(tmp_path / name), **fields)
+            assert main(["run", str(path)]) == 0
+            report = json.loads((tmp_path / name / "report.json").read_text())
+            files = {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()
+                     if p.name != "report.json"}
+            outputs.append((report["metrics"], files))
+        assert outputs[0] == outputs[1]
 
 
 class TestRunBell:

@@ -365,6 +365,12 @@ class TestMeanGateFidelity:
         with pytest.raises(ValidationError):
             gate_fidelity(depolarizing_chi(0.1), np.eye(4), 10, seed=0)
 
+    def test_samples_need_a_seed(self):
+        # an unseeded draw from OS entropy could not be reproduced
+        with pytest.raises(ValidationError, match="seed"):
+            haar_report(depolarizing_chi(0.1), np.eye(4), np.eye(4),
+                        n_samples=1000)
+
 
 class TestDfsReport:
     def test_ideal_bell(self):
