@@ -9,8 +9,7 @@ Subcommands
     directory, each atomically.  :func:`load_config` checks the config
     and returns the run's inputs, built once: the run functions read
     only those.  Exit code 2 flags an invalid config, found before any
-    computation; 3 a numerical-contract violation (a scan's oscillator
-    population reaching the truncated basis edge).
+    computation.
 ``dfsqc dump-sequence [--control N --target M]``
     Print the compiled CNOT pulse sequence as JSON (durations in seconds,
     total in microseconds) on stdout; exit 2 flags an invalid pair.
@@ -39,7 +38,7 @@ from . import __version__, linalg, motional
 from .encoding import (LogicalRegister, coherence_ratio, decode_in_dfs,
                        embed_in_dfs, encode)
 from .errors import (ConfigError, DfsqcError, DimensionError, LayoutError,
-                     TruncationError, ValidationError)
+                     ValidationError)
 from .gates import (SWAP_LOGICAL, GateParams, PulseSequence,
                     bell_state_logical, cnot_logical_matrix, compile_cnot,
                     ms_pulse)
@@ -258,10 +257,16 @@ def _check_semantics(config) -> dict:
         missing.append(len(os.fsencode(name)))
     if parent and not os.path.isdir(parent):
         raise ConfigError(f"output_dir: {parent} is not a directory")
-    longest = max(missing, default=0)
-    if longest > os.pathconf(parent or ".", "PC_NAME_MAX") >= 0:
+    longest, parent = max(missing, default=0), parent or "."
+    if longest > os.pathconf(parent, "PC_NAME_MAX") >= 0:
         raise ConfigError(f"output_dir: a {longest}-byte path component is "
                           "longer than its file system allows")
+    # the longest path written is matrices.json's mkstemp file, its name
+    # plus "." and 8 characters; PC_PATH_MAX counts the terminating NUL
+    length = len(os.fsencode(config["output_dir"])) + len("/matrices.json.") + 8
+    if length >= os.pathconf(parent, "PC_PATH_MAX") >= 0:
+        raise ConfigError(f"output_dir: the {length}-byte paths of the files "
+                          "written inside are longer than its file system allows")
     return run
 
 
@@ -355,13 +360,9 @@ def run_coherence(run: dict, seed: int) -> tuple:
 
 def run_scan(run: dict, seed: int, kind: str) -> tuple:
     params, spin_phase = run["gate_params"], run["spin_phase"]
-    delta = params.delta_ms if kind == "ms" else params.delta_cp
-    model = motional.DrivenOscillatorModel(
-        coupling=motional.coupling_for_phase(spin_phase, delta),
-        delta=delta,
-        spin_op_kind=motional.SPIN_X if kind == "ms" else motional.SPIN_Z)
-    rows = motional.off_resonant_error_scan(model, run["timing_fractions"])
-    metrics = {"detuning": delta, "spin_phase": spin_phase,
+    rows = motional.off_resonant_error_scan(spin_phase, run["timing_fractions"])
+    metrics = {"detuning": params.delta_ms if kind == "ms" else params.delta_cp,
+               "spin_phase": spin_phase,
                "rows": [{"fraction": f, "infidelity": i} for f, i in rows]}
     return metrics, {}, [(f"{kind}_scan.csv", motional.scan_csv_text(rows))]
 
@@ -384,11 +385,7 @@ def cmd_run(args) -> int:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"output_dir: {exc}") from exc
-    try:
-        metrics, matrices, csvs = run_experiment(run, seed)
-    except TruncationError as exc:
-        print(f"numerical contract violated: {exc}", file=sys.stderr)
-        return 3
+    metrics, matrices, csvs = run_experiment(run, seed)
     report = {
         "tool": "dfsqc",
         "version": __version__,

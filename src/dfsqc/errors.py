@@ -32,16 +32,6 @@ class EmptySubspaceError(DfsqcError, ValueError):
         self.permanence = permanence
 
 
-class TruncationError(DfsqcError, RuntimeError):
-    """Population reached the top of the truncated oscillator basis,
-    invalidating the simulation."""
-
-
-class ClosureError(DfsqcError, RuntimeError):
-    """Residual spin-motion entanglement at the requested time is too
-    large to read off a spin-only gate."""
-
-
 class ConditioningError(DfsqcError, RuntimeError):
     """A reconstruction linear system is numerically singular."""
 

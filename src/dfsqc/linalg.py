@@ -129,18 +129,3 @@ def canonicalize_phase(m: np.ndarray, tol: float = 1e-9) -> np.ndarray:
             return m * (abs(x) / x)
     return np.array(m, copy=True)
 
-
-def phase_aligned(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Return ``b`` multiplied by the phase that best aligns it with ``a``
-    (least-squares optimal, phase of ``tr(b+ a)``)."""
-    tr = np.trace(dag(b) @ a) if a.ndim == 2 else np.vdot(b, a)
-    if abs(tr) < 1e-14:
-        return np.array(b, copy=True)
-    return b * (tr / abs(tr))
-
-
-def unitary_trace_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Half trace-norm distance ``0.5 ||a - b||_1`` after optimal global
-    phase alignment, a gate-level analogue of the state trace distance."""
-    diff = a - phase_aligned(a, b)
-    return float(0.5 * np.sum(np.linalg.svd(diff, compute_uv=False)))

@@ -1,62 +1,141 @@
 """Direct, slow forms of the motional dynamics and of the noise shots,
 kept as test oracles, and small helpers the tests share.
 
+:func:`oracle_propagator` is the dense propagator of the driven
+oscillator on the truncated spin (x) oscillator space, from one
+:func:`dfsqc.linalg.expm_hermitian` in the interaction frame, and
+:func:`kraus_infidelity` the average infidelity of the spin channel it
+embeds; :func:`oracle_scan` is the timing scan they give, which the tests
+check ``dfsqc.motional.off_resonant_error_scan`` against.
 :func:`midpoint_propagator` multiplies out dense matrix exponentials of
 the time-dependent Hamiltonian, one per step, with no use of the
-interaction-frame structure that :func:`dfsqc.motional.propagate` rests
-on.  ``tests/test_motional.py`` checks that it converges to
-``propagate`` at second order in the step.  :func:`shot_unitaries`
+interaction frame; the tests check that it converges to the oracle at
+second order in the step.  :func:`shot_unitaries`
 multiplies out every noisy pulse of every shot, rebuilding each jittered
 z pulse at its drawn angle; :func:`dense_collective_phase` is the dense
 collective phase, :func:`quadrature_dephasing` its Gaussian average by
 quadrature, and :func:`noisy_channel` averages both.  The tests check
 ``dfsqc.noise._shot_unitaries``, ``sample_noisy_channel`` and
 ``dfsqc.encoding.collective_dephasing`` against them.
-:func:`max_phase_diff` compares two matrices or states up to a global
-phase, and :func:`sequence_from_json` reads back a ``dump-sequence``
-document.
+:func:`max_phase_diff` and :func:`unitary_trace_distance` compare two
+matrices or states up to a global phase, and :func:`sequence_from_json`
+reads back a ``dump-sequence`` document.
 """
 
 import dataclasses
+from collections import namedtuple
 
 import numpy as np
 
 from dfsqc import linalg
 from dfsqc.encoding import LogicalRegister
 from dfsqc.gates import AC_STARK_Z, PulseOp, PulseSequence
-from dfsqc.motional import propagate
 from dfsqc.noise import noisy_op_unitary
 
+#: Collective spins ``S`` of the two gates: the phase gate and the x-type gate.
+SPIN_Z, SPIN_X = (linalg.tensor(p, linalg.ID2) + linalg.tensor(linalg.ID2, p)
+                  for p in (linalg.SIGMA_Z, linalg.SIGMA_X))
 
-def hamiltonian(model, t):
+#: ``H(t) = coupling (a e^{i delta t} + a+ e^{-i delta t}) spin`` on the
+#: two-ion spin (x) oscillator space, spin most significant; its loop
+#: closes at ``tau = 2 pi / delta``.
+Drive = namedtuple("Drive", "spin coupling delta")
+
+
+def drive(spin, theta, delta):
+    """The drive of ``spin`` at ``delta`` whose closed loop is the gate
+    ``exp(-i theta S^2)``: ``theta = 2 pi (g / delta)^2``."""
+    return Drive(spin, delta * np.sqrt(theta / (2 * np.pi)), delta)
+
+
+def closed_gate(d):
+    """``exp(-i theta S^2)``, the spin gate of the closed loop."""
+    theta = 2 * np.pi * (d.coupling / d.delta) ** 2
+    return linalg.expm_hermitian(d.spin @ d.spin, theta)
+
+
+def _ladder(n_fock):
+    a = np.diag(np.sqrt(np.arange(1, n_fock, dtype=float)), 1).astype(complex)
+    return a, np.diag(np.arange(n_fock, dtype=float)).astype(complex)
+
+
+def hamiltonian(d, t, n_fock):
     """Instantaneous ``H(t)`` on the spin (x) oscillator space."""
-    nf = model.n_fock
-    a = np.diag(np.sqrt(np.arange(1, nf, dtype=float)), 1).astype(complex)
-    drive = model.coupling * (a * np.exp(1j * model.delta * t)
-                              + a.conj().T * np.exp(-1j * model.delta * t))
-    return np.kron(model.spin_operator(), drive)
+    a, _ = _ladder(n_fock)
+    return np.kron(d.spin, d.coupling * (a * np.exp(1j * d.delta * t)
+                                         + a.conj().T * np.exp(-1j * d.delta * t)))
 
 
-def midpoint_propagator(model, t, n_steps):
+def oracle_propagator(d, t, n_fock):
+    """Time-ordered ``U(t)`` of :func:`hamiltonian`, dense: with
+    ``R(t) = exp(-i delta t a+a)``, ``H(t) = R H0 R+`` for
+    ``H0 = g S (x) (a + a+)``, so ``U(t) = R(t) exp(-i t (H0 - delta a+a))``."""
+    a, n = _ladder(n_fock)
+    k = d.coupling * np.kron(d.spin, a + a.conj().T) - d.delta * np.kron(np.eye(4), n)
+    r = np.kron(np.eye(4), np.diag(np.exp(-1j * d.delta * t * np.arange(n_fock))))
+    return r @ linalg.expm_hermitian(k, t)
+
+
+def midpoint_propagator(d, t, n_steps, n_fock):
     """Product of ``n_steps`` exponentials of ``H`` at the step midpoints."""
     dt = t / n_steps
-    u = np.eye(4 * model.n_fock, dtype=complex)
+    u = np.eye(4 * n_fock, dtype=complex)
     for k in range(n_steps):
-        u = linalg.expm_hermitian(hamiltonian(model, (k + 0.5) * dt), dt) @ u
+        u = linalg.expm_hermitian(hamiltonian(d, (k + 0.5) * dt, n_fock), dt) @ u
     return u
 
 
-def midpoint_errors(model, t, steps):
-    """Largest entry error of the midpoint product against ``propagate``,
-    for each step count in ``steps``."""
-    exact = propagate(model, t)
-    return [float(np.max(np.abs(midpoint_propagator(model, t, n) - exact)))
+def midpoint_errors(d, t, steps, n_fock):
+    """Largest entry error of the midpoint product against
+    :func:`oracle_propagator`, for each step count in ``steps``."""
+    exact = oracle_propagator(d, t, n_fock)
+    return [float(np.max(np.abs(midpoint_propagator(d, t, n, n_fock) - exact)))
             for n in steps]
+
+
+def vacuum_block(u, n_fock):
+    """Spin block ``<0| U |0>`` of a spin (x) oscillator operator."""
+    return u.reshape(4, n_fock, 4, n_fock)[:, 0, :, 0]
+
+
+def kraus_infidelity(u, ideal, n_fock):
+    """Average gate infidelity of the spin channel ``sum_n M_n rho M_n+``,
+    ``M_n = <n| U |0>``, against ``ideal``, from
+    ``F = (sum_n |tr(V+ M_n)|^2 + d) / (d^2 + d)``; leakage into the
+    oscillator counts as error."""
+    d = ideal.shape[0]
+    m = u.reshape(d, n_fock, d, n_fock)[:, :, :, 0]
+    traces = np.einsum("ij,inj->n", ideal.conj(), m)
+    return 1.0 - (float(np.sum(np.abs(traces) ** 2)) + d) / (d * d + d)
+
+
+def oracle_scan(d, fractions, n_fock):
+    """``(fraction, infidelity)`` rows of pulses ``(1 + f) tau`` long
+    against the closed-loop gate."""
+    tau = 2 * np.pi / d.delta
+    return [(f, kraus_infidelity(oracle_propagator(d, (1 + f) * tau, n_fock),
+                                 closed_gate(d), n_fock))
+            for f in fractions]
+
+
+def phase_aligned(a, b):
+    """``b`` times the phase that best aligns it with ``a``, the phase of
+    ``tr(b+ a)``."""
+    tr = np.trace(b.conj().T @ a) if a.ndim == 2 else np.vdot(b, a)
+    if abs(tr) < 1e-14:
+        return np.array(b, copy=True)
+    return b * (tr / abs(tr))
+
+
+def unitary_trace_distance(a, b):
+    """Half trace-norm distance ``0.5 ||a - b||_1`` after global phase alignment."""
+    diff = a - phase_aligned(a, b)
+    return float(0.5 * np.sum(np.linalg.svd(diff, compute_uv=False)))
 
 
 def max_phase_diff(a, b):
     """Largest entrywise deviation of ``b`` from ``a`` up to a global phase."""
-    return float(np.max(np.abs(a - linalg.phase_aligned(a, b))))
+    return float(np.max(np.abs(a - phase_aligned(a, b))))
 
 
 def sequence_from_json(doc):

@@ -4,7 +4,7 @@ PASS/FAIL line with its runtime (run with ``pytest -s`` to see them)."""
 import json
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, replace
+from dataclasses import asdict
 
 import numpy as np
 
@@ -16,9 +16,7 @@ from dfsqc.encoding import (LogicalRegister, coherence_ratio,
 from dfsqc.gates import (CNOT_LOGICAL, PulseSequence, bell_state_logical,
                          compile_cnot, ms_pulse, pulse_unitary,
                          sequence_unitary)
-from dfsqc.motional import (SPIN_X, SPIN_Z, DrivenOscillatorModel,
-                            coupling_for_phase, motional_transfer_block,
-                            propagate)
+from dfsqc.motional import off_resonant_error_scan
 from dfsqc.noise import (CALIBRATED_NOISE, noisy_op_unitary,
                          sample_noisy_channel)
 from dfsqc.tomography import (ChiMatrix, chi_from_unitary, dfs_report,
@@ -26,7 +24,9 @@ from dfsqc.tomography import (ChiMatrix, chi_from_unitary, dfs_report,
                               process_tomography)
 
 from conftest import random_state
-from reference import dense_collective_phase, midpoint_errors
+from reference import (SPIN_X, SPIN_Z, closed_gate, dense_collective_phase,
+                       drive, midpoint_errors, oracle_propagator, oracle_scan,
+                       unitary_trace_distance, vacuum_block)
 
 REG = LogicalRegister(2)
 
@@ -109,25 +109,28 @@ def test_criterion_3_dfs_immunity():
 
 
 def test_criterion_4_motional_closure():
-    with criterion(4, "motional loop closure and oracle convergence", 30.0):
-        for kind, delta in ((SPIN_Z, 2 * np.pi / 470e-6),
+    with criterion(4, "motional loop closure, oracle convergence and the "
+                      "closed-form timing scan", 30.0):
+        fractions = [k / 50 for k in range(-20, 21)]
+        rows = off_resonant_error_scan(np.pi / 8, fractions)
+        for spin, delta in ((SPIN_Z, 2 * np.pi / 470e-6),
                             (SPIN_X, 2 * np.pi * 7000.0)):
-            model = DrivenOscillatorModel(
-                coupling=coupling_for_phase(np.pi / 8, delta), delta=delta,
-                spin_op_kind=kind)
-            u = propagate(model, model.tau)
-            block = motional_transfer_block(u, model.n_fock)
+            d = drive(spin, np.pi / 8, delta)
+            tau = 2 * np.pi / delta
+            block = vacuum_block(oracle_propagator(d, tau, 24), 24)
             return_pops = np.linalg.norm(block, axis=0) ** 2
             assert np.min(return_pops) >= 1 - 1e-6
             w, _, vh = np.linalg.svd(block)
             gate = w @ vh
-            assert linalg.unitary_trace_distance(gate, model.ideal_gate()) < 1e-5
-            # a dense-expm midpoint product converges to the propagator
-            # at second order in the step
-            coarse, fine = midpoint_errors(replace(model, n_fock=16),
-                                           model.tau, [640, 1280])
+            assert unitary_trace_distance(gate, closed_gate(d)) < 1e-5
+            # a dense-expm midpoint product converges to the oracle at
+            # second order in the step
+            coarse, fine = midpoint_errors(d, tau, [640, 1280], n_fock=16)
             assert fine < 1e-4
             assert 3.5 <= coarse / fine <= 4.5
+            # the closed-form scan is the oracle's, for either gate
+            want = oracle_scan(d, fractions, 24)
+            assert max(abs(got[1] - exp[1]) for got, exp in zip(rows, want)) < 1e-12
 
 
 def _ideal_physical_cnot_channel():

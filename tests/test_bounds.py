@@ -11,7 +11,7 @@ import pytest
 from dfsqc.encoding import coherence_ratio, collective_dephasing
 from dfsqc.errors import ValidationError
 from dfsqc.gates import GateParams
-from dfsqc.motional import DrivenOscillatorModel, coupling_for_phase, propagate
+from dfsqc.motional import off_resonant_error_scan
 from dfsqc.noise import NoiseModel
 
 NAN, INF = math.nan, math.inf
@@ -25,21 +25,21 @@ NAN, INF = math.nan, math.inf
     lambda: NoiseModel(ac_stark_phase_jitter_std=NAN, collective_phase_std=NAN),
     lambda: GateParams(delta_ms=NAN),
     lambda: GateParams(delta_cp=NAN),
-    lambda: DrivenOscillatorModel(coupling=1.0, delta=NAN),
-    lambda: propagate(DrivenOscillatorModel(coupling=1.0, delta=1.0), NAN),
-    lambda: coupling_for_phase(NAN, 1.0),
+    lambda: off_resonant_error_scan(1.0, [NAN]),
+    lambda: off_resonant_error_scan(NAN, [0.0]),
     lambda: coherence_ratio(NAN),
     lambda: NoiseModel(addressing_ratio=INF),
     lambda: NoiseModel(intensity_imbalance=INF),
     lambda: NoiseModel(ac_stark_phase_jitter_std=INF),
     lambda: NoiseModel(collective_phase_std=INF),
+    lambda: off_resonant_error_scan(INF, [0.0]),
     lambda: coherence_ratio(INF),
     lambda: collective_dephasing(np.eye(4) / 4, INF),
 ], ids=["addressing_ratio", "intensity_imbalance", "jitter_std",
-        "collective_std", "both_stds", "delta_ms", "delta_cp", "delta",
-        "propagate_time", "spin_phase", "phi_std", "inf_addressing_ratio",
+        "collective_std", "both_stds", "delta_ms", "delta_cp",
+        "timing_fraction", "spin_phase", "phi_std", "inf_addressing_ratio",
         "inf_intensity_imbalance", "inf_jitter_std", "inf_collective_std",
-        "inf_phi_std", "inf_dephasing_std"])
+        "inf_spin_phase", "inf_phi_std", "inf_dephasing_std"])
 def test_nan_refused(build):
     with pytest.raises(ValidationError):
         build()

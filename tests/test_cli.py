@@ -320,8 +320,10 @@ class TestSemanticConfigErrors:
         assert "output_dir: " in capsys.readouterr().err
 
     @pytest.mark.parametrize("name", ["a\0b", "a\ud800b",
-                                      os.path.join("new", "x" * 300)],
-                             ids=["nul", "lone-surrogate", "long-component"])
+                                      os.path.join("new", "x" * 300),
+                                      os.path.join(*["y" * 250] * 20)],
+                             ids=["nul", "lone-surrogate", "long-component",
+                                  "long-path"])
     def test_output_dir_makedirs_cannot_create_refused(self, tmp_path, capsys,
                                                         name):
         # refused by validate too, and before run creates any parent
@@ -494,14 +496,30 @@ class TestRunScans:
         for got, want in zip(rows["extreme"], rows["default"]):
             assert abs(got["infidelity"] - want["infidelity"]) < 1e-12
 
+    def test_huge_spin_phase_runs_exactly(self, tmp_path):
+        # any finite spin phase runs, with no overflow: the loop closes
+        # exactly at fraction 0, and elsewhere the motion leaks
+        fractions = [-0.4, -0.02, 0.0, 1e-9, 0.3, 0.49]
+        for spin_phase in (200.0, 1.7e308):
+            path, _ = write_config(tmp_path, experiment="ms-scan",
+                                   spin_phase=spin_phase,
+                                   timing_fractions=fractions)
+            assert main(["run", str(path)]) == 0
+            report = json.loads((tmp_path / "out" / "report.json").read_text())
+            rows = {r["fraction"]: r["infidelity"] for r in report["metrics"]["rows"]}
+            assert rows[0.0] == 0.0
+            assert all(0.0 <= i <= 1.0 for i in rows.values())
 
-class TestNumericalContractExit:
-    def test_truncation_violation_exits_3(self, tmp_path, capsys):
-        # a drive far too strong for the truncated oscillator basis
-        path, _ = write_config(tmp_path, experiment="ms-scan",
-                               spin_phase=200.0, timing_fractions=[0.0])
-        assert main(["run", str(path)]) == 3
-        assert "population" in capsys.readouterr().err
+    def test_ms_and_cp_scans_agree(self, tmp_path):
+        # both collective spins have the spectrum {2, 0, 0, -2}
+        rows = []
+        for kind in ("ms-scan", "cp-scan"):
+            path, _ = write_config(tmp_path, experiment=kind, spin_phase=0.7,
+                                   timing_fractions=[-0.3, 0.0, 0.05, 0.2])
+            assert main(["run", str(path)]) == 0
+            report = json.loads((tmp_path / "out" / "report.json").read_text())
+            rows.append(report["metrics"]["rows"])
+        assert rows[0] == rows[1]
 
 
 class TestReproducibility:
