@@ -10,13 +10,12 @@
 
 import numpy as np
 
-from dfsqc.gates import GateParams
+from dfsqc.gates import TAU_CP, TAU_MS
 from dfsqc.motional import off_resonant_error_scan, scan_csv_text
 
 theta = np.pi / 8                   # spin phase of both gates
-params = GateParams()
-print(f"x-type collective gate: tau = {params.tau_ms * 1e6:.1f} us")
-print(f"conditional phase gate: tau = {params.tau_cp * 1e6:.1f} us")
+print(f"x-type collective gate: tau = {TAU_MS * 1e6:.1f} us")
+print(f"conditional phase gate: tau = {TAU_CP * 1e6:.1f} us")
 print(f"both: g/delta = sqrt(theta / 2 pi) = {np.sqrt(theta / (2 * np.pi)):.4f}")
 
 # the infidelity depends on theta and the fraction alone, so the scan is

@@ -15,7 +15,7 @@ from .encoding import (LogicalRegister, coherence_ratio, collective_dephasing,
 from .errors import (ConfigError, ConditioningError, DfsqcError,
                      DimensionError, EmptySubspaceError, LayoutError,
                      ValidationError)
-from .gates import (CNOT_LOGICAL, GateParams, PulseOp, PulseSequence,
+from .gates import (CNOT_LOGICAL, PulseOp, PulseSequence,
                     bell_state_logical, compile_cnot, sequence_unitary,
                     x_rotation_logical, z_rotation_logical)
 from .linalg import expm_hermitian, fidelity, tensor

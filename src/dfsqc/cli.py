@@ -39,9 +39,7 @@ from .encoding import (LogicalRegister, coherence_ratio, decode_in_dfs,
                        embed_in_dfs, encode)
 from .errors import (ConfigError, DfsqcError, DimensionError, LayoutError,
                      ValidationError)
-from .gates import (SWAP_LOGICAL, GateParams, PulseSequence,
-                    bell_state_logical, cnot_logical_matrix, compile_cnot,
-                    ms_pulse)
+from .gates import PulseSequence, cnot_logical_matrix, compile_cnot, ms_pulse
 from .noise import NoiseModel, sample_noisy_channel
 from .tomography import (chi_from_unitary, haar_report, matrix_to_json,
                          process_fidelity, process_tomography)
@@ -82,14 +80,13 @@ _INTEGER, _REAL = FieldSpec(_integer, "an integer"), FieldSpec(_real, "a number"
 # Sample counts, at bytes per sample rounded up from the tracemalloc peak of
 # the arrays a run builds: 24 per shot and 960 per Haar state.
 _SHOTS, _HAAR = _samples(1, 32), _samples(1000, 1024)
-# Nested objects get types only: LogicalRegister, GateParams and NoiseModel,
-# which _check_semantics builds, check their bounds.
+# Nested objects get types only: LogicalRegister and NoiseModel, which
+# _check_semantics builds, check their bounds.
 _CNOT_FIELDS = {
     "register": {"n_logical": _INTEGER._replace(default=_REQUIRED),
                  "pairs": FieldSpec(lambda v: type(v) is list and all(
                      type(p) is list and len(p) == 2 and all(map(_integer, p))
                      for p in v), "a list of [ion, ion] integer pairs", _REQUIRED)},
-    "gate_params": {"delta_ms": _REAL, "delta_cp": _REAL},
     "noise": dict.fromkeys(("addressing_ratio", "intensity_imbalance",
                             "ac_stark_phase_jitter_std", "collective_phase_std"),
                            _REAL),
@@ -115,8 +112,8 @@ EXPERIMENT_FIELDS = {
                   "n_haar_samples": _HAAR._replace(default=200_000)},
     "coherence": {"phi_std": FieldSpec(lambda v: _real(v) and v >= 0,
                                        "a number >= 0", math.pi)},
-    "ms-scan": {"gate_params": {"delta_ms": _REAL}, **_SCAN_FIELDS},
-    "cp-scan": {"gate_params": {"delta_cp": _REAL}, **_SCAN_FIELDS},
+    "ms-scan": _SCAN_FIELDS,
+    "cp-scan": _SCAN_FIELDS,
 }
 EXPERIMENTS = tuple(EXPERIMENT_FIELDS)
 #: Fields every experiment reads.
@@ -216,35 +213,34 @@ def _check_fields(value, table: dict, path: str, experiment) -> None:
 def _check_semantics(config) -> dict:
     """Check the config against ``COMMON_FIELDS`` and its experiment's
     ``EXPERIMENT_FIELDS`` and build the run's inputs, creating nothing, so that
-    no run starts that cannot finish: each top-level field's value or default,
-    ``config_hash``, the built ``register``, ``gate_params`` and ``noise``
-    (``None``: ideal), and for a CNOT its compiled ``cnot`` and ``cnot_matrix``."""
+    no run starts that cannot finish: each top-level field's value or default
+    and ``config_hash``; for a CNOT also the built ``register`` and ``noise``
+    (``None``: ideal), the compiled ``cnot`` and its ideal ``cnot_matrix``."""
     experiment = config.get("experiment") if type(config) is dict else None
     fields = EXPERIMENT_FIELDS[experiment] if experiment in EXPERIMENTS else {}
     table = {**COMMON_FIELDS, **fields}
     _check_fields(config, table, "", experiment)
-    uses_cnot = experiment in ("bell", "cnot-tomo")
-    with _field("register"):
-        register = (LogicalRegister.from_json(config["register"])
-                    if "register" in config else LogicalRegister(2))
-        if uses_cnot and register.n_logical != 2:
-            raise LayoutError(f"{experiment} needs 2 logical qubits, "
-                              f"got {register.n_logical}")
-        # by ion count: the 2^n of a huge ion index is itself too costly
-        if register.n_ions > linalg.MAX_TENSOR_DIM.bit_length() - 1:
-            raise DimensionError(f"{register.n_ions} ions exceed the state "
-                                 f"dimension cap {linalg.MAX_TENSOR_DIM}")
-    with _field("gate_params"):
-        params = GateParams.from_json(config.get("gate_params", {}))
-    with _field("noise"):
-        noise = NoiseModel.from_json(config["noise"]) if "noise" in config else None
     run = {name: getattr(spec, "default", None) for name, spec in table.items()}
-    run.update(config, config_hash=config_hash(config), register=register,
-               gate_params=params, noise=noise)
-    if uses_cnot:
+    run.update(config, config_hash=config_hash(config))
+    if experiment in ("bell", "cnot-tomo"):
+        with _field("register"):
+            register = run["register"] = (
+                LogicalRegister.from_json(config["register"])
+                if "register" in config else LogicalRegister(2))
+            if register.n_logical != 2:
+                raise LayoutError(f"{experiment} needs 2 logical qubits, "
+                                  f"got {register.n_logical}")
+            # by ion count: the 2^n of a huge ion index is itself too costly
+            if register.n_ions > linalg.MAX_TENSOR_DIM.bit_length() - 1:
+                raise DimensionError(f"{register.n_ions} ions exceed the state "
+                                     f"dimension cap {linalg.MAX_TENSOR_DIM}")
+        with _field("noise"):
+            run["noise"] = (NoiseModel.from_json(config["noise"])
+                            if "noise" in config else None)
         with _field("control/target"):
-            run["cnot"] = compile_cnot(run["control"], run["target"], register, params)
             run["cnot_matrix"] = cnot_logical_matrix(run["control"], run["target"])
+        with _field("register"):  # roles {0, 1} are valid, so the layout is at fault
+            run["cnot"] = compile_cnot(run["control"], run["target"], register)
     # refuse an output_dir that os.makedirs cannot create
     try:
         if b"\0" in os.fsencode(config["output_dir"]):
@@ -304,19 +300,18 @@ def _json_text(obj) -> str:
 
 def run_bell(run: dict, seed: int) -> tuple:
     register, control = run["register"], run["control"]
-    prep = ms_pulse(np.pi / 2, control, register, 0.0, run["gate_params"])
+    prep = ms_pulse(np.pi / 2, control, register)
     seq = PulseSequence(ops=[prep] + list(run["cnot"].ops), register=register)
     inputs = [format(k, "02b") for k in range(4)]
     psi = np.stack([encode(register, bits) for bits in inputs])
     rhos = sample_noisy_channel(seq, psi[:, :, None] * psi[:, None, :].conj(),
                                 run["noise"], run["noise_samples"], seed=seed)
+    x = linalg.expm_hermitian(linalg.SIGMA_X, np.pi / 4)  # X(pi/2) on the control
+    x_c = linalg.tensor(*[x if q == control else linalg.ID2 for q in range(2)])
     metrics = {"inputs": inputs, "fidelity": [], "permanence": [], "overall": []}
     matrices = {}
-    for bits, rho in zip(inputs, rhos):
-        if control == 0:
-            ideal = bell_state_logical(bits)
-        else:
-            ideal = SWAP_LOGICAL @ bell_state_logical(bits[::-1])
+    for bits, rho, e_k in zip(inputs, rhos, np.eye(4, dtype=complex)):
+        ideal = run["cnot_matrix"] @ (x_c @ e_k)
         rho_l, perm = decode_in_dfs(rho, register)
         fid = linalg.fidelity(rho_l, ideal)
         metrics["fidelity"].append(fid)
@@ -359,10 +354,9 @@ def run_coherence(run: dict, seed: int) -> tuple:
 
 
 def run_scan(run: dict, seed: int, kind: str) -> tuple:
-    params, spin_phase = run["gate_params"], run["spin_phase"]
+    spin_phase = run["spin_phase"]
     rows = motional.off_resonant_error_scan(spin_phase, run["timing_fractions"])
-    metrics = {"detuning": params.delta_ms if kind == "ms" else params.delta_cp,
-               "spin_phase": spin_phase,
+    metrics = {"spin_phase": spin_phase,
                "rows": [{"fraction": f, "infidelity": i} for f, i in rows]}
     return metrics, {}, [(f"{kind}_scan.csv", motional.scan_csv_text(rows))]
 
@@ -406,7 +400,7 @@ def cmd_run(args) -> int:
 
 def cmd_dump_sequence(args) -> int:
     with _field("--control/--target"):
-        seq = compile_cnot(args.control, args.target, LogicalRegister(2), GateParams())
+        seq = compile_cnot(args.control, args.target, LogicalRegister(2))
     doc = seq.to_json()
     doc["total_duration_us"] = seq.total_duration * 1e6
     print(json.dumps(doc, indent=2))

@@ -58,46 +58,20 @@ SWAP_LOGICAL = np.array([[1, 0, 0, 0], [0, 0, 1, 0],
                          [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
 
 
-@dataclass(frozen=True)
-class GateParams:
-    """Detunings of the two bichromatic gates.
-
-    All values are angular frequencies in rad/s.  Gate times follow as
-    ``2 pi / detuning`` (one closed motional loop) and are never stored
-    separately.
-    """
-
-    delta_ms: float = 2 * np.pi * 7_000.0
-    delta_cp: float = 2 * np.pi / 470e-6
-
-    def __post_init__(self):
-        if not (self.delta_ms > 0 and self.delta_cp > 0):
-            raise ValidationError("gate parameters must be positive")
-        if not (np.isfinite(self.tau_ms) and np.isfinite(self.tau_cp)):
-            raise ValidationError("a detuning is so small that its loop time "
-                                  "2 pi / detuning overflows")
-
-    @property
-    def tau_ms(self) -> float:
-        """Duration of one MS pulse (one motional loop), seconds."""
-        return 2 * np.pi / self.delta_ms
-
-    @property
-    def tau_cp(self) -> float:
-        """Duration of one CP pulse (one motional loop), seconds."""
-        return 2 * np.pi / self.delta_cp
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "GateParams":
-        return cls(**{k: float(v) for k, v in obj.items()})
+#: Durations of the MS and CP pulses, seconds: one closed motional loop,
+#: ``2 pi / delta``, at the detunings ``delta = 2 pi * 7 kHz`` and
+#: ``2 pi / 470 us``.  A pulse's unitary depends only on its angle, so
+#: these times are sequence metadata.
+TAU_MS = 2 * np.pi / (2 * np.pi * 7_000.0)
+TAU_CP = 2 * np.pi / (2 * np.pi / 470e-6)
 
 
 @dataclass(frozen=True)
 class PulseOp:
     """One physical pulse: kind, addressed ions, angle and axis phase.
 
-    ``duration`` is timing metadata (sequence reports, duration-scaled
-    noise models); the unitary of the op does not depend on it.
+    ``duration`` is timing metadata for sequence reports; the unitary of
+    the op does not depend on it.
     """
 
     kind: str
@@ -220,18 +194,15 @@ def z_pulse(theta: float, logical_qubit: int,
 
 
 def ms_pulse(theta: float, logical_qubit: int, register: LogicalRegister,
-             axis_phase: float = 0.0,
-             params: Optional[GateParams] = None) -> PulseOp:
+             axis_phase: float = 0.0) -> PulseOp:
     _check_lq(logical_qubit, register)
-    params = params or GateParams()
     pair = register.pairs[logical_qubit]
     if abs(pair[0] - pair[1]) != 1:
         raise LayoutError("MS pulse needs an adjacent ion pair")
-    return PulseOp(MS_ROTATION, pair, theta, axis_phase, params.tau_ms)
+    return PulseOp(MS_ROTATION, pair, theta, axis_phase, TAU_MS)
 
 
-def cp_pulse(theta: float, pair, register: LogicalRegister,
-             params: Optional[GateParams] = None) -> PulseOp:
+def cp_pulse(theta: float, pair, register: LogicalRegister) -> PulseOp:
     lq1, lq2 = sorted(int(q) for q in pair)
     _check_lq(lq1, register)
     _check_lq(lq2, register)
@@ -241,8 +212,7 @@ def cp_pulse(theta: float, pair, register: LogicalRegister,
     if abs(center[0] - center[1]) != 1:
         raise LayoutError(
             f"center ions {center} of logical pair ({lq1}, {lq2}) are not adjacent")
-    params = params or GateParams()
-    return PulseOp(CP_GATE, center, theta, 0.0, params.tau_cp)
+    return PulseOp(CP_GATE, center, theta, 0.0, TAU_CP)
 
 
 def _check_lq(q: int, register: LogicalRegister):
@@ -265,8 +235,8 @@ CNOT_ANGLES = {
 }
 
 
-def compile_cnot(control: int, target: int, register: Optional[LogicalRegister] = None,
-                 params: Optional[GateParams] = None) -> PulseSequence:
+def compile_cnot(control: int, target: int,
+                 register: Optional[LogicalRegister] = None) -> PulseSequence:
     """Pulse sequence realizing ``CNOT_LOGICAL`` on (control, target).
 
     The phase gate is split into two halves around a spin-echo x pulse on
@@ -278,21 +248,20 @@ def compile_cnot(control: int, target: int, register: Optional[LogicalRegister] 
     the encoded subspace.
     """
     register = register or LogicalRegister(2)
-    params = params or GateParams()
     if control == target:
         raise LayoutError("control and target must differ")
     _check_lq(control, register)
     _check_lq(target, register)
     a = CNOT_ANGLES
     ops = [
-        ms_pulse(a["ramsey_x"], target, register, 0.0, params),
-        cp_pulse(a["cp_half"], (control, target), register, params),
-        ms_pulse(a["echo"], control, register, 0.0, params),
-        ms_pulse(a["echo"], target, register, 0.0, params),
-        cp_pulse(a["cp_half"], (control, target), register, params),
-        ms_pulse(a["echo"], control, register, 0.0, params),
+        ms_pulse(a["ramsey_x"], target, register),
+        cp_pulse(a["cp_half"], (control, target), register),
+        ms_pulse(a["echo"], control, register),
+        ms_pulse(a["echo"], target, register),
+        cp_pulse(a["cp_half"], (control, target), register),
+        ms_pulse(a["echo"], control, register),
         z_pulse(a["composite_z1"], target, register),
-        ms_pulse(a["composite_x"], target, register, 0.0, params),
+        ms_pulse(a["composite_x"], target, register),
         z_pulse(a["composite_z2"], target, register),
     ]
     return PulseSequence(ops=ops, register=register)

@@ -59,8 +59,8 @@ class NoiseModel:
     def __post_init__(self):
         if not 0.0 <= self.addressing_ratio < 1.0:
             raise ValidationError("addressing_ratio must lie in [0, 1)")
-        if not -1.0 < self.intensity_imbalance < np.inf:
-            raise ValidationError("intensity_imbalance must be finite and exceed -1")
+        if not -1.0 < self.intensity_imbalance < 1.0:
+            raise ValidationError("intensity_imbalance must lie in (-1, 1)")
         if not (0 <= self.ac_stark_phase_jitter_std < np.inf
                 and 0 <= self.collective_phase_std < np.inf):
             raise ValidationError(

@@ -10,7 +10,6 @@ import pytest
 
 from dfsqc.encoding import coherence_ratio, collective_dephasing
 from dfsqc.errors import ValidationError
-from dfsqc.gates import GateParams
 from dfsqc.motional import off_resonant_error_scan
 from dfsqc.noise import NoiseModel
 
@@ -23,8 +22,6 @@ NAN, INF = math.nan, math.inf
     lambda: NoiseModel(ac_stark_phase_jitter_std=NAN),
     lambda: NoiseModel(collective_phase_std=NAN),
     lambda: NoiseModel(ac_stark_phase_jitter_std=NAN, collective_phase_std=NAN),
-    lambda: GateParams(delta_ms=NAN),
-    lambda: GateParams(delta_cp=NAN),
     lambda: off_resonant_error_scan(1.0, [NAN]),
     lambda: off_resonant_error_scan(NAN, [0.0]),
     lambda: coherence_ratio(NAN),
@@ -36,8 +33,7 @@ NAN, INF = math.nan, math.inf
     lambda: coherence_ratio(INF),
     lambda: collective_dephasing(np.eye(4) / 4, INF),
 ], ids=["addressing_ratio", "intensity_imbalance", "jitter_std",
-        "collective_std", "both_stds", "delta_ms", "delta_cp",
-        "timing_fraction", "spin_phase", "phi_std", "inf_addressing_ratio",
+        "collective_std", "both_stds", "timing_fraction", "spin_phase", "phi_std", "inf_addressing_ratio",
         "inf_intensity_imbalance", "inf_jitter_std", "inf_collective_std",
         "inf_spin_phase", "inf_phi_std", "inf_dephasing_std"])
 def test_nan_refused(build):

@@ -9,7 +9,7 @@ from dfsqc import linalg
 from dfsqc.encoding import (LogicalRegister, embed_in_dfs, encode,
                             logical_basis_indices, restrict_to_dfs)
 from dfsqc.errors import LayoutError, ValidationError
-from dfsqc.gates import (CNOT_LOGICAL, GateParams, PulseOp, PulseSequence,
+from dfsqc.gates import (CNOT_LOGICAL, TAU_CP, TAU_MS, PulseOp, PulseSequence,
                          bell_state_logical, compile_cnot, cp_pulse, ms_pulse,
                          pulse_unitary, sequence_unitary, x_rotation_logical,
                          z_rotation_logical)
@@ -36,15 +36,10 @@ def reg():
 
 class TestGateParams:
     def test_default_durations(self):
-        p = GateParams()
         # pulse times are one closed motional loop, 2 pi / detuning
-        assert p.tau_ms == pytest.approx(1 / 7000.0)
-        assert round(p.tau_ms * 1e6) == 143
-        assert p.tau_cp == pytest.approx(470e-6)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValidationError):
-            GateParams(delta_ms=0.0)
+        assert TAU_MS == pytest.approx(1 / 7000.0)
+        assert round(TAU_MS * 1e6) == 143
+        assert TAU_CP == pytest.approx(470e-6)
 
 
 class TestPulseOp:

@@ -59,7 +59,7 @@ class TestModel:
         with pytest.raises(ValidationError):
             NoiseModel(addressing_ratio=1.0)
 
-    @pytest.mark.parametrize("epsilon", [-1.0, -3.0, float("nan")])
+    @pytest.mark.parametrize("epsilon", [-1.0, -3.0, float("nan"), 1.0, 1e160])
     def test_imbalance_keeps_first_weight_positive(self, epsilon):
         with pytest.raises(ValidationError):
             NoiseModel(intensity_imbalance=epsilon)
