@@ -42,7 +42,7 @@ from .errors import (ConfigError, DfsqcError, DimensionError, LayoutError,
 from .gates import PulseSequence, cnot_logical_matrix, compile_cnot, ms_pulse
 from .noise import NoiseModel, sample_noisy_channel
 from .tomography import (chi_from_unitary, haar_report, matrix_to_json,
-                         process_fidelity, process_tomography)
+                         process_fidelity, process_tomography, project_chi_cp)
 
 
 #: What a config value must be (``test(value)`` holds, as ``what`` says) and its
@@ -80,6 +80,10 @@ _INTEGER, _REAL = FieldSpec(_integer, "an integer"), FieldSpec(_real, "a number"
 # Sample counts, at bytes per sample rounded up from the tracemalloc peak of
 # the arrays a run builds: 24 per shot and 960 per Haar state.
 _SHOTS, _HAAR = _samples(1, 32), _samples(1000, 1024)
+# Dense arrays of an n-ion register, rounded up from the same peaks at 8-9
+# ions: per input state and 4^n, 80 (bell) and 68 (cnot-tomo) bytes for the
+# noisy channel; per 6^n, 42.7 for one state's shot data and linear inversion.
+_CHANNEL_BYTES, _SHOT_DATA_BYTES = 96, 48
 # Nested objects get types only: LogicalRegister and NoiseModel, which
 # _check_semantics builds, check their bounds.
 _CNOT_FIELDS = {
@@ -230,10 +234,13 @@ def _check_semantics(config) -> dict:
             if register.n_logical != 2:
                 raise LayoutError(f"{experiment} needs 2 logical qubits, "
                                   f"got {register.n_logical}")
-            # by ion count: the 2^n of a huge ion index is itself too costly
-            if register.n_ions > linalg.MAX_TENSOR_DIM.bit_length() - 1:
-                raise DimensionError(f"{register.n_ions} ions exceed the state "
-                                     f"dimension cap {linalg.MAX_TENSOR_DIM}")
+            # 64 ions are past any budget; 4^n of a huge ion index is costly
+            n = min(register.n_ions, 64)
+            need = (_CHANNEL_BYTES * (4 if experiment == "bell" else 16) * 4 ** n
+                    + _SHOT_DATA_BYTES * 6 ** n * (run.get("shots") is not None))
+            if need > MEMORY_BUDGET:
+                raise DimensionError(f"{register.n_ions} ions need more than the "
+                                     f"{MEMORY_BUDGET >> 20} MiB memory budget")
         with _field("noise"):
             run["noise"] = (NoiseModel.from_json(config["noise"])
                             if "noise" in config else None)
@@ -330,8 +337,9 @@ def run_cnot_tomo(run: dict, seed: int) -> tuple:
 
     result = process_tomography(channel, register, shots=shots, seed=seed)
     chi_ideal = chi_from_unitary(ideal)
-    report = haar_report(result.chi, ideal, result.permanence_functional(),
-                         n_samples=run["n_haar_samples"], seed=seed)
+    chi_cp, negative_mass = project_chi_cp(result.chi)
+    report = haar_report(result.chi, ideal, n_samples=run["n_haar_samples"],
+                         seed=seed)
     gap = abs(report["mean_overall"]
               - report["mean_permanence"] * report["mean_gate_fidelity"])
     metrics = {
@@ -339,9 +347,10 @@ def run_cnot_tomo(run: dict, seed: int) -> tuple:
         "process_fidelity": process_fidelity(result.chi, chi_ideal),
         "input_permanences": [float(p) for p in result.permanences],
         "consistency_gap": gap,
+        "chi_negative_mass": negative_mass,
         **report,
     }
-    matrices = {"chi": result.chi.to_json(), "chi_ideal": chi_ideal.to_json()}
+    matrices = {"chi": chi_cp.to_json(), "chi_ideal": chi_ideal.to_json()}
     return metrics, matrices, []
 
 

@@ -6,13 +6,16 @@ each of 16 informationally complete logical inputs, run the channel, which
 takes logical inputs and returns the physical outputs of the register,
 measure every ion in all ``3^n`` Pauli bases (``n = 4`` ions, 81
 settings, a fixed number of shots each), reconstruct the physical density
-matrix by linear inversion plus projection onto the physical set, project
-into the encoded subspace (recording the permanence), and finally fit the
-process matrix ``chi`` defined by
+matrix by linear inversion, keep its block on the encoded subspace as it
+is (its trace is the input's permanence), and finally fit the process
+matrix ``chi`` defined by
 
     E(rho) = sum_mn chi_mn A_m rho A_n+
 
 over the fixed logical Pauli basis ``A = {I,X,Y,Z} (x) {I,X,Y,Z}``.
+Every step is linear in the outcome frequencies, so ``chi`` estimates the
+trace-decreasing map ``rho_L -> P E(rho_L) P`` onto the encoded block, and
+``tr chi`` is the mean permanence (Nielsen, quant-ph/0205035).
 
 The data of one state is a float array of outcome frequencies ``f[s, b]``,
 shape ``(3^n, 2^n)``: one row per setting, the per-ion basis letters
@@ -24,9 +27,10 @@ so state tomography is a per-ion contraction with the single-ion effects
 inverse-CDF sampling, so rounding of the state moves a count only at a
 bin edge.
 
-Mean gate fidelity is the Haar average of
-``<psi| U+ E(|psi><psi|) U |psi>`` over pure logical inputs, sampled with
-normalized complex Gaussian vectors (exactly Haar for states).
+The Haar figures average the permanence ``tr E(psi)`` and the overall
+fidelity ``<U psi| E(psi) |U psi>`` over pure logical inputs, sampled with
+normalized complex Gaussian vectors (exactly Haar for states); the mean
+gate fidelity is their ratio, the fidelity within the subspace.
 """
 
 from __future__ import annotations
@@ -38,8 +42,10 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import linalg
-from .encoding import LogicalRegister, decode_in_dfs
-from .errors import ConditioningError, DimensionError, ValidationError
+from .encoding import (MIN_PERMANENCE, LogicalRegister, decode_in_dfs,
+                       restrict_to_dfs)
+from .errors import (ConditioningError, DimensionError, EmptySubspaceError,
+                     ValidationError)
 
 BASIS_LETTERS = "XYZ"
 
@@ -134,29 +140,6 @@ def linear_inversion(freq: np.ndarray) -> np.ndarray:
     return _contract_ions(freq, [_DUAL] * n) / 3 ** n
 
 
-def project_to_physical(rho: np.ndarray) -> np.ndarray:
-    """Nearest (Frobenius) positive semidefinite trace-one matrix.
-
-    Eigenvalue water-filling: drop the most negative eigenvalues and
-    redistribute their weight over the rest, keeping the trace at one.
-    """
-    rho = (rho + linalg.dag(rho)) / 2.0
-    rho = rho / np.real(np.trace(rho))
-    evals, evecs = np.linalg.eigh(rho)
-    if evals.min() >= 0:
-        return rho
-    d = evals.shape[0]
-    out = np.zeros(d)
-    acc = 0.0
-    # eigenvalues ascending; shift from the bottom into the remaining ones
-    i = 0
-    while i < d and evals[i] + acc / (d - i) < 0:
-        acc += evals[i]
-        i += 1
-    out[i:] = evals[i:] + acc / (d - i)
-    return (evecs[:, i:] * out[i:]) @ linalg.dag(evecs[:, i:])
-
-
 # ---------------------------------------------------------------------------
 # Haar sampling
 
@@ -224,21 +207,25 @@ def chi_from_unitary(u: np.ndarray) -> ChiMatrix:
     return ChiMatrix(np.outer(coeff, coeff.conj()), chi_basis_labels(n))
 
 
-def project_chi_cp(chi: np.ndarray) -> np.ndarray:
-    """Nearest completely positive chi: Hermitian part, eigenvalue clip,
-    trace renormalized to one (trace preservation in trace)."""
-    chi = (chi + linalg.dag(chi)) / 2.0
-    evals, evecs = np.linalg.eigh(chi)
-    evals = np.clip(evals, 0.0, None)
-    if evals.sum() <= 0:
+def project_chi_cp(chi: ChiMatrix) -> tuple:
+    """Nearest completely positive chi of trace one: Hermitian part,
+    eigenvalue clip, trace renormalized.  Returns it and the negative
+    eigenvalue mass the clip dropped, over ``tr chi``."""
+    evals, evecs = np.linalg.eigh((chi.entries + linalg.dag(chi.entries)) / 2)
+    kept = np.clip(evals, 0.0, None)
+    if kept.sum() <= 0:
         raise ConditioningError("chi projection collapsed to zero")
-    evals = evals / evals.sum()
-    return (evecs * evals) @ linalg.dag(evecs)
+    entries = (evecs * (kept / kept.sum())) @ linalg.dag(evecs)
+    return (ChiMatrix(entries, chi.basis_labels),
+            float((kept - evals).sum() / evals.sum()))
 
 
 def process_fidelity(chi: ChiMatrix, chi_ideal: ChiMatrix) -> float:
-    """Overlap ``tr(chi_ideal chi)`` of two trace-normalized chi matrices."""
-    return float(np.real(np.trace(chi_ideal.entries @ chi.entries)))
+    """Process fidelity ``tr(chi_ideal chi) / tr chi`` against a unitary's
+    trace-one ``chi_ideal``: the overlap within the encoded block, whatever
+    weight leaks out of it."""
+    return float(np.real(np.trace(chi_ideal.entries @ chi.entries)
+                         / np.trace(chi.entries)))
 
 
 def preparation_states(n_logical: int = 2) -> list:
@@ -273,23 +260,12 @@ def chi_linear_solve(inputs: Sequence[np.ndarray],
 
 @dataclass
 class ProcessCharacterization:
-    """Everything the tomography pipeline measures about one channel."""
+    """Everything the tomography pipeline measures about one channel: the
+    linear chi estimate of the encoded block, not renormalized, and the
+    permanence of each input."""
 
     chi: ChiMatrix
-    input_states: np.ndarray
     permanences: np.ndarray
-
-    def permanence_functional(self) -> np.ndarray:
-        """Hermitian ``W`` with ``perm(rho) = tr(W rho)`` fitted from the
-        measured per-input permanences (permanence is linear in the input)."""
-        rows = np.stack([np.asarray(np.outer(v, v.conj())).T.reshape(-1)
-                         for v in self.input_states])
-        sol, _, rank, _ = np.linalg.lstsq(rows, self.permanences, rcond=None)
-        if rank < rows.shape[1]:
-            raise ConditioningError("permanence functional is underdetermined")
-        d = self.input_states.shape[1]
-        w = sol.reshape(d, d)
-        return (w + linalg.dag(w)) / 2.0
 
 
 def process_tomography(channel: Callable[[np.ndarray], np.ndarray],
@@ -301,9 +277,12 @@ def process_tomography(channel: Callable[[np.ndarray], np.ndarray],
     matrices, shape ``(k, 2^n, 2^n)``, and returns the stack of physical
     outputs of ``register``, shape ``(k, 4^n, 4^n)``.  With ``shots`` each
     output goes through measurement simulation at ``shots`` per setting
-    (sampling needs a ``seed``) and state reconstruction; with ``None``
-    it is used exactly.  Every output is then projected into the encoded
-    subspace, with its permanence recorded.
+    (sampling needs a ``seed``) and linear inversion; with ``None`` it is
+    used exactly.  Each output's block on the encoded subspace, neither
+    projected nor renormalized, is the data of the chi fit, and its trace
+    the input's permanence.  The fit is linear in the frequencies, so chi
+    may carry small negative eigenvalues, and ``tr chi`` is the mean
+    permanence.
     """
     if shots is not None and seed is None:
         raise ValidationError("a seed is required for reproducible sampling")
@@ -315,42 +294,48 @@ def process_tomography(channel: Callable[[np.ndarray], np.ndarray],
         raise DimensionError(
             f"channel returned shape {outputs.shape}; expected {len(inputs)} "
             f"physical {register.dim}x{register.dim} matrices")
-    logical, permanences = [], []
+    blocks = []
     for k, out in enumerate(outputs):
         if shots is not None:
-            out = project_to_physical(linear_inversion(
-                acquire_dataset(out, shots, seed=(seed, k))))
-        rho_l, perm = decode_in_dfs(out, register)
-        logical.append(rho_l)
-        permanences.append(perm)
-    chi_raw = chi_linear_solve(inputs, logical, n_logical)
-    chi = ChiMatrix(project_chi_cp(chi_raw), chi_basis_labels(n_logical))
-    return ProcessCharacterization(chi=chi, input_states=vecs,
-                                   permanences=np.array(permanences))
+            out = linear_inversion(acquire_dataset(out, shots, seed=(seed, k)))
+        blocks.append(restrict_to_dfs(out, register))
+    blocks = np.stack(blocks)
+    chi = chi_linear_solve(inputs, blocks, n_logical)
+    weight = float(np.real(np.trace(chi)))  # the mean permanence
+    if weight < MIN_PERMANENCE:  # every figure divides by it
+        raise EmptySubspaceError(
+            f"mean permanence {weight:.3e} is below {MIN_PERMANENCE}",
+            permanence=max(weight, 0.0))
+    return ProcessCharacterization(
+        chi=ChiMatrix(chi, chi_basis_labels(n_logical)),
+        permanences=np.real(np.trace(blocks, axis1=1, axis2=2)))
 
 
 # ---------------------------------------------------------------------------
 # Haar-averaged figures of merit
 
-def _batched_fidelities(sop: np.ndarray, ideal: np.ndarray,
-                        psi: np.ndarray) -> np.ndarray:
-    """``<U psi| E(|psi><psi|) |U psi>`` for a batch of pure states."""
+def _batched_figures(sop: np.ndarray, ideal: np.ndarray,
+                     psi: np.ndarray) -> tuple:
+    """Permanence ``tr E(psi)`` and overall fidelity
+    ``<U psi| E(psi) |U psi>`` of a batch of pure states."""
+    n, d = psi.shape
+    out = ((psi[:, :, None] * psi.conj()[:, None, :]).reshape(n, -1)
+           @ sop.T).reshape(n, d, d)
     phi = psi @ ideal.T
-    rho_vec = (psi[:, :, None] * psi.conj()[:, None, :]).reshape(psi.shape[0], -1)
-    out_vec = rho_vec @ sop.T
-    proj_vec = (phi.conj()[:, :, None] * phi[:, None, :]).reshape(psi.shape[0], -1)
-    return np.real(np.einsum("ne,ne->n", out_vec, proj_vec))
+    return (np.real(np.einsum("nii->n", out)),
+            np.real(np.einsum("ni,nij,nj->n", phi.conj(), out, phi)))
 
 
-def haar_report(chi: ChiMatrix, ideal: np.ndarray, permanence_w: np.ndarray,
-                n_samples: int, seed=None) -> dict:
-    """Mean gate fidelity, mean permanence and their product over
+def haar_report(chi: ChiMatrix, ideal: np.ndarray, n_samples: int,
+                seed=None) -> dict:
+    """Mean permanence, mean overall fidelity and mean gate fidelity over
     ``n_samples`` Haar inputs drawn from ``default_rng(seed)``.
 
-    The permanence of an arbitrary input is evaluated through the fitted
-    linear functional ``W``; the overall figure is the per-state product
-    ``perm(psi) * F(psi)``, whose mean is compared against the product
-    of the separate means by the caller.  Sampling needs a ``seed``.
+    All three are read off ``chi``: the permanence ``tr E(psi)``, the
+    overall fidelity ``<U psi| E(psi) |U psi>``, and the gate fidelity
+    within the subspace, the ratio of their means.  The standard errors
+    are those of the sampling, the ratio's by the delta method.
+    Sampling needs a ``seed``.
     """
     if seed is None:
         raise ValidationError("a seed is required for reproducible sampling")
@@ -358,15 +343,16 @@ def haar_report(chi: ChiMatrix, ideal: np.ndarray, permanence_w: np.ndarray,
         raise ValidationError("need at least 1000 Haar samples")
     d = ideal.shape[0]
     rng = np.random.default_rng(seed)
-    psi = haar_states(d, n_samples, rng)
-    f = _batched_fidelities(chi.superoperator(), ideal, psi)
+    perm, overall = _batched_figures(chi.superoperator(), ideal,
+                                     haar_states(d, n_samples, rng))
     rt = np.sqrt(float(n_samples))
-    perm = np.real(np.einsum("ni,ij,nj->n", psi.conj(), permanence_w, psi))
-    overall = perm * f
+    mean_perm = float(np.mean(perm))
+    fid = float(np.mean(overall)) / mean_perm
     return {
-        "mean_gate_fidelity": float(np.mean(f)),
-        "mean_gate_fidelity_stderr": float(np.std(f, ddof=1) / rt),
-        "mean_permanence": float(np.mean(perm)),
+        "mean_gate_fidelity": fid,
+        "mean_gate_fidelity_stderr": float(
+            np.std(overall - fid * perm, ddof=1) / (rt * mean_perm)),
+        "mean_permanence": mean_perm,
         "mean_permanence_stderr": float(np.std(perm, ddof=1) / rt),
         "mean_overall": float(np.mean(overall)),
         "mean_overall_stderr": float(np.std(overall, ddof=1) / rt),

@@ -157,9 +157,8 @@ def test_criterion_5_process_tomography_pipeline():
                                         seed=20090)
 
         noisy = process_tomography(channel, shots=100, seed=404, register=REG)
-        w = noisy.permanence_functional()
-        report = haar_report(noisy.chi, CNOT_LOGICAL, w,
-                             n_samples=200_000, seed=11)
+        report = haar_report(noisy.chi, CNOT_LOGICAL, n_samples=200_000,
+                             seed=11)
         assert report["mean_gate_fidelity_stderr"] > 0
         assert report["mean_permanence_stderr"] > 0
         product = report["mean_permanence"] * report["mean_gate_fidelity"]
@@ -170,7 +169,7 @@ def test_criterion_6_haar_estimator():
     with criterion(6, "Haar estimator against the depolarizing analytic", 30.0):
         p = 0.2
         chi = ChiMatrix(np.diag([1 - p + p / 16] + [p / 16] * 15).astype(complex))
-        report = haar_report(chi, np.eye(4, dtype=complex), np.eye(4),
+        report = haar_report(chi, np.eye(4, dtype=complex),
                              n_samples=200_000, seed=6)
         mean = report["mean_gate_fidelity"]
         se = report["mean_gate_fidelity_stderr"]

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -15,6 +16,10 @@ from dfsqc.encoding import LogicalRegister, restrict_to_dfs
 from dfsqc.gates import CNOT_LOGICAL, sequence_unitary
 
 from reference import max_phase_diff, sequence_from_json
+
+ROOT = Path(__file__).resolve().parents[1]
+CALIBRATED = {"addressing_ratio": 0.05, "intensity_imbalance": 0.08,
+              "ac_stark_phase_jitter_std": 0.3, "collective_phase_std": 0.3}
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -233,6 +238,44 @@ class TestSemanticConfigErrors:
         assert "register: 13 ions" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("experiment, pairs", [
+        ("bell", [[8, 9], [10, 11]]), ("cnot-tomo", [[8, 9], [10, 11]]),
+        ("bell", [[7, 8], [9, 10]]), ("cnot-tomo", [[6, 7], [8, 9]]),
+    ], ids=["bell-12", "cnot-tomo-12", "bell-11", "cnot-tomo-10"])
+    def test_register_past_the_memory_budget_refused(self, tmp_path, capsys,
+                                                     experiment, pairs):
+        # validate only: a run that slipped through would allocate gigabytes
+        path, _ = write_config(tmp_path, experiment=experiment,
+                               register={"n_logical": 2, "pairs": pairs})
+        assert main(["validate", str(path)]) == 2
+        n_ions = pairs[1][1] + 1
+        assert (f"register: {n_ions} ions need more than the 1024 MiB memory "
+                "budget") in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("experiment, pairs", [
+        ("bell", [[6, 7], [8, 9]]), ("cnot-tomo", [[5, 6], [7, 8]]),
+    ], ids=["bell-10", "cnot-tomo-9"])
+    def test_widest_register_within_the_budget(self, tmp_path, experiment,
+                                               pairs):
+        path, _ = write_config(tmp_path, experiment=experiment,
+                               register={"n_logical": 2, "pairs": pairs})
+        assert main(["validate", str(path)]) == 0
+
+    def test_shot_data_counts_against_the_budget(self, tmp_path, capsys,
+                                                 monkeypatch):
+        # 9 ions: 403 MB of channel arrays, and 484 MB more with shots
+        monkeypatch.setattr(cli, "MEMORY_BUDGET", 2 ** 29)
+        register = {"n_logical": 2, "pairs": [[5, 6], [7, 8]]}
+        exact, _ = write_config(tmp_path, name="exact.json", shots=None,
+                                experiment="cnot-tomo", register=register)
+        sampled, _ = write_config(tmp_path, name="shots.json", shots=1,
+                                  experiment="cnot-tomo", register=register)
+        assert main(["validate", str(exact)]) == 0
+        assert main(["validate", str(sampled)]) == 2
+        assert "register: 9 ions need more than the 512 MiB" in (
+            capsys.readouterr().err)
+
     @pytest.mark.parametrize("experiment, ignored", [
         ("bell", {"shots": 5, "n_haar_samples": 5000, "phi_std": 1.0,
                   "timing_fractions": [0.1]}),
@@ -448,6 +491,8 @@ class TestRunCnotTomo:
         assert m["mean_gate_fidelity"] >= 0.999
         assert m["mean_permanence"] == pytest.approx(1.0, abs=1e-6)
         assert "mean_gate_fidelity_stderr" in m
+        assert 0 <= m["chi_negative_mass"] < 1e-12
+        assert m["consistency_gap"] <= 1e-12
         matrices = json.loads((tmp_path / "out" / "matrices.json").read_text())
         assert "chi" in matrices and "chi_ideal" in matrices
         assert matrices["chi"]["basis"][0] == "II"
@@ -464,8 +509,27 @@ class TestRunCnotTomo:
         m = json.loads((tmp_path / "out" / "report.json").read_text())["metrics"]
         figures = [v for k, v in m.items() if k != "shots_per_setting"]
         figures = [x for v in figures for x in (v if isinstance(v, list) else [v])]
-        assert len(figures) == 24
+        assert len(figures) == 25
         assert all(0.0 <= x <= 1.0 for x in figures)
+
+    @pytest.mark.parametrize("offset", [0, 1, 2])
+    def test_permanence_does_not_depend_on_idle_ions(self, tmp_path, offset):
+        # 4, 5 and 6 ions, the gate on the last 4: idle ions measured in
+        # every setting must not bias the shot estimate of the permanence
+        register = {"n_logical": 2, "pairs": [[offset, offset + 1],
+                                              [offset + 2, offset + 3]]}
+        for seed in (7, 8, 9):
+            means = []
+            for shots in (None, 100):
+                path, config = write_config(
+                    tmp_path, experiment="cnot-tomo", seed=seed, shots=shots,
+                    register=register, noise=CALIBRATED, noise_samples=30,
+                    n_haar_samples=1000)
+                assert main(["run", str(path)]) == 0
+                report = Path(config["output_dir"]) / "report.json"
+                means.append(json.loads(report.read_text())["metrics"][
+                    "mean_permanence"])
+            assert abs(means[1] - means[0]) < 0.01, (seed, means)
 
 
 class TestRunCoherence:
@@ -617,3 +681,18 @@ def test_cli_import_needs_no_test_extra():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("workload, index", [("tomo", 0), ("bell", 0),
+                                             ("scan", 0), ("scan", 1)])
+def test_benchmark_configs_validate(tmp_path, workload, index):
+    # the benchmark's configs must stay valid: a field it still sets that
+    # the package refuses would break the benchmark, not only this suite
+    spec = importlib.util.spec_from_file_location(
+        "workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    config = workloads.request_config(workload, 7, index, str(tmp_path / "out"))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["validate", str(path)]) == 0

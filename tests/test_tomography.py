@@ -7,7 +7,8 @@ from scipy import stats
 import tomography_reference as ref
 from dfsqc import linalg
 from dfsqc.encoding import LogicalRegister, embed_in_dfs, encode
-from dfsqc.errors import ConditioningError, DimensionError, ValidationError
+from dfsqc.errors import (ConditioningError, DimensionError,
+                          EmptySubspaceError, ValidationError)
 from dfsqc.gates import (CNOT_LOGICAL, compile_cnot, ms_pulse, PulseSequence,
                          sequence_unitary)
 from dfsqc.tomography import (ChiMatrix, acquire_dataset, chi_basis_labels,
@@ -15,8 +16,7 @@ from dfsqc.tomography import (ChiMatrix, acquire_dataset, chi_basis_labels,
                               haar_report, haar_states, linear_inversion,
                               matrix_to_json, preparation_states,
                               process_fidelity, process_tomography,
-                              project_chi_cp, project_to_physical,
-                              _draw_counts)
+                              project_chi_cp, _draw_counts)
 
 from conftest import random_density_matrix, random_unitary
 
@@ -29,12 +29,6 @@ def probabilities(rho, setting):
 
 def shot_counts(rho, setting, shots, seed):
     return _draw_counts(probabilities(rho, setting), shots, seed)
-
-
-def reconstruct(freq):
-    """The state estimate of the pipeline: linear inversion, then the
-    nearest physical state."""
-    return project_to_physical(linear_inversion(freq))
 
 
 def decode_matrix(rows):
@@ -51,8 +45,7 @@ def apply_chi(chi, rho):
 
 def gate_fidelity(chi, ideal, n_samples, seed):
     """Haar mean gate fidelity and its standard error."""
-    report = haar_report(chi, ideal, np.eye(ideal.shape[0]),
-                         n_samples=n_samples, seed=seed)
+    report = haar_report(chi, ideal, n_samples=n_samples, seed=seed)
     return report["mean_gate_fidelity"], report["mean_gate_fidelity_stderr"]
 
 
@@ -148,13 +141,13 @@ class TestStateReconstruction:
         psi = encode(reg, "00")  # |1010>
         rho = np.outer(psi, psi.conj())
         ds = acquire_dataset(rho, None)
-        rho_hat = reconstruct(ds)
+        rho_hat = linear_inversion(ds)
         assert np.max(np.abs(rho_hat - rho)) < 1e-9
 
     def test_exact_random_state_roundtrip(self, rng):
         rho = random_density_matrix(8, rng)
         ds = acquire_dataset(rho, None)
-        rho_hat = reconstruct(ds)
+        rho_hat = linear_inversion(ds)
         assert np.max(np.abs(rho_hat - rho)) < 1e-9
 
     def test_exact_encoded_bell(self):
@@ -164,7 +157,7 @@ class TestStateReconstruction:
         full = PulseSequence(ops=[prep] + list(seq.ops), register=reg)
         psi = sequence_unitary(full) @ encode(reg, "00")
         rho = np.outer(psi, psi.conj())
-        rho_hat = reconstruct(acquire_dataset(rho, None))
+        rho_hat = linear_inversion(acquire_dataset(rho, None))
         assert linalg.fidelity(rho_hat, psi) == pytest.approx(1.0, abs=1e-9)
 
     def test_hundred_shot_fidelity_band(self):
@@ -178,7 +171,7 @@ class TestStateReconstruction:
         rho = np.outer(psi, psi.conj())
         fids = []
         for seed in range(11):
-            rho_hat = reconstruct(acquire_dataset(rho, 100, seed=seed))
+            rho_hat = linear_inversion(acquire_dataset(rho, 100, seed=seed))
             fids.append(linalg.fidelity(rho_hat, psi))
         assert np.median(fids) > 0.90
 
@@ -189,18 +182,6 @@ class TestStateReconstruction:
         freq = np.full(shape, 0.25)
         with pytest.raises(DimensionError):
             linear_inversion(freq)
-
-    def test_psd_projection_properties(self, rng):
-        raw = random_density_matrix(6, rng) - 0.1 * np.eye(6)
-        raw /= np.trace(raw).real
-        proj = project_to_physical(raw)
-        evals = np.linalg.eigvalsh(proj)
-        assert evals.min() >= -1e-12
-        assert np.trace(proj).real == pytest.approx(1.0, abs=1e-12)
-
-    def test_psd_projection_identity_on_physical(self, rng):
-        rho = random_density_matrix(5, rng)
-        assert np.max(np.abs(project_to_physical(rho) - rho)) < 1e-12
 
 
 class TestHaarSampling:
@@ -276,12 +257,33 @@ class TestChiMatrix:
         assert np.max(np.abs(res_mix.chi.entries - combo)) < 1e-8
 
     def test_chi_hermitian_psd(self):
+        # the linear estimate is Hermitian; its CP projection, the chi
+        # that matrices.json carries, is also positive semidefinite
         reg = LogicalRegister(2)
         res = process_tomography(ideal_cnot_channel(reg), shots=100, seed=8,
                                  register=reg)
         chi = res.chi.entries
         assert np.max(np.abs(chi - chi.conj().T)) < 1e-9
-        assert np.linalg.eigvalsh(chi).min() > -1e-8
+        chi_cp, negative_mass = project_chi_cp(res.chi)
+        chi_cp = chi_cp.entries
+        assert np.max(np.abs(chi_cp - chi_cp.conj().T)) < 1e-9
+        assert np.linalg.eigvalsh(chi_cp).min() > -1e-8
+        assert negative_mass > 0  # 100 shots leave negative eigenvalues
+
+    def test_block_not_renormalized(self):
+        # half the weight leaks out of the subspace: chi is half the
+        # identity channel's, and tr chi the permanence
+        reg = LogicalRegister(2)
+        leak = np.zeros((reg.dim, reg.dim), dtype=complex)
+        leak[-1, -1] = 1.0  # |1111>, outside the subspace
+        res = process_tomography(
+            lambda r: 0.5 * embed_in_dfs(r, reg) + 0.5 * leak, register=reg)
+        e_ii = np.zeros((16, 16))
+        e_ii[0, 0] = 0.5
+        assert np.max(np.abs(res.chi.entries - e_ii)) < 1e-12
+        assert np.allclose(res.permanences, 0.5, rtol=0, atol=1e-12)
+        assert process_fidelity(res.chi, ChiMatrix(2 * e_ii)) == pytest.approx(
+            1.0, abs=1e-12)
 
     def test_superoperator_applies_channel(self, rng):
         chi = depolarizing_chi(0.4)
@@ -297,9 +299,19 @@ class TestChiMatrix:
 
     def test_cp_projection(self, rng):
         h = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
-        chi = project_chi_cp(h)
+        chi, negative_mass = project_chi_cp(ChiMatrix(h))
+        chi = chi.entries
         assert np.linalg.eigvalsh(chi).min() >= -1e-12
         assert np.trace(chi).real == pytest.approx(1.0, abs=1e-12)
+        evals = np.linalg.eigvalsh((h + h.conj().T) / 2)
+        assert negative_mass == pytest.approx(
+            -evals[evals < 0].sum() / evals.sum(), rel=1e-12)
+
+    def test_cp_projection_of_a_cp_chi_drops_nothing(self):
+        chi, negative_mass = project_chi_cp(
+            ChiMatrix(0.9 * depolarizing_chi(0.3).entries))
+        assert np.max(np.abs(chi.entries - depolarizing_chi(0.3).entries)) < 1e-12
+        assert negative_mass == 0.0
 
     def test_json_roundtrip(self):
         chi = depolarizing_chi(0.2)
@@ -338,6 +350,17 @@ class TestMeanGateFidelity:
         slope = np.polyfit(np.log(ns), np.log(ses), 1)[0]
         assert abs(slope + 0.5) < 0.05
 
+    def test_stderr_is_the_spread_over_seeds(self, rng):
+        # one Kraus operator U D: permanence and overall vary together over
+        # inputs, so the ratio's delta-method error is ~10x below std(overall)
+        ideal = random_unitary(4, rng)
+        chi = chi_from_unitary(ideal @ np.diag([1.0, 1.0, 0.6, 0.6]))
+        reports = [haar_report(chi, ideal, 2000, seed=s) for s in range(40)]
+        for key in ("mean_gate_fidelity", "mean_permanence", "mean_overall"):
+            spread = np.std([r[key] for r in reports], ddof=1)
+            stderr = np.mean([r[key + "_stderr"] for r in reports])
+            assert 0.7 < spread / stderr < 1.4, key
+
     def test_noiseless_pipeline_fidelity(self):
         # exact-statistics tomography of the compiled gate is essentially
         # error free end to end
@@ -368,8 +391,7 @@ class TestMeanGateFidelity:
     def test_samples_need_a_seed(self):
         # an unseeded draw from OS entropy could not be reproduced
         with pytest.raises(ValidationError, match="seed"):
-            haar_report(depolarizing_chi(0.1), np.eye(4), np.eye(4),
-                        n_samples=1000)
+            haar_report(depolarizing_chi(0.1), np.eye(4), n_samples=1000)
 
 
 class TestDfsReport:
@@ -426,12 +448,28 @@ class TestShotBasedProcessTomography:
         chi_ideal = chi_from_unitary(CNOT_LOGICAL)
         assert process_fidelity(res.chi, chi_ideal) > 0.75
         assert res.permanences.shape == (16,)
-        w = res.permanence_functional()
+        # the permanence functional W = sum_mn chi_mn A_n+ A_m is Hermitian
+        # and gives back each input's permanence
+        w = ref.trace_map(res.chi.entries, 2)
         assert np.max(np.abs(w - w.conj().T)) < 1e-10
-        rep = haar_report(res.chi, CNOT_LOGICAL, w, n_samples=20_000, seed=1)
+        _, vecs = zip(*preparation_states(2))
+        assert np.allclose([np.vdot(v, w @ v).real for v in vecs],
+                           res.permanences, rtol=0, atol=1e-10)
+        rep = haar_report(res.chi, CNOT_LOGICAL, n_samples=20_000, seed=1)
         gap = abs(rep["mean_overall"]
                   - rep["mean_permanence"] * rep["mean_gate_fidelity"])
         assert gap < 0.02
+
+    @pytest.mark.parametrize("shots", [None, 100])
+    def test_channel_that_leaks_everything_refused(self, shots):
+        # no weight in the subspace: the figures, all divided by tr chi,
+        # would be meaningless
+        reg = LogicalRegister(2)
+        leak = np.zeros((reg.dim, reg.dim), dtype=complex)
+        leak[-1, -1] = 1.0  # |1111>, outside the subspace
+        with pytest.raises(EmptySubspaceError, match="mean permanence"):
+            process_tomography(lambda r: np.stack([leak] * len(r)),
+                               register=reg, shots=shots, seed=2)
 
     def test_matrix_json_roundtrip(self, rng):
         m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))

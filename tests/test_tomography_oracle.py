@@ -1,16 +1,17 @@
 """The per-ion contractions of ``dfsqc.tomography`` against the loop
 implementations in ``tomography_reference``, over 1-4 ions, full-rank
-and rank-2 states, and exact and 100-shot data."""
+and rank-2 states, and exact and 100-shot data; the Haar figures against
+their closed forms."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tomography_reference as ref
-from conftest import random_density_matrix
+from conftest import random_density_matrix, random_unitary
 from dfsqc.tomography import (ChiMatrix, acquire_dataset, chi_basis_labels,
-                              chi_linear_solve, linear_inversion,
-                              preparation_states)
+                              chi_from_unitary, chi_linear_solve, haar_report,
+                              linear_inversion, preparation_states)
 
 SEEDS = st.integers(0, 2 ** 32 - 1)
 STATES = dict(n_ions=st.integers(1, 4), rank=st.sampled_from([None, 2]),
@@ -69,3 +70,23 @@ class TestProcessMatrix:
         outputs = [random_density_matrix(2 ** n_logical, rng) for _ in inputs]
         assert max_diff(chi_linear_solve(inputs, outputs, n_logical),
                         ref.chi_linear_solve(inputs, outputs, n_logical)) < 1e-12
+
+
+class TestHaarFigures:
+    @settings(deadline=None, max_examples=20)
+    @given(rank=st.integers(1, 16), scale=st.floats(0.3, 1.0), seed=SEEDS)
+    def test_means_match_the_closed_forms(self, rank, scale, seed):
+        # a random CP chi, scaled so its trace map W <= scale: trace-decreasing
+        rng = np.random.default_rng(seed)
+        entries = random_density_matrix(16, rng, rank=rank)
+        entries *= scale / np.linalg.eigvalsh(ref.trace_map(entries, 2)).max()
+        ideal = random_unitary(4, rng)
+        chi_ideal = chi_from_unitary(ideal).entries
+        report = haar_report(ChiMatrix(entries), ideal, n_samples=20_000,
+                             seed=seed)
+        perm = ref.haar_mean_permanence(entries)
+        overall = ref.haar_mean_overall(entries, chi_ideal)
+        for key, want in (("mean_permanence", perm),
+                          ("mean_overall", overall),
+                          ("mean_gate_fidelity", overall / perm)):
+            assert abs(report[key] - want) <= 5 * report[key + "_stderr"] + 1e-12

@@ -75,14 +75,34 @@ def superoperator(entries, n_logical):
     return s
 
 
-def trace_preservation_residual(entries, n_logical):
+def trace_map(entries, n_logical):
+    """``W = sum_mn chi_mn A_n+ A_m``, so that ``tr E(rho) = tr(W rho)``."""
     ops = chi_basis(n_logical)
     d = ops.shape[1]
     acc = np.zeros((d, d), dtype=complex)
     for m in range(len(ops)):
         for n in range(len(ops)):
             acc += entries[m, n] * linalg.dag(ops[n]) @ ops[m]
-    return float(np.max(np.abs(acc - np.eye(d))))
+    return acc
+
+
+def trace_preservation_residual(entries, n_logical):
+    d = 2 ** n_logical
+    return float(np.max(np.abs(trace_map(entries, n_logical) - np.eye(d))))
+
+
+def haar_mean_permanence(entries):
+    """Haar mean of ``tr E(psi)``: ``tr W / d``, which is ``tr chi``."""
+    return float(np.trace(entries).real)
+
+
+def haar_mean_overall(entries, ideal_entries):
+    """Haar mean of ``<U psi| E(psi) |U psi>`` for a chi over the Pauli
+    basis of dimension ``d``: ``(d tr(chi_ideal chi) + tr chi) / (d + 1)``
+    (Nielsen, quant-ph/0205035), trace-decreasing or not."""
+    d = int(round(np.sqrt(entries.shape[0])))
+    overlap = np.trace(ideal_entries @ entries).real
+    return float((d * overlap + np.trace(entries).real) / (d + 1))
 
 
 def chi_linear_solve(inputs, outputs, n_logical):
