@@ -18,6 +18,10 @@ Subcommands
 
 ``--seed`` overrides the config seed and, like it, must be non-negative.
 Reports are reproducible: the same (config, seed) gives the same bytes.
+
+Only ``run`` of ``bell``, ``cnot-tomo`` and ``coherence``, ``validate`` of
+``bell`` and ``cnot-tomo``, and ``dump-sequence`` import numpy; the scans,
+the other validations and ``--version`` start without it.
 """
 
 from __future__ import annotations
@@ -32,17 +36,9 @@ import os
 import sys
 import tempfile
 
-import numpy as np
-
-from . import __version__, linalg, motional
-from .encoding import (LogicalRegister, coherence_ratio, decode_in_dfs,
-                       embed_in_dfs, encode)
+from . import __version__, motional
 from .errors import (ConfigError, DfsqcError, DimensionError, LayoutError,
                      ValidationError)
-from .gates import PulseSequence, cnot_logical_matrix, compile_cnot, ms_pulse
-from .noise import NoiseModel, sample_noisy_channel
-from .tomography import (chi_from_unitary, haar_report, matrix_to_json,
-                         process_fidelity, process_tomography, project_chi_cp)
 
 
 #: What a config value must be (``test(value)`` holds, as ``what`` says) and its
@@ -228,6 +224,9 @@ def _check_semantics(config) -> dict:
     run = {name: getattr(spec, "default", None) for name, spec in table.items()}
     run.update(config, config_hash=config_hash(config))
     if experiment in ("bell", "cnot-tomo"):
+        from .encoding import LogicalRegister
+        from .gates import cnot_logical_matrix, compile_cnot
+        from .noise import NoiseModel
         with _field("register"):
             register = run["register"] = (
                 LogicalRegister.from_json(config["register"])
@@ -307,6 +306,13 @@ def _json_text(obj) -> str:
 
 
 def run_bell(run: dict, seed: int) -> tuple:
+    import numpy as np
+
+    from . import linalg
+    from .encoding import decode_in_dfs, encode
+    from .gates import PulseSequence, ms_pulse
+    from .noise import sample_noisy_channel
+    from .tomography import matrix_to_json
     register, control = run["register"], run["control"]
     prep = ms_pulse(np.pi / 2, control, register)
     seq = PulseSequence(ops=[prep] + list(run["cnot"].ops), register=register)
@@ -330,6 +336,10 @@ def run_bell(run: dict, seed: int) -> tuple:
 
 
 def run_cnot_tomo(run: dict, seed: int) -> tuple:
+    from .encoding import embed_in_dfs
+    from .noise import sample_noisy_channel
+    from .tomography import (chi_from_unitary, haar_report, process_fidelity,
+                             process_tomography, project_chi_cp)
     register, shots, ideal = run["register"], run["shots"], run["cnot_matrix"]
 
     def channel(rho_l):
@@ -356,6 +366,9 @@ def run_cnot_tomo(run: dict, seed: int) -> tuple:
 
 
 def run_coherence(run: dict, seed: int) -> tuple:
+    import numpy as np
+
+    from .encoding import coherence_ratio
     phi_std = run["phi_std"]
     phi = float(phi_std)  # a float square underflows the exponential to 0.0
     metrics = {"phi_std": phi_std, "coherence_ratio": coherence_ratio(phi_std),
@@ -409,6 +422,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_dump_sequence(args) -> int:
+    from .encoding import LogicalRegister
+    from .gates import compile_cnot
     with _field("--control/--target"):
         seq = compile_cnot(args.control, args.target, LogicalRegister(2))
     doc = seq.to_json()

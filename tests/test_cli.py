@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dfsqc import cli, linalg
+from dfsqc import cli, linalg, noise, tomography
 from dfsqc.cli import main
 from dfsqc.encoding import LogicalRegister, restrict_to_dfs
 from dfsqc.gates import CNOT_LOGICAL, sequence_unitary
@@ -681,6 +681,72 @@ def test_cli_import_needs_no_test_extra():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+#: Runs ``dfsqc.cli.main`` on its arguments after importing the module
+#: named first, and prints whether numpy was imported.
+NUMPY_PROBE = """
+import importlib, sys
+importlib.import_module(sys.argv[1])
+if sys.argv[2:]:
+    from dfsqc import cli
+    try:
+        code = cli.main(sys.argv[2:])
+    except SystemExit as exc:  # --version
+        code = exc.code
+    assert code == 0, code
+print("numpy" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("command, experiment, loads_numpy", [
+    ("import dfsqc", None, False),
+    ("import dfsqc.cli", None, False),
+    ("--version", None, False),
+    ("run", "ms-scan", False),
+    ("run", "cp-scan", False),
+    ("validate", "ms-scan", False),
+    ("validate", "cp-scan", False),
+    ("validate", "coherence", False),
+    ("validate", "bell", True),
+])
+def test_numpy_loaded_only_where_used(tmp_path, command, experiment,
+                                      loads_numpy):
+    # the scans and most validations compute without numpy, so they must not
+    # pay for importing it; validate of bell shows the probe can see it
+    module, argv = "dfsqc.cli", [command]
+    if command.startswith("import"):
+        module, argv = command.split()[1], []
+    if experiment is not None:
+        argv.append(str(write_config(tmp_path, experiment=experiment)[0]))
+    src = str(ROOT / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", NUMPY_PROBE, module, *argv],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-1] == str(loads_numpy)
+
+
+def test_layer_functions_looked_up_at_call_time(tmp_path, monkeypatch):
+    # the benchmark tracer wraps module attributes; a run that bound them
+    # at import time would bypass its wrappers
+    calls = []
+    for module, name in [(noise, "sample_noisy_channel"),
+                         (tomography, "process_tomography")]:
+        def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    path, _ = write_config(tmp_path, "bell.json", noise=CALIBRATED,
+                           noise_samples=4)
+    assert main(["run", str(path)]) == 0
+    assert "sample_noisy_channel" in calls
+    calls.clear()
+    path, _ = write_config(tmp_path, "tomo.json", experiment="cnot-tomo",
+                           shots=None, n_haar_samples=1000)
+    assert main(["run", str(path)]) == 0
+    assert {"sample_noisy_channel", "process_tomography"} <= set(calls)
 
 
 @pytest.mark.parametrize("workload, index", [("tomo", 0), ("bell", 0),

@@ -5,7 +5,8 @@ aside), and every public method or property of such a class, must be
 referenced by name, bare or as an attribute, from ``src/`` or ``demos/``;
 references from tests and the re-exports of ``__init__`` do not count,
 nor does a function's or method's reference to itself.  Every
-module-level import must be used in its module.
+module-level import must be used in its module, and every import inside
+a function in that function.
 """
 
 import ast
@@ -70,14 +71,25 @@ def test_every_module_level_def_has_a_caller():
     assert uncalled == []
 
 
+def _unused_imports(scope: ast.AST, imports: list) -> list:
+    """Names bound by the import statements among ``imports`` that
+    ``scope`` never reads."""
+    read = {n.id for n in ast.walk(scope) if isinstance(n, ast.Name)}
+    bound = [a.asname or a.name.split(".")[0] for node in imports
+             if isinstance(node, (ast.Import, ast.ImportFrom))
+             and getattr(node, "module", None) != "__future__"
+             for a in node.names]
+    return [b for b in bound if b not in read]
+
+
 def test_every_module_level_import_is_used():
     unused = []
     for path in MODULES:
         tree = _tree(path)
-        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-        for node in tree.body:
-            if (isinstance(node, (ast.Import, ast.ImportFrom))
-                    and getattr(node, "module", None) != "__future__"):
-                bound = [a.asname or a.name.split(".")[0] for a in node.names]
-                unused += [f"{path.stem}: {b}" for b in bound if b not in read]
-    assert unused == []
+        unused += [f"{path.stem}: {b}" for b in _unused_imports(tree, tree.body)]
+        # a nested function's imports are checked against it and, since
+        # its reads are also its parent's, harmlessly against the parent
+        unused += [f"{path.stem}.{fn.name}: {b}" for fn in ast.walk(tree)
+                   if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for b in _unused_imports(fn, ast.walk(fn))]
+    assert sorted(set(unused)) == []
