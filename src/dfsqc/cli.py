@@ -74,8 +74,8 @@ def _samples(low: int, bytes_each: int) -> FieldSpec:
 
 _INTEGER, _REAL = FieldSpec(_integer, "an integer"), FieldSpec(_real, "a number")
 # Sample counts, at bytes per sample rounded up to a power of two from the
-# tracemalloc peak of the arrays a run builds: 24 per shot and 576 per Haar
-# state.
+# tracemalloc peak of the arrays a run builds: 24 per shot, and 80 per Haar
+# state plus 2.9 MB of chunk arrays (95 a state at 200k; 1024 is loose).
 _SHOTS, _HAAR = _samples(1, 32), _samples(1000, 1024)
 # Dense arrays of an n-ion register, rounded up from the same peaks at 8-9
 # ions: per input state and 4^n, 80 (bell) and 68 (cnot-tomo) bytes for the

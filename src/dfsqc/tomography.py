@@ -29,8 +29,9 @@ bin edge.
 
 The Haar figures average the permanence ``tr E(psi)`` and the overall
 fidelity ``<U psi| E(psi) |U psi>`` over pure logical inputs, sampled with
-normalized complex Gaussian vectors (exactly Haar for states); the mean
-gate fidelity is their ratio, the fidelity within the subspace.
+normalized complex Gaussian vectors (exactly Haar for states) and read
+as quadratic forms in ``psi`` and ``psi (x) psi``, a chunk at a time; the
+mean gate fidelity is their ratio, the fidelity within the subspace.
 """
 
 from __future__ import annotations
@@ -141,15 +142,6 @@ def linear_inversion(freq: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Haar sampling
-
-def haar_states(dim: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Batch of Haar-random pure states, shape (n, dim)."""
-    z = rng.normal(size=(n, dim)) + 1j * rng.normal(size=(n, dim))
-    return z / np.linalg.norm(z, axis=1, keepdims=True)
-
-
-# ---------------------------------------------------------------------------
 # Process matrix
 
 def chi_basis_labels(n_logical: int = 2) -> list:
@@ -179,14 +171,6 @@ class ChiMatrix:
     @property
     def n_logical(self) -> int:
         return len(self.basis_labels[0])
-
-    def superoperator(self) -> np.ndarray:
-        """Row-major superoperator: ``E(rho) = (S @ rho.ravel()).reshape(d, d)``."""
-        ops = chi_basis(self.n_logical)
-        d = ops.shape[1]
-        s = np.einsum("mn,mij,nkl->ikjl", self.entries, ops, ops.conj(),
-                      optimize=True)
-        return s.reshape(d * d, d * d)
 
     def to_json(self) -> dict:
         return {"basis": list(self.basis_labels),
@@ -244,18 +228,21 @@ def preparation_states(n_logical: int = 2) -> list:
 def chi_linear_solve(inputs: Sequence[np.ndarray],
                      outputs: Sequence[np.ndarray],
                      n_logical: int = 2) -> np.ndarray:
-    """Least-squares chi from (input, output) density-matrix pairs."""
+    """Least-squares chi from (input, output) density-matrix pairs: the
+    superoperator ``vec(out) = S vec(in)`` fitted on the inputs' ``d^2``
+    columns, then ``chi_mn = sum conj(A_m[i, j]) S[(i, k), (j, l)] A_n[k, l]
+    / d^2``, a change of basis that is ``d`` times unitary and so keeps the
+    least squares of ``sum_mn chi_mn A_m rho A_n+`` for any input count."""
     ops = chi_basis(n_logical)
-    n_ops = len(ops)
-    # row (r, i, k), column (m, n): (A_m rho_r A_n+)[i, k]
-    mat = np.einsum("mij,rjl,nkl->rikmn", ops, np.asarray(inputs, dtype=complex),
-                    ops.conj(), optimize=True).reshape(-1, n_ops * n_ops)
-    b = np.concatenate([np.asarray(o, dtype=complex).reshape(-1) for o in outputs])
-    sol, _, rank, _ = np.linalg.lstsq(mat, b, rcond=None)
-    if rank < n_ops * n_ops:
+    d = ops.shape[1]
+    ins = np.asarray(inputs, dtype=complex).reshape(-1, d * d)
+    outs = np.asarray(outputs, dtype=complex).reshape(-1, d * d)
+    s_t, _, rank, _ = np.linalg.lstsq(ins, outs, rcond=None)
+    if rank < d * d:
         raise ConditioningError(
-            f"chi reconstruction system is rank deficient ({rank}/{n_ops * n_ops})")
-    return sol.reshape(n_ops, n_ops)
+            f"chi reconstruction system is rank deficient ({rank}/{d * d})")
+    return np.einsum("mij,jlik,nkl->mn", ops.conj(), s_t.reshape(d, d, d, d),
+                     ops, optimize=True) / d ** 2  # s_t[(j, l), (i, k)] is S^T
 
 
 @dataclass
@@ -314,16 +301,31 @@ def process_tomography(channel: Callable[[np.ndarray], np.ndarray],
 # ---------------------------------------------------------------------------
 # Haar-averaged figures of merit
 
-def _batched_figures(sop: np.ndarray, ideal: np.ndarray,
-                     psi: np.ndarray) -> tuple:
-    """Permanence ``tr E(psi)`` and overall fidelity
-    ``<U psi| E(psi) |U psi>`` of a batch of pure states."""
-    n, d = psi.shape
-    out = ((psi[:, :, None] * psi.conj()[:, None, :]).reshape(n, -1)
-           @ sop.T).reshape(n, d, d)
-    phi = psi @ ideal.T
-    return (np.real(np.einsum("nii->n", out)),
-            np.real(np.einsum("ni,nij,nj->n", phi.conj(), out, phi)))
+_HAAR_CHUNK = 4096  # Haar states evaluated at once: bounds the working arrays
+
+
+def _haar_figures(chi: ChiMatrix, ideal: np.ndarray, n: int,
+                  rng: np.random.Generator) -> tuple:
+    """Permanence ``psi+ T psi``, ``T = sum_mn chi_mn A_n+ A_m``, and overall
+    fidelity ``w+ K w`` on ``w = psi (x) psi``, ``K[(i, k), (j, l)] = sum_mn
+    chi_mn B_m[i, j] conj(B_n[l, k])``, ``B_m = U+ A_m``, of ``n`` Haar states:
+    normalized complex Gaussians, with the real parts drawn first."""
+    d = ideal.shape[0]
+    ops = chi_basis(chi.n_logical)
+    after = linalg.dag(ideal) @ ops
+    t = np.einsum("mn,nji,mjk->ik", chi.entries, ops.conj(), ops, optimize=True)
+    k = np.einsum("mn,mij,nlk->ikjl", chi.entries, after, after.conj(),
+                  optimize=True).reshape(d * d, d * d)
+    re, im = rng.normal(size=(n, d)), rng.normal(size=(n, d))
+    perm, overall = np.empty(n), np.empty(n)
+    for rows in (slice(a, a + _HAAR_CHUNK) for a in range(0, n, _HAAR_CHUNK)):
+        z = re[rows] + 1j * im[rows]
+        psi = z / np.linalg.norm(z, axis=1, keepdims=True)
+        w = (psi[:, :, None] * psi[:, None, :]).reshape(len(psi), -1)
+        # Re x+ M x per row: the row dot products of x's and M x's float views
+        for out, x, m in ((perm, psi, t), (overall, w, k)):
+            out[rows] = np.einsum("ij,ij->i", x.view(float), (x @ m.T).view(float))
+    return perm, overall
 
 
 def haar_report(chi: ChiMatrix, ideal: np.ndarray, n_samples: int,
@@ -333,18 +335,16 @@ def haar_report(chi: ChiMatrix, ideal: np.ndarray, n_samples: int,
 
     All three are read off ``chi``: the permanence ``tr E(psi)``, the
     overall fidelity ``<U psi| E(psi) |U psi>``, and the gate fidelity
-    within the subspace, the ratio of their means.  The standard errors
-    are those of the sampling, the ratio's by the delta method.
-    Sampling needs a ``seed``.
+    within the subspace, the ratio of their means, evaluated ``_HAAR_CHUNK``
+    inputs at a time.  The standard errors are those of the sampling, the
+    ratio's by the delta method.  Sampling needs a ``seed``.
     """
     if seed is None:
         raise ValidationError("a seed is required for reproducible sampling")
     if n_samples < 1000:
         raise ValidationError("need at least 1000 Haar samples")
-    d = ideal.shape[0]
-    rng = np.random.default_rng(seed)
-    perm, overall = _batched_figures(chi.superoperator(), ideal,
-                                     haar_states(d, n_samples, rng))
+    perm, overall = _haar_figures(chi, ideal, n_samples,
+                                  np.random.default_rng(seed))
     rt = np.sqrt(float(n_samples))
     mean_perm = float(np.mean(perm))
     fid = float(np.mean(overall)) / mean_perm

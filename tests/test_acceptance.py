@@ -20,13 +20,13 @@ from dfsqc.motional import off_resonant_error_scan
 from dfsqc.noise import (CALIBRATED_NOISE, noisy_op_unitary,
                          sample_noisy_channel)
 from dfsqc.tomography import (ChiMatrix, chi_from_unitary, dfs_report,
-                              haar_report, haar_states, process_fidelity,
-                              process_tomography)
+                              haar_report, process_fidelity, process_tomography)
 
 from conftest import random_state
 from reference import (SPIN_X, SPIN_Z, closed_gate, dense_collective_phase,
                        drive, midpoint_errors, oracle_propagator, oracle_scan,
                        unitary_trace_distance, vacuum_block)
+from tomography_reference import haar_states
 
 REG = LogicalRegister(2)
 

@@ -1,9 +1,11 @@
 """The per-ion contractions of ``dfsqc.tomography`` against the loop
 implementations in ``tomography_reference``, over 1-4 ions, full-rank
-and rank-2 states, and exact and 100-shot data; the Haar figures against
-their closed forms."""
+and rank-2 states, and exact and 100-shot data; the chi solve against
+the least squares over all ``16^n`` chi entries; the Haar figures against
+the dense path and their closed forms."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -52,7 +54,7 @@ class TestProcessMatrix:
         rng = np.random.default_rng(seed)
         entries = random_density_matrix(4 ** n_logical, rng)
         chi = ChiMatrix(entries, chi_basis_labels(n_logical))
-        s = chi.superoperator()
+        s = ref.chi_superoperator(chi)
         assert max_diff(s, ref.superoperator(entries, n_logical)) < 1e-12
         # tr E(rho) = tr(M rho) with M = sum_mn chi_mn A_n+ A_m, read off
         # the superoperator as the row vec(1)^T S
@@ -72,7 +74,40 @@ class TestProcessMatrix:
                         ref.chi_linear_solve(inputs, outputs, n_logical)) < 1e-12
 
 
+    @settings(deadline=None, max_examples=20)
+    @given(n_logical=st.integers(1, 2), n_inputs=st.integers(20, 40),
+           seed=SEEDS)
+    def test_chi_linear_solve_is_least_squares(self, n_logical, n_inputs, seed):
+        # more inputs than unknowns, and outputs of no CP map: a channel's
+        # outputs plus complex noise, neither Hermitian nor of trace one
+        rng = np.random.default_rng(seed)
+        d = 2 ** n_logical
+        inputs = [random_density_matrix(d, rng) for _ in range(n_inputs)]
+        s = ref.superoperator(random_density_matrix(d * d, rng), n_logical)
+        outputs = [(s @ rho.reshape(-1)).reshape(d, d)
+                   + 0.05 * (rng.normal(size=(d, d))
+                             + 1j * rng.normal(size=(d, d)))
+                   for rho in inputs]
+        assert max_diff(chi_linear_solve(inputs, outputs, n_logical),
+                        ref.chi_linear_solve(inputs, outputs, n_logical)) < 1e-12
+
+
 class TestHaarFigures:
+    # 4097 leaves a one-state tail after the first 4096-state chunk
+    @pytest.mark.parametrize("n_samples", [1000, 4097, 20_000])
+    @pytest.mark.parametrize("seed", [3, 17, 2009])
+    def test_streamed_figures_match_the_dense_path(self, n_samples, seed):
+        # a random CP chi scaled to a trace-decreasing map, and a random ideal
+        rng = np.random.default_rng(seed)
+        entries = random_density_matrix(16, rng, rank=int(rng.integers(1, 17)))
+        entries *= 0.9 / np.linalg.eigvalsh(ref.trace_map(entries, 2)).max()
+        ideal = random_unitary(4, rng)
+        report = haar_report(ChiMatrix(entries), ideal, n_samples, seed=seed)
+        want = ref.haar_report(ChiMatrix(entries), ideal, n_samples, seed)
+        assert report.keys() == want.keys()
+        for key in want:
+            assert abs(report[key] - want[key]) < 1e-12, key
+
     @settings(deadline=None, max_examples=20)
     @given(rank=st.integers(1, 16), scale=st.floats(0.3, 1.0), seed=SEEDS)
     def test_means_match_the_closed_forms(self, rank, scale, seed):

@@ -2,8 +2,10 @@
 
 These are the direct, slow forms: one dense rotation per setting, one
 Pauli string at a time for linear inversion, and double loops over the
-chi basis.  ``tests/test_tomography_oracle.py`` checks the vectorized
-code in :mod:`dfsqc.tomography` against them.
+chi basis.  The dense Haar path is here too: every sampled state's
+``E(psi)`` built at once through the chi superoperator, with no chunking.
+``tests/test_tomography_oracle.py`` checks the vectorized code in
+:mod:`dfsqc.tomography` against them.
 """
 
 import itertools
@@ -73,6 +75,52 @@ def superoperator(entries, n_logical):
         for n in range(len(ops)):
             s += entries[m, n] * np.kron(ops[m], ops[n].conj())
     return s
+
+
+def chi_superoperator(chi):
+    """Row-major superoperator of a ``ChiMatrix``:
+    ``E(rho) = (S @ rho.ravel()).reshape(d, d)``."""
+    ops = chi_basis(chi.n_logical)
+    d = ops.shape[1]
+    s = np.einsum("mn,mij,nkl->ikjl", chi.entries, ops, ops.conj(),
+                  optimize=True)
+    return s.reshape(d * d, d * d)
+
+
+def haar_states(dim, n, rng):
+    """Batch of Haar-random pure states, shape (n, dim)."""
+    z = rng.normal(size=(n, dim)) + 1j * rng.normal(size=(n, dim))
+    return z / np.linalg.norm(z, axis=1, keepdims=True)
+
+
+def batched_figures(sop, ideal, psi):
+    """Permanence ``tr E(psi)`` and overall fidelity
+    ``<U psi| E(psi) |U psi>`` of a batch of pure states."""
+    n, d = psi.shape
+    out = ((psi[:, :, None] * psi.conj()[:, None, :]).reshape(n, -1)
+           @ sop.T).reshape(n, d, d)
+    phi = psi @ ideal.T
+    return (np.real(np.einsum("nii->n", out)),
+            np.real(np.einsum("ni,nij,nj->n", phi.conj(), out, phi)))
+
+
+def haar_report(chi, ideal, n_samples, seed):
+    """``dfsqc.tomography.haar_report`` on the dense stack of all states."""
+    rng = np.random.default_rng(seed)
+    perm, overall = batched_figures(chi_superoperator(chi), ideal,
+                                    haar_states(ideal.shape[0], n_samples, rng))
+    rt = np.sqrt(float(n_samples))
+    mean_perm = float(np.mean(perm))
+    fid = float(np.mean(overall)) / mean_perm
+    return {
+        "mean_gate_fidelity": fid,
+        "mean_gate_fidelity_stderr": float(
+            np.std(overall - fid * perm, ddof=1) / (rt * mean_perm)),
+        "mean_permanence": mean_perm,
+        "mean_permanence_stderr": float(np.std(perm, ddof=1) / rt),
+        "mean_overall": float(np.mean(overall)),
+        "mean_overall_stderr": float(np.std(overall, ddof=1) / rt),
+    }
 
 
 def trace_map(entries, n_logical):
