@@ -74,8 +74,8 @@ def _samples(low: int, bytes_each: int) -> FieldSpec:
 
 _INTEGER, _REAL = FieldSpec(_integer, "an integer"), FieldSpec(_real, "a number")
 # Sample counts, at bytes per sample rounded up to a power of two from the
-# tracemalloc peak of the arrays a run builds: 24 per shot, and 80 per Haar
-# state plus 2.9 MB of chunk arrays (95 a state at 200k; 1024 is loose).
+# tracemalloc peak of the arrays a run builds: 24 per shot, and 16 per Haar
+# state plus its chunk and moment arrays (32 a state at 200k; 1024 is loose).
 _SHOTS, _HAAR = _samples(1, 32), _samples(1000, 1024)
 # Dense arrays of an n-ion register, rounded up from the same peaks at 8-9
 # ions: per input state and 4^n, 80 (bell) and 68 (cnot-tomo) bytes for the
@@ -312,7 +312,6 @@ def run_bell(run: dict, seed: int) -> tuple:
     from .encoding import decode_in_dfs, encode
     from .gates import PulseSequence, ms_pulse
     from .noise import sample_noisy_channel
-    from .tomography import matrix_to_json
     register, control = run["register"], run["control"]
     prep = ms_pulse(np.pi / 2, control, register)
     seq = PulseSequence(ops=[prep] + list(run["cnot"].ops), register=register)
@@ -331,7 +330,7 @@ def run_bell(run: dict, seed: int) -> tuple:
         metrics["fidelity"].append(fid)
         metrics["permanence"].append(perm)
         metrics["overall"].append(perm * fid)
-        matrices[f"bell_{bits}_logical"] = matrix_to_json(rho_l)
+        matrices[f"bell_{bits}_logical"] = linalg.matrix_to_json(rho_l)
     return metrics, matrices, []
 
 

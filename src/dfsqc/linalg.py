@@ -129,3 +129,7 @@ def canonicalize_phase(m: np.ndarray, tol: float = 1e-9) -> np.ndarray:
             return m * (abs(x) / x)
     return np.array(m, copy=True)
 
+
+def matrix_to_json(m: np.ndarray) -> list:
+    """Row-major nested list of [re, im] pairs."""
+    return [[[float(x.real), float(x.imag)] for x in row] for row in np.asarray(m)]

@@ -25,13 +25,15 @@ so state tomography is a per-ion contraction with the single-ion effects
 (x)_k (3 E[s_k, b_k] - 1)``: the all-settings classical-shadow estimator
 (Huang, Kueng & Preskill, arXiv:2002.08953).  Shots are drawn by
 inverse-CDF sampling, so rounding of the state moves a count only at a
-bin edge.
+bin edge, and all settings of one state share one random stream, each
+taking its own fixed run of ``shots`` uniforms.
 
 The Haar figures average the permanence ``tr E(psi)`` and the overall
 fidelity ``<U psi| E(psi) |U psi>`` over pure logical inputs, sampled with
-normalized complex Gaussian vectors (exactly Haar for states) and read
-as quadratic forms in ``psi`` and ``psi (x) psi``, a chunk at a time; the
-mean gate fidelity is their ratio, the fidelity within the subspace.
+normalized complex Gaussian vectors (exactly Haar for states), drawn and
+read a chunk at a time as quadratic forms in ``z`` and in the symmetric
+part of ``z (x) z``, over ``|z|^2`` and ``|z|^4``; the mean gate fidelity
+is their ratio, the fidelity within the subspace.
 """
 
 from __future__ import annotations
@@ -82,16 +84,23 @@ def _contract_ions(t: np.ndarray, tables: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def _draw_counts(probs: np.ndarray, shots: int, seed) -> np.ndarray:
-    """Multinomial counts by inverse-CDF sampling from ``default_rng(seed)``:
-    a rounding-level change in ``probs`` moves a count only if a draw falls
-    within rounding of a bin edge.  Draws past the last edge (the sum may
-    fall short of one) go to the last outcome of nonzero probability."""
+    """Counts of each row of ``probs`` by inverse-CDF sampling from one
+    ``default_rng(seed)`` stream: row ``i`` bins uniforms ``i*shots`` to
+    ``(i+1)*shots - 1``, so a change to one row's probabilities moves no
+    other row's counts, and a rounding-level change moves a count only if
+    a draw falls within rounding of a bin edge.  Draws past the last edge
+    (the sum may fall short of one) go to the last outcome of nonzero
+    probability."""
     if shots < 1:
         raise ValidationError("shots must be at least 1")
-    u = np.random.default_rng(seed).random(shots)
-    idx = np.searchsorted(np.cumsum(probs), u, side="right")
-    idx = np.minimum(idx, np.flatnonzero(probs)[-1])
-    return np.bincount(idx, minlength=len(probs))
+    rng = np.random.default_rng(seed)
+    edges = np.cumsum(probs, axis=1)
+    top = probs.shape[1] - 1 - np.argmax(probs[:, ::-1] > 0, axis=1)
+    counts = np.empty(probs.shape, dtype=np.int64)
+    for row, e, last in zip(counts, edges, top):
+        idx = np.searchsorted(e, rng.random(shots), side="right")
+        row[:] = np.bincount(np.minimum(idx, last), minlength=len(e))
+    return counts
 
 
 def acquire_dataset(rho: np.ndarray, shots: Optional[int],
@@ -99,9 +108,10 @@ def acquire_dataset(rho: np.ndarray, shots: Optional[int],
     """Outcome frequencies of a state in every setting, shape ``(3^n, 2^n)``,
     with rows in lexicographic setting order (ion 0's letter most significant).
 
-    ``shots=None`` gives the exact outcome distributions.  Otherwise
-    setting ``i`` draws its shots from ``default_rng((seed, i))`` and its
-    row is ``counts / shots``, so sampling needs a seed.
+    ``shots=None`` gives the exact outcome distributions.  Otherwise every
+    setting draws its shots from the one stream ``default_rng(seed)``,
+    setting ``i`` taking uniforms ``i*shots`` to ``(i+1)*shots - 1``, and
+    its row is ``counts / shots``, so sampling needs a seed.
     """
     if shots is not None and seed is None:
         raise ValidationError("a seed is required for reproducible sampling")
@@ -116,8 +126,7 @@ def acquire_dataset(rho: np.ndarray, shots: Optional[int],
     probs = probs / probs.sum(axis=1, keepdims=True)
     if shots is None:
         return probs
-    return np.stack([_draw_counts(p, shots, (seed, i))
-                     for i, p in enumerate(probs)]) / shots
+    return _draw_counts(probs, shots, seed) / shots
 
 
 def _n_ions(freq: np.ndarray) -> int:
@@ -174,11 +183,7 @@ class ChiMatrix:
 
     def to_json(self) -> dict:
         return {"basis": list(self.basis_labels),
-                "entries": matrix_to_json(self.entries)}
-
-def matrix_to_json(m: np.ndarray) -> list:
-    """Row-major nested list of [re, im] pairs."""
-    return [[[float(x.real), float(x.imag)] for x in row] for row in np.asarray(m)]
+                "entries": linalg.matrix_to_json(self.entries)}
 
 
 def chi_from_unitary(u: np.ndarray) -> ChiMatrix:
@@ -306,25 +311,35 @@ _HAAR_CHUNK = 4096  # Haar states evaluated at once: bounds the working arrays
 
 def _haar_figures(chi: ChiMatrix, ideal: np.ndarray, n: int,
                   rng: np.random.Generator) -> tuple:
-    """Permanence ``psi+ T psi``, ``T = sum_mn chi_mn A_n+ A_m``, and overall
-    fidelity ``w+ K w`` on ``w = psi (x) psi``, ``K[(i, k), (j, l)] = sum_mn
-    chi_mn B_m[i, j] conj(B_n[l, k])``, ``B_m = U+ A_m``, of ``n`` Haar states:
-    normalized complex Gaussians, with the real parts drawn first."""
+    """Permanence ``z+ T z / |z|^2``, ``T = sum_mn chi_mn A_n+ A_m``, and
+    overall fidelity ``s+ K_s s / |z|^4`` of ``n`` Haar states ``z / |z|``,
+    with ``z`` a complex Gaussian drawn as interleaved real and imaginary
+    parts, one chunk at a time.  ``s`` holds the products ``z_i z_j``,
+    ``i <= j``, the coordinates of ``w = z (x) z = F s`` on the symmetric
+    subspace, and ``K_s = F^T K F`` folds ``K[(i, k), (j, l)] = sum_mn
+    chi_mn B_m[i, j] conj(B_n[l, k])``, ``B_m = U+ A_m``, onto it."""
     d = ideal.shape[0]
     ops = chi_basis(chi.n_logical)
     after = linalg.dag(ideal) @ ops
     t = np.einsum("mn,nji,mjk->ik", chi.entries, ops.conj(), ops, optimize=True)
     k = np.einsum("mn,mij,nlk->ikjl", chi.entries, after, after.conj(),
                   optimize=True).reshape(d * d, d * d)
-    re, im = rng.normal(size=(n, d)), rng.normal(size=(n, d))
+    iu, ju = np.triu_indices(d)
+    fold = np.zeros((d * d, len(iu)))
+    fold[iu * d + ju, np.arange(len(iu))] = 1.0
+    fold[ju * d + iu, np.arange(len(iu))] = 1.0
+    k = fold.T @ k @ fold
     perm, overall = np.empty(n), np.empty(n)
-    for rows in (slice(a, a + _HAAR_CHUNK) for a in range(0, n, _HAAR_CHUNK)):
-        z = re[rows] + 1j * im[rows]
-        psi = z / np.linalg.norm(z, axis=1, keepdims=True)
-        w = (psi[:, :, None] * psi[:, None, :]).reshape(len(psi), -1)
+    for a in range(0, n, _HAAR_CHUNK):
+        z = rng.standard_normal((min(_HAAR_CHUNK, n - a), 2 * d)).view(complex)
+        rows = slice(a, a + len(z))
+        norm2 = np.einsum("ij,ij->i", z.view(float), z.view(float))
+        s = np.take(z, iu, axis=1) * np.take(z, ju, axis=1)  # C order for .view
         # Re x+ M x per row: the row dot products of x's and M x's float views
-        for out, x, m in ((perm, psi, t), (overall, w, k)):
+        for out, x, m in ((perm, z, t), (overall, s, k)):
             out[rows] = np.einsum("ij,ij->i", x.view(float), (x @ m.T).view(float))
+        perm[rows] /= norm2
+        overall[rows] /= norm2 * norm2
     return perm, overall
 
 
@@ -335,9 +350,13 @@ def haar_report(chi: ChiMatrix, ideal: np.ndarray, n_samples: int,
 
     All three are read off ``chi``: the permanence ``tr E(psi)``, the
     overall fidelity ``<U psi| E(psi) |U psi>``, and the gate fidelity
-    within the subspace, the ratio of their means, evaluated ``_HAAR_CHUNK``
-    inputs at a time.  The standard errors are those of the sampling, the
-    ratio's by the delta method.  Sampling needs a ``seed``.
+    within the subspace, the ratio of their means.  The inputs are drawn
+    and evaluated ``_HAAR_CHUNK`` at a time, so only the two figures of
+    each input, 16 bytes, grow with ``n_samples``.  The standard errors
+    are those of the sampling, the ratio's by the delta method.  Sampling
+    needs a ``seed``, and a mean permanence at or below
+    ``MIN_PERMANENCE``, which a shot-noisy ``chi`` can give, raises
+    :class:`EmptySubspaceError`.
     """
     if seed is None:
         raise ValidationError("a seed is required for reproducible sampling")
@@ -347,6 +366,10 @@ def haar_report(chi: ChiMatrix, ideal: np.ndarray, n_samples: int,
                                   np.random.default_rng(seed))
     rt = np.sqrt(float(n_samples))
     mean_perm = float(np.mean(perm))
+    if mean_perm <= MIN_PERMANENCE:  # the gate fidelity divides by it
+        raise EmptySubspaceError(
+            f"Haar mean permanence {mean_perm:.3e} is not above {MIN_PERMANENCE}",
+            permanence=max(mean_perm, 0.0))
     fid = float(np.mean(overall)) / mean_perm
     return {
         "mean_gate_fidelity": fid,

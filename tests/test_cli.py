@@ -531,6 +531,25 @@ class TestRunCnotTomo:
                     "mean_permanence"])
             assert abs(means[1] - means[0]) < 0.01, (seed, means)
 
+    def test_benchmark_shaped_run_stays_small(self, tmp_path):
+        # calibrated noise, 100 shots and 200k Haar states: the Haar figures
+        # (16 bytes a state) are the largest arrays; a cheap run first
+        # imports everything the measured one uses
+        warm, _ = write_config(tmp_path, "warm.json", experiment="cnot-tomo",
+                               noise=CALIBRATED, noise_samples=1, shots=1,
+                               n_haar_samples=1000)
+        path, _ = write_config(tmp_path, experiment="cnot-tomo",
+                               noise=CALIBRATED, shots=100,
+                               n_haar_samples=200_000)
+        assert main(["run", str(warm)]) == 0
+        tracemalloc.start()
+        try:
+            assert main(["run", str(path)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
+
 
 class TestRunCoherence:
     def test_ratio_above_hundred(self, tmp_path):
@@ -684,7 +703,8 @@ def test_cli_import_needs_no_test_extra():
 
 
 #: Runs ``dfsqc.cli.main`` on its arguments after importing the module
-#: named first, and prints whether numpy was imported.
+#: named first, and prints whether numpy and ``dfsqc.tomography`` were
+#: imported.
 NUMPY_PROBE = """
 import importlib, sys
 importlib.import_module(sys.argv[1])
@@ -695,7 +715,7 @@ if sys.argv[2:]:
     except SystemExit as exc:  # --version
         code = exc.code
     assert code == 0, code
-print("numpy" in sys.modules)
+print("numpy" in sys.modules, "dfsqc.tomography" in sys.modules)
 """
 
 
@@ -709,11 +729,13 @@ print("numpy" in sys.modules)
     ("validate", "cp-scan", False),
     ("validate", "coherence", False),
     ("validate", "bell", True),
+    ("run", "bell", True),
 ])
 def test_numpy_loaded_only_where_used(tmp_path, command, experiment,
                                       loads_numpy):
     # the scans and most validations compute without numpy, so they must not
-    # pay for importing it; validate of bell shows the probe can see it
+    # pay for importing it; validate of bell shows the probe can see it.
+    # Only cnot-tomo reads tomography, so no command here imports it
     module, argv = "dfsqc.cli", [command]
     if command.startswith("import"):
         module, argv = command.split()[1], []
@@ -725,7 +747,7 @@ def test_numpy_loaded_only_where_used(tmp_path, command, experiment,
     proc = subprocess.run([sys.executable, "-c", NUMPY_PROBE, module, *argv],
                           env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split()[-1] == str(loads_numpy)
+    assert proc.stdout.split()[-2:] == [str(loads_numpy), "False"]
 
 
 def test_layer_functions_looked_up_at_call_time(tmp_path, monkeypatch):

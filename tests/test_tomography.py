@@ -3,11 +3,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 import tomography_reference as ref
 from dfsqc import linalg
-from dfsqc.encoding import LogicalRegister, embed_in_dfs, encode
+from dfsqc.encoding import (MIN_PERMANENCE, LogicalRegister, embed_in_dfs,
+                            encode)
 from dfsqc.errors import (ConditioningError, DimensionError,
                           EmptySubspaceError, ValidationError)
 from dfsqc.gates import (CNOT_LOGICAL, compile_cnot, ms_pulse, PulseSequence,
@@ -15,7 +18,7 @@ from dfsqc.gates import (CNOT_LOGICAL, compile_cnot, ms_pulse, PulseSequence,
 from dfsqc.tomography import (ChiMatrix, acquire_dataset, chi_basis_labels,
                               chi_from_unitary, chi_linear_solve, dfs_report,
                               haar_report, linear_inversion,
-                              matrix_to_json, preparation_states,
+                              preparation_states,
                               process_fidelity, process_tomography,
                               project_chi_cp, _draw_counts)
 
@@ -29,7 +32,9 @@ def probabilities(rho, setting):
 
 
 def shot_counts(rho, setting, shots, seed):
-    return _draw_counts(probabilities(rho, setting), shots, seed)
+    """Counts of one setting drawn alone: the first ``shots`` uniforms of
+    ``default_rng(seed)``."""
+    return _draw_counts(probabilities(rho, setting)[None], shots, seed)[0]
 
 
 def decode_matrix(rows):
@@ -109,7 +114,7 @@ class TestMeasurement:
 
     def test_draws_past_last_edge_stay_on_support(self):
         probs = np.array([0.25, 0.0, 0.749, 0.0])
-        counts = _draw_counts(probs, 100_000, seed=3)
+        counts = _draw_counts(probs[None], 100_000, seed=3)[0]
         assert counts.sum() == 100_000
         assert counts[1] == 0 and counts[3] == 0
 
@@ -127,13 +132,39 @@ class TestDataset:
         assert np.allclose(freq.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
     def test_shot_rows_are_count_fractions(self, rng):
+        # one stream per state: row i bins uniforms i*100 ... i*100 + 99
         rho = random_density_matrix(4, rng)
         freq = acquire_dataset(rho, 100, seed=3)
         assert freq.shape == (9, 4)
         assert np.allclose(freq.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        uniforms = np.random.default_rng(3).random(9 * 100).reshape(9, 100)
         for i, s in enumerate(ref.all_settings(2)):
-            counts = shot_counts(rho, s, 100, seed=(3, i))
+            counts = ref.inverse_cdf_counts(probabilities(rho, s), uniforms[i])
             assert np.array_equal(freq[i], counts / 100)
+
+    @settings(deadline=None, max_examples=50)
+    @given(rows=st.integers(2, 12), outcomes=st.integers(1, 16),
+           shots=st.integers(1, 300), seed=st.integers(0, 2 ** 32 - 1),
+           data=st.data())
+    def test_rows_draw_independently(self, rows, outcomes, shots, seed, data):
+        # any change to one row, its support included, leaves the others'
+        # counts as they were
+        rng = np.random.default_rng(seed)
+
+        def distribution():
+            p = rng.random(outcomes) * (rng.random(outcomes) < 0.7)
+            p[rng.integers(outcomes)] += 0.1
+            return p / p.sum()
+
+        probs = np.stack([distribution() for _ in range(rows)])
+        changed = probs.copy()
+        row = data.draw(st.integers(0, rows - 1))
+        changed[row] = distribution()
+        before = _draw_counts(probs, shots, seed)
+        after = _draw_counts(changed, shots, seed)
+        assert np.array_equal(after.sum(axis=1), np.full(rows, shots))
+        others = np.arange(rows) != row
+        assert np.array_equal(before[others], after[others])
 
 
 class TestStateReconstruction:
@@ -395,9 +426,9 @@ class TestMeanGateFidelity:
             haar_report(depolarizing_chi(0.1), np.eye(4), n_samples=1000)
 
     def test_working_memory_is_chunked(self):
-        # the draws and the two figures of each state, 80 bytes a state,
-        # are all that grows with n_samples: 16 MB at 200k states, against
-        # 116 MB for the dense stack of E(psi)
+        # the two figures of each state, 16 bytes a state, are all that
+        # grows with n_samples: 3.2 MB at 200k states, against 116 MB for
+        # the dense stack of E(psi) and 16 MB for a stack of the draws
         tracemalloc.start()
         try:
             haar_report(depolarizing_chi(0.1), CNOT_LOGICAL,
@@ -405,7 +436,29 @@ class TestMeanGateFidelity:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 32e6
+        assert peak < 8e6
+
+    def test_mean_permanence_at_the_guard_refused(self):
+        # tr chi just above MIN_PERMANENCE but T = tr chi + Z(x)1, as a
+        # shot-noisy chi of a leaking channel can be: the sampled mean
+        # permanence falls below the guard for some seeds, and the gate
+        # fidelity would divide by it
+        entries = np.zeros((16, 16), dtype=complex)
+        entries[0, 0] = 2 * MIN_PERMANENCE
+        z1 = chi_basis_labels(2).index("ZI")
+        entries[0, z1] = entries[z1, 0] = 0.5
+        refused = 0
+        for seed in range(10):
+            try:
+                report = haar_report(ChiMatrix(entries), CNOT_LOGICAL,
+                                     n_samples=1000, seed=seed)
+            except EmptySubspaceError as exc:
+                assert "mean permanence" in str(exc)
+                assert 0.0 <= exc.permanence <= MIN_PERMANENCE
+                refused += 1
+            else:
+                assert report["mean_permanence"] > MIN_PERMANENCE
+        assert refused > 0
 
 
 class TestDfsReport:
@@ -487,4 +540,4 @@ class TestShotBasedProcessTomography:
 
     def test_matrix_json_roundtrip(self, rng):
         m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        assert np.allclose(decode_matrix(matrix_to_json(m)), m)
+        assert np.allclose(decode_matrix(linalg.matrix_to_json(m)), m)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import tomography_reference as ref
 from conftest import random_density_matrix, random_unitary
+from dfsqc import tomography
 from dfsqc.tomography import (ChiMatrix, acquire_dataset, chi_basis_labels,
                               chi_from_unitary, chi_linear_solve, haar_report,
                               linear_inversion, preparation_states)
@@ -107,6 +108,19 @@ class TestHaarFigures:
         assert report.keys() == want.keys()
         for key in want:
             assert abs(report[key] - want[key]) < 1e-12, key
+
+    def test_figures_do_not_depend_on_the_chunk(self, monkeypatch):
+        # the states are drawn a chunk at a time from one stream, so the
+        # chunk size, here with a 3-state tail at 7, moves no figure
+        rng = np.random.default_rng(23)
+        chi = ChiMatrix(random_density_matrix(16, rng, rank=4) * 0.5)
+        ideal = random_unitary(4, rng)
+        reports = []
+        for chunk in (7, 4096):
+            monkeypatch.setattr(tomography, "_HAAR_CHUNK", chunk)
+            reports.append(haar_report(chi, ideal, 5001, seed=23))
+        for key in reports[0]:
+            assert abs(reports[0][key] - reports[1][key]) < 1e-12, key
 
     @settings(deadline=None, max_examples=20)
     @given(rank=st.integers(1, 16), scale=st.floats(0.3, 1.0), seed=SEEDS)

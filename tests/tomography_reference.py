@@ -43,6 +43,18 @@ def parity_signs(n, support_mask):
     return 1.0 - 2.0 * parity
 
 
+def inverse_cdf_counts(probs, uniforms):
+    """Counts of one setting from its own uniforms: each is binned by the
+    cumulative sums, and one past the last edge goes to the last outcome
+    of nonzero probability."""
+    counts = np.zeros(len(probs), dtype=int)
+    edges = np.cumsum(probs)
+    last = int(np.flatnonzero(probs)[-1])
+    for u in uniforms:
+        counts[min(int(np.searchsorted(edges, u, side="right")), last)] += 1
+    return counts
+
+
 def linear_inversion(freq):
     """Every Pauli-string expectation averaged over the matching settings;
     ``freq`` has one row per setting, in ``all_settings`` order."""
@@ -88,8 +100,9 @@ def chi_superoperator(chi):
 
 
 def haar_states(dim, n, rng):
-    """Batch of Haar-random pure states, shape (n, dim)."""
-    z = rng.normal(size=(n, dim)) + 1j * rng.normal(size=(n, dim))
+    """Batch of Haar-random pure states, shape (n, dim): normalized complex
+    Gaussians, each drawn as interleaved real and imaginary parts."""
+    z = rng.standard_normal((n, 2 * dim)).view(complex)
     return z / np.linalg.norm(z, axis=1, keepdims=True)
 
 
