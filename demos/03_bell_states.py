@@ -8,11 +8,10 @@
 
 import numpy as np
 
-from dfsqc.encoding import LogicalRegister, encode
+from dfsqc.encoding import LogicalRegister, dfs_report, encode
 from dfsqc.gates import (PulseSequence, bell_state_logical, compile_cnot,
                          ms_pulse)
 from dfsqc.noise import CALIBRATED_NOISE, sample_noisy_channel
-from dfsqc.tomography import dfs_report
 
 reg = LogicalRegister(2)
 cnot = compile_cnot(0, 1, reg)

@@ -9,7 +9,10 @@ Subcommands
     directory, each atomically.  :func:`load_config` checks the config
     and returns the run's inputs, built once: the run functions read
     only those.  Exit code 2 flags an invalid config, found before any
-    computation.
+    computation.  ``bell`` and ``cnot-tomo`` run on the light cone of the
+    CNOT, the at most 5 ions its noisy pulses touch, wherever the pairs
+    sit on the string, and each sample count has a fixed range, so every
+    config that validates runs in seconds.
 ``dfsqc dump-sequence [--control N --target M]``
     Print the compiled CNOT pulse sequence as JSON (durations in seconds,
     total in microseconds) on stdout; exit 2 flags an invalid pair.
@@ -37,8 +40,7 @@ import sys
 import tempfile
 
 from . import __version__, motional
-from .errors import (ConfigError, DfsqcError, DimensionError, LayoutError,
-                     ValidationError)
+from .errors import ConfigError, DfsqcError, LayoutError, ValidationError
 
 
 #: What a config value must be (``test(value)`` holds, as ``what`` says) and its
@@ -55,32 +57,17 @@ def _real(value) -> bool:
     return type(value) in (int, float)
 
 
-def _int_from(low: int) -> FieldSpec:
-    return FieldSpec(lambda v: _integer(v) and v >= low, f"an integer >= {low}")
-
-
-#: Bytes the working arrays of one sampled quantity may take.
-MEMORY_BUDGET = 2 ** 30
-
-
-def _samples(low: int, bytes_each: int) -> FieldSpec:
-    """A sample count >= ``low`` whose arrays, at ``bytes_each`` bytes per
-    sample, fit in ``MEMORY_BUDGET``."""
-    high = MEMORY_BUDGET // bytes_each
+def _integers(low: int, high: float = math.inf) -> FieldSpec:
     return FieldSpec(lambda v: _integer(v) and low <= v <= high,
-                     f"an integer from {low} to {high} (more do not fit "
-                     f"in the {MEMORY_BUDGET >> 20} MiB memory budget)")
+                     f"an integer >= {low}" if high == math.inf
+                     else f"an integer from {low} to {high}")
 
 
 _INTEGER, _REAL = FieldSpec(_integer, "an integer"), FieldSpec(_real, "a number")
-# Sample counts, at bytes per sample rounded up to a power of two from the
-# tracemalloc peak of the arrays a run builds: 24 per shot, and 16 per Haar
-# state plus its chunk and moment arrays (32 a state at 200k; 1024 is loose).
-_SHOTS, _HAAR = _samples(1, 32), _samples(1000, 1024)
-# Dense arrays of an n-ion register, rounded up from the same peaks at 8-9
-# ions: per input state and 4^n, 80 (bell) and 68 (cnot-tomo) bytes for the
-# noisy channel; per 6^n, 42.7 for one state's shot data and linear inversion.
-_CHANNEL_BYTES, _SHOT_DATA_BYTES = 96, 48
+# Sample counts are capped by the time a run takes on its light cone of at
+# most 5 ions: a jittering cnot-tomo with every count at its cap takes about
+# 11 s on a 2-core VM, 6 s of it in the noise shots.
+_COUNT = _integers(1, 10 ** 4)  # noise_samples and shots
 # Nested objects get types only: LogicalRegister and NoiseModel, which
 # _check_semantics builds, check their bounds.
 _CNOT_FIELDS = {
@@ -91,7 +78,7 @@ _CNOT_FIELDS = {
     "noise": dict.fromkeys(("addressing_ratio", "intensity_imbalance",
                             "ac_stark_phase_jitter_std", "collective_phase_std"),
                            _REAL),
-    "noise_samples": _int_from(1)._replace(default=300),
+    "noise_samples": _COUNT._replace(default=300),
     "control": _INTEGER._replace(default=0), "target": _INTEGER._replace(default=1),
 }
 _SCAN_FIELDS = {
@@ -108,9 +95,10 @@ _SCAN_FIELDS = {
 EXPERIMENT_FIELDS = {
     "bell": _CNOT_FIELDS,
     "cnot-tomo": {**_CNOT_FIELDS,
-                  "shots": FieldSpec(lambda v: v is None or _SHOTS.test(v),
-                                     f"null or {_SHOTS.what}", 100),
-                  "n_haar_samples": _HAAR._replace(default=200_000)},
+                  "shots": FieldSpec(lambda v: v is None or _COUNT.test(v),
+                                     f"null or {_COUNT.what}", 100),
+                  "n_haar_samples": _integers(1000, 2 ** 20)._replace(
+                      default=200_000)},
     "coherence": {"phi_std": FieldSpec(lambda v: _real(v) and v >= 0,
                                        "a number >= 0", math.pi)},
     "ms-scan": _SCAN_FIELDS,
@@ -121,7 +109,7 @@ EXPERIMENTS = tuple(EXPERIMENT_FIELDS)
 COMMON_FIELDS = {
     "experiment": FieldSpec(lambda v: v in EXPERIMENTS,
                             "one of " + ", ".join(EXPERIMENTS), _REQUIRED),
-    "seed": _int_from(0)._replace(default=_REQUIRED),
+    "seed": _integers(0)._replace(default=_REQUIRED),
     "output_dir": FieldSpec(lambda v: type(v) is str and v != "",
                             "a non-empty string", _REQUIRED),
 }
@@ -215,8 +203,9 @@ def _check_semantics(config) -> dict:
     """Check the config against ``COMMON_FIELDS`` and its experiment's
     ``EXPERIMENT_FIELDS`` and build the run's inputs, creating nothing, so that
     no run starts that cannot finish: each top-level field's value or default
-    and ``config_hash``; for a CNOT also the built ``register`` and ``noise``
-    (``None``: ideal), the compiled ``cnot`` and its ideal ``cnot_matrix``."""
+    and ``config_hash``; for a CNOT also the built ``noise`` (``None``: ideal),
+    the ideal ``cnot_matrix``, and the ``register`` shifted to its light cone
+    with the ``cnot`` compiled there."""
     experiment = config.get("experiment") if type(config) is dict else None
     fields = EXPERIMENT_FIELDS[experiment] if experiment in EXPERIMENTS else {}
     table = {**COMMON_FIELDS, **fields}
@@ -226,28 +215,29 @@ def _check_semantics(config) -> dict:
     if experiment in ("bell", "cnot-tomo"):
         from .encoding import LogicalRegister
         from .gates import cnot_logical_matrix, compile_cnot
-        from .noise import NoiseModel
+        from .noise import NoiseModel, string_neighbors
         with _field("register"):
-            register = run["register"] = (
-                LogicalRegister.from_json(config["register"])
-                if "register" in config else LogicalRegister(2))
+            register = (LogicalRegister.from_json(config["register"])
+                        if "register" in config else LogicalRegister(2))
             if register.n_logical != 2:
                 raise LayoutError(f"{experiment} needs 2 logical qubits, "
                                   f"got {register.n_logical}")
-            # 64 ions are past any budget; 4^n of a huge ion index is costly
-            n = min(register.n_ions, 64)
-            need = (_CHANNEL_BYTES * (4 if experiment == "bell" else 16) * 4 ** n
-                    + _SHOT_DATA_BYTES * 6 ** n * (run.get("shots") is not None))
-            if need > MEMORY_BUDGET:
-                raise DimensionError(f"{register.n_ions} ions need more than the "
-                                     f"{MEMORY_BUDGET >> 20} MiB memory budget")
         with _field("noise"):
             run["noise"] = (NoiseModel.from_json(config["noise"])
                             if "noise" in config else None)
         with _field("control/target"):
             run["cnot_matrix"] = cnot_logical_matrix(run["control"], run["target"])
         with _field("register"):  # roles {0, 1} are valid, so the layout is at fault
-            run["cnot"] = compile_cnot(run["control"], run["target"], register)
+            cnot = compile_cnot(run["control"], run["target"], register)
+        # Run on the light cone, the ions a noisy pulse touches: every ion
+        # below it stays |0> and none lies above it, so dropping them changes
+        # no decoded figure.  No register.dim is read before the shift, so a
+        # pair at ion 10^18 costs what the 5-ion cone does.
+        shift = min(i for op in cnot.ops for i in
+                    op.targets + string_neighbors(op.targets, register.n_ions))
+        run["register"] = LogicalRegister(2, tuple(
+            (a - shift, b - shift) for a, b in register.pairs))
+        run["cnot"] = compile_cnot(run["control"], run["target"], run["register"])
     # refuse an output_dir that os.makedirs cannot create
     try:
         if b"\0" in os.fsencode(config["output_dir"]):
@@ -309,7 +299,7 @@ def run_bell(run: dict, seed: int) -> tuple:
     import numpy as np
 
     from . import linalg
-    from .encoding import decode_in_dfs, encode
+    from .encoding import dfs_report, encode, restrict_to_dfs
     from .gates import PulseSequence, ms_pulse
     from .noise import sample_noisy_channel
     register, control = run["register"], run["control"]
@@ -324,13 +314,13 @@ def run_bell(run: dict, seed: int) -> tuple:
     metrics = {"inputs": inputs, "fidelity": [], "permanence": [], "overall": []}
     matrices = {}
     for bits, rho, e_k in zip(inputs, rhos, np.eye(4, dtype=complex)):
-        ideal = run["cnot_matrix"] @ (x_c @ e_k)
-        rho_l, perm = decode_in_dfs(rho, register)
-        fid = linalg.fidelity(rho_l, ideal)
+        perm, fid, overall = dfs_report(rho, run["cnot_matrix"] @ (x_c @ e_k),
+                                        register)
         metrics["fidelity"].append(fid)
         metrics["permanence"].append(perm)
-        metrics["overall"].append(perm * fid)
-        matrices[f"bell_{bits}_logical"] = linalg.matrix_to_json(rho_l)
+        metrics["overall"].append(overall)
+        matrices[f"bell_{bits}_logical"] = linalg.matrix_to_json(
+            restrict_to_dfs(rho, register) / perm)
     return metrics, matrices, []
 
 

@@ -152,6 +152,20 @@ def decode_in_dfs(rho_physical: np.ndarray, register: LogicalRegister):
     return block / p, p
 
 
+def dfs_report(rho_physical: np.ndarray, ideal_logical: np.ndarray,
+               register: LogicalRegister) -> tuple:
+    """Permanence, fidelity within the subspace, and their product.
+
+    The in-subspace fidelity is evaluated against ``ideal_logical`` after
+    projection and renormalization; the overall figure ``permanence *
+    fidelity`` equals the plain physical-space fidelity against the
+    encoded ideal state.
+    """
+    rho_l, perm = decode_in_dfs(rho_physical, register)
+    fid = linalg.fidelity(rho_l, ideal_logical)
+    return perm, fid, perm * fid
+
+
 def collective_dephasing(rho: np.ndarray, phi_std: float) -> np.ndarray:
     """Exact average of ``U(phi) rho U(phi)+`` over a Gaussian collective
     phase ``phi`` of mean 0 and standard deviation ``phi_std``.

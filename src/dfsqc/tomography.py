@@ -45,8 +45,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import linalg
-from .encoding import (MIN_PERMANENCE, LogicalRegister, decode_in_dfs,
-                       restrict_to_dfs)
+from .encoding import MIN_PERMANENCE, LogicalRegister, restrict_to_dfs
 from .errors import (ConditioningError, DimensionError, EmptySubspaceError,
                      ValidationError)
 
@@ -380,17 +379,3 @@ def haar_report(chi: ChiMatrix, ideal: np.ndarray, n_samples: int,
         "mean_overall": float(np.mean(overall)),
         "mean_overall_stderr": float(np.std(overall, ddof=1) / rt),
     }
-
-
-def dfs_report(rho_physical: np.ndarray, ideal_logical: np.ndarray,
-               register: LogicalRegister) -> tuple:
-    """Permanence, fidelity within the subspace, and their product.
-
-    The in-subspace fidelity is evaluated against ``ideal_logical`` after
-    projection and renormalization; the overall figure ``permanence *
-    fidelity`` equals the plain physical-space fidelity against the
-    encoded ideal state.
-    """
-    rho_l, perm = decode_in_dfs(rho_physical, register)
-    fid = linalg.fidelity(rho_l, ideal_logical)
-    return perm, fid, perm * fid

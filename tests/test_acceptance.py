@@ -11,16 +11,16 @@ import numpy as np
 from dfsqc import linalg
 from dfsqc.cli import main as cli_main
 from dfsqc.encoding import (LogicalRegister, coherence_ratio,
-                            collective_dephasing, embed_in_dfs, encode,
-                            logical_basis_indices)
+                            collective_dephasing, dfs_report, embed_in_dfs,
+                            encode, logical_basis_indices)
 from dfsqc.gates import (CNOT_LOGICAL, PulseSequence, bell_state_logical,
                          compile_cnot, ms_pulse, pulse_unitary,
                          sequence_unitary)
 from dfsqc.motional import off_resonant_error_scan
 from dfsqc.noise import (CALIBRATED_NOISE, noisy_op_unitary,
                          sample_noisy_channel)
-from dfsqc.tomography import (ChiMatrix, chi_from_unitary, dfs_report,
-                              haar_report, process_fidelity, process_tomography)
+from dfsqc.tomography import (ChiMatrix, chi_from_unitary, haar_report,
+                              process_fidelity, process_tomography)
 
 from conftest import random_state
 from reference import (SPIN_X, SPIN_Z, closed_gate, dense_collective_phase,

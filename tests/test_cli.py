@@ -9,11 +9,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dfsqc import cli, linalg, noise, tomography
+from dfsqc import cli, noise, tomography
 from dfsqc.cli import main
 from dfsqc.encoding import LogicalRegister, restrict_to_dfs
-from dfsqc.gates import CNOT_LOGICAL, sequence_unitary
+from dfsqc.gates import CNOT_LOGICAL, compile_cnot, sequence_unitary
 
 from reference import max_phase_diff, sequence_from_json
 
@@ -224,58 +226,6 @@ class TestSemanticConfigErrors:
         assert "register" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("experiment", ["bell", "cnot-tomo"])
-    def test_register_beyond_the_tensor_cap_refused(self, tmp_path, capsys,
-                                                    experiment):
-        register = {"n_logical": 2, "pairs": [[9, 10], [11, 12]]}
-        assert LogicalRegister(2, ((9, 10), (11, 12))).dim > linalg.MAX_TENSOR_DIM
-        path, _ = write_config(tmp_path, experiment=experiment,
-                               register=register)
-        start = time.perf_counter()
-        assert main(["validate", str(path)]) == 2
-        assert main(["run", str(path)]) == 2
-        assert time.perf_counter() - start < 1.0
-        assert "register: 13 ions" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize("experiment, pairs", [
-        ("bell", [[8, 9], [10, 11]]), ("cnot-tomo", [[8, 9], [10, 11]]),
-        ("bell", [[7, 8], [9, 10]]), ("cnot-tomo", [[6, 7], [8, 9]]),
-    ], ids=["bell-12", "cnot-tomo-12", "bell-11", "cnot-tomo-10"])
-    def test_register_past_the_memory_budget_refused(self, tmp_path, capsys,
-                                                     experiment, pairs):
-        # validate only: a run that slipped through would allocate gigabytes
-        path, _ = write_config(tmp_path, experiment=experiment,
-                               register={"n_logical": 2, "pairs": pairs})
-        assert main(["validate", str(path)]) == 2
-        n_ions = pairs[1][1] + 1
-        assert (f"register: {n_ions} ions need more than the 1024 MiB memory "
-                "budget") in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize("experiment, pairs", [
-        ("bell", [[6, 7], [8, 9]]), ("cnot-tomo", [[5, 6], [7, 8]]),
-    ], ids=["bell-10", "cnot-tomo-9"])
-    def test_widest_register_within_the_budget(self, tmp_path, experiment,
-                                               pairs):
-        path, _ = write_config(tmp_path, experiment=experiment,
-                               register={"n_logical": 2, "pairs": pairs})
-        assert main(["validate", str(path)]) == 0
-
-    def test_shot_data_counts_against_the_budget(self, tmp_path, capsys,
-                                                 monkeypatch):
-        # 9 ions: 403 MB of channel arrays, and 484 MB more with shots
-        monkeypatch.setattr(cli, "MEMORY_BUDGET", 2 ** 29)
-        register = {"n_logical": 2, "pairs": [[5, 6], [7, 8]]}
-        exact, _ = write_config(tmp_path, name="exact.json", shots=None,
-                                experiment="cnot-tomo", register=register)
-        sampled, _ = write_config(tmp_path, name="shots.json", shots=1,
-                                  experiment="cnot-tomo", register=register)
-        assert main(["validate", str(exact)]) == 0
-        assert main(["validate", str(sampled)]) == 2
-        assert "register: 9 ions need more than the 512 MiB" in (
-            capsys.readouterr().err)
-
     @pytest.mark.parametrize("experiment, ignored", [
         ("bell", {"shots": 5, "n_haar_samples": 5000, "phi_std": 1.0,
                   "timing_fractions": [0.1]}),
@@ -334,6 +284,12 @@ class TestSemanticConfigErrors:
         ("spin_phase", {"experiment": "ms-scan", "spin_phase": 0}),
         ("timing_fractions", {"experiment": "cp-scan",
                               "timing_fractions": [0.1, -0.5]}),
+        ("noise_samples", {"noise_samples": 10 ** 4 + 1}),
+        ("noise_samples", {"noise": {"ac_stark_phase_jitter_std": 0.3},
+                           "noise_samples": 10 ** 12}),
+        ("shots", {"experiment": "cnot-tomo", "shots": 10 ** 4 + 1}),
+        ("n_haar_samples", {"experiment": "cnot-tomo",
+                            "n_haar_samples": 2 ** 20 + 1}),
     ])
     def test_value_outside_its_field_refused(self, tmp_path, capsys, field,
                                              overrides):
@@ -360,6 +316,15 @@ class TestSemanticConfigErrors:
         assert peak < 2 ** 20  # refused before any array is built
         assert f"{field}: must be" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_sample_counts_at_their_caps_validate(self, tmp_path):
+        # the heaviest cnot-tomo that validates: jittering noise on a 5-ion
+        # light cone and every count at its cap, about 11 s to run
+        path, _ = write_config(
+            tmp_path, experiment="cnot-tomo", noise=CALIBRATED,
+            register={"n_logical": 2, "pairs": [[1, 2], [3, 4]]},
+            noise_samples=10 ** 4, shots=10 ** 4, n_haar_samples=2 ** 20)
+        assert main(["validate", str(path)]) == 0
 
     @pytest.mark.parametrize("overrides", [
         {"experiment": "cnot-tomo", **{
@@ -549,6 +514,76 @@ class TestRunCnotTomo:
         finally:
             tracemalloc.stop()
         assert peak < 10e6
+
+
+WIDE = {f"{experiment}-{ions}": (experiment, [[lo, lo + 1], [lo + 2, lo + 3]])
+        for experiment in ("bell", "cnot-tomo")
+        for ions, lo in (("9", 5), ("10", 6), ("11", 7), ("12", 8), ("13", 9),
+                         ("104", 100), ("1e18", 10 ** 18))}
+
+
+class TestLightCone:
+    @pytest.mark.parametrize("experiment, pairs", WIDE.values(), ids=WIDE)
+    def test_wide_register_runs_on_its_core(self, tmp_path, experiment, pairs):
+        # every register with its lowest pair ion at 1 or above has the same
+        # 5-ion light cone, so it gives the reports of pairs (1, 2), (3, 4)
+        counts = {"noise_samples": 30}
+        if experiment == "cnot-tomo":
+            counts.update(shots=100, n_haar_samples=1000)
+        outputs = []
+        for name, layout in (("wide", pairs), ("core", [[1, 2], [3, 4]])):
+            path, _ = write_config(
+                tmp_path, f"{name}.json", experiment=experiment,
+                output_dir=str(tmp_path / name), noise=CALIBRATED,
+                register={"n_logical": 2, "pairs": layout}, **counts)
+            start = time.perf_counter()
+            assert main(["validate", str(path)]) == 0
+            assert main(["run", str(path)]) == 0
+            assert time.perf_counter() - start < 1.0
+            out = tmp_path / name
+            outputs.append((json.loads((out / "report.json").read_text())["metrics"],
+                            (out / "matrices.json").read_bytes()))
+        assert outputs[0] == outputs[1]
+
+    @settings(max_examples=15, deadline=None)
+    @given(experiment=st.sampled_from(["bell", "cnot-tomo"]),
+           offset=st.integers(0, 3), reverse=st.booleans(),
+           roles=st.sampled_from([(0, 1), (1, 0)]),
+           noise=st.fixed_dictionaries({
+               "addressing_ratio": st.floats(0.0, 0.2),
+               "intensity_imbalance": st.floats(-0.2, 0.2),
+               "ac_stark_phase_jitter_std": st.floats(0.0, 0.5),
+               "collective_phase_std": st.floats(0.0, 0.5)}),
+           noise_samples=st.integers(1, 3), seed=st.integers(0, 2 ** 32))
+    def test_core_run_matches_the_full_register(self, experiment, offset,
+                                                reverse, roles, noise,
+                                                noise_samples, seed):
+        # the oracle runs the same experiment on the unshifted register of
+        # up to 7 ions; both layouts the compiler accepts are drawn
+        ions = [offset + k for k in range(4)]
+        if reverse:  # the mirrored layout, pair 0 on the highest ions
+            ions.reverse()
+        pairs = [ions[:2], ions[2:]]
+        config = {"experiment": experiment, "seed": seed, "output_dir": "out",
+                  "register": {"n_logical": 2, "pairs": pairs}, "noise": noise,
+                  "noise_samples": noise_samples, "control": roles[0],
+                  "target": roles[1]}
+        if experiment == "cnot-tomo":
+            config.update(shots=None, n_haar_samples=1000)
+        core = cli._check_semantics(config)
+        assert core["register"].n_ions == 4 + (offset > 0)
+        register = LogicalRegister.from_json(config["register"])
+        full = dict(core, register=register,
+                    cnot=compile_cnot(roles[0], roles[1], register))
+        got, want = (cli.run_experiment(run, seed)[:2] for run in (core, full))
+        assert got[0].keys() == want[0].keys() and got[1].keys() == want[1].keys()
+        for key in got[0]:
+            a, b = got[0][key], want[0][key]
+            assert a == b or np.allclose(a, b, rtol=0, atol=1e-12), key
+        for key in got[1]:
+            entries = [m["entries"] if isinstance(m, dict) else m
+                       for m in (got[1][key], want[1][key])]
+            assert np.allclose(*entries, rtol=0, atol=1e-12), key
 
 
 class TestRunCoherence:

@@ -305,7 +305,7 @@ class TestNoisyChannel:
 
 class TestCalibratedBellBand:
     def test_all_four_fidelities_in_band(self, reg):
-        from dfsqc.tomography import dfs_report
+        from dfsqc.encoding import dfs_report
         from dfsqc.gates import bell_state_logical
         cnot = compile_cnot(0, 1, reg)
         prep = ms_pulse(np.pi / 2, 0, reg)

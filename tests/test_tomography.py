@@ -9,14 +9,14 @@ from scipy import stats
 
 import tomography_reference as ref
 from dfsqc import linalg
-from dfsqc.encoding import (MIN_PERMANENCE, LogicalRegister, embed_in_dfs,
-                            encode)
+from dfsqc.encoding import (MIN_PERMANENCE, LogicalRegister, dfs_report,
+                            embed_in_dfs, encode)
 from dfsqc.errors import (ConditioningError, DimensionError,
                           EmptySubspaceError, ValidationError)
 from dfsqc.gates import (CNOT_LOGICAL, compile_cnot, ms_pulse, PulseSequence,
                          sequence_unitary)
 from dfsqc.tomography import (ChiMatrix, acquire_dataset, chi_basis_labels,
-                              chi_from_unitary, chi_linear_solve, dfs_report,
+                              chi_from_unitary, chi_linear_solve,
                               haar_report, linear_inversion,
                               preparation_states,
                               process_fidelity, process_tomography,
