@@ -21,14 +21,14 @@ reg = LogicalRegister(2)
 cnot = compile_cnot(0, 1, reg)
 
 
-def gate_channel(model, n_samples):
+def gate_channel(model):
     """Logical inputs, encoded, through the gate: physical outputs."""
-    return lambda rho_l: sample_noisy_channel(
-        cnot, embed_in_dfs(rho_l, reg), model, n_samples, seed=20090)
+    return lambda rho_l: sample_noisy_channel(cnot, embed_in_dfs(rho_l, reg),
+                                              model)
 
 
 # ideal gate, exact statistics
-res = process_tomography(gate_channel(None, 1), register=reg)
+res = process_tomography(gate_channel(None), register=reg)
 chi_ideal = chi_from_unitary(CNOT_LOGICAL)
 print("ideal gate, exact statistics:")
 print("  process fidelity:", process_fidelity(res.chi, chi_ideal))
@@ -36,7 +36,7 @@ print("  largest chi entries:",
       sorted(np.round(np.abs(res.chi.entries).ravel(), 4))[-4:])
 
 # noisy gate, 100 shots per setting
-noisy = process_tomography(gate_channel(CALIBRATED_NOISE, 300), shots=100,
+noisy = process_tomography(gate_channel(CALIBRATED_NOISE), shots=100,
                            seed=404, register=reg)
 print("\ncalibrated noise, 100 shots per setting:")
 print("  process fidelity:", round(process_fidelity(noisy.chi, chi_ideal), 4))

@@ -66,7 +66,7 @@ def _integers(low: int, high: float = math.inf) -> FieldSpec:
 _INTEGER, _REAL = FieldSpec(_integer, "an integer"), FieldSpec(_real, "a number")
 # Sample counts are capped by the time a run takes on its light cone of at
 # most 5 ions: a jittering cnot-tomo with every count at its cap takes about
-# 11 s on a 2-core VM, 6 s of it in the noise shots.
+# 2.4 s on a 2-core host, 1.8 s of it drawing the shots.
 _COUNT = _integers(1, 10 ** 4)  # noise_samples and shots
 # Nested objects get types only: LogicalRegister and NoiseModel, which
 # _check_semantics builds, check their bounds.
@@ -78,6 +78,9 @@ _CNOT_FIELDS = {
     "noise": dict.fromkeys(("addressing_ratio", "intensity_imbalance",
                             "ac_stark_phase_jitter_std", "collective_phase_std"),
                            _REAL),
+    # noise_samples is range-checked but read by nothing: the jitter average
+    # is exact.  perfbench/workloads.request_config still sets it, so refusing
+    # it waits for the benchmark to drop the field.
     "noise_samples": _COUNT._replace(default=300),
     "control": _INTEGER._replace(default=0), "target": _INTEGER._replace(default=1),
 }
@@ -308,7 +311,7 @@ def run_bell(run: dict, seed: int) -> tuple:
     inputs = [format(k, "02b") for k in range(4)]
     psi = np.stack([encode(register, bits) for bits in inputs])
     rhos = sample_noisy_channel(seq, psi[:, :, None] * psi[:, None, :].conj(),
-                                run["noise"], run["noise_samples"], seed=seed)
+                                run["noise"])
     x = linalg.expm_hermitian(linalg.SIGMA_X, np.pi / 4)  # X(pi/2) on the control
     x_c = linalg.tensor(*[x if q == control else linalg.ID2 for q in range(2)])
     metrics = {"inputs": inputs, "fidelity": [], "permanence": [], "overall": []}
@@ -333,7 +336,7 @@ def run_cnot_tomo(run: dict, seed: int) -> tuple:
 
     def channel(rho_l):
         return sample_noisy_channel(run["cnot"], embed_in_dfs(rho_l, register),
-                                    run["noise"], run["noise_samples"], seed=seed)
+                                    run["noise"])
 
     result = process_tomography(channel, register, shots=shots, seed=seed)
     chi_ideal = chi_from_unitary(ideal)

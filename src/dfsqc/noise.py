@@ -15,22 +15,24 @@ trace preserving):
   angle then scales by ``1 + epsilon`` and the gate error grows
   quadratically in ``epsilon``.
 * AC-Stark phase jitter: intensity fluctuations of the far-detuned beam
-  make each z-pulse angle jitter, Gaussian per pulse and per shot.
+  make each z-pulse angle jitter, Gaussian and independent per pulse and
+  per run.
 * collective phase noise: a quasi-static random phase common to all
   ions, Gaussian per sequence run.  States inside the encoded subspace
   are immune by construction.
 
-Both stochastic terms are random phases on diagonal generators.  A shot
-draws only the jitters: it is the products of the static noisy pulses
-between jittered z pulses, built once per call, with a phase vector
-applied to the rows after each jittered pulse.  The collective phase
-acts after the sequence and independently of the jitters, so it is
-averaged exactly, by one Gaussian mask of
-:func:`~dfsqc.encoding.collective_dephasing` on the shot average.  :func:`sample_noisy_channel` is the one shot average:
-it applies the averaged channel to a density matrix or a stack of them,
-so a set of inputs shares one pass over the shots.  It is reproducible:
-shot ``i`` draws from a generator seeded with ``(seed, i)``, so the same
-seed gives the same result bit for bit.
+Both stochastic terms are Gaussian phases on diagonal generators, so
+both average in closed form, with no sampling.  A jitter ``delta`` on a
+z pulse multiplies its unitary by ``exp(-i delta/2 s)``, with ``s`` the
+pulse's z eigenvalues; its average multiplies entry ``jk`` of the state
+right after that pulse by ``exp(-sigma^2 (s_j - s_k)^2 / 8)``.  The
+jitters of different pulses are independent, so the masks of each
+jittered pulse, applied in pulse order, are the whole jitter average.
+The collective phase acts after the sequence, so it is averaged last,
+by one mask of :func:`~dfsqc.encoding.collective_dephasing`.
+:func:`sample_noisy_channel` applies this averaged channel to a density
+matrix or a stack of them; it draws nothing, so its result depends on
+the sequence, model and inputs only.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from . import linalg
 from .encoding import collective_dephasing
 from .errors import DimensionError, ValidationError
 from .gates import (AC_STARK_Z, CP_GATE, MS_ROTATION, PulseOp,
-                    PulseSequence, pulse_unitary, sequence_unitary)
+                    PulseSequence, pulse_unitary)
 
 
 @dataclass(frozen=True)
@@ -107,78 +109,37 @@ def noisy_op_unitary(op: PulseOp, n_ions: int, ratio: float = 0.0,
     return pulse_unitary(op, n_ions, _weights(op, n_ions, ratio, epsilon))
 
 
-def _shot_plan(seq: PulseSequence, model: NoiseModel) -> list:
-    """The static part of every shot, as ``(product, s)`` pairs applied in
-    order: ``product`` is the noisy pulses up to and including a jittered
-    ``ACStarkZ`` pulse and ``s`` that pulse's z eigenvalues; a last pair
-    with ``s=None`` holds the pulses after the last jittered one."""
-    n_ions = seq.register.n_ions
-    ratio, epsilon = model.addressing_ratio, model.intensity_imbalance
-    plan, u = [], None
-    for op in seq.ops:
-        static = noisy_op_unitary(op, n_ions, ratio, epsilon)
-        u = static if u is None else static @ u
-        if model.ac_stark_phase_jitter_std > 0 and op.kind == AC_STARK_Z:
-            weights = _weights(op, n_ions, ratio, epsilon)
-            plan.append((u, linalg.z_eigenvalues(n_ions, weights)))
-            u = None
-    if u is not None or not plan:
-        plan.append((np.eye(seq.register.dim) if u is None else u, None))
-    return plan
-
-
-def _shot_unitaries(seq: PulseSequence, model: NoiseModel, n_samples: int,
-                    seed: Optional[int]):
-    """Yield the sequence unitary of each Monte-Carlo shot in order.
-
-    A shot chains the products of :func:`_shot_plan`, scaling the rows by
-    ``exp(-i delta/2 s)`` after each jittered pulse.  Shot ``i`` draws the
-    angle errors ``delta`` in pulse order from ``default_rng((seed, i))``;
-    a model without jitter draws nothing, needs no seed and is one shot.
-    """
-    if n_samples < 1:
-        raise ValidationError("need at least one sample")
-    plan = _shot_plan(seq, model)
-    if model.ac_stark_phase_jitter_std == 0:
-        yield plan[0][0]  # the one static product
-        return
-    if seed is None:
-        raise ValidationError("a seed is required for reproducible sampling")
-    for i in range(n_samples):
-        rng = np.random.default_rng((seed, i))
-        u = None
-        for product, s in plan:
-            u = product if u is None else product @ u
-            if s is not None:
-                delta = rng.normal(0.0, model.ac_stark_phase_jitter_std)
-                u = np.exp(-0.5j * delta * s)[:, None] * u
-        yield u
-
-
 def sample_noisy_channel(seq: PulseSequence, rho: np.ndarray,
-                         model: Optional[NoiseModel], n_samples: int,
-                         seed: Optional[int] = None) -> np.ndarray:
+                         model: Optional[NoiseModel]) -> np.ndarray:
     """Noise-averaged output of the sequence for one or a stack of inputs.
 
-    ``rho`` holds density matrices, shape ``(..., dim, dim)``.  Each output
-    is the mean of ``U rho U+`` over the Monte-Carlo jitter shots ``U``,
-    then averaged exactly over the collective phase; it is deterministic
-    for a given ``(seed, parameters)``, and ``seed`` is needed only when
-    the model jitters.  ``model=None`` is the ideal sequence: one shot,
-    ``U = sequence_unitary(seq)``.
+    ``rho`` holds density matrices, shape ``(..., dim, dim)``.  Each pulse
+    conjugates them by its noisy unitary, :func:`noisy_op_unitary`.
+    A jittered ``ACStarkZ`` pulse with z eigenvalues ``s`` is then averaged
+    over its Gaussian angle error: entry ``jk`` is multiplied by
+    ``exp(-sigma^2 (s_j - s_k)^2 / 8)``.
+    The collective phase is averaged last, by
+    :func:`~dfsqc.encoding.collective_dephasing`.  ``model=None`` is the
+    ideal sequence, ``U rho U+`` with ``U = sequence_unitary(seq)``.
     """
-    d = seq.register.dim
+    d, n_ions = seq.register.dim, seq.register.n_ions
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (d, d):
         raise DimensionError(
             f"input shape {rho.shape} does not end in the register's ({d}, {d})")
-    if model is None:
-        shots = [sequence_unitary(seq)]
-    else:
-        shots = _shot_unitaries(seq, model, n_samples, seed)
-    acc = np.zeros_like(rho)
-    for n, u in enumerate(shots, 1):
-        acc += u @ rho @ u.conj().T
-    if model is not None:
-        acc = collective_dephasing(acc, model.collective_phase_std)
-    return acc / n
+    jitter = 0.0 if model is None else model.ac_stark_phase_jitter_std
+    for op in seq.ops:
+        if model is None:
+            u = pulse_unitary(op, n_ions)
+        else:
+            ratio, epsilon = model.addressing_ratio, model.intensity_imbalance
+            u = noisy_op_unitary(op, n_ions, ratio, epsilon)
+        rho = u @ rho @ u.conj().T
+        if jitter > 0 and op.kind == AC_STARK_Z:
+            s = linalg.z_eigenvalues(n_ions, _weights(op, n_ions, ratio, epsilon))
+            # sigma times the difference first, so that a huge sigma masks
+            # the coherences to 0.0 through an overflow to inf, never NaN
+            with np.errstate(over="ignore"):
+                rho = rho * np.exp(-(jitter * (s[:, None] - s[None, :])) ** 2 / 8)
+    return rho if model is None else collective_dephasing(
+        rho, model.collective_phase_std)

@@ -10,13 +10,18 @@ check ``dfsqc.motional.off_resonant_error_scan`` against.
 :func:`midpoint_propagator` multiplies out dense matrix exponentials of
 the time-dependent Hamiltonian, one per step, with no use of the
 interaction frame; the tests check that it converges to the oracle at
-second order in the step.  :func:`shot_unitaries`
-multiplies out every noisy pulse of every shot, rebuilding each jittered
-z pulse at its drawn angle; :func:`dense_collective_phase` is the dense
-collective phase, :func:`quadrature_dephasing` its Gaussian average by
-quadrature, and :func:`noisy_channel` averages both.  The tests check
-``dfsqc.noise._shot_unitaries``, ``sample_noisy_channel`` and
+second order in the step.  :func:`dense_collective_phase` is the dense
+collective phase and :func:`quadrature_dephasing` its Gaussian average
+by quadrature.  :func:`quadrature_channel` is the noisy channel with
+every Gaussian average done by quadrature: each jittered z pulse is
+rebuilt at the node angles, one pulse at a time, and the collective
+phase is averaged last; the tests check
+``dfsqc.noise.sample_noisy_channel`` and
 ``dfsqc.encoding.collective_dephasing`` against them.
+:func:`shot_unitaries` multiplies out every noisy pulse of every
+Monte-Carlo shot, rebuilding each jittered z pulse at its drawn angle,
+and :func:`noisy_channel` averages the shots; the tests check that this
+sampled mean converges to the exact channel.
 :func:`max_phase_diff` and :func:`unitary_trace_distance` compare two
 matrices or states up to a global phase, and :func:`sequence_from_json`
 reads back a ``dump-sequence`` document.
@@ -144,44 +149,89 @@ def sequence_from_json(doc):
                          register=LogicalRegister.from_json(doc["register"]))
 
 
+def collective_z(n_ions):
+    """The dense Kronecker sum ``sum_k sigma_z_k``."""
+    return sum(linalg.tensor(*[linalg.SIGMA_Z if i == k else linalg.ID2
+                               for i in range(n_ions)])
+               for k in range(n_ions))
+
+
 def dense_collective_phase(n_ions, phi):
     """``exp(-i phi/2 sum_k sigma_z_k)`` from the dense Kronecker sum."""
-    total = sum(linalg.tensor(*[linalg.SIGMA_Z if i == k else linalg.ID2
-                                for i in range(n_ions)])
-                for k in range(n_ions))
-    return linalg.expm_hermitian(total, phi / 2)
+    return linalg.expm_hermitian(collective_z(n_ions), phi / 2)
 
 
 def shot_unitaries(seq, model, n_samples, seed):
-    """Sequence unitary of each jitter shot, one noisy pulse at a time:
-    shot ``i`` draws from ``default_rng((seed, i))`` an angle error per
-    ``ACStarkZ`` pulse in order; a model without jitter is one shot."""
+    """Sequence unitary of each Monte-Carlo jitter shot, one noisy pulse at
+    a time: shot ``i`` draws from ``default_rng((seed, i))`` an angle error
+    per ``ACStarkZ`` pulse in order and rebuilds that pulse at its drawn
+    angle; a model without jitter is one shot."""
     n_ions = seq.register.n_ions
     jitter = model.ac_stark_phase_jitter_std
+
+    def unitary(op):
+        return noisy_op_unitary(op, n_ions, model.addressing_ratio,
+                                model.intensity_imbalance)
+
+    static = [unitary(op) for op in seq.ops]
     shots = []
     for i in range(n_samples if jitter > 0 else 1):
         rng = np.random.default_rng((seed, i))
         u = np.eye(seq.register.dim, dtype=complex)
-        for op in seq.ops:
+        for op, fixed in zip(seq.ops, static):
             if jitter > 0 and op.kind == AC_STARK_Z:
-                op = dataclasses.replace(op, angle=op.angle + rng.normal(0.0, jitter))
-            u = noisy_op_unitary(op, n_ions, model.addressing_ratio,
-                                 model.intensity_imbalance) @ u
+                fixed = unitary(dataclasses.replace(
+                    op, angle=op.angle + rng.normal(0.0, jitter)))
+            u = fixed @ u
         shots.append(u)
     return shots
 
 
 def quadrature_dephasing(rho, std, n_nodes=100):
-    """Mean of ``U(phi) rho U(phi)+`` with :func:`dense_collective_phase`
-    over a Gaussian ``phi`` of standard deviation ``std``, by ``n_nodes``-
-    point Gauss-Hermite quadrature.  100 nodes integrate its phase factors
-    to 1e-15 for ``std * |lam_j - lam_k| / 2`` up to 12."""
-    n_ions = rho.shape[-1].bit_length() - 1
+    """Mean of ``U(phi) rho U(phi)+``, ``U(phi) = exp(-i phi/2 Z)`` from one
+    eigendecomposition of the dense Kronecker sum ``Z`` of
+    :func:`collective_z`, over a Gaussian ``phi`` of standard deviation
+    ``std``, by ``n_nodes``-point Gauss-Hermite quadrature.  100 nodes
+    integrate its phase factors to 1e-15 for ``std * |lam_j - lam_k| / 2``
+    up to 12."""
+    lam, v = np.linalg.eigh(collective_z(rho.shape[-1].bit_length() - 1))
     out = np.zeros_like(rho)
     for x, w in zip(*np.polynomial.hermite.hermgauss(n_nodes)):
-        u = dense_collective_phase(n_ions, np.sqrt(2) * std * x)
+        u = (v * np.exp(-0.5j * np.sqrt(2) * std * x * lam)) @ v.conj().T
         out += w / np.sqrt(np.pi) * (u @ rho @ u.conj().T)
     return out
+
+
+def quadrature_channel(seq, rho, model, n_nodes=30):
+    """The noisy channel of ``model`` on a density matrix or a stack, every
+    Gaussian average by Gauss-Hermite quadrature: the stack is conjugated by
+    each noisy pulse in turn, and a jittered ``ACStarkZ`` pulse is the
+    weighted sum over ``n_nodes`` rebuilds at the angles ``angle + sqrt(2)
+    std x``, whose diagonal scales the rows and columns.  The jitters are
+    independent, so these nested sums equal the product quadrature over
+    all jittered pulses.  The collective phase is averaged last by
+    :func:`quadrature_dephasing`.  30 nodes integrate the jitter phases to
+    1e-15 for ``std * |s_j - s_k| / 2`` up to 4."""
+    n_ions = seq.register.n_ions
+    jitter = model.ac_stark_phase_jitter_std
+    x, w = np.polynomial.hermite.hermgauss(n_nodes)
+
+    def unitary(op, angle):
+        return noisy_op_unitary(dataclasses.replace(op, angle=angle), n_ions,
+                                model.addressing_ratio, model.intensity_imbalance)
+
+    for op in seq.ops:
+        if jitter > 0 and op.kind == AC_STARK_Z:
+            out = np.zeros_like(rho)
+            for angle, weight in zip(op.angle + np.sqrt(2) * jitter * x,
+                                     w / np.sqrt(np.pi)):
+                phases = np.diagonal(unitary(op, angle))  # a z pulse is diagonal
+                out += weight * (phases[:, None] * rho * phases.conj())
+            rho = out
+        else:
+            u = unitary(op, op.angle)
+            rho = u @ rho @ u.conj().T
+    return quadrature_dephasing(rho, model.collective_phase_std)
 
 
 def noisy_channel(seq, rho, model, n_samples, seed):

@@ -77,7 +77,7 @@ def test_criterion_2_bell_generation():
         labels = [format(k, "02b") for k in range(4)]
         psi = np.stack([encode(REG, bits) for bits in labels])
         rhos = sample_noisy_channel(seq, psi[:, :, None] * psi[:, None, :],
-                                    CALIBRATED_NOISE, n_samples=300, seed=20090)
+                                    CALIBRATED_NOISE)
         for bits, rho in zip(labels, rhos):
             _, fid, _ = dfs_report(rho, bell_state_logical(bits), REG)
             assert 0.85 <= fid <= 0.95
@@ -153,8 +153,7 @@ def test_criterion_5_process_tomography_pipeline():
 
         def channel(rho_l):
             return sample_noisy_channel(cnot, embed_in_dfs(rho_l, REG),
-                                        CALIBRATED_NOISE, n_samples=300,
-                                        seed=20090)
+                                        CALIBRATED_NOISE)
 
         noisy = process_tomography(channel, shots=100, seed=404, register=REG)
         report = haar_report(noisy.chi, CNOT_LOGICAL, n_samples=200_000,

@@ -22,6 +22,12 @@ from reference import max_phase_diff, sequence_from_json
 ROOT = Path(__file__).resolve().parents[1]
 CALIBRATED = {"addressing_ratio": 0.05, "intensity_imbalance": 0.08,
               "ac_stark_phase_jitter_std": 0.3, "collective_phase_std": 0.3}
+# exact calibrated bell figures on the default register, control 0, inputs
+# 00, 01, 10, 11, frozen from the first run of the exact channel
+BELL_FIDELITIES = [0.8762120592870157, 0.8819073495919306, 0.8982876338113266,
+                   0.898151054689484]
+BELL_PERMANENCES = [0.8973734693657329, 0.8953194508688942, 0.8903460910642013,
+                    0.8951176846731321]
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -303,7 +309,7 @@ class TestSemanticConfigErrors:
         ("n_haar_samples", {"experiment": "cnot-tomo", "n_haar_samples": 10 ** 9}),
         ("shots", {"experiment": "cnot-tomo", "shots": 10 ** 12}),
     ])
-    def test_sample_count_beyond_the_memory_budget_refused(
+    def test_huge_count_refused_early(
             self, tmp_path, capsys, field, overrides):
         path, _ = write_config(tmp_path, **overrides)
         tracemalloc.start()
@@ -319,7 +325,7 @@ class TestSemanticConfigErrors:
 
     def test_sample_counts_at_their_caps_validate(self, tmp_path):
         # the heaviest cnot-tomo that validates: jittering noise on a 5-ion
-        # light cone and every count at its cap, about 11 s to run
+        # light cone and every count at its cap, about 2.4 s to run
         path, _ = write_config(
             tmp_path, experiment="cnot-tomo", noise=CALIBRATED,
             register={"n_logical": 2, "pairs": [[1, 2], [3, 4]]},
@@ -331,7 +337,7 @@ class TestSemanticConfigErrors:
             name: cli.EXPERIMENT_FIELDS["cnot-tomo"][name].default
             for name in ("shots", "n_haar_samples")}},
     ])
-    def test_default_sample_counts_within_the_budget(self, tmp_path, overrides):
+    def test_default_sample_counts_validate(self, tmp_path, overrides):
         path, _ = write_config(tmp_path, **overrides)
         assert main(["validate", str(path)]) == 0
 
@@ -434,6 +440,28 @@ class TestRunBell:
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         for f in report["metrics"]["fidelity"]:
             assert 0.85 <= f <= 0.95
+
+    def test_calibrated_exact_goldens(self, tmp_path):
+        # the exact jitter and collective averages on the default register,
+        # control 0; the figures hold to rounding, with no sampling error
+        path, _ = write_config(tmp_path, noise=CALIBRATED)
+        assert main(["run", str(path)]) == 0
+        metrics = json.loads((tmp_path / "out" / "report.json").read_text())[
+            "metrics"]
+        for key, golden in (("fidelity", BELL_FIDELITIES),
+                            ("permanence", BELL_PERMANENCES)):
+            assert np.allclose(metrics[key], golden, rtol=0, atol=1e-12), key
+
+    def test_report_does_not_depend_on_the_seed(self, tmp_path):
+        # nothing is sampled, so only the seed field moves
+        path, _ = write_config(tmp_path, noise=CALIBRATED)
+        reports = []
+        for seed in ("7", "8"):
+            assert main(["run", str(path), "--seed", seed]) == 0
+            reports.append(json.loads(
+                (tmp_path / "out" / "report.json").read_text()))
+        assert [r.pop("seed") for r in reports] == [7, 8]
+        assert reports[0] == reports[1]
 
     def test_report_carries_hash_and_version(self, tmp_path):
         path, _ = write_config(tmp_path)
@@ -584,6 +612,27 @@ class TestLightCone:
             entries = [m["entries"] if isinstance(m, dict) else m
                        for m in (got[1][key], want[1][key])]
             assert np.allclose(*entries, rtol=0, atol=1e-12), key
+
+
+class TestCollectiveImmunity:
+    @pytest.mark.parametrize("experiment", ["bell", "cnot-tomo"])
+    def test_collective_phase_moves_no_figure(self, tmp_path, experiment):
+        # every figure reads only the encoded block, where the collective
+        # mask is exactly 1: the immunity the decoherence-free encoding gives
+        counts = {} if experiment == "bell" else {"shots": None,
+                                                  "n_haar_samples": 1000}
+        outputs = []
+        for std in (0.0, 0.3, 2.5):
+            out = tmp_path / str(std)
+            path, _ = write_config(
+                tmp_path, f"{std}.json", experiment=experiment,
+                output_dir=str(out),
+                noise=dict(CALIBRATED, collective_phase_std=std), **counts)
+            assert main(["run", str(path)]) == 0
+            metrics = json.loads((out / "report.json").read_text())["metrics"]
+            outputs.append((json.dumps(metrics, sort_keys=True),
+                            (out / "matrices.json").read_bytes()))
+        assert outputs[0] == outputs[1] == outputs[2]
 
 
 class TestRunCoherence:

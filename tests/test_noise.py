@@ -5,17 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dfsqc.encoding import (LogicalRegister, encode, logical_basis_indices,
-                            restrict_to_dfs)
+from dfsqc.encoding import (LogicalRegister, collective_dephasing, encode,
+                            logical_basis_indices, restrict_to_dfs)
 from dfsqc.errors import DimensionError, ValidationError
 from dfsqc.gates import (PulseSequence, compile_cnot, cp_pulse, ms_pulse,
                          pulse_unitary, sequence_unitary, z_pulse)
-from dfsqc.noise import (CALIBRATED_NOISE, NoiseModel, _shot_unitaries,
-                         noisy_op_unitary, sample_noisy_channel,
-                         string_neighbors)
+from dfsqc.noise import (CALIBRATED_NOISE, NoiseModel, noisy_op_unitary,
+                         sample_noisy_channel, string_neighbors)
 
 from conftest import random_density_matrix
-from reference import noisy_channel, shot_unitaries
+from reference import noisy_channel, quadrature_channel
 
 # mean permanence of the compiled CNOT over the four logical basis inputs
 # under pure 5% addressing crosstalk, frozen from the first run; the
@@ -119,7 +118,7 @@ class TestCrosstalk:
         cnot = compile_cnot(0, 1, reg)
         model = NoiseModel(addressing_ratio=0.05)
         rhos = sample_noisy_channel(
-            cnot, encoded_inputs(reg, ["00", "01", "10", "11"]), model, 1)
+            cnot, encoded_inputs(reg, ["00", "01", "10", "11"]), model)
         perms = [np.trace(restrict_to_dfs(rho, reg)).real for rho in rhos]
         assert np.mean(perms) == pytest.approx(
             GOLDEN_CNOT_CROSSTALK_PERMANENCE, abs=1e-9)
@@ -166,7 +165,7 @@ class TestSampledChannel:
         seq = compile_cnot(0, 1, reg)
         model = NoiseModel(addressing_ratio=0.0)
         psi = encode(reg, "00")
-        rho = sample_noisy_channel(seq, np.outer(psi, psi), model, n_samples=17)
+        rho = sample_noisy_channel(seq, np.outer(psi, psi), model)
         ideal = sequence_unitary(seq) @ psi
         assert np.max(np.abs(rho - np.outer(ideal, ideal.conj()))) < 1e-12
         evals = np.linalg.eigvalsh(rho)
@@ -178,50 +177,62 @@ class TestSampledChannel:
         seq = compile_cnot(0, 1, reg)
         model = NoiseModel(addressing_ratio=0.0, collective_phase_std=1.5)
         psi = encode(reg, "10")
-        rho = sample_noisy_channel(seq, np.outer(psi, psi), model, n_samples=64)
+        rho = sample_noisy_channel(seq, np.outer(psi, psi), model)
         ideal = sequence_unitary(seq) @ psi
         assert np.max(np.abs(rho - np.outer(ideal, ideal.conj()))) < 1e-10
 
     def test_trace_preserving_and_positive(self, reg):
         seq = compile_cnot(0, 1, reg)
         rho = sample_noisy_channel(seq, encoded_inputs(reg, ["11"])[0],
-                                   CALIBRATED_NOISE, n_samples=50, seed=5)
+                                   CALIBRATED_NOISE)
         assert abs(np.trace(rho) - 1) < 1e-10
         assert np.min(np.linalg.eigvalsh((rho + rho.conj().T) / 2)) > -1e-9
 
     def test_reproducible_bit_exact(self, reg):
         seq = compile_cnot(0, 1, reg)
         rho = encoded_inputs(reg, ["00"])[0]
-        a = sample_noisy_channel(seq, rho, CALIBRATED_NOISE, 40, seed=77)
-        b = sample_noisy_channel(seq, rho, CALIBRATED_NOISE, 40, seed=77)
+        a = sample_noisy_channel(seq, rho, CALIBRATED_NOISE)
+        b = sample_noisy_channel(seq, rho, CALIBRATED_NOISE)
         assert np.array_equal(a, b)
-
-    def test_seed_required(self, reg):
-        seq = compile_cnot(0, 1, reg)
-        model = NoiseModel(ac_stark_phase_jitter_std=0.3)
-        with pytest.raises(ValidationError):
-            sample_noisy_channel(seq, encoded_inputs(reg, ["00"]), model, 8)
 
     @pytest.mark.parametrize("model", [NoiseModel(), NoiseModel(
         intensity_imbalance=0.08, collective_phase_std=0.3)])
     def test_no_seed_needed_without_jitter(self, reg, model):
-        # nothing is drawn, so one shot and no seed
+        # without jitter the channel is one conjugation by the product of
+        # the noisy pulses, then the collective mask
         seq = compile_cnot(0, 1, reg)
         rho = encoded_inputs(reg, ["00", "11"])
-        out = sample_noisy_channel(seq, rho, model, 8)
-        assert np.array_equal(out, sample_noisy_channel(seq, rho, model, 1,
-                                                        seed=5))
+        u = np.eye(reg.dim)
+        for op in seq.ops:
+            u = noisy_op_unitary(op, reg.n_ions, model.addressing_ratio,
+                                 model.intensity_imbalance) @ u
+        want = collective_dephasing(u @ rho @ u.conj().T,
+                                    model.collective_phase_std)
+        out = sample_noisy_channel(seq, rho, model)
+        assert np.max(np.abs(out - want)) < 1e-14
+
+    @pytest.mark.parametrize("jitter", [1e200, 1.7e308])
+    def test_huge_jitter_dephases_without_overflow(self, reg, rng, jitter):
+        # the mask of a z pulse on ion 3, with crosstalk on ion 2, keeps
+        # only the coherences between states that agree on ions 2 and 3
+        # (the two low bits), with no NaN and no warning
+        seq = PulseSequence(ops=[z_pulse(0.3, 1, reg)], register=reg)
+        rho = random_density_matrix(reg.dim, rng)
+        out = sample_noisy_channel(seq, rho, NoiseModel(
+            ac_stark_phase_jitter_std=jitter))
+        low = np.arange(reg.dim) & 3
+        assert np.all(np.isfinite(out))
+        assert np.array_equal(out != 0, low[:, None] == low[None, :])
 
     def test_stack_matches_single_inputs_bit_exact(self, reg, rng):
         seq = compile_cnot(0, 1, reg)
         psi = rng.normal(size=(3, 16)) + 1j * rng.normal(size=(3, 16))
         rhos = np.stack([np.outer(v, v.conj()) / np.vdot(v, v) for v in psi])
         stack = np.stack([rhos, encoded_inputs(reg, ["00", "01", "11"])])
-        out = sample_noisy_channel(seq, stack, CALIBRATED_NOISE, 20, seed=3)
+        out = sample_noisy_channel(seq, stack, CALIBRATED_NOISE)
         assert out.shape == (2, 3, 16, 16)
         for idx in np.ndindex(2, 3):
-            single = sample_noisy_channel(seq, stack[idx], CALIBRATED_NOISE,
-                                          20, seed=3)
+            single = sample_noisy_channel(seq, stack[idx], CALIBRATED_NOISE)
             assert np.array_equal(out[idx], single)
 
     def test_no_model_is_the_ideal_sequence(self, reg, rng):
@@ -229,26 +240,28 @@ class TestSampledChannel:
         psi = rng.normal(size=16) + 1j * rng.normal(size=16)
         rho = np.outer(psi, psi.conj()) / np.vdot(psi, psi)
         u = sequence_unitary(seq)
-        out = sample_noisy_channel(seq, rho, None, 1)
+        out = sample_noisy_channel(seq, rho, None)
         assert np.max(np.abs(out - u @ rho @ u.conj().T)) < 1e-14
 
     def test_state_vector_input_rejected(self, reg):
         seq = compile_cnot(0, 1, reg)
         with pytest.raises(DimensionError):
-            sample_noisy_channel(seq, encode(reg, "00"), CALIBRATED_NOISE, 4,
-                                 seed=1)
+            sample_noisy_channel(seq, encode(reg, "00"), CALIBRATED_NOISE)
 
 
 STDS = st.just(0.0) | st.floats(0.05, 1.5)
+MODELS = st.builds(NoiseModel, st.floats(0.0, 0.3), st.floats(-0.3, 0.3),
+                   STDS, STDS)
 
 
 @st.composite
-def noisy_sequences(draw):
+def noisy_sequences(draw, max_ions=8):
     """A pulse sequence on 1-3 logical qubits whose pairs sit after 0-2
-    spectator ions: a CNOT, or a Bell preparation and CNOT, between
-    adjacent logical qubits, then a few z and MS pulses."""
-    n_logical = draw(st.integers(1, 3))
-    offset = draw(st.integers(0, 2))
+    spectator ions, on at most ``max_ions`` ions: a CNOT, or a Bell
+    preparation and CNOT, between adjacent logical qubits, then a few z and
+    MS pulses."""
+    n_logical = draw(st.integers(1, min(3, max_ions // 2)))
+    offset = draw(st.integers(0, min(2, max_ions - 2 * n_logical)))
     reg = LogicalRegister(n_logical, tuple((offset + 2 * j, offset + 2 * j + 1)
                                            for j in range(n_logical)))
     ops = []
@@ -267,52 +280,59 @@ def noisy_sequences(draw):
     return PulseSequence(ops=ops, register=reg)
 
 
-class TestShotUnitaries:
-    @settings(deadline=None, max_examples=60)
-    @given(seq=noisy_sequences(), ratio=st.floats(0.0, 0.3),
-           epsilon=st.floats(-0.3, 0.3), jitter=STDS, collective=STDS,
-           n_samples=st.integers(1, 3), seed=st.integers(0, 2 ** 32))
-    def test_match_per_pulse_reference(self, seq, ratio, epsilon, jitter,
-                                       collective, n_samples, seed):
-        # each shot against the one-pulse-at-a-time product that rebuilds
-        # every jittered z pulse at its drawn angle
-        model = NoiseModel(ratio, epsilon, jitter, collective)
-        got = list(_shot_unitaries(seq, model, n_samples, seed))
-        want = shot_unitaries(seq, model, n_samples, seed)
-        assert len(got) == len(want)
-        for u, ref in zip(got, want):
-            assert np.max(np.abs(u - ref)) < 1e-12
+def bell_sequence(reg):
+    """X(pi/2) on logical qubit 0, then the compiled CNOT (0, 1)."""
+    cnot = compile_cnot(0, 1, reg)
+    return PulseSequence(ops=[ms_pulse(np.pi / 2, 0, reg)] + list(cnot.ops),
+                         register=reg)
 
 
 class TestNoisyChannel:
     @settings(deadline=None, max_examples=30)
-    @given(seq=noisy_sequences(), ratio=st.floats(0.0, 0.3),
-           epsilon=st.floats(-0.3, 0.3), jitter=STDS, collective=STDS,
-           n_samples=st.integers(1, 3), seed=st.integers(0, 2 ** 32))
-    def test_matches_quadrature_reference(self, seq, ratio, epsilon, jitter,
-                                          collective, n_samples, seed):
-        # the exact collective-phase mask on the jitter-shot average
-        # against Gauss-Hermite quadrature of the dense collective phase,
+    @given(seq=noisy_sequences(), model=MODELS, seed=st.integers(0, 2 ** 32))
+    def test_matches_quadrature_reference(self, seq, model, seed):
+        # the jitter and collective masks against Gauss-Hermite quadrature
+        # over every jittered pulse's angle and the dense collective phase,
         # on full density matrices, so every coherence is tested
-        model = NoiseModel(ratio, epsilon, jitter, collective)
         rng = np.random.default_rng(seed)
         rho = np.stack([random_density_matrix(seq.register.dim, rng)
                         for _ in range(2)])
-        got = sample_noisy_channel(seq, rho, model, n_samples, seed=seed)
-        want = noisy_channel(seq, rho, model, n_samples, seed)
+        got = sample_noisy_channel(seq, rho, model)
+        want = quadrature_channel(seq, rho, model)
         assert np.max(np.abs(got - want)) < 1e-12
+
+    @settings(deadline=None, max_examples=20)
+    @given(seq=noisy_sequences(max_ions=5), model=MODELS)
+    def test_completely_positive_and_trace_preserving(self, seq, model):
+        # the Choi matrix sum_jk |j><k| (x) E(|j><k|), from the d^2 matrix
+        # units sent through the channel as one stack
+        d = seq.register.dim
+        units = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
+        out = sample_noisy_channel(seq, units, model).reshape(d, d, d, d)
+        choi = out.transpose(0, 2, 1, 3).reshape(d * d, d * d)
+        assert np.max(np.abs(choi - choi.conj().T)) < 1e-12
+        assert np.linalg.eigvalsh(choi)[0] > -1e-10
+        # tracing out the output leaves tr E(|j><k|) = delta_jk
+        assert np.max(np.abs(np.einsum("jkii->jk", out) - np.eye(d))) < 1e-12
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_monte_carlo_mean_converges_to_the_exact_channel(self, reg, seed):
+        # 3000 shots, each pulse rebuilt at its drawn angle, sit at the
+        # 1/sqrt(3000) distance from the exact calibrated Bell outputs
+        seq = bell_sequence(reg)
+        rho = encoded_inputs(reg, ["00", "01", "10", "11"])
+        exact = sample_noisy_channel(seq, rho, CALIBRATED_NOISE)
+        sampled = noisy_channel(seq, rho, CALIBRATED_NOISE, 3000, seed)
+        assert np.max(np.abs(sampled - exact)) < 0.005
 
 
 class TestCalibratedBellBand:
     def test_all_four_fidelities_in_band(self, reg):
         from dfsqc.encoding import dfs_report
         from dfsqc.gates import bell_state_logical
-        cnot = compile_cnot(0, 1, reg)
-        prep = ms_pulse(np.pi / 2, 0, reg)
-        seq = PulseSequence(ops=[prep] + list(cnot.ops), register=reg)
         labels = ["00", "01", "10", "11"]
-        rhos = sample_noisy_channel(seq, encoded_inputs(reg, labels),
-                                    CALIBRATED_NOISE, 300, seed=20090)
+        rhos = sample_noisy_channel(bell_sequence(reg),
+                                    encoded_inputs(reg, labels), CALIBRATED_NOISE)
         for bits, rho in zip(labels, rhos):
             perm, fid, overall = dfs_report(rho, bell_state_logical(bits), reg)
             assert 0.85 <= fid <= 0.95
