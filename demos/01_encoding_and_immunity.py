@@ -9,8 +9,8 @@
 
 import numpy as np
 
-from dfsqc.encoding import (LogicalRegister, coherence_ratio,
-                            collective_dephasing, encode)
+from dfsqc.cli import coherence_ratio
+from dfsqc.encoding import LogicalRegister, collective_dephasing, encode
 
 reg = LogicalRegister(1)
 print("encoded |0>_L =", np.real_if_close(encode(reg, "0")))

@@ -5,9 +5,10 @@
 # settings, 100 shots each).  The blocks of the linear-inversion estimates
 # on the encoded subspace, not renormalized, determine the process matrix
 # chi of the trace-decreasing map onto the subspace, so tr chi is the mean
-# permanence.  Haar-random logical inputs then give the mean permanence,
-# the mean overall fidelity, and their ratio, the mean gate fidelity
-# inside the subspace.
+# permanence.  Averaged over Haar-random logical inputs, chi gives in
+# closed form the mean permanence, the mean overall fidelity, and their
+# ratio, the mean gate fidelity inside the subspace, (d F + 1)/(d + 1)
+# for the process fidelity F and d = 4.
 
 import numpy as np
 
@@ -39,7 +40,8 @@ print("  largest chi entries:",
 noisy = process_tomography(gate_channel(CALIBRATED_NOISE), shots=100,
                            seed=404, register=reg)
 print("\ncalibrated noise, 100 shots per setting:")
-print("  process fidelity:", round(process_fidelity(noisy.chi, chi_ideal), 4))
+fid = process_fidelity(noisy.chi, chi_ideal)
+print("  process fidelity F: %.4f, (4 F + 1)/5: %.4f" % (fid, (4 * fid + 1) / 5))
 print("  input permanences: mean %.4f, min %.4f, max %.4f"
       % (noisy.permanences.mean(), noisy.permanences.min(),
          noisy.permanences.max()))
@@ -47,14 +49,10 @@ print("  tr chi: %.4f" % np.trace(noisy.chi.entries).real)
 print("  negative eigenvalue mass of chi, over tr chi: %.4f"
       % project_chi_cp(noisy.chi)[1])
 
-report = haar_report(noisy.chi, CNOT_LOGICAL, n_samples=200_000, seed=11)
-f, df = report["mean_gate_fidelity"], report["mean_gate_fidelity_stderr"]
-p, dp = report["mean_permanence"], report["mean_permanence_stderr"]
-o, do = report["mean_overall"], report["mean_overall_stderr"]
-print(f"  mean gate fidelity (in subspace): {f:.4f} +- {df:.4f}")
-print(f"  mean permanence:                  {p:.4f} +- {dp:.4f}")
-print(f"  mean overall:                     {o:.4f} +- {do:.4f}")
-print(f"  permanence x gate fidelity:       {p * f:.4f}")
+report = haar_report(noisy.chi, chi_ideal)
+print("  mean gate fidelity (in subspace): %.4f" % report["mean_gate_fidelity"])
+print("  mean permanence:                  %.4f" % report["mean_permanence"])
+print("  mean overall:                     %.4f" % report["mean_overall"])
 print("\nfor context, the published experiment reported a mean gate "
       "fidelity of 89(4)%, a mean permanence of 89(7)%, and an overall "
       "fidelity near 79(7)%")

@@ -27,8 +27,6 @@ from .errors import DimensionError, EmptySubspaceError, ValidationError
 
 #: Logical-part weight below which the renormalized state is refused.
 MIN_PERMANENCE = 1e-9
-#: Cap on :func:`coherence_ratio`, which grows like ``exp(phi_std^2 / 2)``.
-MAX_COHERENCE_RATIO = 1e6
 
 
 @dataclass(frozen=True)
@@ -187,28 +185,3 @@ def collective_dephasing(rho: np.ndarray, phi_std: float) -> np.ndarray:
     # the unit-step factor, which underflows to 0.0 where phi_std^2 overflows
     step = np.exp(-float(phi_std) * float(phi_std) / 2)
     return rho * step ** ((half[:, None] - half[None, :]) ** 2)
-
-
-def coherence_ratio(phi_std: float) -> float:
-    """Ratio of logical to physical coherence surviving collective dephasing.
-
-    Prepares an equal superposition once as a logical qubit (two ions)
-    and once as a bare physical qubit, sends both through the collective
-    dephasing channel of standard deviation ``phi_std``, and compares the
-    surviving off-diagonal magnitudes.  The logical coherence is exactly
-    1; the physical one is ``exp(-phi_std^2 / 2)``, so the ratio grows
-    without bound and is capped at ``MAX_COHERENCE_RATIO``.
-    """
-    reg = LogicalRegister(1)
-    psi_l = (encode(reg, "0") + encode(reg, "1")) / np.sqrt(2)
-    rho_l = collective_dephasing(np.outer(psi_l, psi_l.conj()), phi_std)
-    i0, i1 = logical_basis_indices(reg)
-    coh_logical = 2.0 * abs(rho_l[i0, i1])
-
-    psi_p = (linalg.KET0 + linalg.KET1) / np.sqrt(2)
-    rho_p = collective_dephasing(np.outer(psi_p, psi_p.conj()), phi_std)
-    coh_physical = 2.0 * abs(rho_p[0, 1])
-
-    if coh_physical <= coh_logical / MAX_COHERENCE_RATIO:
-        return MAX_COHERENCE_RATIO
-    return coh_logical / coh_physical

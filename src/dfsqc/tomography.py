@@ -1,5 +1,5 @@
-"""Measurement simulation, state and process tomography, and the
-Haar-averaged gate-fidelity estimator.
+"""Measurement simulation, state and process tomography, and the exact
+Haar-averaged figures of merit.
 
 The characterization pipeline mirrors the experimental procedure: prepare
 each of 16 informationally complete logical inputs, run the channel, which
@@ -29,11 +29,9 @@ bin edge, and all settings of one state share one random stream, each
 taking its own fixed run of ``shots`` uniforms.
 
 The Haar figures average the permanence ``tr E(psi)`` and the overall
-fidelity ``<U psi| E(psi) |U psi>`` over pure logical inputs, sampled with
-normalized complex Gaussian vectors (exactly Haar for states), drawn and
-read a chunk at a time as quadratic forms in ``z`` and in the symmetric
-part of ``z (x) z``, over ``|z|^2`` and ``|z|^4``; the mean gate fidelity
-is their ratio, the fidelity within the subspace.
+fidelity ``<U psi| E(psi) |U psi>`` over pure logical inputs.  Both means
+are linear in ``chi`` and read off it in closed form, with no sampling;
+the mean gate fidelity is their ratio, the fidelity within the subspace.
 """
 
 from __future__ import annotations
@@ -305,77 +303,24 @@ def process_tomography(channel: Callable[[np.ndarray], np.ndarray],
 # ---------------------------------------------------------------------------
 # Haar-averaged figures of merit
 
-_HAAR_CHUNK = 4096  # Haar states evaluated at once: bounds the working arrays
+def haar_report(chi: ChiMatrix, chi_ideal: ChiMatrix) -> dict:
+    """Mean permanence, mean gate fidelity and mean overall fidelity over
+    Haar-random pure logical inputs, exactly (Nielsen, quant-ph/0205035).
 
-
-def _haar_figures(chi: ChiMatrix, ideal: np.ndarray, n: int,
-                  rng: np.random.Generator) -> tuple:
-    """Permanence ``z+ T z / |z|^2``, ``T = sum_mn chi_mn A_n+ A_m``, and
-    overall fidelity ``s+ K_s s / |z|^4`` of ``n`` Haar states ``z / |z|``,
-    with ``z`` a complex Gaussian drawn as interleaved real and imaginary
-    parts, one chunk at a time.  ``s`` holds the products ``z_i z_j``,
-    ``i <= j``, the coordinates of ``w = z (x) z = F s`` on the symmetric
-    subspace, and ``K_s = F^T K F`` folds ``K[(i, k), (j, l)] = sum_mn
-    chi_mn B_m[i, j] conj(B_n[l, k])``, ``B_m = U+ A_m``, onto it."""
-    d = ideal.shape[0]
-    ops = chi_basis(chi.n_logical)
-    after = linalg.dag(ideal) @ ops
-    t = np.einsum("mn,nji,mjk->ik", chi.entries, ops.conj(), ops, optimize=True)
-    k = np.einsum("mn,mij,nlk->ikjl", chi.entries, after, after.conj(),
-                  optimize=True).reshape(d * d, d * d)
-    iu, ju = np.triu_indices(d)
-    fold = np.zeros((d * d, len(iu)))
-    fold[iu * d + ju, np.arange(len(iu))] = 1.0
-    fold[ju * d + iu, np.arange(len(iu))] = 1.0
-    k = fold.T @ k @ fold
-    perm, overall = np.empty(n), np.empty(n)
-    for a in range(0, n, _HAAR_CHUNK):
-        z = rng.standard_normal((min(_HAAR_CHUNK, n - a), 2 * d)).view(complex)
-        rows = slice(a, a + len(z))
-        norm2 = np.einsum("ij,ij->i", z.view(float), z.view(float))
-        s = np.take(z, iu, axis=1) * np.take(z, ju, axis=1)  # C order for .view
-        # Re x+ M x per row: the row dot products of x's and M x's float views
-        for out, x, m in ((perm, z, t), (overall, s, k)):
-            out[rows] = np.einsum("ij,ij->i", x.view(float), (x @ m.T).view(float))
-        perm[rows] /= norm2
-        overall[rows] /= norm2 * norm2
-    return perm, overall
-
-
-def haar_report(chi: ChiMatrix, ideal: np.ndarray, n_samples: int,
-                seed=None) -> dict:
-    """Mean permanence, mean overall fidelity and mean gate fidelity over
-    ``n_samples`` Haar inputs drawn from ``default_rng(seed)``.
-
-    All three are read off ``chi``: the permanence ``tr E(psi)``, the
-    overall fidelity ``<U psi| E(psi) |U psi>``, and the gate fidelity
-    within the subspace, the ratio of their means.  The inputs are drawn
-    and evaluated ``_HAAR_CHUNK`` at a time, so only the two figures of
-    each input, 16 bytes, grow with ``n_samples``.  The standard errors
-    are those of the sampling, the ratio's by the delta method.  Sampling
-    needs a ``seed``, and a mean permanence at or below
-    ``MIN_PERMANENCE``, which a shot-noisy ``chi`` can give, raises
-    :class:`EmptySubspaceError`.
+    With ``d = 2^n`` and ``F`` the :func:`process_fidelity` against the
+    unitary's ``chi_ideal``, the mean permanence ``tr E(psi)`` is ``tr chi``,
+    the mean gate fidelity within the subspace is ``(d F + 1) / (d + 1)``,
+    and the mean overall fidelity ``<U psi| E(psi) |U psi>`` is their
+    product, ``(d tr(chi_ideal chi) + tr chi) / (d + 1)``.  A mean
+    permanence at or below ``MIN_PERMANENCE``, which a shot-noisy ``chi``
+    can give, raises :class:`EmptySubspaceError`.
     """
-    if seed is None:
-        raise ValidationError("a seed is required for reproducible sampling")
-    if n_samples < 1000:
-        raise ValidationError("need at least 1000 Haar samples")
-    perm, overall = _haar_figures(chi, ideal, n_samples,
-                                  np.random.default_rng(seed))
-    rt = np.sqrt(float(n_samples))
-    mean_perm = float(np.mean(perm))
+    mean_perm = float(np.real(np.trace(chi.entries)))
     if mean_perm <= MIN_PERMANENCE:  # the gate fidelity divides by it
         raise EmptySubspaceError(
             f"Haar mean permanence {mean_perm:.3e} is not above {MIN_PERMANENCE}",
             permanence=max(mean_perm, 0.0))
-    fid = float(np.mean(overall)) / mean_perm
-    return {
-        "mean_gate_fidelity": fid,
-        "mean_gate_fidelity_stderr": float(
-            np.std(overall - fid * perm, ddof=1) / (rt * mean_perm)),
-        "mean_permanence": mean_perm,
-        "mean_permanence_stderr": float(np.std(perm, ddof=1) / rt),
-        "mean_overall": float(np.mean(overall)),
-        "mean_overall_stderr": float(np.std(overall, ddof=1) / rt),
-    }
+    d = 2 ** chi.n_logical
+    fid = (d * process_fidelity(chi, chi_ideal) + 1) / (d + 1)
+    return {"mean_gate_fidelity": fid, "mean_permanence": mean_perm,
+            "mean_overall": mean_perm * fid}

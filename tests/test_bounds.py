@@ -8,7 +8,8 @@ import math
 import numpy as np
 import pytest
 
-from dfsqc.encoding import coherence_ratio, collective_dephasing
+from dfsqc.cli import coherence_ratio
+from dfsqc.encoding import collective_dephasing
 from dfsqc.errors import ValidationError
 from dfsqc.motional import off_resonant_error_scan
 from dfsqc.noise import NoiseModel

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from dfsqc import linalg
-from dfsqc.encoding import (MAX_COHERENCE_RATIO, LogicalRegister,
-                            coherence_ratio, collective_dephasing,
+from dfsqc.cli import MAX_COHERENCE_RATIO, coherence_ratio
+from dfsqc.encoding import (LogicalRegister, collective_dephasing,
                             decode_in_dfs, embed_in_dfs, encode,
                             logical_basis_indices, restrict_to_dfs)
 from dfsqc.errors import DimensionError, EmptySubspaceError, ValidationError

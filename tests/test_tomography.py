@@ -1,5 +1,4 @@
 import json
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -49,10 +48,9 @@ def apply_chi(chi, rho):
     return (flat @ s.T).reshape(rho.shape)
 
 
-def gate_fidelity(chi, ideal, n_samples, seed):
-    """Haar mean gate fidelity and its standard error."""
-    report = haar_report(chi, ideal, n_samples=n_samples, seed=seed)
-    return report["mean_gate_fidelity"], report["mean_gate_fidelity_stderr"]
+def gate_fidelity(chi, ideal):
+    """Haar mean gate fidelity of ``chi`` against the unitary ``ideal``."""
+    return haar_report(chi, chi_from_unitary(ideal))["mean_gate_fidelity"]
 
 
 def ideal_cnot_channel(register):
@@ -361,104 +359,51 @@ class TestChiMatrix:
 class TestMeanGateFidelity:
     def test_ideal_channel_exactly_one(self, rng):
         u = random_unitary(4, rng)
-        chi = chi_from_unitary(u)
-        mean, se = gate_fidelity(chi, u, n_samples=2000, seed=0)
-        assert mean == pytest.approx(1.0, abs=1e-12)
-        assert se < 1e-12
+        assert gate_fidelity(chi_from_unitary(u), u) == pytest.approx(
+            1.0, abs=1e-12)
 
     def test_depolarizing_analytic(self):
-        mean, se = gate_fidelity(depolarizing_chi(0.2),
-                                 np.eye(4, dtype=complex),
-                                 n_samples=200_000, seed=4)
-        assert abs(mean - 0.85) <= max(3 * se, 1e-12)
-
-    def test_stderr_scales_inverse_sqrt(self):
-        # a slightly wrong unitary gives fidelities that vary over inputs
-        v = linalg.expm_hermitian(linalg.tensor(linalg.SIGMA_Z, linalg.SIGMA_X), 0.2)
-        chi = chi_from_unitary(v)
-        ideal = np.eye(4, dtype=complex)
-        ns = [1000, 10_000, 100_000]
-        ses = [gate_fidelity(chi, ideal, n, seed=9)[1] for n in ns]
-        slope = np.polyfit(np.log(ns), np.log(ses), 1)[0]
-        assert abs(slope + 0.5) < 0.05
-
-    def test_stderr_is_the_spread_over_seeds(self, rng):
-        # one Kraus operator U D: permanence and overall vary together over
-        # inputs, so the ratio's delta-method error is ~10x below std(overall)
-        ideal = random_unitary(4, rng)
-        chi = chi_from_unitary(ideal @ np.diag([1.0, 1.0, 0.6, 0.6]))
-        reports = [haar_report(chi, ideal, 2000, seed=s) for s in range(40)]
-        for key in ("mean_gate_fidelity", "mean_permanence", "mean_overall"):
-            spread = np.std([r[key] for r in reports], ddof=1)
-            stderr = np.mean([r[key + "_stderr"] for r in reports])
-            assert 0.7 < spread / stderr < 1.4, key
+        mean = gate_fidelity(depolarizing_chi(0.2), np.eye(4, dtype=complex))
+        assert abs(mean - 0.85) <= 1e-12
 
     def test_noiseless_pipeline_fidelity(self):
         # exact-statistics tomography of the compiled gate is essentially
         # error free end to end
         reg = LogicalRegister(2)
         res = process_tomography(ideal_cnot_channel(reg), register=reg)
-        mean, _ = gate_fidelity(res.chi, CNOT_LOGICAL,
-                                n_samples=5000, seed=14)
-        assert mean >= 1 - 1e-9
+        assert gate_fidelity(res.chi, CNOT_LOGICAL) >= 1 - 1e-9
 
     def test_unitary_invariance(self, rng):
         v = random_unitary(4, rng)
         chi = depolarizing_chi(0.3)
         ideal = random_unitary(4, rng)
-        m1, se1 = gate_fidelity(chi, ideal, 50_000, seed=2)
         reg = LogicalRegister(2)
         conj = process_tomography(
             lambda rho: embed_in_dfs(
                 v.conj().T @ apply_chi(chi, v @ rho @ v.conj().T) @ v, reg),
             register=reg).chi
-        m2, se2 = gate_fidelity(conj, v.conj().T @ ideal @ v,
-                                50_000, seed=3)
-        assert abs(m1 - m2) < 5 * np.hypot(se1, se2) + 1e-9
-
-    def test_minimum_samples_enforced(self):
-        with pytest.raises(ValidationError):
-            gate_fidelity(depolarizing_chi(0.1), np.eye(4), 10, seed=0)
-
-    def test_samples_need_a_seed(self):
-        # an unseeded draw from OS entropy could not be reproduced
-        with pytest.raises(ValidationError, match="seed"):
-            haar_report(depolarizing_chi(0.1), np.eye(4), n_samples=1000)
-
-    def test_working_memory_is_chunked(self):
-        # the two figures of each state, 16 bytes a state, are all that
-        # grows with n_samples: 3.2 MB at 200k states, against 116 MB for
-        # the dense stack of E(psi) and 16 MB for a stack of the draws
-        tracemalloc.start()
-        try:
-            haar_report(depolarizing_chi(0.1), CNOT_LOGICAL,
-                        n_samples=200_000, seed=0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 8e6
+        assert abs(gate_fidelity(chi, ideal)
+                   - gate_fidelity(conj, v.conj().T @ ideal @ v)) < 1e-9
 
     def test_mean_permanence_at_the_guard_refused(self):
-        # tr chi just above MIN_PERMANENCE but T = tr chi + Z(x)1, as a
-        # shot-noisy chi of a leaking channel can be: the sampled mean
-        # permanence falls below the guard for some seeds, and the gate
-        # fidelity would divide by it
-        entries = np.zeros((16, 16), dtype=complex)
-        entries[0, 0] = 2 * MIN_PERMANENCE
-        z1 = chi_basis_labels(2).index("ZI")
-        entries[0, z1] = entries[z1, 0] = 0.5
-        refused = 0
-        for seed in range(10):
-            try:
-                report = haar_report(ChiMatrix(entries), CNOT_LOGICAL,
-                                     n_samples=1000, seed=seed)
-            except EmptySubspaceError as exc:
-                assert "mean permanence" in str(exc)
-                assert 0.0 <= exc.permanence <= MIN_PERMANENCE
-                refused += 1
-            else:
-                assert report["mean_permanence"] > MIN_PERMANENCE
-        assert refused > 0
+        # the gate fidelity divides by tr chi, the mean permanence, which a
+        # shot-noisy chi of a leaking channel can bring down to the guard;
+        # the Z(x)1 terms make the permanence vary over inputs, not its mean
+        def chi(trace):
+            entries = np.zeros((16, 16), dtype=complex)
+            entries[0, 0] = trace
+            z1 = chi_basis_labels(2).index("ZI")
+            entries[0, z1] = entries[z1, 0] = 0.5
+            return ChiMatrix(entries)
+
+        chi_ideal = chi_from_unitary(CNOT_LOGICAL)
+        for trace in (-MIN_PERMANENCE, 0.0, MIN_PERMANENCE / 2, MIN_PERMANENCE):
+            with pytest.raises(EmptySubspaceError,
+                               match="mean permanence") as refused:
+                haar_report(chi(trace), chi_ideal)
+            assert 0.0 <= refused.value.permanence <= MIN_PERMANENCE
+        report = haar_report(chi(2 * MIN_PERMANENCE), chi_ideal)
+        assert report["mean_permanence"] == 2 * MIN_PERMANENCE
 
 
 class TestDfsReport:
@@ -522,7 +467,7 @@ class TestShotBasedProcessTomography:
         _, vecs = zip(*preparation_states(2))
         assert np.allclose([np.vdot(v, w @ v).real for v in vecs],
                            res.permanences, rtol=0, atol=1e-10)
-        rep = haar_report(res.chi, CNOT_LOGICAL, n_samples=20_000, seed=1)
+        rep = haar_report(res.chi, chi_ideal)
         gap = abs(rep["mean_overall"]
                   - rep["mean_permanence"] * rep["mean_gate_fidelity"])
         assert gap < 0.02

@@ -2,16 +2,14 @@
 implementations in ``tomography_reference``, over 1-4 ions, full-rank
 and rank-2 states, and exact and 100-shot data; the chi solve against
 the least squares over all ``16^n`` chi entries; the Haar figures against
-the dense path and their closed forms."""
+their closed forms and the dense sampler."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tomography_reference as ref
 from conftest import random_density_matrix, random_unitary
-from dfsqc import tomography
 from dfsqc.tomography import (ChiMatrix, acquire_dataset, chi_basis_labels,
                               chi_from_unitary, chi_linear_solve, haar_report,
                               linear_inversion, preparation_states)
@@ -94,34 +92,6 @@ class TestProcessMatrix:
 
 
 class TestHaarFigures:
-    # 4097 leaves a one-state tail after the first 4096-state chunk
-    @pytest.mark.parametrize("n_samples", [1000, 4097, 20_000])
-    @pytest.mark.parametrize("seed", [3, 17, 2009])
-    def test_streamed_figures_match_the_dense_path(self, n_samples, seed):
-        # a random CP chi scaled to a trace-decreasing map, and a random ideal
-        rng = np.random.default_rng(seed)
-        entries = random_density_matrix(16, rng, rank=int(rng.integers(1, 17)))
-        entries *= 0.9 / np.linalg.eigvalsh(ref.trace_map(entries, 2)).max()
-        ideal = random_unitary(4, rng)
-        report = haar_report(ChiMatrix(entries), ideal, n_samples, seed=seed)
-        want = ref.haar_report(ChiMatrix(entries), ideal, n_samples, seed)
-        assert report.keys() == want.keys()
-        for key in want:
-            assert abs(report[key] - want[key]) < 1e-12, key
-
-    def test_figures_do_not_depend_on_the_chunk(self, monkeypatch):
-        # the states are drawn a chunk at a time from one stream, so the
-        # chunk size, here with a 3-state tail at 7, moves no figure
-        rng = np.random.default_rng(23)
-        chi = ChiMatrix(random_density_matrix(16, rng, rank=4) * 0.5)
-        ideal = random_unitary(4, rng)
-        reports = []
-        for chunk in (7, 4096):
-            monkeypatch.setattr(tomography, "_HAAR_CHUNK", chunk)
-            reports.append(haar_report(chi, ideal, 5001, seed=23))
-        for key in reports[0]:
-            assert abs(reports[0][key] - reports[1][key]) < 1e-12, key
-
     @settings(deadline=None, max_examples=20)
     @given(rank=st.integers(1, 16), scale=st.floats(0.3, 1.0), seed=SEEDS)
     def test_means_match_the_closed_forms(self, rank, scale, seed):
@@ -130,12 +100,14 @@ class TestHaarFigures:
         entries = random_density_matrix(16, rng, rank=rank)
         entries *= scale / np.linalg.eigvalsh(ref.trace_map(entries, 2)).max()
         ideal = random_unitary(4, rng)
-        chi_ideal = chi_from_unitary(ideal).entries
-        report = haar_report(ChiMatrix(entries), ideal, n_samples=20_000,
-                             seed=seed)
+        chi_ideal = chi_from_unitary(ideal)
+        report = haar_report(ChiMatrix(entries), chi_ideal)
         perm = ref.haar_mean_permanence(entries)
-        overall = ref.haar_mean_overall(entries, chi_ideal)
+        overall = ref.haar_mean_overall(entries, chi_ideal.entries)
         for key, want in (("mean_permanence", perm),
                           ("mean_overall", overall),
                           ("mean_gate_fidelity", overall / perm)):
-            assert abs(report[key] - want) <= 5 * report[key + "_stderr"] + 1e-12
+            assert abs(report[key] - want) < 1e-12, key
+        sampled = ref.haar_report(ChiMatrix(entries), ideal, 20_000, seed)
+        for key, value in report.items():
+            assert abs(value - sampled[key]) <= 5 * sampled[key + "_stderr"], key

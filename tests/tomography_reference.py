@@ -2,9 +2,9 @@
 
 These are the direct, slow forms: one dense rotation per setting, one
 Pauli string at a time for linear inversion, and double loops over the
-chi basis.  The dense Haar path is here too: every sampled state's
-``E(psi)`` built at once through the chi superoperator, with no chunking.
-``tests/test_tomography_oracle.py`` checks the vectorized code in
+chi basis.  The Haar figures are here twice: sampled, with every state's
+``E(psi)`` built at once through the chi superoperator, and in closed
+form.  ``tests/test_tomography_oracle.py`` checks the vectorized code in
 :mod:`dfsqc.tomography` against them.
 """
 
@@ -118,7 +118,8 @@ def batched_figures(sop, ideal, psi):
 
 
 def haar_report(chi, ideal, n_samples, seed):
-    """``dfsqc.tomography.haar_report`` on the dense stack of all states."""
+    """Haar figures of ``dfsqc.tomography.haar_report`` estimated from
+    ``n_samples`` states, with their sampling errors as ``*_stderr``."""
     rng = np.random.default_rng(seed)
     perm, overall = batched_figures(chi_superoperator(chi), ideal,
                                     haar_states(ideal.shape[0], n_samples, rng))
