@@ -24,7 +24,9 @@ Reports are reproducible: the same (config, seed) gives the same bytes.
 
 Only ``run`` and ``validate`` of ``bell`` and ``cnot-tomo``, and
 ``dump-sequence``, import numpy; ``coherence``, the scans and ``--version``
-start without it.
+start without it.  ``config_hash`` uses the interpreter's built-in
+SHA-256, not ``hashlib``, so only ``run`` of ``cnot-tomo``, through
+``numpy.random``, loads OpenSSL's libcrypto.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from __future__ import annotations
 import argparse
 import collections
 import contextlib
-import hashlib
+import importlib
 import json
 import math
 import os
@@ -66,7 +68,7 @@ def _integers(low: int, high: float = math.inf) -> FieldSpec:
 _INTEGER, _REAL = FieldSpec(_integer, "an integer"), FieldSpec(_real, "a number")
 # Sample counts are capped by the time a run takes on its light cone of at
 # most 5 ions: a jittering cnot-tomo with every count at its cap takes about
-# 2.1 s on a 2-core Intel Xeon host with one BLAS thread, 1.6 s of it
+# 1.7 s on a 2-core Intel Xeon host with one BLAS thread, 1.4 s of it
 # drawing the shots.
 _COUNT = _integers(1, 10 ** 4)  # noise_samples and shots
 # Nested objects get types only: LogicalRegister and NoiseModel, which
@@ -275,8 +277,19 @@ def _check_semantics(config) -> dict:
 
 
 def config_hash(config: dict) -> str:
+    """SHA-256 of the config's canonical JSON, from the interpreter's own
+    SHA-256 module where it has one, as ``random`` does for SHA-512:
+    ``hashlib`` loads OpenSSL's libcrypto, some 3.7 MB and 3 ms."""
     canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    for name in ("_sha2", "_sha256"):  # Python 3.12+, 3.10-3.11
+        try:
+            sha256 = importlib.import_module(name).sha256
+            break
+        except ImportError:
+            continue
+    else:
+        from hashlib import sha256
+    return sha256(canonical.encode()).hexdigest()
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -311,7 +324,7 @@ def run_bell(run: dict, seed: int) -> tuple:
 
     from . import linalg
     from .encoding import dfs_report, encode, restrict_to_dfs
-    from .gates import PulseSequence, ms_pulse
+    from .gates import PulseSequence, bell_state_logical, ms_pulse
     from .noise import sample_noisy_channel
     register, control = run["register"], run["control"]
     prep = ms_pulse(np.pi / 2, control, register)
@@ -320,12 +333,10 @@ def run_bell(run: dict, seed: int) -> tuple:
     psi = np.stack([encode(register, bits) for bits in inputs])
     rhos = sample_noisy_channel(seq, psi[:, :, None] * psi[:, None, :].conj(),
                                 run["noise"])
-    x = linalg.expm_hermitian(linalg.SIGMA_X, np.pi / 4)  # X(pi/2) on the control
-    x_c = linalg.tensor(*[x if q == control else linalg.ID2 for q in range(2)])
     metrics = {"inputs": inputs, "fidelity": [], "permanence": [], "overall": []}
     matrices = {}
-    for bits, rho, e_k in zip(inputs, rhos, np.eye(4, dtype=complex)):
-        perm, fid, overall = dfs_report(rho, run["cnot_matrix"] @ (x_c @ e_k),
+    for bits, rho in zip(inputs, rhos):
+        perm, fid, overall = dfs_report(rho, bell_state_logical(bits, control),
                                         register)
         metrics["fidelity"].append(fid)
         metrics["permanence"].append(perm)

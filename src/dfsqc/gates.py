@@ -280,18 +280,28 @@ def cnot_logical_matrix(control: int, target: int) -> np.ndarray:
     return SWAP_LOGICAL @ CNOT_LOGICAL @ SWAP_LOGICAL
 
 
-def bell_state_logical(input_bits: str) -> np.ndarray:
-    """Logical Bell state produced from a computational input by
-    ``X(pi/2)`` on the control followed by the compiled CNOT.
+#: Logical ``X(pi/2) = exp(-i pi/4 sigma_x)``, the pulse that prepares the
+#: control of a Bell pair, in closed form.
+X_HALF_PI = np.array([[np.cos(np.pi / 4), -1j * np.sin(np.pi / 4)],
+                      [-1j * np.sin(np.pi / 4), np.cos(np.pi / 4)]])
 
-    The four inputs map onto the four Bell states (phases included):
+
+def bell_state_logical(input_bits: str, control: int = 0) -> np.ndarray:
+    """Logical Bell state produced from a computational input by
+    ``X(pi/2)`` on the control followed by the compiled CNOT on a
+    two-qubit register.
+
+    With ``control=0`` the four inputs map onto the four Bell states
+    (phases included):
     ``00 -> i(|01> - |10>)/sqrt2``, ``01 -> (|11> - |00>)/sqrt2``,
     ``10 -> (|01> + |10>)/sqrt2``, ``11 -> i(|00> + |11>)/sqrt2``.
     """
     if len(input_bits) != 2 or any(b not in "01" for b in input_bits):
         raise ValidationError("input must be two logical bits")
+    cnot = cnot_logical_matrix(control, 1 - control)
     k = int(input_bits, 2)
     e = np.zeros(4, dtype=complex)
     e[k] = 1.0
-    xc = linalg.tensor(linalg.expm_hermitian(linalg.SIGMA_X, np.pi / 4), linalg.ID2)
-    return CNOT_LOGICAL @ (xc @ e)
+    xc = linalg.tensor(*[X_HALF_PI if q == control else linalg.ID2
+                         for q in range(2)])
+    return cnot @ (xc @ e)

@@ -85,24 +85,6 @@ def z_eigenvalues(n_ions: int, weights: dict) -> np.ndarray:
     return s
 
 
-def is_hermitian(m: np.ndarray, atol: float = 1e-10) -> bool:
-    return bool(np.max(np.abs(m - dag(m))) <= atol)
-
-
-def expm_hermitian(h: np.ndarray, t: float = 1.0, atol: float = 1e-10) -> np.ndarray:
-    """Unitary ``exp(-i t H)`` of a Hermitian ``H`` via eigendecomposition.
-
-    Raises :class:`ValidationError` if ``H`` is not Hermitian within ``atol``.
-    """
-    h = np.asarray(h, dtype=complex)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise DimensionError("expm_hermitian expects a square matrix")
-    if not is_hermitian(h, atol):
-        raise ValidationError("matrix is not Hermitian within tolerance")
-    evals, evecs = np.linalg.eigh(h)
-    return (evecs * np.exp(-1j * t * evals)) @ dag(evecs)
-
-
 def fidelity(rho: np.ndarray, psi: np.ndarray) -> float:
     """Pure-state fidelity ``<psi| rho |psi>`` of a density matrix.
 

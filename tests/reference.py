@@ -3,7 +3,7 @@ kept as test oracles, and small helpers the tests share.
 
 :func:`oracle_propagator` is the dense propagator of the driven
 oscillator on the truncated spin (x) oscillator space, from one
-:func:`dfsqc.linalg.expm_hermitian` in the interaction frame, and
+:func:`expm_hermitian` in the interaction frame, and
 :func:`kraus_infidelity` the average infidelity of the spin channel it
 embeds; :func:`oracle_scan` is the timing scan they give, which the tests
 check ``dfsqc.motional.off_resonant_error_scan`` against.
@@ -24,7 +24,9 @@ and :func:`noisy_channel` averages the shots; the tests check that this
 sampled mean converges to the exact channel.
 :func:`max_phase_diff` and :func:`unitary_trace_distance` compare two
 matrices or states up to a global phase, and :func:`sequence_from_json`
-reads back a ``dump-sequence`` document.
+reads back a ``dump-sequence`` document.  :func:`expm_hermitian` is the
+dense matrix exponential the oracles build on; the package itself writes
+every unitary in closed form.
 """
 
 import dataclasses
@@ -34,8 +36,28 @@ import numpy as np
 
 from dfsqc import linalg
 from dfsqc.encoding import LogicalRegister
+from dfsqc.errors import DimensionError, ValidationError
 from dfsqc.gates import AC_STARK_Z, PulseOp, PulseSequence
 from dfsqc.noise import noisy_op_unitary
+
+
+def is_hermitian(m, atol=1e-10):
+    return bool(np.max(np.abs(m - linalg.dag(m))) <= atol)
+
+
+def expm_hermitian(h, t=1.0, atol=1e-10):
+    """Unitary ``exp(-i t H)`` of a Hermitian ``H`` via eigendecomposition.
+
+    Raises :class:`ValidationError` if ``H`` is not Hermitian within ``atol``.
+    """
+    h = np.asarray(h, dtype=complex)
+    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+        raise DimensionError("expm_hermitian expects a square matrix")
+    if not is_hermitian(h, atol):
+        raise ValidationError("matrix is not Hermitian within tolerance")
+    evals, evecs = np.linalg.eigh(h)
+    return (evecs * np.exp(-1j * t * evals)) @ linalg.dag(evecs)
+
 
 #: Collective spins ``S`` of the two gates: the phase gate and the x-type gate.
 SPIN_Z, SPIN_X = (linalg.tensor(p, linalg.ID2) + linalg.tensor(linalg.ID2, p)
@@ -56,7 +78,7 @@ def drive(spin, theta, delta):
 def closed_gate(d):
     """``exp(-i theta S^2)``, the spin gate of the closed loop."""
     theta = 2 * np.pi * (d.coupling / d.delta) ** 2
-    return linalg.expm_hermitian(d.spin @ d.spin, theta)
+    return expm_hermitian(d.spin @ d.spin, theta)
 
 
 def _ladder(n_fock):
@@ -78,7 +100,7 @@ def oracle_propagator(d, t, n_fock):
     a, n = _ladder(n_fock)
     k = d.coupling * np.kron(d.spin, a + a.conj().T) - d.delta * np.kron(np.eye(4), n)
     r = np.kron(np.eye(4), np.diag(np.exp(-1j * d.delta * t * np.arange(n_fock))))
-    return r @ linalg.expm_hermitian(k, t)
+    return r @ expm_hermitian(k, t)
 
 
 def midpoint_propagator(d, t, n_steps, n_fock):
@@ -86,7 +108,7 @@ def midpoint_propagator(d, t, n_steps, n_fock):
     dt = t / n_steps
     u = np.eye(4 * n_fock, dtype=complex)
     for k in range(n_steps):
-        u = linalg.expm_hermitian(hamiltonian(d, (k + 0.5) * dt, n_fock), dt) @ u
+        u = expm_hermitian(hamiltonian(d, (k + 0.5) * dt, n_fock), dt) @ u
     return u
 
 
@@ -158,7 +180,7 @@ def collective_z(n_ions):
 
 def dense_collective_phase(n_ions, phi):
     """``exp(-i phi/2 sum_k sigma_z_k)`` from the dense Kronecker sum."""
-    return linalg.expm_hermitian(collective_z(n_ions), phi / 2)
+    return expm_hermitian(collective_z(n_ions), phi / 2)
 
 
 def shot_unitaries(seq, model, n_samples, seed):

@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 import os
@@ -325,7 +326,7 @@ class TestSemanticConfigErrors:
 
     def test_sample_counts_at_their_caps_validate(self, tmp_path):
         # the heaviest cnot-tomo that validates: jittering noise on a 5-ion
-        # light cone and every count at its cap, about 2.1 s to run
+        # light cone and every count at its cap, about 1.7 s to run
         path, _ = write_config(
             tmp_path, experiment="cnot-tomo", noise=CALIBRATED,
             register={"n_logical": 2, "pairs": [[1, 2], [3, 4]]},
@@ -462,6 +463,21 @@ class TestRunBell:
                 (tmp_path / "out" / "report.json").read_text()))
         assert [r.pop("seed") for r in reports] == [7, 8]
         assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("control", [0, 1])
+    def test_calls_no_lapack(self, tmp_path, monkeypatch, control):
+        # X(pi/2) is written out in closed form, so a bell request maps no
+        # LAPACK code
+        def refuse(*args, **kwargs):
+            raise AssertionError("LAPACK called")
+
+        for name in ("eigh", "eig", "svd", "lstsq", "solve", "inv"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        with pytest.raises(AssertionError, match="LAPACK"):
+            np.linalg.eigh(np.eye(2))
+        path, _ = write_config(tmp_path, noise=CALIBRATED, control=control,
+                               target=1 - control)
+        assert main(["run", str(path)]) == 0
 
     def test_report_carries_hash_and_version(self, tmp_path):
         path, _ = write_config(tmp_path)
@@ -783,6 +799,65 @@ def test_cli_import_needs_no_test_extra():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20)
+
+
+@pytest.mark.parametrize("builtin", [True, False], ids=["builtin", "fallback"])
+@settings(deadline=None, max_examples=40)
+@given(config=st.dictionaries(st.text(), JSON_VALUES, max_size=6))
+def test_config_hash_is_sha256_of_canonical_json(builtin, config):
+    # the interpreter's own SHA-256 where it has one, else hashlib's; the
+    # built-in modules are hidden to take the fallback
+    canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
+    want = hashlib.sha256(canonical.encode()).hexdigest()
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hashlib, "sha256",
+                   lambda data, _f=hashlib.sha256: calls.append(data) or _f(data))
+        if not builtin:
+            for name in ("_sha2", "_sha256"):
+                mp.setitem(sys.modules, name, None)
+        assert cli.config_hash(config) == want
+    assert len(calls) == (0 if builtin else 1)
+
+
+#: Runs ``dfsqc.cli.main`` on each argument list of the JSON list given and
+#: prints whether OpenSSL's ``_hashlib`` was loaded after each, as a JSON list.
+HASHLIB_PROBE = """
+import json, sys
+from dfsqc import cli
+loaded = []
+for argv in json.loads(sys.argv[1]):
+    assert cli.main(argv) == 0, argv
+    loaded.append("_hashlib" in sys.modules)
+print(json.dumps(loaded))
+"""
+
+
+@pytest.mark.parametrize("experiment", cli.EXPERIMENTS)
+def test_no_openssl_loaded(tmp_path, experiment):
+    # config_hash needs no hashlib, so validate of every experiment and run
+    # of all but cnot-tomo leave libcrypto unloaded.  cnot-tomo's run still
+    # loads it: numpy.random imports secrets, which imports hmac
+    path = str(write_config(tmp_path, experiment=experiment)[0])
+    commands = [["validate", path]]
+    if experiment != "cnot-tomo":
+        commands.append(["run", path])
+    src = str(ROOT / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", HASHLIB_PROBE,
+                           json.dumps(commands)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [False] * len(commands)
 
 
 #: Runs ``dfsqc.cli.main`` on its arguments after importing the module

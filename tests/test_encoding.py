@@ -9,7 +9,8 @@ from dfsqc.encoding import (LogicalRegister, collective_dephasing,
 from dfsqc.errors import DimensionError, EmptySubspaceError, ValidationError
 
 from conftest import random_density_matrix
-from reference import dense_collective_phase, quadrature_dephasing
+from reference import (dense_collective_phase, expm_hermitian,
+                       quadrature_dephasing)
 
 
 class TestRegister:
@@ -181,7 +182,7 @@ class TestSymmetricEvolutionConservesPermanence:
         h = (h + h.conj().T) / 2
         mask = lam[:, None] == lam[None, :]
         h = h * mask  # project onto the commutant
-        u = linalg.expm_hermitian(h, 0.9)
+        u = expm_hermitian(h, 0.9)
         rho = random_density_matrix(4, rng)
         before = np.trace(restrict_to_dfs(rho, register1)).real
         after = np.trace(restrict_to_dfs(u @ rho @ u.conj().T, register1)).real

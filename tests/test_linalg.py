@@ -3,11 +3,10 @@ import pytest
 
 from dfsqc.errors import DimensionError, ValidationError
 from dfsqc.linalg import (ID2, KET0, KET1, SIGMA_X, SIGMA_Z,
-                          canonicalize_phase, expm_hermitian, fidelity, tensor,
-                          z_eigenvalues)
+                          canonicalize_phase, fidelity, tensor, z_eigenvalues)
 
 from conftest import random_density_matrix, random_state, random_unitary
-from reference import max_phase_diff
+from reference import expm_hermitian, max_phase_diff
 
 
 def kron_oracle(a, b):
@@ -68,6 +67,8 @@ class TestTensor:
 
 
 class TestExpmHermitian:
+    """The dense exponential of ``reference``, which the oracles build on."""
+
     def test_diagonal(self):
         u = expm_hermitian(SIGMA_Z, np.pi / 2)
         assert np.allclose(u, np.diag([np.exp(-1j * np.pi / 2),

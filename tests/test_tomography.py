@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -115,6 +116,51 @@ class TestMeasurement:
         counts = _draw_counts(probs[None], 100_000, seed=3)[0]
         assert counts.sum() == 100_000
         assert counts[1] == 0 and counts[3] == 0
+
+    @settings(deadline=None, max_examples=60)
+    @given(rows=st.integers(1, 12), outcomes=st.integers(1, 32),
+           shots=st.one_of(st.just(1), st.integers(1, 300)),
+           short=st.booleans(), seed=st.integers(0, 2 ** 32 - 1),
+           data=st.data())
+    def test_counts_match_the_inverse_cdf_oracle(self, rows, outcomes, shots,
+                                                 short, seed, data):
+        # bit for bit, row by row: row i bins uniforms i*shots to
+        # (i+1)*shots - 1 of the one stream, with zero-probability tails
+        # and, if short, rows summing to less than one
+        rng = np.random.default_rng(seed)
+        support = outcomes - data.draw(st.integers(0, outcomes - 1))
+        probs = rng.random((rows, outcomes)) * (rng.random((rows, outcomes)) < 0.7)
+        probs[:, support:] = 0.0
+        probs[np.arange(rows), rng.integers(support, size=rows)] += 0.1
+        probs /= probs.sum(axis=1, keepdims=True)
+        if short:
+            probs *= rng.uniform(0.5, 1.0, size=(rows, 1))
+        counts = _draw_counts(probs, shots, seed)
+        uniforms = np.random.default_rng(seed).random(rows * shots)
+        for i, u in enumerate(uniforms.reshape(rows, shots)):
+            assert np.array_equal(counts[i], ref.inverse_cdf_counts(probs[i], u))
+
+    def test_draw_on_an_edge_bins_above_it(self):
+        # a uniform equal to a cumulative sum, here the first draw, counts
+        # for the next outcome of nonzero probability, as the oracle's
+        # searchsorted(side="right") bins it
+        u = np.random.default_rng(9).random(4)
+        probs = np.array([[u[0], 0.0, 1.0 - u[0]]])
+        counts = _draw_counts(probs, 4, seed=9)[0]
+        assert np.array_equal(counts, ref.inverse_cdf_counts(probs[0], u))
+
+    def test_heaviest_draw_stays_small(self, rng):
+        # the largest draw of a config that validates: 243 settings of 32
+        # outcomes on a 5-ion light cone, 10^4 shots each
+        probs = acquire_dataset(random_density_matrix(32, rng), None)
+        tracemalloc.start()
+        try:
+            counts = _draw_counts(probs, 10 ** 4, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(counts.sum(axis=1), np.full(243, 10 ** 4))
+        assert peak < 1e6
 
 
 class TestDataset:
