@@ -25,8 +25,9 @@ Reports are reproducible: the same (config, seed) gives the same bytes.
 Only ``run`` and ``validate`` of ``bell`` and ``cnot-tomo``, and
 ``dump-sequence``, import numpy; ``coherence``, the scans and ``--version``
 start without it.  ``config_hash`` uses the interpreter's built-in
-SHA-256, not ``hashlib``, so only ``run`` of ``cnot-tomo``, through
-``numpy.random``, loads OpenSSL's libcrypto.
+SHA-256, not ``hashlib``, and ``cnot-tomo`` draws its shots from a
+SplitMix64 stream in plain numpy, so no command loads ``numpy.random``
+or OpenSSL's libcrypto.
 """
 
 from __future__ import annotations
@@ -68,8 +69,8 @@ def _integers(low: int, high: float = math.inf) -> FieldSpec:
 _INTEGER, _REAL = FieldSpec(_integer, "an integer"), FieldSpec(_real, "a number")
 # Sample counts are capped by the time a run takes on its light cone of at
 # most 5 ions: a jittering cnot-tomo with every count at its cap takes about
-# 1.7 s on a 2-core Intel Xeon host with one BLAS thread, 1.4 s of it
-# drawing the shots.
+# 1.65 s on a 2-core Intel Xeon host with one BLAS thread (median of 5 fresh
+# processes), 1.2-1.4 s of it drawing and binning the shots.
 _COUNT = _integers(1, 10 ** 4)  # noise_samples and shots
 # Nested objects get types only: LogicalRegister and NoiseModel, which
 # _check_semantics builds, check their bounds.

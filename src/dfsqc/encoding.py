@@ -131,36 +131,25 @@ def embed_in_dfs(op_logical: np.ndarray, register: LogicalRegister) -> np.ndarra
     return out
 
 
-def decode_in_dfs(rho_physical: np.ndarray, register: LogicalRegister):
-    """Project onto the DFS and renormalize.
-
-    Returns ``(rho_logical, permanence)``.  If the subspace weight is
-    below 1e-9 the logical part is undefined and
-    :class:`EmptySubspaceError` is raised; the error object still
-    carries the measured ``permanence``.
-    """
-    if rho_physical.shape != (register.dim, register.dim):
-        raise DimensionError("density matrix dimension does not match register")
-    block = restrict_to_dfs(rho_physical, register)
-    p = float(np.real(np.trace(block)))
-    if p < MIN_PERMANENCE:
-        raise EmptySubspaceError(
-            f"state weight {p:.3e} inside the DFS is below {MIN_PERMANENCE}",
-            permanence=max(p, 0.0))
-    return block / p, p
-
-
 def dfs_report(rho_physical: np.ndarray, ideal_logical: np.ndarray,
                register: LogicalRegister) -> tuple:
     """Permanence, fidelity within the subspace, and their product.
 
-    The in-subspace fidelity is evaluated against ``ideal_logical`` after
+    The permanence is the weight of ``rho_physical`` on the DFS.  The
+    in-subspace fidelity is evaluated against ``ideal_logical`` after
     projection and renormalization; the overall figure ``permanence *
     fidelity`` equals the plain physical-space fidelity against the
-    encoded ideal state.
+    encoded ideal state.  Below a permanence of 1e-9 the logical state is
+    undefined and :class:`EmptySubspaceError` is raised; the error object
+    still carries the measured ``permanence``.
     """
-    rho_l, perm = decode_in_dfs(rho_physical, register)
-    fid = linalg.fidelity(rho_l, ideal_logical)
+    block = restrict_to_dfs(rho_physical, register)
+    perm = float(np.real(np.trace(block)))
+    if perm < MIN_PERMANENCE:
+        raise EmptySubspaceError(
+            f"state weight {perm:.3e} inside the DFS is below {MIN_PERMANENCE}",
+            permanence=max(perm, 0.0))
+    fid = linalg.fidelity(block / perm, ideal_logical)
     return perm, fid, perm * fid
 
 

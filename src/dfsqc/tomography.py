@@ -28,7 +28,11 @@ inverse-CDF sampling, so rounding of the state moves a count only at a
 bin edge, and all settings of one state share one random stream, each
 taking its own fixed run of ``shots`` uniforms; they are binned a block
 of settings at a time, by one vectorised comparison per bin edge, with
-no loop over settings.
+no loop over settings.  The stream is counter-based SplitMix64 (Steele,
+Lea & Flood, OOPSLA 2014) in numpy: uniform ``i`` is a fixed mix of
+``key + (i + 1) * gamma``, with the 64-bit ``key`` hashed by ``random``
+from the seed's text, so drawing needs neither ``numpy.random`` nor
+OpenSSL.
 
 The Haar figures average the permanence ``tr E(psi)`` and the overall
 fidelity ``<U psi| E(psi) |U psi>`` over pure logical inputs.  Both means
@@ -39,6 +43,7 @@ the mean gate fidelity is their ratio, the fidelity within the subspace.
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -85,11 +90,59 @@ def _contract_ions(t: np.ndarray, tables: Sequence[np.ndarray]) -> np.ndarray:
 #: Uniforms :func:`_draw_counts` holds at once, but at least one row's:
 #: 512 kB, with a boolean temporary of 64 kB.
 _DRAW_CHUNK = 2 ** 16
+#: Uniforms :func:`_stream_uniforms` mixes at once, in two 64 kB buffers.
+_MIX_BLOCK = 2 ** 13
+#: SplitMix64's increment, the odd integer nearest ``2^64`` over the golden
+#: ratio, and the two multipliers of its finaliser.
+_GAMMA, _MIX1, _MIX2 = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+#: ``(j + 1) * gamma`` modulo ``2^64``, the state offset of uniform ``j`` of
+#: a block.
+_RAMP = np.arange(1, _MIX_BLOCK + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+
+
+def _stream_key(seed) -> int:
+    """64-bit key of the stream of ``seed``, an int or a tuple of ints:
+    ``random.Random(text).getrandbits(64)`` of the seed's text, its ints
+    joined by ``/``, so ``(7, 3)`` keys as ``"7/3"``.  ``random`` hashes a
+    text seed with the interpreter's own SHA-512, with no OpenSSL."""
+    parts = seed if type(seed) is tuple else (seed,)
+    if not parts or not all(isinstance(p, (int, np.integer))
+                            and not isinstance(p, bool) for p in parts):
+        raise ValidationError(
+            f"seed must be an int or a tuple of ints, got {seed!r}")
+    return random.Random("/".join(str(int(p)) for p in parts)).getrandbits(64)
+
+
+def _stream_uniforms(key: int, start: int, out: np.ndarray) -> None:
+    """Fill the flat float array ``out`` with uniforms ``start`` onwards of
+    the counter-based SplitMix64 stream of ``key`` (Steele, Lea & Flood,
+    OOPSLA 2014): uniform ``i`` is ``(mix(key + (i + 1) * gamma) >> 11) *
+    2^-53`` in ``[0, 1)``, with ``mix`` the generator's finaliser and all
+    arithmetic modulo ``2^64``.  Each uniform depends on its index alone,
+    so any window of the stream is computed on its own.  Every uint64
+    operation is on arrays, which wrap without the warning a numpy scalar
+    gives on overflow."""
+    z = np.empty(min(out.size, _MIX_BLOCK), dtype=np.uint64)
+    t = np.empty_like(z)
+    for lo in range(0, out.size, _MIX_BLOCK):
+        m = min(_MIX_BLOCK, out.size - lo)
+        zm, tm = z[:m], t[:m]
+        base = (key + (start + lo) * _GAMMA) % 2 ** 64
+        np.add(_RAMP[:m], np.uint64(base), out=zm)
+        for shift, mult in ((30, _MIX1), (27, _MIX2)):
+            np.right_shift(zm, shift, out=tm)
+            zm ^= tm
+            zm *= np.uint64(mult)
+        np.right_shift(zm, 31, out=tm)
+        zm ^= tm
+        zm >>= 11  # below 2^53, so the int64 view converts exactly
+        np.multiply(zm.view(np.int64), 2.0 ** -53, out=out[lo:lo + m])
 
 
 def _draw_counts(probs: np.ndarray, shots: int, seed) -> np.ndarray:
-    """Counts of each row of ``probs`` by inverse-CDF sampling from one
-    ``default_rng(seed)`` stream: row ``i`` bins uniforms ``i*shots`` to
+    """Counts of each row of ``probs`` by inverse-CDF sampling from the one
+    SplitMix64 stream of ``seed`` (:func:`_stream_key`,
+    :func:`_stream_uniforms`): row ``i`` bins uniforms ``i*shots`` to
     ``(i+1)*shots - 1``, so a change to one row's probabilities moves no
     other row's counts, and a rounding-level change moves a count only if
     a draw falls within rounding of a bin edge.  Draws past the last edge
@@ -100,10 +153,11 @@ def _draw_counts(probs: np.ndarray, shots: int, seed) -> np.ndarray:
     ``past[j]`` the draws at or above the cumulative sum ending at outcome
     ``j - 1`` (all of them for ``j = 0``), outcome ``j`` counts
     ``past[j] - past[j + 1]``.  An outcome of zero probability repeats the
-    edge before it and so counts nothing."""
+    edge before it and so counts nothing.  Each block's uniforms are
+    computed from their indices, so the block size moves no count."""
     if shots < 1:
         raise ValidationError("shots must be at least 1")
-    rng = np.random.default_rng(seed)
+    key = _stream_key(seed)
     rows, n = probs.shape
     edges = np.cumsum(probs, axis=1)
     past = np.empty((rows, n + 1), dtype=np.int64)
@@ -111,7 +165,8 @@ def _draw_counts(probs: np.ndarray, shots: int, seed) -> np.ndarray:
     step = max(1, _DRAW_CHUNK // shots)
     u = np.empty((min(step, rows), shots))
     for lo in range(0, rows, step):
-        block = rng.random(out=u[:rows - lo])
+        block = u[:rows - lo]
+        _stream_uniforms(key, lo * shots, block.reshape(-1))
         for j in range(n):
             past[lo:lo + step, j + 1] = np.count_nonzero(
                 block >= edges[lo:lo + step, j, None], axis=1)
@@ -127,9 +182,10 @@ def acquire_dataset(rho: np.ndarray, shots: Optional[int],
     with rows in lexicographic setting order (ion 0's letter most significant).
 
     ``shots=None`` gives the exact outcome distributions.  Otherwise every
-    setting draws its shots from the one stream ``default_rng(seed)``,
-    setting ``i`` taking uniforms ``i*shots`` to ``(i+1)*shots - 1``, and
-    its row is ``counts / shots``, so sampling needs a seed.
+    setting draws its shots from the one SplitMix64 stream of ``seed``, an
+    int or a tuple of ints (:func:`_draw_counts`), setting ``i`` taking
+    uniforms ``i*shots`` to ``(i+1)*shots - 1``, and its row is ``counts /
+    shots``, so sampling needs a seed.
     """
     if shots is not None and seed is None:
         raise ValidationError("a seed is required for reproducible sampling")

@@ -326,7 +326,7 @@ class TestSemanticConfigErrors:
 
     def test_sample_counts_at_their_caps_validate(self, tmp_path):
         # the heaviest cnot-tomo that validates: jittering noise on a 5-ion
-        # light cone and every count at its cap, about 1.7 s to run
+        # light cone and every count at its cap, about 1.65 s to run
         path, _ = write_config(
             tmp_path, experiment="cnot-tomo", noise=CALIBRATED,
             register={"n_logical": 2, "pairs": [[1, 2], [3, 4]]},
@@ -539,6 +539,19 @@ class TestRunCnotTomo:
                 means.append(json.loads(report.read_text())["metrics"][
                     "mean_permanence"])
             assert abs(means[1] - means[0]) < 0.01, (seed, means)
+
+    def test_shot_mean_permanence_is_unbiased(self, tmp_path):
+        # tr chi is linear in the frequencies, so over seeds 100-199 the
+        # 100-shot estimates average to the exact figure within 4 standard
+        # errors of their mean
+        path, _ = write_config(tmp_path, experiment="cnot-tomo",
+                               noise=CALIBRATED, shots=None)
+        run = cli.load_config(str(path))
+        exact = cli.run_cnot_tomo(run, 0)[0]["mean_permanence"]
+        estimates = [cli.run_cnot_tomo({**run, "shots": 100}, seed)[0][
+            "mean_permanence"] for seed in range(100, 200)]
+        stderr = np.std(estimates, ddof=1) / np.sqrt(len(estimates))
+        assert abs(np.mean(estimates) - exact) < 4 * stderr
 
     def test_benchmark_shaped_run_stays_small(self, tmp_path):
         # calibrated noise and 100 shots, as the benchmark runs it; a cheap
@@ -828,36 +841,53 @@ def test_config_hash_is_sha256_of_canonical_json(builtin, config):
     assert len(calls) == (0 if builtin else 1)
 
 
-#: Runs ``dfsqc.cli.main`` on each argument list of the JSON list given and
-#: prints whether OpenSSL's ``_hashlib`` was loaded after each, as a JSON list.
-HASHLIB_PROBE = """
+#: Runs ``dfsqc.cli.main`` on each argument list of the JSON list given
+#: first and prints, after each, which of the modules named in the JSON
+#: list given second are loaded, as a JSON list of lists.
+MODULE_PROBE = """
 import json, sys
 from dfsqc import cli
-loaded = []
+names, loaded = json.loads(sys.argv[2]), []
 for argv in json.loads(sys.argv[1]):
     assert cli.main(argv) == 0, argv
-    loaded.append("_hashlib" in sys.modules)
+    loaded.append([name for name in names if name in sys.modules])
 print(json.dumps(loaded))
 """
 
 
-@pytest.mark.parametrize("experiment", cli.EXPERIMENTS)
-def test_no_openssl_loaded(tmp_path, experiment):
-    # config_hash needs no hashlib, so validate of every experiment and run
-    # of all but cnot-tomo leave libcrypto unloaded.  cnot-tomo's run still
-    # loads it: numpy.random imports secrets, which imports hmac
+def modules_after_validate_and_run(tmp_path, experiment, names):
+    """Which of ``names`` are loaded after ``validate``, then after ``run``,
+    of the experiment's default config, in a fresh process."""
     path = str(write_config(tmp_path, experiment=experiment)[0])
-    commands = [["validate", path]]
-    if experiment != "cnot-tomo":
-        commands.append(["run", path])
     src = str(ROOT / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-c", HASHLIB_PROBE,
-                           json.dumps(commands)],
+    proc = subprocess.run([sys.executable, "-c", MODULE_PROBE,
+                           json.dumps([["validate", path], ["run", path]]),
+                           json.dumps(names)],
                           env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == [False] * len(commands)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("experiment", cli.EXPERIMENTS)
+def test_no_openssl_loaded(tmp_path, experiment):
+    # config_hash needs no hashlib, so validate and run of every experiment
+    # leave libcrypto unloaded
+    assert modules_after_validate_and_run(
+        tmp_path, experiment, ["_hashlib"]) == [[], []]
+
+
+@pytest.mark.parametrize("experiment", cli.EXPERIMENTS)
+def test_no_numpy_random_loaded(tmp_path, experiment):
+    # shots come from the SplitMix64 stream in plain numpy, so nothing
+    # imports numpy.random or what it pulls in; cnot-tomo's 100-shot run
+    # shows the probe reaches the shot stream
+    drawn = ["dfsqc.tomography"] if experiment == "cnot-tomo" else []
+    assert modules_after_validate_and_run(
+        tmp_path, experiment,
+        ["numpy.random", "secrets", "_hashlib", "dfsqc.tomography"]) == [
+            [], drawn]
 
 
 #: Runs ``dfsqc.cli.main`` on its arguments after importing the module

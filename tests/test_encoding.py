@@ -4,7 +4,7 @@ import pytest
 from dfsqc import linalg
 from dfsqc.cli import MAX_COHERENCE_RATIO, coherence_ratio
 from dfsqc.encoding import (LogicalRegister, collective_dephasing,
-                            decode_in_dfs, embed_in_dfs, encode,
+                            dfs_report, embed_in_dfs, encode,
                             logical_basis_indices, restrict_to_dfs)
 from dfsqc.errors import DimensionError, EmptySubspaceError, ValidationError
 
@@ -68,29 +68,38 @@ class TestProjector:
 
 class TestDecode:
     def test_basis_roundtrip(self, register2):
+        # the decoded state is |k><k| exactly when its fidelity with |k>
+        # is 1 and with every other basis state 0
         for k in range(4):
             bits = format(k, "02b")
             psi = encode(register2, bits)
-            rho_l, perm = decode_in_dfs(np.outer(psi, psi.conj()), register2)
-            assert perm == pytest.approx(1.0, abs=1e-12)
-            expected = np.zeros((4, 4))
-            expected[k, k] = 1.0
-            assert np.allclose(rho_l, expected)
+            for j, ideal in enumerate(np.eye(4)):
+                perm, fid, overall = dfs_report(np.outer(psi, psi.conj()),
+                                                ideal, register2)
+                assert perm == pytest.approx(1.0, abs=1e-12)
+                assert fid == pytest.approx(float(j == k), abs=1e-12)
+                assert overall == pytest.approx(perm * fid, abs=1e-15)
 
     def test_outside_dfs_errors(self, register1):
         rho = np.zeros((4, 4), complex)
         rho[3, 3] = 1.0  # |11>
         with pytest.raises(EmptySubspaceError) as err:
-            decode_in_dfs(rho, register1)
+            dfs_report(rho, np.array([1.0, 0.0]), register1)
         assert err.value.permanence == pytest.approx(0.0, abs=1e-15)
 
     def test_half_in_half_out(self, register1):
         psi_in = encode(register1, "0")
         rho = 0.5 * np.outer(psi_in, psi_in.conj())
         rho[3, 3] = 0.5  # half the weight on |11>, outside the subspace
-        rho_l, perm = decode_in_dfs(rho, register1)
-        assert perm == pytest.approx(0.5, abs=1e-12)
-        assert np.allclose(rho_l, np.diag([1.0, 0.0]))
+        for ideal, want in (([1.0, 0.0], 1.0), ([0.0, 1.0], 0.0)):
+            perm, fid, overall = dfs_report(rho, np.array(ideal), register1)
+            assert perm == pytest.approx(0.5, abs=1e-12)
+            assert fid == pytest.approx(want, abs=1e-12)
+            assert overall == pytest.approx(0.5 * want, abs=1e-12)
+
+    def test_wrong_dimension_refused(self, register1):
+        with pytest.raises(DimensionError):
+            dfs_report(np.eye(8) / 8, np.array([1.0, 0.0]), register1)
 
     def test_permanence_in_unit_interval(self, register2, rng):
         rho = random_density_matrix(16, rng)

@@ -1,4 +1,5 @@
 import json
+import random
 import tracemalloc
 
 import numpy as np
@@ -15,6 +16,7 @@ from dfsqc.errors import (ConditioningError, DimensionError,
                           EmptySubspaceError, ValidationError)
 from dfsqc.gates import (CNOT_LOGICAL, compile_cnot, ms_pulse, PulseSequence,
                          sequence_unitary)
+from dfsqc import tomography
 from dfsqc.tomography import (ChiMatrix, acquire_dataset, chi_basis_labels,
                               chi_from_unitary, chi_linear_solve,
                               haar_report, linear_inversion,
@@ -33,7 +35,7 @@ def probabilities(rho, setting):
 
 def shot_counts(rho, setting, shots, seed):
     """Counts of one setting drawn alone: the first ``shots`` uniforms of
-    ``default_rng(seed)``."""
+    the stream of ``seed``."""
     return _draw_counts(probabilities(rho, setting)[None], shots, seed)[0]
 
 
@@ -136,7 +138,7 @@ class TestMeasurement:
         if short:
             probs *= rng.uniform(0.5, 1.0, size=(rows, 1))
         counts = _draw_counts(probs, shots, seed)
-        uniforms = np.random.default_rng(seed).random(rows * shots)
+        uniforms = ref.stream_uniforms(seed, 0, rows * shots)
         for i, u in enumerate(uniforms.reshape(rows, shots)):
             assert np.array_equal(counts[i], ref.inverse_cdf_counts(probs[i], u))
 
@@ -144,7 +146,7 @@ class TestMeasurement:
         # a uniform equal to a cumulative sum, here the first draw, counts
         # for the next outcome of nonzero probability, as the oracle's
         # searchsorted(side="right") bins it
-        u = np.random.default_rng(9).random(4)
+        u = ref.stream_uniforms(9, 0, 4)
         probs = np.array([[u[0], 0.0, 1.0 - u[0]]])
         counts = _draw_counts(probs, 4, seed=9)[0]
         assert np.array_equal(counts, ref.inverse_cdf_counts(probs[0], u))
@@ -161,6 +163,89 @@ class TestMeasurement:
             tracemalloc.stop()
         assert np.array_equal(counts.sum(axis=1), np.full(243, 10 ** 4))
         assert peak < 1e6
+
+
+SEED_PARTS = st.integers(-2 ** 70, 2 ** 70)
+STREAM_SEEDS = st.one_of(SEED_PARTS, st.tuples(SEED_PARTS),
+                         st.tuples(SEED_PARTS, SEED_PARTS))
+
+
+def stream(key, n, start=0):
+    out = np.empty(n)
+    tomography._stream_uniforms(key, start, out)
+    return out
+
+
+class TestShotStream:
+    def test_oracle_gives_the_published_splitmix64_outputs(self):
+        # the generator seeded with 1234567, as in the reference C code
+        # (Vigna, splitmix64.c); seeded with 0 its first output is
+        # 0xE220A8397B1DCDAF
+        assert [ref.splitmix64((1234567 + k * ref.GAMMA) & ref.MASK64)
+                for k in range(1, 6)] == [
+            6457827717110365317, 3203168211198807973, 9817491932198370423,
+            4593380528125082431, 16408922859458223821]
+        assert ref.splitmix64(ref.GAMMA) == 0xE220A8397B1DCDAF
+
+    @settings(deadline=None, max_examples=40)
+    @given(seed=STREAM_SEEDS,
+           start=st.one_of(st.integers(0, 2 ** 20), st.integers(0, 2 ** 64)),
+           n=st.one_of(st.integers(0, 20), st.integers(0, 3 * 2 ** 13 + 5)))
+    def test_window_matches_the_integer_oracle(self, seed, start, n):
+        # bit for bit at any start, across mixing blocks and the 2^64 wrap
+        key = tomography._stream_key(seed)
+        assert key == ref.stream_key(seed)
+        assert np.array_equal(stream(key, n, start),
+                              ref.stream_uniforms(seed, start, n))
+
+    def test_key_is_the_random_hash_of_the_seed_text(self):
+        assert tomography._stream_key((7, 3)) == \
+            random.Random("7/3").getrandbits(64)
+        assert tomography._stream_key(np.int64(7)) == \
+            tomography._stream_key(7) == random.Random("7").getrandbits(64)
+        assert tomography._stream_key((7, 3)) != tomography._stream_key((7, 4))
+
+    @pytest.mark.parametrize("seed", [None, 1.0, "7", True, (), (1, "a"),
+                                      [1, 2], (1, (2, 3)), (1, False)])
+    def test_seed_that_is_not_ints_refused(self, seed):
+        with pytest.raises(ValidationError, match="seed"):
+            _draw_counts(np.array([[0.5, 0.5]]), 10, seed)
+
+    @settings(deadline=None, max_examples=30)
+    @given(rows=st.integers(1, 40), outcomes=st.integers(1, 8),
+           shots=st.integers(1, 3000), seed=STREAM_SEEDS)
+    def test_counts_do_not_depend_on_the_chunk(self, rows, outcomes, shots,
+                                               seed):
+        rng = np.random.default_rng(rows * outcomes * shots)
+        probs = rng.random((rows, outcomes)) + 0.01
+        probs /= probs.sum(axis=1, keepdims=True)
+        counts = []
+        for chunk in (1, 7, 2 ** 10, 2 ** 16):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(tomography, "_DRAW_CHUNK", chunk)
+                counts.append(_draw_counts(probs, shots, seed))
+        for other in counts[1:]:
+            assert np.array_equal(other, counts[0])
+
+    @pytest.mark.parametrize("seed", [0, 7, (7, 3), (2 ** 40, 15)])
+    def test_uniforms_pass_a_chi_square_test(self, seed):
+        # 2^20 draws in 64 equal bins, against the 0.999 quantile
+        n, bins = 2 ** 20, 64
+        observed = np.bincount((stream(tomography._stream_key(seed), n)
+                                * bins).astype(int), minlength=bins)
+        statistic = float(((observed - n / bins) ** 2).sum() / (n / bins))
+        assert statistic < stats.chi2.ppf(0.999, bins - 1)
+
+    @pytest.mark.parametrize("seed", [0, 7, 404])
+    def test_neighbours_and_sibling_streams_uncorrelated(self, seed):
+        # lag 1 within the (seed, 0) stream, and (seed, 0) against (seed, 1),
+        # the streams of two states of one process_tomography
+        n = 2 ** 20
+        first = stream(tomography._stream_key((seed, 0)), n + 1)
+        second = stream(tomography._stream_key((seed, 1)), n)
+        bound = 5 / np.sqrt(n)
+        assert abs(np.corrcoef(first[:-1], first[1:])[0, 1]) < bound
+        assert abs(np.corrcoef(first[:-1], second)[0, 1]) < bound
 
 
 class TestDataset:
@@ -181,7 +266,7 @@ class TestDataset:
         freq = acquire_dataset(rho, 100, seed=3)
         assert freq.shape == (9, 4)
         assert np.allclose(freq.sum(axis=1), 1.0, rtol=0, atol=1e-12)
-        uniforms = np.random.default_rng(3).random(9 * 100).reshape(9, 100)
+        uniforms = ref.stream_uniforms(3, 0, 9 * 100).reshape(9, 100)
         for i, s in enumerate(ref.all_settings(2)):
             counts = ref.inverse_cdf_counts(probabilities(rho, s), uniforms[i])
             assert np.array_equal(freq[i], counts / 100)

@@ -1,14 +1,15 @@
 """Loop implementations of the tomography estimators, kept as test oracles.
 
 These are the direct, slow forms: one dense rotation per setting, one
-Pauli string at a time for linear inversion, and double loops over the
-chi basis.  The Haar figures are here twice: sampled, with every state's
+Pauli string at a time for linear inversion, double loops over the chi
+basis, and the shot stream in Python integers, one uniform at a time.  The Haar figures are here twice: sampled, with every state's
 ``E(psi)`` built at once through the chi superoperator, and in closed
 form.  ``tests/test_tomography_oracle.py`` checks the vectorized code in
 :mod:`dfsqc.tomography` against them.
 """
 
 import itertools
+import random
 
 import numpy as np
 
@@ -41,6 +42,34 @@ def parity_signs(n, support_mask):
         parity ^= m & 1
         m >>= 1
     return 1.0 - 2.0 * parity
+
+
+MASK64 = 2 ** 64 - 1
+GAMMA = 0x9E3779B97F4A7C15
+
+
+def splitmix64(state):
+    """SplitMix64's finaliser of a 64-bit state (Steele, Lea & Flood,
+    OOPSLA 2014); ``splitmix64(k * GAMMA)`` is the ``k``-th output of the
+    generator seeded with 0."""
+    z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    return z ^ (z >> 31)
+
+
+def stream_key(seed):
+    """The 64-bit key of a seed, an int or a tuple of ints, from its text."""
+    parts = seed if isinstance(seed, tuple) else (seed,)
+    return random.Random("/".join(str(p) for p in parts)).getrandbits(64)
+
+
+def stream_uniforms(seed, start, n):
+    """Uniforms ``start`` to ``start + n - 1`` of the shot stream of
+    ``seed``: uniform ``i`` is ``(mix(key + (i + 1) * gamma) >> 11) *
+    2^-53``."""
+    key = stream_key(seed)
+    return np.array([(splitmix64((key + (i + 1) * GAMMA) & MASK64) >> 11)
+                     * 2.0 ** -53 for i in range(start, start + n)])
 
 
 def inverse_cdf_counts(probs, uniforms):
