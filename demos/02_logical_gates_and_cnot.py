@@ -10,17 +10,30 @@
 import numpy as np
 
 from dfsqc.encoding import LogicalRegister, restrict_to_dfs
-from dfsqc.gates import (CNOT_LOGICAL, compile_cnot, sequence_unitary,
-                         x_rotation_logical, z_rotation_logical)
-from dfsqc.linalg import canonicalize_phase
+from dfsqc.gates import (CNOT_LOGICAL, compile_cnot, ms_pulse, pulse_unitary,
+                         sequence_unitary, z_pulse)
+
+
+def canonicalize_phase(m, tol=1e-9):
+    """Fix the global phase so the first entry of magnitude above ``tol``
+    (row-major scan) is real and positive."""
+    flat = np.asarray(m, dtype=complex).ravel()
+    for x in flat:
+        if abs(x) > tol:
+            return m * (abs(x) / x)
+    return np.array(m, copy=True)
+
 
 reg = LogicalRegister(2)
 
-# single-qubit rotations restricted to the logical basis
+# single-qubit rotations restricted to the logical basis: an AC-Stark pulse
+# on the second ion of the pair, and a collective-spin pulse on both ions
 print("logical Z(pi/2) block:")
-print(np.round(restrict_to_dfs(z_rotation_logical(np.pi / 2, 0, reg), reg), 4))
+z = pulse_unitary(z_pulse(np.pi / 2, 0, reg), reg.n_ions)
+print(np.round(restrict_to_dfs(z, reg), 4))
 print("\nlogical X(pi/2) block:")
-print(np.round(restrict_to_dfs(x_rotation_logical(np.pi / 2, 0, reg), reg), 4))
+x = pulse_unitary(ms_pulse(np.pi / 2, 0, reg), reg.n_ions)
+print(np.round(restrict_to_dfs(x, reg), 4))
 
 # the compiled CNOT pulse sequence
 seq = compile_cnot(control=0, target=1, register=reg)

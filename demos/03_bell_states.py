@@ -28,14 +28,14 @@ print("noise-free generation")
 print("input   fidelity      permanence")
 ideal_out = sample_noisy_channel(seq, inputs, None)
 for bits, rho in zip(labels, ideal_out):
-    perm, fid, _ = dfs_report(rho, bell_state_logical(bits), reg)
+    perm, fid, _, _ = dfs_report(rho, bell_state_logical(bits), reg)
     print(f"  {bits}   {fid:.12f}  {perm:.12f}")
 
 print("\ncalibrated noise model:", CALIBRATED_NOISE)
 print("input   fidelity  permanence  overall")
 noisy_out = sample_noisy_channel(seq, inputs, CALIBRATED_NOISE)
 for bits, rho in zip(labels, noisy_out):
-    perm, fid, overall = dfs_report(rho, bell_state_logical(bits), reg)
+    perm, fid, overall, _ = dfs_report(rho, bell_state_logical(bits), reg)
     print(f"  {bits}   {fid:8.4f}  {perm:10.4f}  {overall:7.4f}")
 
 print("\nfor context, a published ion-string experiment reached Bell "

@@ -324,7 +324,7 @@ def run_bell(run: dict, seed: int) -> tuple:
     import numpy as np
 
     from . import linalg
-    from .encoding import dfs_report, encode, restrict_to_dfs
+    from .encoding import dfs_report, encode
     from .gates import PulseSequence, bell_state_logical, ms_pulse
     from .noise import sample_noisy_channel
     register, control = run["register"], run["control"]
@@ -337,13 +337,12 @@ def run_bell(run: dict, seed: int) -> tuple:
     metrics = {"inputs": inputs, "fidelity": [], "permanence": [], "overall": []}
     matrices = {}
     for bits, rho in zip(inputs, rhos):
-        perm, fid, overall = dfs_report(rho, bell_state_logical(bits, control),
-                                        register)
+        perm, fid, overall, rho_logical = dfs_report(
+            rho, bell_state_logical(bits, control), register)
         metrics["fidelity"].append(fid)
         metrics["permanence"].append(perm)
         metrics["overall"].append(overall)
-        matrices[f"bell_{bits}_logical"] = linalg.matrix_to_json(
-            restrict_to_dfs(rho, register) / perm)
+        matrices[f"bell_{bits}_logical"] = linalg.matrix_to_json(rho_logical)
     return metrics, matrices, []
 
 

@@ -8,8 +8,9 @@ so both logical basis states carry exactly one excitation per pair.  An
 energy shift common to all ions, ``U(phi) = exp(-i phi/2 sum_k sigma_z_k)``,
 acts trivially on that subspace, which therefore forms a
 decoherence-free subspace (DFS) for collective dephasing.
-:func:`collective_dephasing` is the exact average of ``U(phi)`` over a
-Gaussian ``phi``, the one place the package averages it.
+:func:`gaussian_phase_average` is the package's one exact Gaussian phase
+average, of ``U(phi)`` in :func:`collective_dephasing` and of the z-pulse
+jitter in :mod:`dfsqc.noise`.
 
 Ion 0 of a pair is the most significant tensor factor.  For several
 logical qubits, pair ``j`` of the register occupies ions ``(2j, 2j+1)``
@@ -133,15 +134,16 @@ def embed_in_dfs(op_logical: np.ndarray, register: LogicalRegister) -> np.ndarra
 
 def dfs_report(rho_physical: np.ndarray, ideal_logical: np.ndarray,
                register: LogicalRegister) -> tuple:
-    """Permanence, fidelity within the subspace, and their product.
+    """Permanence, fidelity within the subspace, their product, and the
+    logical state.
 
-    The permanence is the weight of ``rho_physical`` on the DFS.  The
-    in-subspace fidelity is evaluated against ``ideal_logical`` after
-    projection and renormalization; the overall figure ``permanence *
-    fidelity`` equals the plain physical-space fidelity against the
-    encoded ideal state.  Below a permanence of 1e-9 the logical state is
-    undefined and :class:`EmptySubspaceError` is raised; the error object
-    still carries the measured ``permanence``.
+    The permanence is the weight of ``rho_physical`` on the DFS, and the
+    logical state its block there, renormalized; the in-subspace fidelity
+    is that state's against ``ideal_logical``.  The overall figure
+    ``permanence * fidelity`` equals the plain physical-space fidelity
+    against the encoded ideal state.  Below a permanence of 1e-9 the
+    logical state is undefined and :class:`EmptySubspaceError` is raised;
+    the error object still carries the measured ``permanence``.
     """
     block = restrict_to_dfs(rho_physical, register)
     perm = float(np.real(np.trace(block)))
@@ -149,8 +151,21 @@ def dfs_report(rho_physical: np.ndarray, ideal_logical: np.ndarray,
         raise EmptySubspaceError(
             f"state weight {perm:.3e} inside the DFS is below {MIN_PERMANENCE}",
             permanence=max(perm, 0.0))
-    fid = linalg.fidelity(block / perm, ideal_logical)
-    return perm, fid, perm * fid
+    rho_logical = block / perm
+    fid = linalg.fidelity(rho_logical, ideal_logical)
+    return perm, fid, perm * fid, rho_logical
+
+
+def gaussian_phase_average(rho: np.ndarray, s: np.ndarray,
+                           std: float) -> np.ndarray:
+    """Exact average of ``U rho U+``, ``U = diag(exp(-i phi/2 s))``, over a
+    Gaussian ``phi`` of mean 0 and standard deviation ``std``, for ``rho``
+    of shape ``(..., len(s), len(s))``: entry ``jk`` is multiplied by
+    ``exp(-std^2 (s_j - s_k)^2 / 8)``, exactly 1.0 where ``std`` is 0."""
+    # std times the difference first, so that a huge std masks the
+    # coherences to 0.0 through an overflow to inf, never NaN
+    with np.errstate(over="ignore"):
+        return rho * np.exp(-(std * (s[:, None] - s[None, :])) ** 2 / 8)
 
 
 def collective_dephasing(rho: np.ndarray, phi_std: float) -> np.ndarray:
@@ -158,10 +173,10 @@ def collective_dephasing(rho: np.ndarray, phi_std: float) -> np.ndarray:
     phase ``phi`` of mean 0 and standard deviation ``phi_std``.
 
     ``rho`` is a density matrix or a stack, shape ``(..., 2^n, 2^n)``.
-    ``U(phi)`` is diagonal with eigenvalues ``exp(-i phi/2 lam)``, so the
-    average multiplies entry ``jk`` by the Gaussian characteristic
-    function ``exp(-phi_std^2 (lam_j - lam_k)^2 / 8)``.  States supported
-    on the DFS, where ``lam`` is constant, are left untouched.
+    ``U(phi)`` is diagonal with eigenvalues ``exp(-i phi/2 lam)``, ``lam``
+    those of ``sum_k sigma_z_k``, so this is :func:`gaussian_phase_average`
+    over ``lam``.  States supported on the DFS, where ``lam`` is constant,
+    are left untouched.
     """
     if not 0 <= phi_std < np.inf:
         raise ValidationError("phi_std must be finite and non-negative")
@@ -169,8 +184,5 @@ def collective_dephasing(rho: np.ndarray, phi_std: float) -> np.ndarray:
     n_ions = rho.shape[-1].bit_length() - 1 if rho.ndim >= 2 else -1
     if n_ions < 0 or rho.shape[-2:] != (2 ** n_ions,) * 2:
         raise DimensionError("collective dephasing needs 2^n dimensional states")
-    half = linalg.z_eigenvalues(n_ions, dict.fromkeys(range(n_ions), 0.5))
-    # (lam_j - lam_k)/2 is an integer m, and the factor is the power m^2 of
-    # the unit-step factor, which underflows to 0.0 where phi_std^2 overflows
-    step = np.exp(-float(phi_std) * float(phi_std) / 2)
-    return rho * step ** ((half[:, None] - half[None, :]) ** 2)
+    lam = linalg.z_eigenvalues(n_ions, dict.fromkeys(range(n_ions), 1.0))
+    return gaussian_phase_average(rho, lam, phi_std)

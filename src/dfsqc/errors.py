@@ -6,8 +6,7 @@ class DfsqcError(Exception):
 
 
 class DimensionError(DfsqcError, ValueError):
-    """Operands have incompatible dimensions, or a tensor product would
-    exceed the dimension cap ``linalg.MAX_TENSOR_DIM``."""
+    """Operands or inputs have incompatible or invalid dimensions."""
 
 
 class ValidationError(DfsqcError, ValueError):

@@ -163,29 +163,6 @@ def sequence_unitary(seq: PulseSequence) -> np.ndarray:
     return u
 
 
-def z_rotation_logical(theta: float, logical_qubit: int,
-                       register: LogicalRegister) -> np.ndarray:
-    """Logical ``Z(theta) = exp(-i theta/2 sigma_z_L)`` as a physical unitary.
-
-    Realized as an AC-Stark pulse on the second ion of the pair, where
-    ``1 (x) sigma_z`` coincides with the logical ``sigma_z``.
-    """
-    op = z_pulse(theta, logical_qubit, register)
-    return pulse_unitary(op, register.n_ions)
-
-
-def x_rotation_logical(theta: float, logical_qubit: int,
-                       register: LogicalRegister,
-                       axis_phase: float = 0.0) -> np.ndarray:
-    """Collective-spin rotation ``exp(-i theta/2 sigma_phi (x) sigma_phi)``.
-
-    On the encoded subspace this equals the logical ``X(theta)`` for any
-    ``axis_phase``; the phase only changes the action outside the DFS.
-    """
-    op = ms_pulse(theta, logical_qubit, register, axis_phase)
-    return pulse_unitary(op, register.n_ions)
-
-
 def z_pulse(theta: float, logical_qubit: int,
             register: LogicalRegister) -> PulseOp:
     _check_lq(logical_qubit, register)

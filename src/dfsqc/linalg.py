@@ -15,9 +15,6 @@ import numpy as np
 
 from .errors import DimensionError, ValidationError
 
-#: Cap on the dimension produced by :func:`tensor`, and so on a register's.
-MAX_TENSOR_DIM = 2 ** 12
-
 ID2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -35,21 +32,11 @@ def dag(a: np.ndarray) -> np.ndarray:
 
 
 def tensor(*factors: np.ndarray) -> np.ndarray:
-    """Kronecker product of states or operators, first factor most significant.
-
-    Raises :class:`DimensionError` if the resulting dimension would exceed
-    ``MAX_TENSOR_DIM``.
-    """
+    """Kronecker product of states or operators, first factor most significant."""
     if not factors:
         raise DimensionError("tensor() needs at least one factor")
-    dim = 1
-    for f in factors:
-        if f.shape[0] <= 0:
-            raise DimensionError("tensor factors must have positive dimension")
-        dim *= f.shape[0]
-    if dim > MAX_TENSOR_DIM:
-        raise DimensionError(
-            f"tensor product dimension {dim} exceeds cap {MAX_TENSOR_DIM}")
+    if any(f.shape[0] <= 0 for f in factors):
+        raise DimensionError("tensor factors must have positive dimension")
     out = np.asarray(factors[0], dtype=complex)
     for f in factors[1:]:
         out = np.kron(out, np.asarray(f, dtype=complex))
@@ -100,16 +87,6 @@ def fidelity(rho: np.ndarray, psi: np.ndarray) -> float:
     if abs(val.imag) > 1e-12 * max(1.0, abs(val)):
         raise ValidationError(f"fidelity has imaginary part {val.imag:.3e}")
     return float(val.real)
-
-
-def canonicalize_phase(m: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    """Fix the global phase so the first entry of magnitude above ``tol``
-    (row-major scan) is real and positive."""
-    flat = np.asarray(m, dtype=complex).ravel()
-    for x in flat:
-        if abs(x) > tol:
-            return m * (abs(x) / x)
-    return np.array(m, copy=True)
 
 
 def matrix_to_json(m: np.ndarray) -> list:

@@ -22,17 +22,19 @@ trace preserving):
   are immune by construction.
 
 Both stochastic terms are Gaussian phases on diagonal generators, so
-both average in closed form, with no sampling.  A jitter ``delta`` on a
+both average in closed form, with no sampling, by
+:func:`~dfsqc.encoding.gaussian_phase_average`.  A jitter ``delta`` on a
 z pulse multiplies its unitary by ``exp(-i delta/2 s)``, with ``s`` the
 pulse's z eigenvalues; its average multiplies entry ``jk`` of the state
-right after that pulse by ``exp(-sigma^2 (s_j - s_k)^2 / 8)``.  The
-jitters of different pulses are independent, so the masks of each
-jittered pulse, applied in pulse order, are the whole jitter average.
-The collective phase acts after the sequence, so it is averaged last,
-by one mask of :func:`~dfsqc.encoding.collective_dephasing`.
+right after that pulse by the Gaussian characteristic function of
+``s_j - s_k``.  The jitters of different pulses are independent, so the
+masks of each jittered pulse, applied in pulse order, are the whole
+jitter average.  The collective phase acts after the sequence, so it is
+averaged last, by :func:`~dfsqc.encoding.collective_dephasing`.
 :func:`sample_noisy_channel` applies this averaged channel to a density
 matrix or a stack of them; it draws nothing, so its result depends on
-the sequence, model and inputs only.
+the sequence, model and inputs only.  It is the one place a pulse acts
+on a state: the ideal sequence is its zero model.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from typing import Optional
 import numpy as np
 
 from . import linalg
-from .encoding import collective_dephasing
+from .encoding import collective_dephasing, gaussian_phase_average
 from .errors import DimensionError, ValidationError
 from .gates import (AC_STARK_Z, CP_GATE, MS_ROTATION, PulseOp,
                     PulseSequence, pulse_unitary)
@@ -90,23 +92,18 @@ def string_neighbors(targets, n_ions: int) -> tuple:
     return tuple(i for i in (lo - 1, hi + 1) if 0 <= i < n_ions)
 
 
-def _weights(op: PulseOp, n_ions: int, ratio: float, epsilon: float) -> dict:
-    """Weight of the pulse's Pauli on each ion: ``1 + epsilon`` on the first
-    addressed ion of a two-ion pulse, 1 on the other addressed ions and
-    ``ratio`` on the string neighbors."""
+def pulse_weights(op: PulseOp, n_ions: int, model: NoiseModel) -> dict:
+    """Weight of the pulse's Pauli on each ion under the model's coherent
+    errors: ``1 + intensity_imbalance`` on the first addressed ion of a
+    two-ion pulse, 1 on the other addressed ions and ``addressing_ratio``
+    on the string neighbors, which are left out at ratio 0."""
     weights = {t: 1.0 for t in op.targets}
     if op.kind in (MS_ROTATION, CP_GATE):
-        weights[op.targets[0]] += epsilon
-    for n in string_neighbors(op.targets, n_ions):
-        weights[n] = ratio
+        weights[op.targets[0]] += model.intensity_imbalance
+    if model.addressing_ratio > 0:
+        weights.update(dict.fromkeys(string_neighbors(op.targets, n_ions),
+                                     model.addressing_ratio))
     return weights
-
-
-def noisy_op_unitary(op: PulseOp, n_ions: int, ratio: float = 0.0,
-                     epsilon: float = 0.0) -> np.ndarray:
-    """Unitary of one pulse under coherent crosstalk and imbalance, built by
-    :func:`~dfsqc.gates.pulse_unitary` from the pulse's noisy weights."""
-    return pulse_unitary(op, n_ions, _weights(op, n_ions, ratio, epsilon))
 
 
 def sample_noisy_channel(seq: PulseSequence, rho: np.ndarray,
@@ -114,32 +111,26 @@ def sample_noisy_channel(seq: PulseSequence, rho: np.ndarray,
     """Noise-averaged output of the sequence for one or a stack of inputs.
 
     ``rho`` holds density matrices, shape ``(..., dim, dim)``.  Each pulse
-    conjugates them by its noisy unitary, :func:`noisy_op_unitary`.
-    A jittered ``ACStarkZ`` pulse with z eigenvalues ``s`` is then averaged
-    over its Gaussian angle error: entry ``jk`` is multiplied by
-    ``exp(-sigma^2 (s_j - s_k)^2 / 8)``.
+    conjugates them by its noisy unitary, :func:`~dfsqc.gates.pulse_unitary`
+    of its :func:`pulse_weights`.  A jittered ``ACStarkZ`` pulse with z
+    eigenvalues ``s`` is then averaged over its Gaussian angle error: entry
+    ``jk`` is multiplied by ``exp(-sigma^2 (s_j - s_k)^2 / 8)``.
     The collective phase is averaged last, by
     :func:`~dfsqc.encoding.collective_dephasing`.  ``model=None`` is the
-    ideal sequence, ``U rho U+`` with ``U = sequence_unitary(seq)``.
+    zero model, whose unit weights and zero standard deviations give the
+    ideal pulse unitaries bit for bit and masks of exactly 1.0.
     """
     d, n_ions = seq.register.dim, seq.register.n_ions
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (d, d):
         raise DimensionError(
             f"input shape {rho.shape} does not end in the register's ({d}, {d})")
-    jitter = 0.0 if model is None else model.ac_stark_phase_jitter_std
+    model = model or NoiseModel(0.0, 0.0, 0.0, 0.0)
     for op in seq.ops:
-        if model is None:
-            u = pulse_unitary(op, n_ions)
-        else:
-            ratio, epsilon = model.addressing_ratio, model.intensity_imbalance
-            u = noisy_op_unitary(op, n_ions, ratio, epsilon)
+        weights = pulse_weights(op, n_ions, model)
+        u = pulse_unitary(op, n_ions, weights)
         rho = u @ rho @ u.conj().T
-        if jitter > 0 and op.kind == AC_STARK_Z:
-            s = linalg.z_eigenvalues(n_ions, _weights(op, n_ions, ratio, epsilon))
-            # sigma times the difference first, so that a huge sigma masks
-            # the coherences to 0.0 through an overflow to inf, never NaN
-            with np.errstate(over="ignore"):
-                rho = rho * np.exp(-(jitter * (s[:, None] - s[None, :])) ** 2 / 8)
-    return rho if model is None else collective_dephasing(
-        rho, model.collective_phase_std)
+        if op.kind == AC_STARK_Z:
+            s = linalg.z_eigenvalues(n_ions, weights)
+            rho = gaussian_phase_average(rho, s, model.ac_stark_phase_jitter_std)
+    return collective_dephasing(rho, model.collective_phase_std)

@@ -37,8 +37,8 @@ import numpy as np
 from dfsqc import linalg
 from dfsqc.encoding import LogicalRegister
 from dfsqc.errors import DimensionError, ValidationError
-from dfsqc.gates import AC_STARK_Z, PulseOp, PulseSequence
-from dfsqc.noise import noisy_op_unitary
+from dfsqc.gates import AC_STARK_Z, PulseOp, PulseSequence, pulse_unitary
+from dfsqc.noise import pulse_weights
 
 
 def is_hermitian(m, atol=1e-10):
@@ -192,8 +192,7 @@ def shot_unitaries(seq, model, n_samples, seed):
     jitter = model.ac_stark_phase_jitter_std
 
     def unitary(op):
-        return noisy_op_unitary(op, n_ions, model.addressing_ratio,
-                                model.intensity_imbalance)
+        return pulse_unitary(op, n_ions, pulse_weights(op, n_ions, model))
 
     static = [unitary(op) for op in seq.ops]
     shots = []
@@ -239,8 +238,8 @@ def quadrature_channel(seq, rho, model, n_nodes=30):
     x, w = np.polynomial.hermite.hermgauss(n_nodes)
 
     def unitary(op, angle):
-        return noisy_op_unitary(dataclasses.replace(op, angle=angle), n_ions,
-                                model.addressing_ratio, model.intensity_imbalance)
+        op = dataclasses.replace(op, angle=angle)
+        return pulse_unitary(op, n_ions, pulse_weights(op, n_ions, model))
 
     for op in seq.ops:
         if jitter > 0 and op.kind == AC_STARK_Z:

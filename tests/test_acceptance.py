@@ -8,7 +8,6 @@ from dataclasses import asdict
 
 import numpy as np
 
-from dfsqc import linalg
 from dfsqc.cli import coherence_ratio, main as cli_main
 from dfsqc.encoding import (LogicalRegister, collective_dephasing, dfs_report,
                             embed_in_dfs, encode, logical_basis_indices)
@@ -16,15 +15,16 @@ from dfsqc.gates import (CNOT_LOGICAL, PulseSequence, bell_state_logical,
                          compile_cnot, ms_pulse, pulse_unitary,
                          sequence_unitary)
 from dfsqc.motional import off_resonant_error_scan
-from dfsqc.noise import (CALIBRATED_NOISE, noisy_op_unitary,
+from dfsqc.noise import (CALIBRATED_NOISE, NoiseModel, pulse_weights,
                          sample_noisy_channel)
 from dfsqc.tomography import (ChiMatrix, chi_from_unitary, haar_report,
                               process_fidelity, process_tomography)
 
 from conftest import random_state
 from reference import (SPIN_X, SPIN_Z, closed_gate, dense_collective_phase,
-                       drive, midpoint_errors, oracle_propagator, oracle_scan,
-                       unitary_trace_distance, vacuum_block)
+                       drive, max_phase_diff, midpoint_errors,
+                       oracle_propagator, oracle_scan, unitary_trace_distance,
+                       vacuum_block)
 from tomography_reference import haar_states
 
 REG = LogicalRegister(2)
@@ -50,9 +50,7 @@ def test_criterion_1_cnot_matrix():
         u = sequence_unitary(seq)
         restricted = u[np.ix_(logical_basis_indices(REG),
                               logical_basis_indices(REG))]
-        diff = np.abs(linalg.canonicalize_phase(restricted)
-                      - linalg.canonicalize_phase(CNOT_LOGICAL))
-        assert np.max(diff) < 1e-10
+        assert max_phase_diff(CNOT_LOGICAL, restricted) < 1e-10
 
 
 def test_criterion_2_bell_generation():
@@ -65,7 +63,7 @@ def test_criterion_2_bell_generation():
             bits = format(k, "02b")
             out = sequence_unitary(seq) @ encode(REG, bits)
             rho = np.outer(out, out.conj())
-            perm, fid, _ = dfs_report(rho, bell_state_logical(bits), REG)
+            perm, fid, _, _ = dfs_report(rho, bell_state_logical(bits), REG)
             assert abs(fid - 1.0) < 1e-10
             assert abs(perm - 1.0) < 1e-10
             outputs.append(out[logical_basis_indices(REG)])
@@ -78,7 +76,7 @@ def test_criterion_2_bell_generation():
         rhos = sample_noisy_channel(seq, psi[:, :, None] * psi[:, None, :],
                                     CALIBRATED_NOISE)
         for bits, rho in zip(labels, rhos):
-            _, fid, _ = dfs_report(rho, bell_state_logical(bits), REG)
+            _, fid, _, _ = dfs_report(rho, bell_state_logical(bits), REG)
             assert 0.85 <= fid <= 0.95
 
 
@@ -187,7 +185,8 @@ def test_criterion_7_imbalance_scaling_law():
         eps = np.logspace(-3, -1, 13)
         infid = []
         for e in eps:
-            u = noisy_op_unitary(op, reg1.n_ions, epsilon=e)
+            model = NoiseModel(addressing_ratio=0.0, intensity_imbalance=e)
+            u = pulse_unitary(op, reg1.n_ions, pulse_weights(op, reg1.n_ions, model))
             tr = abs(np.trace(ideal.conj().T @ u)) ** 2
             infid.append(1 - (tr + 4) / 20)
         slope = np.polyfit(np.log(eps), np.log(infid), 1)[0]

@@ -74,8 +74,8 @@ class TestDecode:
             bits = format(k, "02b")
             psi = encode(register2, bits)
             for j, ideal in enumerate(np.eye(4)):
-                perm, fid, overall = dfs_report(np.outer(psi, psi.conj()),
-                                                ideal, register2)
+                perm, fid, overall, _ = dfs_report(np.outer(psi, psi.conj()),
+                                                   ideal, register2)
                 assert perm == pytest.approx(1.0, abs=1e-12)
                 assert fid == pytest.approx(float(j == k), abs=1e-12)
                 assert overall == pytest.approx(perm * fid, abs=1e-15)
@@ -92,7 +92,10 @@ class TestDecode:
         rho = 0.5 * np.outer(psi_in, psi_in.conj())
         rho[3, 3] = 0.5  # half the weight on |11>, outside the subspace
         for ideal, want in (([1.0, 0.0], 1.0), ([0.0, 1.0], 0.0)):
-            perm, fid, overall = dfs_report(rho, np.array(ideal), register1)
+            perm, fid, overall, rho_l = dfs_report(rho, np.array(ideal),
+                                                   register1)
+            # the logical state is the block renormalized by the permanence
+            assert np.array_equal(rho_l, np.diag([1.0, 0.0]))
             assert perm == pytest.approx(0.5, abs=1e-12)
             assert fid == pytest.approx(want, abs=1e-12)
             assert overall == pytest.approx(0.5 * want, abs=1e-12)

@@ -11,8 +11,7 @@ from dfsqc.encoding import (LogicalRegister, embed_in_dfs, encode,
 from dfsqc.errors import LayoutError, ValidationError
 from dfsqc.gates import (CNOT_LOGICAL, TAU_CP, TAU_MS, PulseOp, PulseSequence,
                          bell_state_logical, compile_cnot, cp_pulse, ms_pulse,
-                         pulse_unitary, sequence_unitary, x_rotation_logical,
-                         z_rotation_logical)
+                         pulse_unitary, sequence_unitary, z_pulse)
 from dfsqc.noise import string_neighbors
 
 from conftest import random_state
@@ -21,6 +20,15 @@ from reference import expm_hermitian, max_phase_diff, sequence_from_json
 
 def cp_unitary(theta, pair, register):
     return pulse_unitary(cp_pulse(theta, pair, register), register.n_ions)
+
+
+def z_unitary(theta, logical_qubit, register):
+    return pulse_unitary(z_pulse(theta, logical_qubit, register), register.n_ions)
+
+
+def ms_unitary(theta, logical_qubit, register, axis_phase=0.0):
+    return pulse_unitary(ms_pulse(theta, logical_qubit, register, axis_phase),
+                         register.n_ions)
 
 
 def dfs_weight(psi, register):
@@ -102,27 +110,27 @@ class TestPulseUnitary:
 
 class TestZRotation:
     def test_zero_angle_identity(self, reg):
-        assert np.allclose(z_rotation_logical(0.0, 0, reg), np.eye(16))
+        assert np.allclose(z_unitary(0.0, 0, reg), np.eye(16))
 
     def test_pi_flips_logical_phase(self, reg):
         idx = logical_basis_indices(reg)
         psi = np.zeros(16, complex)
         psi[idx[0]] = 1 / np.sqrt(2)   # |00>_L
         psi[idx[2]] = 1 / np.sqrt(2)   # |10>_L
-        out = z_rotation_logical(np.pi, 0, reg) @ psi
+        out = z_unitary(np.pi, 0, reg) @ psi
         target = np.zeros(16, complex)
         target[idx[0]] = 1 / np.sqrt(2)
         target[idx[2]] = -1 / np.sqrt(2)
         assert max_phase_diff(target, out) < 1e-12
 
     def test_additivity(self, reg):
-        u = z_rotation_logical(np.pi / 2, 1, reg)
-        assert np.max(np.abs(u @ u - z_rotation_logical(np.pi, 1, reg))) < 1e-10
+        u = z_unitary(np.pi / 2, 1, reg)
+        assert np.max(np.abs(u @ u - z_unitary(np.pi, 1, reg))) < 1e-10
 
     def test_matches_logical_z_generator(self, reg):
         # restricted to the subspace, equals exp(-i theta/2 sigma_z_L)
         theta = 0.83
-        u = restrict_to_dfs(z_rotation_logical(theta, 0, reg), reg)
+        u = restrict_to_dfs(z_unitary(theta, 0, reg), reg)
         zl = linalg.tensor(linalg.SIGMA_Z, linalg.ID2)
         assert np.max(np.abs(u - expm_hermitian(zl, theta / 2))) < 1e-12
 
@@ -131,7 +139,7 @@ class TestXRotation:
     def test_half_pi_on_logical_zero(self, reg):
         # closed form: exp(-i pi/4 XX)|10> = (|10> - i|01>)/sqrt(2) per pair
         psi = encode(reg, "00")
-        out = x_rotation_logical(np.pi / 2, 0, reg) @ psi
+        out = ms_unitary(np.pi / 2, 0, reg) @ psi
         idx = logical_basis_indices(reg)
         expected = np.zeros(16, complex)
         expected[idx[0]] = np.cos(np.pi / 4)
@@ -139,7 +147,7 @@ class TestXRotation:
         assert np.allclose(out, expected)
 
     def test_zero_angle(self, reg):
-        assert np.allclose(x_rotation_logical(0.0, 0, reg), np.eye(16))
+        assert np.allclose(ms_unitary(0.0, 0, reg), np.eye(16))
 
     def test_duration_is_one_loop(self, reg):
         op = ms_pulse(np.pi / 2, 0, reg)
@@ -152,13 +160,13 @@ class TestXRotation:
         # same logical x rotation
         theta = 0.7
         u = restrict_to_dfs(
-            x_rotation_logical(theta, 0, reg, axis_phase), reg)
+            ms_unitary(theta, 0, reg, axis_phase), reg)
         xl = linalg.tensor(linalg.SIGMA_X, linalg.ID2)
         assert np.max(np.abs(u - expm_hermitian(xl, theta / 2))) < 1e-12
 
     def test_preserves_subspace(self, reg, rng):
         p = embed_in_dfs(np.eye(4), reg)
-        u = x_rotation_logical(1.3, 1, reg, 0.4)
+        u = ms_unitary(1.3, 1, reg, 0.4)
         assert np.max(np.abs(p @ u @ p - u @ p)) < 1e-12
 
 
@@ -182,7 +190,7 @@ class TestCPGate:
 
     def test_commutes_with_z_rotation(self, reg):
         u1 = cp_unitary(0.9, (0, 1), reg)
-        u2 = z_rotation_logical(1.1, 0, reg)
+        u2 = z_unitary(1.1, 0, reg)
         assert np.max(np.abs(u1 @ u2 - u2 @ u1)) < 1e-10
 
     def test_nonadjacent_rejected(self):
@@ -200,9 +208,7 @@ class TestCompileCnot:
     def test_matches_target_matrix(self, reg):
         seq = compile_cnot(0, 1, reg)
         u = restrict_to_dfs(sequence_unitary(seq), reg)
-        c = linalg.canonicalize_phase(u)
-        target = linalg.canonicalize_phase(CNOT_LOGICAL)
-        assert np.max(np.abs(c - target)) < 1e-10
+        assert max_phase_diff(CNOT_LOGICAL, u) < 1e-10
 
     def test_swapped_roles(self, reg):
         from dfsqc.gates import cnot_logical_matrix

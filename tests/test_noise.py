@@ -10,7 +10,7 @@ from dfsqc.encoding import (LogicalRegister, collective_dephasing, encode,
 from dfsqc.errors import DimensionError, ValidationError
 from dfsqc.gates import (PulseSequence, compile_cnot, cp_pulse, ms_pulse,
                          pulse_unitary, sequence_unitary, z_pulse)
-from dfsqc.noise import (CALIBRATED_NOISE, NoiseModel, noisy_op_unitary,
+from dfsqc.noise import (CALIBRATED_NOISE, NoiseModel, pulse_weights,
                          sample_noisy_channel, string_neighbors)
 
 from conftest import random_density_matrix
@@ -40,6 +40,13 @@ def encoded_inputs(reg, labels):
     """Density matrices of the encoded logical basis states, stacked."""
     psi = np.stack([encode(reg, bits) for bits in labels])
     return psi[:, :, None] * psi[:, None, :].conj()
+
+
+def noisy_unitary(op, n_ions, ratio=0.0, epsilon=0.0):
+    """The pulse's unitary under addressing crosstalk ``ratio`` and
+    intensity imbalance ``epsilon``, as the noisy channel builds it."""
+    model = NoiseModel(ratio, epsilon, 0.0, 0.0)
+    return pulse_unitary(op, n_ions, pulse_weights(op, n_ions, model))
 
 
 def mean_gate_fidelity_unitary(u, ideal):
@@ -82,17 +89,26 @@ class TestCrosstalk:
     def test_zero_ratio_is_ideal(self, reg):
         for op in [ms_pulse(np.pi / 2, 0, reg), cp_pulse(np.pi / 4, (0, 1), reg),
                    z_pulse(0.7, 1, reg)]:
-            u = noisy_op_unitary(op, reg.n_ions, ratio=0.0)
-            assert np.max(np.abs(u - pulse_unitary(op, reg.n_ions))) < 1e-12
+            u = noisy_unitary(op, reg.n_ions, ratio=0.0)
+            assert np.array_equal(u, pulse_unitary(op, reg.n_ions))
+
+    def test_zero_ratio_weighs_only_the_addressed_ions(self, reg):
+        # every op has a string neighbor, which a nonzero ratio weighs
+        for op in [ms_pulse(np.pi / 2, 0, reg), cp_pulse(np.pi / 4, (0, 1), reg),
+                   z_pulse(0.7, 1, reg)]:
+            assert list(pulse_weights(op, reg.n_ions, NoiseModel(
+                addressing_ratio=0.0, intensity_imbalance=0.08))) == list(op.targets)
+            assert list(pulse_weights(op, reg.n_ions, NoiseModel())) == [
+                *op.targets, *string_neighbors(op.targets, reg.n_ions)]
 
     def test_unitary(self, reg):
         op = ms_pulse(np.pi, 0, reg)
-        u = noisy_op_unitary(op, reg.n_ions, ratio=0.05)
+        u = noisy_unitary(op, reg.n_ions, ratio=0.05)
         assert np.max(np.abs(u.conj().T @ u - np.eye(16))) < 1e-12
 
     def test_ms_crosstalk_leaks_from_subspace(self, reg):
         op = ms_pulse(np.pi, 0, reg)
-        u = noisy_op_unitary(op, reg.n_ions, ratio=0.05)
+        u = noisy_unitary(op, reg.n_ions, ratio=0.05)
         psi = encode(reg, "00")
         out = u @ psi
         rho = np.outer(out, out.conj())
@@ -101,7 +117,7 @@ class TestCrosstalk:
     def test_cp_crosstalk_stays_diagonal(self, reg):
         # z-type residual light dephases but cannot leak population
         op = cp_pulse(np.pi / 4, (0, 1), reg)
-        u = noisy_op_unitary(op, reg.n_ions, ratio=0.05)
+        u = noisy_unitary(op, reg.n_ions, ratio=0.05)
         assert np.max(np.abs(u - np.diag(np.diag(u)))) < 1e-12
         idx = logical_basis_indices(reg)
         psi = np.zeros(16, complex)
@@ -129,7 +145,7 @@ class TestCrosstalk:
 class TestImbalance:
     def test_zero_is_ideal(self, reg1):
         op = ms_pulse(np.pi / 2, 0, reg1)
-        u = noisy_op_unitary(op, reg1.n_ions, epsilon=0.0)
+        u = noisy_unitary(op, reg1.n_ions, epsilon=0.0)
         assert np.max(np.abs(u - pulse_unitary(op, reg1.n_ions))) < 1e-12
 
     def test_quadratic_scaling(self, reg1):
@@ -139,14 +155,14 @@ class TestImbalance:
         eps = np.logspace(-3, -1, 9)
         infid = []
         for e in eps:
-            u = noisy_op_unitary(op, reg1.n_ions, epsilon=e)
+            u = noisy_unitary(op, reg1.n_ions, epsilon=e)
             infid.append(1 - mean_gate_fidelity_unitary(u, ideal))
         slope = np.polyfit(np.log(eps), np.log(infid), 1)[0]
         assert 1.8 <= slope <= 2.2
 
     def test_golden_at_ten_percent(self, reg1):
         op = ms_pulse(np.pi / 2, 0, reg1)
-        u = noisy_op_unitary(op, reg1.n_ions, epsilon=0.1)
+        u = noisy_unitary(op, reg1.n_ions, epsilon=0.1)
         f = mean_gate_fidelity_unitary(u, pulse_unitary(op, reg1.n_ions))
         assert f == pytest.approx(GOLDEN_IMBALANCE_FIDELITY, abs=1e-12)
 
@@ -155,7 +171,7 @@ class TestImbalance:
         ideal = pulse_unitary(op, reg.n_ions)
         eps = np.logspace(-3, -1, 7)
         infid = [1 - mean_gate_fidelity_unitary(
-            noisy_op_unitary(op, reg.n_ions, epsilon=e), ideal) for e in eps]
+            noisy_unitary(op, reg.n_ions, epsilon=e), ideal) for e in eps]
         slope = np.polyfit(np.log(eps), np.log(infid), 1)[0]
         assert 1.8 <= slope <= 2.2
 
@@ -204,8 +220,8 @@ class TestSampledChannel:
         rho = encoded_inputs(reg, ["00", "11"])
         u = np.eye(reg.dim)
         for op in seq.ops:
-            u = noisy_op_unitary(op, reg.n_ions, model.addressing_ratio,
-                                 model.intensity_imbalance) @ u
+            u = pulse_unitary(op, reg.n_ions,
+                              pulse_weights(op, reg.n_ions, model)) @ u
         want = collective_dephasing(u @ rho @ u.conj().T,
                                     model.collective_phase_std)
         out = sample_noisy_channel(seq, rho, model)
@@ -302,6 +318,16 @@ class TestNoisyChannel:
         assert np.max(np.abs(got - want)) < 1e-12
 
     @settings(deadline=None, max_examples=20)
+    @given(seq=noisy_sequences(), seed=st.integers(0, 2 ** 32))
+    def test_no_model_is_the_zero_model_bit_exact(self, seq, seed):
+        rng = np.random.default_rng(seed)
+        rho = np.stack([random_density_matrix(seq.register.dim, rng)
+                        for _ in range(2)])
+        assert np.array_equal(sample_noisy_channel(seq, rho, None),
+                              sample_noisy_channel(seq, rho, NoiseModel(
+                                  0.0, 0.0, 0.0, 0.0)))
+
+    @settings(deadline=None, max_examples=20)
     @given(seq=noisy_sequences(max_ions=5), model=MODELS)
     def test_completely_positive_and_trace_preserving(self, seq, model):
         # the Choi matrix sum_jk |j><k| (x) E(|j><k|), from the d^2 matrix
@@ -334,6 +360,6 @@ class TestCalibratedBellBand:
         rhos = sample_noisy_channel(bell_sequence(reg),
                                     encoded_inputs(reg, labels), CALIBRATED_NOISE)
         for bits, rho in zip(labels, rhos):
-            perm, fid, overall = dfs_report(rho, bell_state_logical(bits), reg)
+            perm, fid, overall, _ = dfs_report(rho, bell_state_logical(bits), reg)
             assert 0.85 <= fid <= 0.95
             assert overall == pytest.approx(perm * fid, abs=1e-12)

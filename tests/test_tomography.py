@@ -543,7 +543,7 @@ class TestDfsReport:
         from dfsqc.gates import bell_state_logical
         psi_l = bell_state_logical("00")
         rho = embed_in_dfs(np.outer(psi_l, psi_l.conj()), reg)
-        perm, fid, overall = dfs_report(rho, psi_l, reg)
+        perm, fid, overall, _ = dfs_report(rho, psi_l, reg)
         assert (perm, fid, overall) == (
             pytest.approx(1.0), pytest.approx(1.0), pytest.approx(1.0))
 
@@ -553,7 +553,7 @@ class TestDfsReport:
         psi_l = bell_state_logical("01")
         rho = 0.5 * embed_in_dfs(np.outer(psi_l, psi_l.conj()), reg)
         rho[15, 15] = 0.5  # |0101...> outside: index 15 is |1111>
-        perm, fid, overall = dfs_report(rho, psi_l, reg)
+        perm, fid, overall, _ = dfs_report(rho, psi_l, reg)
         assert perm == pytest.approx(0.5, abs=1e-12)
         assert fid == pytest.approx(1.0, abs=1e-12)
         assert overall == pytest.approx(0.5, abs=1e-12)
@@ -565,7 +565,7 @@ class TestDfsReport:
         rho = random_density_matrix(16, rng)
         from dfsqc.gates import bell_state_logical
         psi_l = bell_state_logical("10")
-        perm, fid, overall = dfs_report(rho, psi_l, reg)
+        perm, fid, overall, _ = dfs_report(rho, psi_l, reg)
         ideal = embed_in_dfs(np.outer(psi_l, psi_l.conj()), reg)
         direct = np.trace(rho @ ideal).real
         assert overall == pytest.approx(direct, abs=1e-10)
