@@ -9,10 +9,11 @@ Subcommands
     directory, each atomically.  :func:`load_config` checks the config
     and returns the run's inputs, built once: the run functions read
     only those.  Exit code 2 flags an invalid config, found before any
-    computation.  ``bell`` and ``cnot-tomo`` run on the light cone of the
-    CNOT, the at most 5 ions its noisy pulses touch, wherever the pairs
-    sit on the string, and each sample count has a fixed range, so every
-    config that validates runs in seconds.
+    computation.  ``bell`` runs the circuit ``X(pi/2)`` on the control then
+    the CNOT, ``cnot-tomo`` the CNOT alone, each on its light cone, the at
+    most 5 ions its noisy pulses touch, wherever the pairs sit on the
+    string; each sample count has a fixed range, so every config that
+    validates runs in seconds.
 ``dfsqc dump-sequence [--control N --target M]``
     Print the compiled CNOT pulse sequence as JSON (durations in seconds,
     total in microseconds) on stdout; exit 2 flags an invalid pair.
@@ -43,7 +44,8 @@ import sys
 import tempfile
 
 from . import __version__, motional
-from .errors import ConfigError, DfsqcError, LayoutError, ValidationError
+from .errors import (ConfigError, DfsqcError, EmptySubspaceError, LayoutError,
+                     ValidationError)
 
 
 #: What a config value must be (``test(value)`` holds, as ``what`` says) and its
@@ -218,8 +220,8 @@ def _check_semantics(config) -> dict:
     ``EXPERIMENT_FIELDS`` and build the run's inputs, creating nothing, so that
     no run starts that cannot finish: each top-level field's value or default
     and ``config_hash``; for a CNOT also the built ``noise`` (``None``: ideal),
-    the ideal ``cnot_matrix``, and the ``register`` shifted to its light cone
-    with the ``cnot`` compiled there."""
+    the ``ideal`` unitary of its circuit, and the ``register`` shifted to its
+    light cone with the circuit's ``sequence`` compiled there."""
     experiment = config.get("experiment") if type(config) is dict else None
     fields = EXPERIMENT_FIELDS[experiment] if experiment in EXPERIMENTS else {}
     table = {**COMMON_FIELDS, **fields}
@@ -228,7 +230,7 @@ def _check_semantics(config) -> dict:
     run.update(config, config_hash=config_hash(config))
     if experiment in ("bell", "cnot-tomo"):
         from .encoding import LogicalRegister
-        from .gates import cnot_logical_matrix, compile_cnot
+        from .gates import circuit_unitary, compile_circuit
         from .noise import NoiseModel, string_neighbors
         with _field("register"):
             register = (LogicalRegister.from_json(config["register"])
@@ -239,19 +241,22 @@ def _check_semantics(config) -> dict:
         with _field("noise"):
             run["noise"] = (NoiseModel.from_json(config["noise"])
                             if "noise" in config else None)
+        circuit = [("cnot", run["control"], run["target"])]
+        if experiment == "bell":
+            circuit.insert(0, ("x", run["control"], math.pi / 2))
         with _field("control/target"):
-            run["cnot_matrix"] = cnot_logical_matrix(run["control"], run["target"])
+            run["ideal"] = circuit_unitary(circuit)
         with _field("register"):  # roles {0, 1} are valid, so the layout is at fault
-            cnot = compile_cnot(run["control"], run["target"], register)
+            ops = compile_circuit(circuit, register).ops
         # Run on the light cone, the ions a noisy pulse touches: every ion
         # below it stays |0> and none lies above it, so dropping them changes
         # no decoded figure.  No register.dim is read before the shift, so a
         # pair at ion 10^18 costs what the 5-ion cone does.
-        shift = min(i for op in cnot.ops for i in
+        shift = min(i for op in ops for i in
                     op.targets + string_neighbors(op.targets, register.n_ions))
         run["register"] = LogicalRegister(2, tuple(
             (a - shift, b - shift) for a, b in register.pairs))
-        run["cnot"] = compile_cnot(run["control"], run["target"], run["register"])
+        run["sequence"] = compile_circuit(circuit, run["register"])
     # refuse an output_dir that os.makedirs cannot create
     try:
         if b"\0" in os.fsencode(config["output_dir"]):
@@ -325,25 +330,22 @@ def run_bell(run: dict, seed: int) -> tuple:
 
     from . import linalg
     from .encoding import dfs_report, encode
-    from .gates import PulseSequence, bell_state_logical, ms_pulse
     from .noise import sample_noisy_channel
-    register, control = run["register"], run["control"]
-    prep = ms_pulse(np.pi / 2, control, register)
-    seq = PulseSequence(ops=[prep] + list(run["cnot"].ops), register=register)
+    register, seq, ideal = run["register"], run["sequence"], run["ideal"]
     inputs = [format(k, "02b") for k in range(4)]
     psi = np.stack([encode(register, bits) for bits in inputs])
     rhos = sample_noisy_channel(seq, psi[:, :, None] * psi[:, None, :].conj(),
                                 run["noise"])
-    metrics = {"inputs": inputs, "fidelity": [], "permanence": [], "overall": []}
-    matrices = {}
-    for bits, rho in zip(inputs, rhos):
-        perm, fid, overall, rho_logical = dfs_report(
-            rho, bell_state_logical(bits, control), register)
-        metrics["fidelity"].append(fid)
-        metrics["permanence"].append(perm)
-        metrics["overall"].append(overall)
-        matrices[f"bell_{bits}_logical"] = linalg.matrix_to_json(rho_logical)
-    return metrics, matrices, []
+    reports = []
+    for k, rho in enumerate(rhos):  # input k's ideal is column k of the unitary
+        try:
+            perm, fid, overall, rho_l = dfs_report(rho, ideal[:, k], register)
+            reports.append((perm, fid, overall, linalg.matrix_to_json(rho_l)))
+        except EmptySubspaceError as exc:  # no logical state to judge
+            reports.append((exc.permanence, None, None, None))
+    perm, fid, overall, logical = map(list, zip(*reports))
+    metrics = dict(inputs=inputs, fidelity=fid, permanence=perm, overall=overall)
+    return metrics, dict(zip([f"bell_{b}_logical" for b in inputs], logical)), []
 
 
 def run_cnot_tomo(run: dict, seed: int) -> tuple:
@@ -354,11 +356,11 @@ def run_cnot_tomo(run: dict, seed: int) -> tuple:
     register, shots = run["register"], run["shots"]
 
     def channel(rho_l):
-        return sample_noisy_channel(run["cnot"], embed_in_dfs(rho_l, register),
-                                    run["noise"])
+        return sample_noisy_channel(run["sequence"],
+                                    embed_in_dfs(rho_l, register), run["noise"])
 
     result = process_tomography(channel, register, shots=shots, seed=seed)
-    chi_ideal = chi_from_unitary(run["cnot_matrix"])
+    chi_ideal = chi_from_unitary(run["ideal"])
     chi_cp, negative_mass = project_chi_cp(result.chi)
     report = haar_report(result.chi, chi_ideal)
     gap = abs(report["mean_overall"]
@@ -446,9 +448,10 @@ def cmd_run(args) -> int:
 
 def cmd_dump_sequence(args) -> int:
     from .encoding import LogicalRegister
-    from .gates import compile_cnot
+    from .gates import compile_circuit
     with _field("--control/--target"):
-        seq = compile_cnot(args.control, args.target, LogicalRegister(2))
+        seq = compile_circuit([("cnot", args.control, args.target)],
+                              LogicalRegister(2))
     doc = seq.to_json()
     doc["total_duration_us"] = seq.total_duration * 1e6
     print(json.dumps(doc, indent=2))

@@ -1,4 +1,4 @@
-"""Logical gate set and the pulse compiler for the encoded CNOT.
+"""Logical gate set and the pulse compiler for circuits of x and CNOT gates.
 
 Three primitives act on the encoded qubits:
 
@@ -213,7 +213,7 @@ CNOT_ANGLES = {
 
 
 def compile_cnot(control: int, target: int,
-                 register: Optional[LogicalRegister] = None) -> PulseSequence:
+                 register: LogicalRegister) -> PulseSequence:
     """Pulse sequence realizing ``CNOT_LOGICAL`` on (control, target).
 
     The phase gate is split into two halves around a spin-echo x pulse on
@@ -224,7 +224,6 @@ def compile_cnot(control: int, target: int,
     as z-x-z because the collective-spin axis phase has no effect inside
     the encoded subspace.
     """
-    register = register or LogicalRegister(2)
     if control == target:
         raise LayoutError("control and target must differ")
     _check_lq(control, register)
@@ -257,28 +256,26 @@ def cnot_logical_matrix(control: int, target: int) -> np.ndarray:
     return SWAP_LOGICAL @ CNOT_LOGICAL @ SWAP_LOGICAL
 
 
-#: Logical ``X(pi/2) = exp(-i pi/4 sigma_x)``, the pulse that prepares the
-#: control of a Bell pair, in closed form.
-X_HALF_PI = np.array([[np.cos(np.pi / 4), -1j * np.sin(np.pi / 4)],
-                      [-1j * np.sin(np.pi / 4), np.cos(np.pi / 4)]])
+def circuit_unitary(circuit) -> np.ndarray:
+    """Ideal logical unitary of a circuit on qubits 0 and 1, gates first to
+    last: ``("x", q, angle)`` is ``exp(-i angle/2 sigma_x)`` on qubit ``q``,
+    as :func:`ms_pulse` on its pair, and ``("cnot", c, t)`` is
+    :func:`cnot_logical_matrix`."""
+    u = np.eye(4, dtype=complex)
+    for kind, q, arg in circuit:  # arg: the x angle or the CNOT target
+        if kind == "x":
+            sx = linalg.pauli_string("IX" if q else "XI")
+            u = (np.cos(arg / 2) * np.eye(4) - 1j * np.sin(arg / 2) * sx) @ u
+        else:
+            u = cnot_logical_matrix(q, arg) @ u
+    return u
 
 
-def bell_state_logical(input_bits: str, control: int = 0) -> np.ndarray:
-    """Logical Bell state produced from a computational input by
-    ``X(pi/2)`` on the control followed by the compiled CNOT on a
-    two-qubit register.
-
-    With ``control=0`` the four inputs map onto the four Bell states
-    (phases included):
-    ``00 -> i(|01> - |10>)/sqrt2``, ``01 -> (|11> - |00>)/sqrt2``,
-    ``10 -> (|01> + |10>)/sqrt2``, ``11 -> i(|00> + |11>)/sqrt2``.
-    """
-    if len(input_bits) != 2 or any(b not in "01" for b in input_bits):
-        raise ValidationError("input must be two logical bits")
-    cnot = cnot_logical_matrix(control, 1 - control)
-    k = int(input_bits, 2)
-    e = np.zeros(4, dtype=complex)
-    e[k] = 1.0
-    xc = linalg.tensor(*[X_HALF_PI if q == control else linalg.ID2
-                         for q in range(2)])
-    return cnot @ (xc @ e)
+def compile_circuit(circuit, register: LogicalRegister) -> PulseSequence:
+    """Pulses of a circuit on ``register``: :func:`ms_pulse` for each x
+    gate and :func:`compile_cnot`'s for each CNOT."""
+    ops = []
+    for kind, q, arg in circuit:
+        ops += ([ms_pulse(arg, q, register)] if kind == "x"
+                else compile_cnot(q, arg, register).ops)
+    return PulseSequence(ops=ops, register=register)

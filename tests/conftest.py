@@ -3,6 +3,10 @@ import pytest
 
 from dfsqc.encoding import LogicalRegister
 
+#: X(pi/2) on logical qubit 0, then the CNOT (0, 1): it maps the four
+#: logical basis inputs onto the four Bell states.
+BELL_CIRCUIT = [("x", 0, np.pi / 2), ("cnot", 0, 1)]
+
 
 def random_density_matrix(dim, rng, rank=None):
     rank = rank or dim

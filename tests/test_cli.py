@@ -13,10 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dfsqc import cli, noise, tomography
+from dfsqc import cli, gates, noise, tomography
 from dfsqc.cli import main
 from dfsqc.encoding import LogicalRegister, restrict_to_dfs
-from dfsqc.gates import CNOT_LOGICAL, compile_cnot, sequence_unitary
+from dfsqc.gates import CNOT_LOGICAL, compile_circuit, sequence_unitary
 
 from reference import max_phase_diff, sequence_from_json
 
@@ -466,8 +466,8 @@ class TestRunBell:
 
     @pytest.mark.parametrize("control", [0, 1])
     def test_calls_no_lapack(self, tmp_path, monkeypatch, control):
-        # X(pi/2) is written out in closed form, so a bell request maps no
-        # LAPACK code
+        # the circuit's ideal X(pi/2) is written out in closed form, so a
+        # bell request maps no LAPACK code
         def refuse(*args, **kwargs):
             raise AssertionError("LAPACK called")
 
@@ -478,6 +478,30 @@ class TestRunBell:
         path, _ = write_config(tmp_path, noise=CALIBRATED, control=control,
                                target=1 - control)
         assert main(["run", str(path)]) == 0
+
+    def test_input_that_leaves_the_subspace_reports_null(self, tmp_path):
+        # near-total crosstalk at the lowest imbalance that validates leaves
+        # inputs 00 and 10 about 1e-11 of their weight in the subspace: no
+        # logical state is left to judge, so only their permanence is given
+        path, _ = write_config(tmp_path, noise={
+            "intensity_imbalance": -0.9999999, "addressing_ratio": 0.999999})
+        outputs = []
+        for _ in range(2):
+            assert main(["run", str(path)]) == 0
+            outputs.append([(tmp_path / "out" / name).read_bytes()
+                            for name in ("report.json", "matrices.json")])
+        assert outputs[0] == outputs[1]
+        for text in outputs[0]:
+            json.loads(text, parse_constant=pytest.fail)
+        metrics = json.loads(outputs[0][0])["metrics"]
+        matrices = json.loads(outputs[0][1])
+        for k, bits in enumerate(metrics["inputs"]):
+            left = bits in ("00", "10")
+            assert (metrics["permanence"][k] < 1e-9) == left
+            assert 0.0 <= metrics["permanence"][k] <= 1.0
+            for key in ("fidelity", "overall"):
+                assert (metrics[key][k] is None) == left
+            assert (matrices[f"bell_{bits}_logical"] is None) == left
 
     def test_report_carries_hash_and_version(self, tmp_path):
         path, _ = write_config(tmp_path)
@@ -629,8 +653,11 @@ class TestLightCone:
         core = cli._check_semantics(config)
         assert core["register"].n_ions == 4 + (offset > 0)
         register = LogicalRegister.from_json(config["register"])
+        circuit = [("cnot", *roles)]
+        if experiment == "bell":
+            circuit.insert(0, ("x", roles[0], np.pi / 2))
         full = dict(core, register=register,
-                    cnot=compile_cnot(roles[0], roles[1], register))
+                    sequence=compile_circuit(circuit, register))
         got, want = (cli.run_experiment(run, seed)[:2] for run in (core, full))
         assert got[0].keys() == want[0].keys() and got[1].keys() == want[1].keys()
         for key in got[0]:
@@ -945,7 +972,8 @@ def test_layer_functions_looked_up_at_call_time(tmp_path, monkeypatch):
     # at import time would bypass its wrappers
     calls = []
     for module, name in [(noise, "sample_noisy_channel"),
-                         (tomography, "process_tomography")]:
+                         (tomography, "process_tomography"),
+                         (gates, "compile_cnot")]:
         def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
             calls.append(_name)
             return _fn(*args, **kwargs)
@@ -953,12 +981,13 @@ def test_layer_functions_looked_up_at_call_time(tmp_path, monkeypatch):
     path, _ = write_config(tmp_path, "bell.json", noise=CALIBRATED,
                            noise_samples=4)
     assert main(["run", str(path)]) == 0
-    assert "sample_noisy_channel" in calls
+    assert {"sample_noisy_channel", "compile_cnot"} <= set(calls)
     calls.clear()
     path, _ = write_config(tmp_path, "tomo.json", experiment="cnot-tomo",
                            shots=None, n_haar_samples=1000)
     assert main(["run", str(path)]) == 0
-    assert {"sample_noisy_channel", "process_tomography"} <= set(calls)
+    assert {"sample_noisy_channel", "process_tomography",
+            "compile_cnot"} <= set(calls)
 
 
 @pytest.mark.parametrize("workload, index", [("tomo", 0), ("bell", 0),

@@ -10,11 +10,12 @@ from dfsqc.encoding import (LogicalRegister, embed_in_dfs, encode,
                             logical_basis_indices, restrict_to_dfs)
 from dfsqc.errors import LayoutError, ValidationError
 from dfsqc.gates import (CNOT_LOGICAL, TAU_CP, TAU_MS, PulseOp, PulseSequence,
-                         bell_state_logical, compile_cnot, cp_pulse, ms_pulse,
-                         pulse_unitary, sequence_unitary, z_pulse)
+                         circuit_unitary, compile_circuit, compile_cnot,
+                         cp_pulse, ms_pulse, pulse_unitary, sequence_unitary,
+                         z_pulse)
 from dfsqc.noise import string_neighbors
 
-from conftest import random_state
+from conftest import BELL_CIRCUIT, random_state
 from reference import expm_hermitian, max_phase_diff, sequence_from_json
 
 
@@ -232,7 +233,7 @@ class TestCompileCnot:
         # squaring the target matrix leaves residual phases, not identity
         sq = CNOT_LOGICAL @ CNOT_LOGICAL
         assert np.allclose(sq, np.diag([-1j, -1j, 1, -1]))
-        seq = compile_cnot(0, 1)
+        seq = compile_cnot(0, 1, LogicalRegister(2))
         u = restrict_to_dfs(sequence_unitary(seq), LogicalRegister(2))
         assert max_phase_diff(sq, u @ u) < 1e-10
 
@@ -281,16 +282,14 @@ class TestCompileCnot:
 
 class TestBellGeneration:
     def test_four_orthogonal_bell_states(self, reg):
-        cnot = compile_cnot(0, 1, reg)
+        seq = compile_circuit(BELL_CIRCUIT, reg)
         outputs = []
         for k in range(4):
             bits = format(k, "02b")
-            prep = ms_pulse(np.pi / 2, 0, reg)
-            seq = PulseSequence(ops=[prep] + list(cnot.ops), register=reg)
             out = sequence_unitary(seq) @ encode(reg, bits)
             idx = logical_basis_indices(reg)
             logical = out[idx]
-            ideal = bell_state_logical(bits)
+            ideal = circuit_unitary(BELL_CIRCUIT)[:, k]
             assert abs(np.vdot(ideal, logical)) ** 2 == pytest.approx(1.0, abs=1e-10)
             assert dfs_weight(out, reg) == pytest.approx(
                 1.0, abs=1e-10)
@@ -309,8 +308,27 @@ class TestBellGeneration:
             "11": np.array([1, 0, 0, 1]) / s2,
         }
         for bits, vec in named.items():
-            got = bell_state_logical(bits)
+            got = circuit_unitary(BELL_CIRCUIT)[:, int(bits, 2)]
             assert abs(np.vdot(vec, got)) ** 2 == pytest.approx(1.0, abs=1e-12)
+
+
+# one gate of a circuit on two logical qubits: an x rotation by any angle,
+# or a CNOT in either role order
+CIRCUIT_GATES = st.one_of(
+    st.tuples(st.just("x"), st.integers(0, 1), st.floats(-2 * np.pi, 2 * np.pi)),
+    st.permutations([0, 1]).map(lambda roles: ("cnot", *roles)))
+
+
+class TestCircuits:
+    @settings(deadline=None, max_examples=40)
+    @given(circuit=st.lists(CIRCUIT_GATES, max_size=4),
+           pairs=st.sampled_from([((0, 1), (2, 3)), ((1, 2), (3, 4))]))
+    def test_compiled_dfs_block_is_the_circuit_unitary(self, circuit, pairs):
+        reg = LogicalRegister(2, pairs)
+        seq = compile_circuit(circuit, reg)
+        block = restrict_to_dfs(sequence_unitary(seq), reg)
+        assert max_phase_diff(circuit_unitary(circuit), block) < 1e-10
+        assert np.max(np.abs(block.conj().T @ block - np.eye(4))) < 1e-10
 
 
 class TestApplySequence:

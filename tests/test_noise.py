@@ -8,12 +8,13 @@ from hypothesis import strategies as st
 from dfsqc.encoding import (LogicalRegister, collective_dephasing, encode,
                             logical_basis_indices, restrict_to_dfs)
 from dfsqc.errors import DimensionError, ValidationError
-from dfsqc.gates import (PulseSequence, compile_cnot, cp_pulse, ms_pulse,
-                         pulse_unitary, sequence_unitary, z_pulse)
+from dfsqc.gates import (PulseSequence, circuit_unitary, compile_circuit,
+                         compile_cnot, cp_pulse, ms_pulse, pulse_unitary,
+                         sequence_unitary, z_pulse)
 from dfsqc.noise import (CALIBRATED_NOISE, NoiseModel, pulse_weights,
                          sample_noisy_channel, string_neighbors)
 
-from conftest import random_density_matrix
+from conftest import BELL_CIRCUIT, random_density_matrix
 from reference import noisy_channel, quadrature_channel
 
 # mean permanence of the compiled CNOT over the four logical basis inputs
@@ -284,9 +285,8 @@ def noisy_sequences(draw, max_ions=8):
     if n_logical > 1:
         q = draw(st.integers(0, n_logical - 2))
         control, target = draw(st.permutations([q, q + 1]))
-        if draw(st.booleans()):
-            ops.append(ms_pulse(np.pi / 2, control, reg))
-        ops += compile_cnot(control, target, reg).ops
+        circuit = [("x", control, np.pi / 2)] if draw(st.booleans()) else []
+        ops += compile_circuit(circuit + [("cnot", control, target)], reg).ops
     angle = st.floats(-np.pi, np.pi)
     for kind, q, theta in draw(st.lists(
             st.tuples(st.sampled_from([z_pulse, ms_pulse]),
@@ -298,9 +298,7 @@ def noisy_sequences(draw, max_ions=8):
 
 def bell_sequence(reg):
     """X(pi/2) on logical qubit 0, then the compiled CNOT (0, 1)."""
-    cnot = compile_cnot(0, 1, reg)
-    return PulseSequence(ops=[ms_pulse(np.pi / 2, 0, reg)] + list(cnot.ops),
-                         register=reg)
+    return compile_circuit(BELL_CIRCUIT, reg)
 
 
 class TestNoisyChannel:
@@ -355,11 +353,11 @@ class TestNoisyChannel:
 class TestCalibratedBellBand:
     def test_all_four_fidelities_in_band(self, reg):
         from dfsqc.encoding import dfs_report
-        from dfsqc.gates import bell_state_logical
         labels = ["00", "01", "10", "11"]
         rhos = sample_noisy_channel(bell_sequence(reg),
                                     encoded_inputs(reg, labels), CALIBRATED_NOISE)
-        for bits, rho in zip(labels, rhos):
-            perm, fid, overall, _ = dfs_report(rho, bell_state_logical(bits), reg)
+        for k, rho in enumerate(rhos):
+            perm, fid, overall, _ = dfs_report(
+                rho, circuit_unitary(BELL_CIRCUIT)[:, k], reg)
             assert 0.85 <= fid <= 0.95
             assert overall == pytest.approx(perm * fid, abs=1e-12)

@@ -8,7 +8,9 @@ nor does a function's or method's reference to itself.  The defs kept
 without such a caller are listed by name in ``KEPT_WITHOUT_CALLER`` with
 the reason, so a helper that only demos or tests use cannot land in
 ``src`` unnoticed.  Every module-level import must be used in its
-module, and every import inside a function in that function.
+module, and every import inside a function in that function.  Pulses are
+built only in ``gates``: every other module reaches them through
+``gates.compile_circuit``.
 """
 
 import ast
@@ -77,6 +79,18 @@ def test_every_module_level_def_has_a_caller():
                  if not any(n == m.name and (p, o, f) != (path, cls.name, m.name)
                             for p, o, f, n in refs)]
     assert sorted(uncalled) == sorted(KEPT_WITHOUT_CALLER)
+
+
+#: The pulse builders of ``gates``, which no other ``src`` module calls.
+PULSE_BUILDERS = {"ms_pulse", "z_pulse", "cp_pulse", "compile_cnot",
+                  "PulseSequence"}
+
+
+def test_pulses_are_built_only_in_gates():
+    calls = [f"{path.stem}: {_load(node.func)}" for path in MODULES
+             if path.name != "gates.py" for node in ast.walk(_tree(path))
+             if isinstance(node, ast.Call) and _load(node.func) in PULSE_BUILDERS]
+    assert calls == []
 
 
 def _unused_imports(scope: ast.AST, imports: list) -> list:

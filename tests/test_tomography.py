@@ -14,8 +14,8 @@ from dfsqc.encoding import (MIN_PERMANENCE, LogicalRegister, dfs_report,
                             embed_in_dfs, encode)
 from dfsqc.errors import (ConditioningError, DimensionError,
                           EmptySubspaceError, ValidationError)
-from dfsqc.gates import (CNOT_LOGICAL, compile_cnot, ms_pulse, PulseSequence,
-                         sequence_unitary)
+from dfsqc.gates import (CNOT_LOGICAL, circuit_unitary, compile_circuit,
+                         compile_cnot, sequence_unitary)
 from dfsqc import tomography
 from dfsqc.tomography import (ChiMatrix, acquire_dataset, chi_basis_labels,
                               chi_from_unitary, chi_linear_solve,
@@ -24,7 +24,7 @@ from dfsqc.tomography import (ChiMatrix, acquire_dataset, chi_basis_labels,
                               process_fidelity, process_tomography,
                               project_chi_cp, _draw_counts)
 
-from conftest import random_density_matrix, random_unitary
+from conftest import BELL_CIRCUIT, random_density_matrix, random_unitary
 
 
 def probabilities(rho, setting):
@@ -313,9 +313,7 @@ class TestStateReconstruction:
 
     def test_exact_encoded_bell(self):
         reg = LogicalRegister(2)
-        seq = compile_cnot(0, 1, reg)
-        prep = ms_pulse(np.pi / 2, 0, reg)
-        full = PulseSequence(ops=[prep] + list(seq.ops), register=reg)
+        full = compile_circuit(BELL_CIRCUIT, reg)
         psi = sequence_unitary(full) @ encode(reg, "00")
         rho = np.outer(psi, psi.conj())
         rho_hat = linear_inversion(acquire_dataset(rho, None))
@@ -325,9 +323,7 @@ class TestStateReconstruction:
         # with the published shot count the reconstruction lands in the
         # low 0.9s; the median over seeds is the stable summary
         reg = LogicalRegister(2)
-        seq = compile_cnot(0, 1, reg)
-        prep = ms_pulse(np.pi / 2, 0, reg)
-        full = PulseSequence(ops=[prep] + list(seq.ops), register=reg)
+        full = compile_circuit(BELL_CIRCUIT, reg)
         psi = sequence_unitary(full) @ encode(reg, "00")
         rho = np.outer(psi, psi.conj())
         fids = []
@@ -540,8 +536,7 @@ class TestMeanGateFidelity:
 class TestDfsReport:
     def test_ideal_bell(self):
         reg = LogicalRegister(2)
-        from dfsqc.gates import bell_state_logical
-        psi_l = bell_state_logical("00")
+        psi_l = circuit_unitary(BELL_CIRCUIT)[:, 0]
         rho = embed_in_dfs(np.outer(psi_l, psi_l.conj()), reg)
         perm, fid, overall, _ = dfs_report(rho, psi_l, reg)
         assert (perm, fid, overall) == (
@@ -549,8 +544,7 @@ class TestDfsReport:
 
     def test_half_leaked(self):
         reg = LogicalRegister(2)
-        from dfsqc.gates import bell_state_logical
-        psi_l = bell_state_logical("01")
+        psi_l = circuit_unitary(BELL_CIRCUIT)[:, 1]
         rho = 0.5 * embed_in_dfs(np.outer(psi_l, psi_l.conj()), reg)
         rho[15, 15] = 0.5  # |0101...> outside: index 15 is |1111>
         perm, fid, overall, _ = dfs_report(rho, psi_l, reg)
@@ -563,8 +557,7 @@ class TestDfsReport:
         # fidelity against the encoded ideal state
         reg = LogicalRegister(2)
         rho = random_density_matrix(16, rng)
-        from dfsqc.gates import bell_state_logical
-        psi_l = bell_state_logical("10")
+        psi_l = circuit_unitary(BELL_CIRCUIT)[:, 2]
         perm, fid, overall, _ = dfs_report(rho, psi_l, reg)
         ideal = embed_in_dfs(np.outer(psi_l, psi_l.conj()), reg)
         direct = np.trace(rho @ ideal).real
