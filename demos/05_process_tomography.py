@@ -29,27 +29,25 @@ def gate_channel(model):
 
 
 # ideal gate, exact statistics
-res = process_tomography(gate_channel(None), register=reg)
+chi, _ = process_tomography(gate_channel(None), register=reg)
 chi_ideal = chi_from_unitary(CNOT_LOGICAL)
 print("ideal gate, exact statistics:")
-print("  process fidelity:", process_fidelity(res.chi, chi_ideal))
-print("  largest chi entries:",
-      sorted(np.round(np.abs(res.chi.entries).ravel(), 4))[-4:])
+print("  process fidelity:", process_fidelity(chi, chi_ideal))
+print("  largest chi entries:", sorted(np.round(np.abs(chi).ravel(), 4))[-4:])
 
 # noisy gate, 100 shots per setting
-noisy = process_tomography(gate_channel(CALIBRATED_NOISE), shots=100,
-                           seed=404, register=reg)
+noisy, perms = process_tomography(gate_channel(CALIBRATED_NOISE), shots=100,
+                                  seed=404, register=reg)
 print("\ncalibrated noise, 100 shots per setting:")
-fid = process_fidelity(noisy.chi, chi_ideal)
+fid = process_fidelity(noisy, chi_ideal)
 print("  process fidelity F: %.4f, (4 F + 1)/5: %.4f" % (fid, (4 * fid + 1) / 5))
 print("  input permanences: mean %.4f, min %.4f, max %.4f"
-      % (noisy.permanences.mean(), noisy.permanences.min(),
-         noisy.permanences.max()))
-print("  tr chi: %.4f" % np.trace(noisy.chi.entries).real)
+      % (perms.mean(), perms.min(), perms.max()))
+print("  tr chi: %.4f" % np.trace(noisy).real)
 print("  negative eigenvalue mass of chi, over tr chi: %.4f"
-      % project_chi_cp(noisy.chi)[1])
+      % project_chi_cp(noisy)[1])
 
-report = haar_report(noisy.chi, chi_ideal)
+report = haar_report(noisy, chi_ideal)
 print("  mean gate fidelity (in subspace): %.4f" % report["mean_gate_fidelity"])
 print("  mean permanence:                  %.4f" % report["mean_permanence"])
 print("  mean overall:                     %.4f" % report["mean_overall"])

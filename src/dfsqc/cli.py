@@ -349,31 +349,36 @@ def run_bell(run: dict, seed: int) -> tuple:
 
 
 def run_cnot_tomo(run: dict, seed: int) -> tuple:
+    from . import linalg
     from .encoding import embed_in_dfs
     from .noise import sample_noisy_channel
-    from .tomography import (chi_from_unitary, haar_report, process_fidelity,
-                             process_tomography, project_chi_cp)
+    from .tomography import (chi_basis_labels, chi_from_unitary, haar_report,
+                             process_fidelity, process_tomography,
+                             project_chi_cp)
     register, shots = run["register"], run["shots"]
 
     def channel(rho_l):
         return sample_noisy_channel(run["sequence"],
                                     embed_in_dfs(rho_l, register), run["noise"])
 
-    result = process_tomography(channel, register, shots=shots, seed=seed)
+    chi, permanences = process_tomography(channel, register, shots=shots,
+                                          seed=seed)
     chi_ideal = chi_from_unitary(run["ideal"])
-    chi_cp, negative_mass = project_chi_cp(result.chi)
-    report = haar_report(result.chi, chi_ideal)
+    chi_cp, negative_mass = project_chi_cp(chi)
+    report = haar_report(chi, chi_ideal)
     gap = abs(report["mean_overall"]
               - report["mean_permanence"] * report["mean_gate_fidelity"])
     metrics = {
         "shots_per_setting": shots,
-        "process_fidelity": process_fidelity(result.chi, chi_ideal),
-        "input_permanences": [float(p) for p in result.permanences],
+        "process_fidelity": process_fidelity(chi, chi_ideal),
+        "input_permanences": [float(p) for p in permanences],
         "consistency_gap": gap,
         "chi_negative_mass": negative_mass,
         **report,
     }
-    matrices = {"chi": chi_cp.to_json(), "chi_ideal": chi_ideal.to_json()}
+    matrices = {name: {"basis": chi_basis_labels(),
+                       "entries": linalg.matrix_to_json(m)}
+                for name, m in (("chi", chi_cp), ("chi_ideal", chi_ideal))}
     return metrics, matrices, []
 
 

@@ -260,22 +260,26 @@ def circuit_unitary(circuit) -> np.ndarray:
     """Ideal logical unitary of a circuit on qubits 0 and 1, gates first to
     last: ``("x", q, angle)`` is ``exp(-i angle/2 sigma_x)`` on qubit ``q``,
     as :func:`ms_pulse` on its pair, and ``("cnot", c, t)`` is
-    :func:`cnot_logical_matrix`."""
+    :func:`cnot_logical_matrix`; any other gate is a :class:`LayoutError`."""
     u = np.eye(4, dtype=complex)
     for kind, q, arg in circuit:  # arg: the x angle or the CNOT target
-        if kind == "x":
+        if kind == "x" and q in (0, 1):
             sx = linalg.pauli_string("IX" if q else "XI")
             u = (np.cos(arg / 2) * np.eye(4) - 1j * np.sin(arg / 2) * sx) @ u
-        else:
+        elif kind == "cnot":
             u = cnot_logical_matrix(q, arg) @ u
+        else:
+            raise LayoutError(f"no gate {kind!r} on qubit {q!r}")
     return u
 
 
 def compile_circuit(circuit, register: LogicalRegister) -> PulseSequence:
     """Pulses of a circuit on ``register``: :func:`ms_pulse` for each x
-    gate and :func:`compile_cnot`'s for each CNOT."""
+    gate, :func:`compile_cnot`'s for each CNOT, else a :class:`LayoutError`."""
     ops = []
     for kind, q, arg in circuit:
+        if kind not in ("x", "cnot"):
+            raise LayoutError(f"unknown gate {kind!r}")
         ops += ([ms_pulse(arg, q, register)] if kind == "x"
                 else compile_cnot(q, arg, register).ops)
     return PulseSequence(ops=ops, register=register)

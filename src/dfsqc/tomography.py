@@ -15,7 +15,8 @@ matrix ``chi`` defined by
 over the fixed logical Pauli basis ``A = {I,X,Y,Z} (x) {I,X,Y,Z}``.
 Every step is linear in the outcome frequencies, so ``chi`` estimates the
 trace-decreasing map ``rho_L -> P E(rho_L) P`` onto the encoded block, and
-``tr chi`` is the mean permanence (Nielsen, quant-ph/0205035).
+``tr chi`` is the mean permanence (Nielsen, quant-ph/0205035).  A ``chi``
+is a plain ``(4^n, 4^n)`` complex array; qubit counts come from shapes.
 
 The data of one state is a float array of outcome frequencies ``f[s, b]``,
 shape ``(3^n, 2^n)``: one row per setting, the per-ion basis letters
@@ -43,8 +44,8 @@ the mean gate fidelity is their ratio, the fidelity within the subspace.
 from __future__ import annotations
 
 import itertools
+import math
 import random
-from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -237,86 +238,56 @@ def chi_basis(n_logical: int = 2) -> np.ndarray:
                      for lbl in chi_basis_labels(n_logical)])
 
 
-@dataclass
-class ChiMatrix:
-    """Process matrix over the ordered logical Pauli basis."""
-
-    entries: np.ndarray
-    basis_labels: list = field(default_factory=chi_basis_labels)
-
-    def __post_init__(self):
-        d2 = len(self.basis_labels)
-        self.entries = np.asarray(self.entries, dtype=complex)
-        if self.entries.shape != (d2, d2):
-            raise DimensionError(
-                f"chi must be {d2}x{d2} for basis of size {d2}")
-
-    @property
-    def n_logical(self) -> int:
-        return len(self.basis_labels[0])
-
-    def to_json(self) -> dict:
-        return {"basis": list(self.basis_labels),
-                "entries": linalg.matrix_to_json(self.entries)}
-
-
-def chi_from_unitary(u: np.ndarray) -> ChiMatrix:
+def chi_from_unitary(u: np.ndarray) -> np.ndarray:
     """Rank-one chi matrix of a unitary channel (outer product of its
     Pauli expansion coefficients)."""
-    n = u.shape[0].bit_length() - 1
-    ops = chi_basis(n)
     d = u.shape[0]
+    ops = chi_basis(d.bit_length() - 1)
     coeff = np.array([np.trace(linalg.dag(op) @ u) / d for op in ops])
-    return ChiMatrix(np.outer(coeff, coeff.conj()), chi_basis_labels(n))
+    return np.outer(coeff, coeff.conj())
 
 
-def project_chi_cp(chi: ChiMatrix) -> tuple:
+def project_chi_cp(chi: np.ndarray) -> tuple:
     """Nearest completely positive chi of trace one: Hermitian part,
     eigenvalue clip, trace renormalized.  Returns it and the negative
     eigenvalue mass the clip dropped, over ``tr chi``."""
-    evals, evecs = np.linalg.eigh((chi.entries + linalg.dag(chi.entries)) / 2)
+    evals, evecs = np.linalg.eigh((chi + linalg.dag(chi)) / 2)
     kept = np.clip(evals, 0.0, None)
     if kept.sum() <= 0:
         raise ConditioningError("chi projection collapsed to zero")
-    entries = (evecs * (kept / kept.sum())) @ linalg.dag(evecs)
-    return (ChiMatrix(entries, chi.basis_labels),
+    return ((evecs * (kept / kept.sum())) @ linalg.dag(evecs),
             float((kept - evals).sum() / evals.sum()))
 
 
-def process_fidelity(chi: ChiMatrix, chi_ideal: ChiMatrix) -> float:
+def process_fidelity(chi: np.ndarray, chi_ideal: np.ndarray) -> float:
     """Process fidelity ``tr(chi_ideal chi) / tr chi`` against a unitary's
     trace-one ``chi_ideal``: the overlap within the encoded block, whatever
     weight leaks out of it."""
-    return float(np.real(np.trace(chi_ideal.entries @ chi.entries)
-                         / np.trace(chi.entries)))
+    return float(np.real(np.trace(chi_ideal @ chi) / np.trace(chi)))
 
 
-def preparation_states(n_logical: int = 2) -> list:
-    """The informationally complete input set, per qubit
-    ``|0>, |1>, |+>, |+i>``, as (label, state vector) pairs."""
-    single = [
-        ("0", np.array([1.0, 0.0], dtype=complex)),
-        ("1", np.array([0.0, 1.0], dtype=complex)),
-        ("+", np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)),
-        ("+i", np.array([1.0, 1.0j], dtype=complex) / np.sqrt(2)),
-    ]
-    return [(",".join(c[0] for c in combo), linalg.tensor(*[v for _, v in combo]))
-            for combo in itertools.product(single, repeat=n_logical)]
+def preparation_states(n_logical: int = 2) -> np.ndarray:
+    """The informationally complete input set, per qubit ``|0>, |1>, |+>,
+    |+i>``, qubit 0 most significant: the rows of a ``(4^n, 2^n)`` array."""
+    single = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, 1.0j]])
+    single[2:] /= np.sqrt(2)
+    return np.stack([linalg.tensor(*combo) for combo
+                     in itertools.product(single, repeat=n_logical)])
 
 
 def chi_linear_solve(inputs: Sequence[np.ndarray],
-                     outputs: Sequence[np.ndarray],
-                     n_logical: int = 2) -> np.ndarray:
-    """Least-squares chi from (input, output) density-matrix pairs: the
-    superoperator ``vec(out) = S vec(in)`` fitted on the inputs' ``d^2``
-    columns, then ``chi_mn = sum conj(A_m[i, j]) S[(i, k), (j, l)] A_n[k, l]
-    / d^2``, a change of basis that is ``d`` times unitary and so keeps the
-    least squares of ``sum_mn chi_mn A_m rho A_n+`` for any input count."""
-    ops = chi_basis(n_logical)
-    d = ops.shape[1]
-    ins = np.asarray(inputs, dtype=complex).reshape(-1, d * d)
+                     outputs: Sequence[np.ndarray]) -> np.ndarray:
+    """Least-squares chi from (input, output) density-matrix pairs of ``n``
+    qubits, ``n`` read from their shape: the superoperator ``vec(out) = S
+    vec(in)`` fitted on the inputs' ``d^2`` columns, then ``chi_mn = sum
+    conj(A_m[i, j]) S[(i, k), (j, l)] A_n[k, l] / d^2``, a change of basis
+    that is ``d`` times unitary and so keeps the least squares of ``sum_mn
+    chi_mn A_m rho A_n+`` for any input count."""
+    ins = np.asarray(inputs, dtype=complex)
+    d = ins.shape[-1]
+    ops = chi_basis(d.bit_length() - 1)
     outs = np.asarray(outputs, dtype=complex).reshape(-1, d * d)
-    s_t, _, rank, _ = np.linalg.lstsq(ins, outs, rcond=None)
+    s_t, _, rank, _ = np.linalg.lstsq(ins.reshape(-1, d * d), outs, rcond=None)
     if rank < d * d:
         raise ConditioningError(
             f"chi reconstruction system is rank deficient ({rank}/{d * d})")
@@ -324,19 +295,9 @@ def chi_linear_solve(inputs: Sequence[np.ndarray],
                      ops, optimize=True) / d ** 2  # s_t[(j, l), (i, k)] is S^T
 
 
-@dataclass
-class ProcessCharacterization:
-    """Everything the tomography pipeline measures about one channel: the
-    linear chi estimate of the encoded block, not renormalized, and the
-    permanence of each input."""
-
-    chi: ChiMatrix
-    permanences: np.ndarray
-
-
 def process_tomography(channel: Callable[[np.ndarray], np.ndarray],
                        register: LogicalRegister, shots: Optional[int] = None,
-                       seed=None) -> ProcessCharacterization:
+                       seed=None) -> tuple:
     """Reconstruct the chi matrix of a black-box channel on the logical space.
 
     ``channel`` is called once, with the stack of all logical input density
@@ -346,14 +307,15 @@ def process_tomography(channel: Callable[[np.ndarray], np.ndarray],
     (sampling needs a ``seed``) and linear inversion; with ``None`` it is
     used exactly.  Each output's block on the encoded subspace, neither
     projected nor renormalized, is the data of the chi fit, and its trace
-    the input's permanence.  The fit is linear in the frequencies, so chi
-    may carry small negative eigenvalues, and ``tr chi`` is the mean
-    permanence.
+    the input's permanence.  Returns ``(chi, permanences)``: the linear
+    chi estimate, a ``(4^n, 4^n)`` array over :func:`chi_basis`, and the
+    permanence of each input in :func:`preparation_states` order.  The
+    fit is linear in the frequencies, so chi may carry small negative
+    eigenvalues, and ``tr chi`` is the mean permanence.
     """
     if shots is not None and seed is None:
         raise ValidationError("a seed is required for reproducible sampling")
-    n_logical = register.n_logical
-    vecs = np.stack([v for _, v in preparation_states(n_logical)])
+    vecs = preparation_states(register.n_logical)
     inputs = vecs[:, :, None] * vecs[:, None, :].conj()
     outputs = np.asarray(channel(inputs))
     if outputs.shape != (len(inputs), register.dim, register.dim):
@@ -366,21 +328,19 @@ def process_tomography(channel: Callable[[np.ndarray], np.ndarray],
             out = linear_inversion(acquire_dataset(out, shots, seed=(seed, k)))
         blocks.append(restrict_to_dfs(out, register))
     blocks = np.stack(blocks)
-    chi = chi_linear_solve(inputs, blocks, n_logical)
+    chi = chi_linear_solve(inputs, blocks)
     weight = float(np.real(np.trace(chi)))  # the mean permanence
     if weight < MIN_PERMANENCE:  # every figure divides by it
         raise EmptySubspaceError(
             f"mean permanence {weight:.3e} is below {MIN_PERMANENCE}",
             permanence=max(weight, 0.0))
-    return ProcessCharacterization(
-        chi=ChiMatrix(chi, chi_basis_labels(n_logical)),
-        permanences=np.real(np.trace(blocks, axis1=1, axis2=2)))
+    return chi, np.real(np.trace(blocks, axis1=1, axis2=2))
 
 
 # ---------------------------------------------------------------------------
 # Haar-averaged figures of merit
 
-def haar_report(chi: ChiMatrix, chi_ideal: ChiMatrix) -> dict:
+def haar_report(chi: np.ndarray, chi_ideal: np.ndarray) -> dict:
     """Mean permanence, mean gate fidelity and mean overall fidelity over
     Haar-random pure logical inputs, exactly (Nielsen, quant-ph/0205035).
 
@@ -392,12 +352,12 @@ def haar_report(chi: ChiMatrix, chi_ideal: ChiMatrix) -> dict:
     permanence at or below ``MIN_PERMANENCE``, which a shot-noisy ``chi``
     can give, raises :class:`EmptySubspaceError`.
     """
-    mean_perm = float(np.real(np.trace(chi.entries)))
+    mean_perm = float(np.real(np.trace(chi)))
     if mean_perm <= MIN_PERMANENCE:  # the gate fidelity divides by it
         raise EmptySubspaceError(
             f"Haar mean permanence {mean_perm:.3e} is not above {MIN_PERMANENCE}",
             permanence=max(mean_perm, 0.0))
-    d = 2 ** chi.n_logical
+    d = math.isqrt(len(chi))
     fid = (d * process_fidelity(chi, chi_ideal) + 1) / (d + 1)
     return {"mean_gate_fidelity": fid, "mean_permanence": mean_perm,
             "mean_overall": mean_perm * fid}

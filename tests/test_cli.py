@@ -29,6 +29,18 @@ BELL_FIDELITIES = [0.8762120592870157, 0.8819073495919306, 0.8982876338113266,
                    0.898151054689484]
 BELL_PERMANENCES = [0.8973734693657329, 0.8953194508688942, 0.8903460910642013,
                     0.8951176846731321]
+# exact calibrated cnot-tomo figures, "shots": null, same register and roles
+TOMO_FIGURES = {"process_fidelity": 0.9011394213545602,
+                "mean_gate_fidelity": 0.9209115370836483,
+                "mean_permanence": 0.9174710285081038,
+                "mean_overall": 0.8449096550931136}
+TOMO_PERMANENCES = [
+    0.8916105680213549, 0.9405690887532857, 0.8897732310608233,
+    0.9153718893770515, 0.9434698416851268, 0.8942346155726502,
+    0.9240502805538174, 0.9256325257377408, 0.8959013901865411,
+    0.8779023111031776, 0.8604634025221451, 0.8897263026808762,
+    0.9179680315698024, 0.9134414572837517, 0.9016371483148513,
+    0.981188999439617]
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -529,6 +541,19 @@ class TestRunCnotTomo:
         matrices = json.loads((tmp_path / "out" / "matrices.json").read_text())
         assert "chi" in matrices and "chi_ideal" in matrices
         assert matrices["chi"]["basis"][0] == "II"
+
+    def test_calibrated_exact_goldens(self, tmp_path):
+        # exact statistics leave nothing sampled, so the figures hold to
+        # rounding at any seed
+        path, _ = write_config(tmp_path, experiment="cnot-tomo", seed=7,
+                               noise=CALIBRATED, shots=None)
+        assert main(["run", str(path)]) == 0
+        metrics = json.loads((tmp_path / "out" / "report.json").read_text())[
+            "metrics"]
+        for key, golden in TOMO_FIGURES.items():
+            assert metrics[key] == pytest.approx(golden, rel=0, abs=1e-12), key
+        assert np.allclose(metrics["input_permanences"], TOMO_PERMANENCES,
+                           rtol=0, atol=1e-12)
 
     def test_six_ion_register(self, tmp_path):
         path, _ = write_config(

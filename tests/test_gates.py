@@ -330,6 +330,16 @@ class TestCircuits:
         assert max_phase_diff(circuit_unitary(circuit), block) < 1e-10
         assert np.max(np.abs(block.conj().T @ block - np.eye(4))) < 1e-10
 
+    @pytest.mark.parametrize("gate", [("z", 0, 1), ("cz", 0, 1),
+                                      ("x", 2, np.pi), ("x", -1, np.pi)])
+    def test_unknown_gate_or_qubit_refused(self, gate):
+        # an unknown kind used to fall through to the CNOT, and an x qubit
+        # outside {0, 1} to act on qubit 1
+        with pytest.raises(LayoutError):
+            circuit_unitary([gate])
+        with pytest.raises(LayoutError):
+            compile_circuit([gate], LogicalRegister(2))
+
 
 class TestApplySequence:
     def test_empty_sequence(self, reg, rng):

@@ -1,6 +1,7 @@
 import json
 import random
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -10,14 +11,16 @@ from scipy import stats
 
 import tomography_reference as ref
 from dfsqc import linalg
+from dfsqc.cli import main
 from dfsqc.encoding import (MIN_PERMANENCE, LogicalRegister, dfs_report,
                             embed_in_dfs, encode)
 from dfsqc.errors import (ConditioningError, DimensionError,
                           EmptySubspaceError, ValidationError)
 from dfsqc.gates import (CNOT_LOGICAL, circuit_unitary, compile_circuit,
                          compile_cnot, sequence_unitary)
+from dfsqc.noise import CALIBRATED_NOISE
 from dfsqc import tomography
-from dfsqc.tomography import (ChiMatrix, acquire_dataset, chi_basis_labels,
+from dfsqc.tomography import (acquire_dataset, chi_basis_labels,
                               chi_from_unitary, chi_linear_solve,
                               haar_report, linear_inversion,
                               preparation_states,
@@ -62,8 +65,7 @@ def ideal_cnot_channel(register):
 
 
 def depolarizing_chi(p):
-    entries = np.diag([1 - p + p / 16] + [p / 16] * 15).astype(complex)
-    return ChiMatrix(entries)
+    return np.diag([1 - p + p / 16] + [p / 16] * 15).astype(complex)
 
 
 class TestMeasurement:
@@ -374,55 +376,55 @@ class TestChiMatrix:
 
     def test_identity_channel(self):
         reg = LogicalRegister(2)
-        res = process_tomography(lambda r: embed_in_dfs(r, reg), register=reg)
+        chi, _ = process_tomography(lambda r: embed_in_dfs(r, reg), register=reg)
         e = np.zeros((16, 16))
         e[0, 0] = 1.0
-        assert np.max(np.abs(res.chi.entries - e)) < 1e-6
+        assert np.max(np.abs(chi - e)) < 1e-6
 
     def test_ideal_cnot_process_fidelity(self):
         reg = LogicalRegister(2)
-        res = process_tomography(ideal_cnot_channel(reg), register=reg)
+        chi, permanences = process_tomography(ideal_cnot_channel(reg),
+                                              register=reg)
         chi_ideal = chi_from_unitary(CNOT_LOGICAL)
-        assert process_fidelity(res.chi, chi_ideal) > 0.999
-        assert np.all(res.permanences > 1 - 1e-9)
-        assert ref.trace_preservation_residual(res.chi.entries, 2) < 1e-6
+        assert process_fidelity(chi, chi_ideal) > 0.999
+        assert np.all(permanences > 1 - 1e-9)
+        assert ref.trace_preservation_residual(chi, 2) < 1e-6
 
     def test_unitary_chi_trace_one(self, rng):
         chi = chi_from_unitary(random_unitary(4, rng))
-        assert np.trace(chi.entries).real == pytest.approx(1.0, abs=1e-12)
+        assert np.trace(chi).real == pytest.approx(1.0, abs=1e-12)
 
     def test_depolarizing_fixed_point(self):
         # the fully depolarizing channel has chi = 1/16 on the Pauli basis
         reg = LogicalRegister(2)
-        res = process_tomography(
+        chi, _ = process_tomography(
             lambda rho: embed_in_dfs(
                 np.trace(rho, axis1=-2, axis2=-1)[..., None, None]
                 * np.eye(4, dtype=complex) / 4, reg),
             register=reg)
-        assert np.max(np.abs(res.chi.entries - np.eye(16) / 16)) < 1e-9
+        assert np.max(np.abs(chi - np.eye(16) / 16)) < 1e-9
 
     def test_chi_linear_in_channel_mixture(self):
         reg = LogicalRegister(2)
         u = CNOT_LOGICAL
         mix = lambda rho: embed_in_dfs(0.3 * rho + 0.7 * (u @ rho @ u.conj().T),
                                        reg)
-        res_mix = process_tomography(mix, register=reg)
-        res_id = process_tomography(lambda r: embed_in_dfs(r, reg), register=reg)
-        res_cnot = process_tomography(
+        chi_mix, _ = process_tomography(mix, register=reg)
+        chi_id, _ = process_tomography(lambda r: embed_in_dfs(r, reg),
+                                       register=reg)
+        chi_cnot, _ = process_tomography(
             lambda r: embed_in_dfs(u @ r @ u.conj().T, reg), register=reg)
-        combo = 0.3 * res_id.chi.entries + 0.7 * res_cnot.chi.entries
-        assert np.max(np.abs(res_mix.chi.entries - combo)) < 1e-8
+        combo = 0.3 * chi_id + 0.7 * chi_cnot
+        assert np.max(np.abs(chi_mix - combo)) < 1e-8
 
     def test_chi_hermitian_psd(self):
         # the linear estimate is Hermitian; its CP projection, the chi
         # that matrices.json carries, is also positive semidefinite
         reg = LogicalRegister(2)
-        res = process_tomography(ideal_cnot_channel(reg), shots=100, seed=8,
-                                 register=reg)
-        chi = res.chi.entries
+        chi, _ = process_tomography(ideal_cnot_channel(reg), shots=100, seed=8,
+                                    register=reg)
         assert np.max(np.abs(chi - chi.conj().T)) < 1e-9
-        chi_cp, negative_mass = project_chi_cp(res.chi)
-        chi_cp = chi_cp.entries
+        chi_cp, negative_mass = project_chi_cp(chi)
         assert np.max(np.abs(chi_cp - chi_cp.conj().T)) < 1e-9
         assert np.linalg.eigvalsh(chi_cp).min() > -1e-8
         assert negative_mass > 0  # 100 shots leave negative eigenvalues
@@ -433,14 +435,13 @@ class TestChiMatrix:
         reg = LogicalRegister(2)
         leak = np.zeros((reg.dim, reg.dim), dtype=complex)
         leak[-1, -1] = 1.0  # |1111>, outside the subspace
-        res = process_tomography(
+        chi, permanences = process_tomography(
             lambda r: 0.5 * embed_in_dfs(r, reg) + 0.5 * leak, register=reg)
         e_ii = np.zeros((16, 16))
         e_ii[0, 0] = 0.5
-        assert np.max(np.abs(res.chi.entries - e_ii)) < 1e-12
-        assert np.allclose(res.permanences, 0.5, rtol=0, atol=1e-12)
-        assert process_fidelity(res.chi, ChiMatrix(2 * e_ii)) == pytest.approx(
-            1.0, abs=1e-12)
+        assert np.max(np.abs(chi - e_ii)) < 1e-12
+        assert np.allclose(permanences, 0.5, rtol=0, atol=1e-12)
+        assert process_fidelity(chi, 2 * e_ii) == pytest.approx(1.0, abs=1e-12)
 
     def test_superoperator_applies_channel(self, rng):
         chi = depolarizing_chi(0.4)
@@ -456,8 +457,7 @@ class TestChiMatrix:
 
     def test_cp_projection(self, rng):
         h = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
-        chi, negative_mass = project_chi_cp(ChiMatrix(h))
-        chi = chi.entries
+        chi, negative_mass = project_chi_cp(h)
         assert np.linalg.eigvalsh(chi).min() >= -1e-12
         assert np.trace(chi).real == pytest.approx(1.0, abs=1e-12)
         evals = np.linalg.eigvalsh((h + h.conj().T) / 2)
@@ -465,22 +465,33 @@ class TestChiMatrix:
             -evals[evals < 0].sum() / evals.sum(), rel=1e-12)
 
     def test_cp_projection_of_a_cp_chi_drops_nothing(self):
-        chi, negative_mass = project_chi_cp(
-            ChiMatrix(0.9 * depolarizing_chi(0.3).entries))
-        assert np.max(np.abs(chi.entries - depolarizing_chi(0.3).entries)) < 1e-12
+        chi, negative_mass = project_chi_cp(0.9 * depolarizing_chi(0.3))
+        assert np.max(np.abs(chi - depolarizing_chi(0.3))) < 1e-12
         assert negative_mass == 0.0
 
-    def test_json_roundtrip(self):
-        chi = depolarizing_chi(0.2)
-        doc = json.loads(json.dumps(chi.to_json()))
-        restored = ChiMatrix(decode_matrix(doc["entries"]), doc["basis"])
-        assert np.allclose(restored.entries, chi.entries)
-        assert restored.basis_labels == chi.basis_labels
+    def test_matrices_json_chi_reads_back(self, tmp_path):
+        # a calibrated cnot-tomo run writes the CP-projected chi and the
+        # ideal CNOT's, each with the Pauli basis labels
+        config = {"experiment": "cnot-tomo", "seed": 7, "shots": None,
+                  "output_dir": str(tmp_path / "out"),
+                  "noise": asdict(CALIBRATED_NOISE)}
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        assert main(["run", str(tmp_path / "config.json")]) == 0
+        doc = json.loads((tmp_path / "out" / "matrices.json").read_text())
+        for name in ("chi", "chi_ideal"):
+            assert doc[name]["basis"] == chi_basis_labels(2)
+        ideal = chi_from_unitary(circuit_unitary([("cnot", 0, 1)]))
+        assert np.array_equal(decode_matrix(doc["chi_ideal"]["entries"]), ideal)
+        chi = decode_matrix(doc["chi"]["entries"])
+        assert np.max(np.abs(chi - chi.conj().T)) < 1e-12
+        assert abs(np.trace(chi) - 1) < 1e-12
 
-    def test_preparation_states_informationally_complete(self):
-        _, vecs = zip(*preparation_states(2))
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_preparation_states_informationally_complete(self, n):
+        vecs = preparation_states(n)
+        assert vecs.shape == (4 ** n, 2 ** n)
         mats = np.stack([np.outer(v, v.conj()).reshape(-1) for v in vecs])
-        assert np.linalg.matrix_rank(mats) == 16
+        assert np.linalg.matrix_rank(mats) == 4 ** n
 
 
 class TestMeanGateFidelity:
@@ -497,18 +508,18 @@ class TestMeanGateFidelity:
         # exact-statistics tomography of the compiled gate is essentially
         # error free end to end
         reg = LogicalRegister(2)
-        res = process_tomography(ideal_cnot_channel(reg), register=reg)
-        assert gate_fidelity(res.chi, CNOT_LOGICAL) >= 1 - 1e-9
+        chi, _ = process_tomography(ideal_cnot_channel(reg), register=reg)
+        assert gate_fidelity(chi, CNOT_LOGICAL) >= 1 - 1e-9
 
     def test_unitary_invariance(self, rng):
         v = random_unitary(4, rng)
         chi = depolarizing_chi(0.3)
         ideal = random_unitary(4, rng)
         reg = LogicalRegister(2)
-        conj = process_tomography(
+        conj, _ = process_tomography(
             lambda rho: embed_in_dfs(
                 v.conj().T @ apply_chi(chi, v @ rho @ v.conj().T) @ v, reg),
-            register=reg).chi
+            register=reg)
         assert abs(gate_fidelity(chi, ideal)
                    - gate_fidelity(conj, v.conj().T @ ideal @ v)) < 1e-9
 
@@ -521,7 +532,7 @@ class TestMeanGateFidelity:
             entries[0, 0] = trace
             z1 = chi_basis_labels(2).index("ZI")
             entries[0, z1] = entries[z1, 0] = 0.5
-            return ChiMatrix(entries)
+            return entries
 
         chi_ideal = chi_from_unitary(CNOT_LOGICAL)
         for trace in (-MIN_PERMANENCE, 0.0, MIN_PERMANENCE / 2, MIN_PERMANENCE):
@@ -579,19 +590,18 @@ class TestShotBasedProcessTomography:
 
     def test_pipeline_with_shots(self):
         reg = LogicalRegister(2)
-        res = process_tomography(ideal_cnot_channel(reg), shots=100, seed=13,
-                                 register=reg)
+        chi, permanences = process_tomography(ideal_cnot_channel(reg),
+                                              shots=100, seed=13, register=reg)
         chi_ideal = chi_from_unitary(CNOT_LOGICAL)
-        assert process_fidelity(res.chi, chi_ideal) > 0.75
-        assert res.permanences.shape == (16,)
+        assert process_fidelity(chi, chi_ideal) > 0.75
+        assert permanences.shape == (16,)
         # the permanence functional W = sum_mn chi_mn A_n+ A_m is Hermitian
         # and gives back each input's permanence
-        w = ref.trace_map(res.chi.entries, 2)
+        w = ref.trace_map(chi, 2)
         assert np.max(np.abs(w - w.conj().T)) < 1e-10
-        _, vecs = zip(*preparation_states(2))
-        assert np.allclose([np.vdot(v, w @ v).real for v in vecs],
-                           res.permanences, rtol=0, atol=1e-10)
-        rep = haar_report(res.chi, chi_ideal)
+        assert np.allclose([np.vdot(v, w @ v).real for v in preparation_states(2)],
+                           permanences, rtol=0, atol=1e-10)
+        rep = haar_report(chi, chi_ideal)
         gap = abs(rep["mean_overall"]
                   - rep["mean_permanence"] * rep["mean_gate_fidelity"])
         assert gap < 0.02

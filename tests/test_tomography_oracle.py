@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 import tomography_reference as ref
 from conftest import random_density_matrix, random_unitary
-from dfsqc.tomography import (ChiMatrix, acquire_dataset, chi_basis_labels,
-                              chi_from_unitary, chi_linear_solve, haar_report,
-                              linear_inversion, preparation_states)
+from dfsqc.tomography import (acquire_dataset, chi_from_unitary,
+                              chi_linear_solve, haar_report, linear_inversion,
+                              preparation_states)
 
 SEEDS = st.integers(0, 2 ** 32 - 1)
 STATES = dict(n_ions=st.integers(1, 4), rank=st.sampled_from([None, 2]),
@@ -52,8 +52,7 @@ class TestProcessMatrix:
     def test_superoperator_and_trace_residual(self, n_logical, seed):
         rng = np.random.default_rng(seed)
         entries = random_density_matrix(4 ** n_logical, rng)
-        chi = ChiMatrix(entries, chi_basis_labels(n_logical))
-        s = ref.chi_superoperator(chi)
+        s = ref.chi_superoperator(entries)
         assert max_diff(s, ref.superoperator(entries, n_logical)) < 1e-12
         # tr E(rho) = tr(M rho) with M = sum_mn chi_mn A_n+ A_m, read off
         # the superoperator as the row vec(1)^T S
@@ -67,9 +66,9 @@ class TestProcessMatrix:
     @given(n_logical=st.integers(1, 2), seed=SEEDS)
     def test_chi_linear_solve(self, n_logical, seed):
         rng = np.random.default_rng(seed)
-        inputs = [np.outer(v, v.conj()) for _, v in preparation_states(n_logical)]
+        inputs = [np.outer(v, v.conj()) for v in preparation_states(n_logical)]
         outputs = [random_density_matrix(2 ** n_logical, rng) for _ in inputs]
-        assert max_diff(chi_linear_solve(inputs, outputs, n_logical),
+        assert max_diff(chi_linear_solve(inputs, outputs),
                         ref.chi_linear_solve(inputs, outputs, n_logical)) < 1e-12
 
 
@@ -87,7 +86,7 @@ class TestProcessMatrix:
                    + 0.05 * (rng.normal(size=(d, d))
                              + 1j * rng.normal(size=(d, d)))
                    for rho in inputs]
-        assert max_diff(chi_linear_solve(inputs, outputs, n_logical),
+        assert max_diff(chi_linear_solve(inputs, outputs),
                         ref.chi_linear_solve(inputs, outputs, n_logical)) < 1e-12
 
 
@@ -101,13 +100,13 @@ class TestHaarFigures:
         entries *= scale / np.linalg.eigvalsh(ref.trace_map(entries, 2)).max()
         ideal = random_unitary(4, rng)
         chi_ideal = chi_from_unitary(ideal)
-        report = haar_report(ChiMatrix(entries), chi_ideal)
+        report = haar_report(entries, chi_ideal)
         perm = ref.haar_mean_permanence(entries)
-        overall = ref.haar_mean_overall(entries, chi_ideal.entries)
+        overall = ref.haar_mean_overall(entries, chi_ideal)
         for key, want in (("mean_permanence", perm),
                           ("mean_overall", overall),
                           ("mean_gate_fidelity", overall / perm)):
             assert abs(report[key] - want) < 1e-12, key
-        sampled = ref.haar_report(ChiMatrix(entries), ideal, 20_000, seed)
+        sampled = ref.haar_report(entries, ideal, 20_000, seed)
         for key, value in report.items():
             assert abs(value - sampled[key]) <= 5 * sampled[key + "_stderr"], key

@@ -119,12 +119,11 @@ def superoperator(entries, n_logical):
 
 
 def chi_superoperator(chi):
-    """Row-major superoperator of a ``ChiMatrix``:
+    """Row-major superoperator of a ``(4^n, 4^n)`` chi over ``chi_basis(n)``:
     ``E(rho) = (S @ rho.ravel()).reshape(d, d)``."""
-    ops = chi_basis(chi.n_logical)
+    ops = chi_basis((len(chi).bit_length() - 1) // 2)
     d = ops.shape[1]
-    s = np.einsum("mn,mij,nkl->ikjl", chi.entries, ops, ops.conj(),
-                  optimize=True)
+    s = np.einsum("mn,mij,nkl->ikjl", chi, ops, ops.conj(), optimize=True)
     return s.reshape(d * d, d * d)
 
 
