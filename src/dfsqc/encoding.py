@@ -12,9 +12,11 @@ decoherence-free subspace (DFS) for collective dephasing.
 average, of ``U(phi)`` in :func:`collective_dephasing` and of the z-pulse
 jitter in :mod:`dfsqc.noise`.
 
-Ion 0 of a pair is the most significant tensor factor.  For several
+Ion ``i`` of an ``n``-ion string is bit ``n - 1 - i`` of a physical basis
+index, so ion 0 is the most significant tensor factor.  For several
 logical qubits, pair ``j`` of the register occupies ions ``(2j, 2j+1)``
-by default and logical bit strings are ordered with qubit 0 first.
+by default and logical bit strings are ordered with qubit 0 first;
+:func:`logical_basis_indices` alone turns them into physical indices.
 """
 
 from __future__ import annotations
@@ -74,26 +76,13 @@ class LogicalRegister:
                    pairs=tuple(tuple(p) for p in obj["pairs"]))
 
 
-def logical_basis_index(register: LogicalRegister, logical_bits: str) -> int:
-    """Physical basis index of the encoded logical computational state."""
-    if len(logical_bits) != register.n_logical:
-        raise DimensionError(
-            f"expected {register.n_logical} logical bits, got {len(logical_bits)!r}")
-    phys = [0] * register.n_ions
-    for bit, (a, b) in zip(logical_bits, register.pairs):
-        if bit == "0":
-            phys[a], phys[b] = 1, 0
-        elif bit == "1":
-            phys[a], phys[b] = 0, 1
-        else:
-            raise ValidationError(f"invalid logical bit {bit!r}")
-    return int("".join(map(str, phys)), 2)
-
-
 def logical_basis_indices(register: LogicalRegister) -> list:
-    """Physical indices of all ``2^n`` logical basis states, in logical order."""
-    n = register.n_logical
-    return [logical_basis_index(register, format(k, f"0{n}b"))
+    """Physical indices of all ``2^n`` logical basis states, in logical
+    order: bit ``b`` of logical qubit ``q`` excites ion ``pairs[q][b]``, and
+    ion ``i`` is bit ``n_ions - 1 - i`` of the index."""
+    n, top = register.n_logical, register.n_ions - 1
+    return [sum(1 << (top - pair[(k >> (n - 1 - q)) & 1])
+                for q, pair in enumerate(register.pairs))
             for k in range(2 ** n)]
 
 
@@ -102,8 +91,15 @@ def encode(register: LogicalRegister, logical_bits: str) -> np.ndarray:
 
     ``encode(reg, "0")`` is ``|10>_P``, ``encode(reg, "00")`` is ``|1010>_P``.
     """
-    return linalg.basis_state(logical_basis_index(register, logical_bits),
-                              register.dim)
+    if len(logical_bits) != register.n_logical:
+        raise DimensionError(
+            f"expected {register.n_logical} logical bits, got {len(logical_bits)!r}")
+    for bit in logical_bits:
+        if bit not in ("0", "1"):
+            raise ValidationError(f"invalid logical bit {bit!r}")
+    psi = np.zeros(register.dim, dtype=complex)
+    psi[logical_basis_indices(register)[int(logical_bits, 2)]] = 1.0
+    return psi
 
 
 def restrict_to_dfs(op: np.ndarray, register: LogicalRegister) -> np.ndarray:

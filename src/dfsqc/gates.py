@@ -23,7 +23,9 @@ the target, the phase gate split into two halves around a spin echo on
 both pairs, a closing echo on the control so its frame returns, and a
 composite z-x-z Ramsey pulse on the target.  The angle table was solved
 so the composition reproduces ``CNOT_LOGICAL`` exactly (up to a global
-phase) and is regression-tested against that matrix.
+phase) and is regression-tested against that matrix.  ``circuit_unitary``
+gives a circuit's ideal; with the roles swapped, the CNOT is that matrix
+with the rows and columns of ``|01>`` and ``|10>`` exchanged.
 """
 
 from __future__ import annotations
@@ -52,10 +54,6 @@ CNOT_LOGICAL = np.array([
     [0.0, 0.0, 1.0, 0.0],
     [0.0, 0.0, 0.0, 1.0j],
 ], dtype=complex)
-
-#: Exchange of the two logical qubits on the same ordered basis.
-SWAP_LOGICAL = np.array([[1, 0, 0, 0], [0, 0, 1, 0],
-                         [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
 
 
 #: Durations of the MS and CP pulses, seconds: one closed motional loop,
@@ -226,8 +224,6 @@ def compile_cnot(control: int, target: int,
     """
     if control == target:
         raise LayoutError("control and target must differ")
-    _check_lq(control, register)
-    _check_lq(target, register)
     a = CNOT_ANGLES
     ops = [
         ms_pulse(a["ramsey_x"], target, register),
@@ -243,33 +239,24 @@ def compile_cnot(control: int, target: int,
     return PulseSequence(ops=ops, register=register)
 
 
-def cnot_logical_matrix(control: int, target: int) -> np.ndarray:
-    """Ideal logical CNOT for the given role assignment on a two-qubit register.
-
-    ``control=0, target=1`` returns ``CNOT_LOGICAL`` itself; the swapped
-    assignment returns the matrix conjugated by the qubit swap.
-    """
-    if {control, target} != {0, 1}:
-        raise LayoutError("logical matrix defined for a two-qubit register")
-    if control == 0:
-        return CNOT_LOGICAL.copy()
-    return SWAP_LOGICAL @ CNOT_LOGICAL @ SWAP_LOGICAL
-
-
 def circuit_unitary(circuit) -> np.ndarray:
     """Ideal logical unitary of a circuit on qubits 0 and 1, gates first to
     last: ``("x", q, angle)`` is ``exp(-i angle/2 sigma_x)`` on qubit ``q``,
-    as :func:`ms_pulse` on its pair, and ``("cnot", c, t)`` is
-    :func:`cnot_logical_matrix`; any other gate is a :class:`LayoutError`."""
+    as :func:`ms_pulse` on its pair, and ``("cnot", 0, 1)`` is
+    ``CNOT_LOGICAL``, with ``("cnot", 1, 0)`` its rows and columns of
+    ``|01>`` and ``|10>`` exchanged, the qubit swap's conjugation; any other
+    gate is a :class:`LayoutError`."""
     u = np.eye(4, dtype=complex)
-    for kind, q, arg in circuit:  # arg: the x angle or the CNOT target
+    for gate in circuit:
+        kind, q, arg = gate  # arg: the x angle or the CNOT target
         if kind == "x" and q in (0, 1):
             sx = linalg.pauli_string("IX" if q else "XI")
             u = (np.cos(arg / 2) * np.eye(4) - 1j * np.sin(arg / 2) * sx) @ u
-        elif kind == "cnot":
-            u = cnot_logical_matrix(q, arg) @ u
+        elif kind == "cnot" and (q, arg) in ((0, 1), (1, 0)):
+            order = [0, 2, 1, 3] if q else [0, 1, 2, 3]
+            u = CNOT_LOGICAL[np.ix_(order, order)] @ u
         else:
-            raise LayoutError(f"no gate {kind!r} on qubit {q!r}")
+            raise LayoutError(f"no gate {gate!r} on logical qubits 0 and 1")
     return u
 
 

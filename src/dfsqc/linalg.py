@@ -22,9 +22,6 @@ SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 PAULIS = {"I": ID2, "X": SIGMA_X, "Y": SIGMA_Y, "Z": SIGMA_Z}
 
-KET0 = np.array([1.0, 0.0], dtype=complex)
-KET1 = np.array([0.0, 1.0], dtype=complex)
-
 
 def dag(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose."""
@@ -50,15 +47,6 @@ def pauli_string(letters: str) -> np.ndarray:
     except KeyError as exc:
         raise ValidationError(f"unknown Pauli letter {exc}") from exc
     return tensor(*mats)
-
-
-def basis_state(index: int, dim: int) -> np.ndarray:
-    """Computational basis vector ``|index>`` in a ``dim``-dimensional space."""
-    if not 0 <= index < dim:
-        raise DimensionError(f"basis index {index} out of range for dim {dim}")
-    v = np.zeros(dim, dtype=complex)
-    v[index] = 1.0
-    return v
 
 
 def z_eigenvalues(n_ions: int, weights: dict) -> np.ndarray:

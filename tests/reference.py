@@ -24,9 +24,11 @@ and :func:`noisy_channel` averages the shots; the tests check that this
 sampled mean converges to the exact channel.
 :func:`max_phase_diff` and :func:`unitary_trace_distance` compare two
 matrices or states up to a global phase, and :func:`sequence_from_json`
-reads back a ``dump-sequence`` document.  :func:`expm_hermitian` is the
-dense matrix exponential the oracles build on; the package itself writes
-every unitary in closed form.
+reads back a ``dump-sequence`` document.  :func:`logical_basis_index`
+spells out one encoded basis index ion by ion; the tests check
+``dfsqc.encoding.logical_basis_indices`` and ``encode`` against it.
+:func:`expm_hermitian` is the dense matrix exponential the oracles build
+on; the package itself writes every unitary in closed form.
 """
 
 import dataclasses
@@ -169,6 +171,24 @@ def sequence_from_json(doc):
     """The pulse sequence a ``PulseSequence.to_json`` document describes."""
     return PulseSequence(ops=[PulseOp(**op) for op in doc["ops"]],
                          register=LogicalRegister.from_json(doc["register"]))
+
+
+def logical_basis_index(register, logical_bits):
+    """Physical basis index of the encoded logical state ``logical_bits``,
+    spelled out ion by ion: logical ``0`` puts the pair in ``|10>``, ``1``
+    in ``|01>``, and the ion digits are read as one binary number."""
+    if len(logical_bits) != register.n_logical:
+        raise DimensionError(
+            f"expected {register.n_logical} logical bits, got {len(logical_bits)!r}")
+    phys = [0] * register.n_ions
+    for bit, (a, b) in zip(logical_bits, register.pairs):
+        if bit == "0":
+            phys[a], phys[b] = 1, 0
+        elif bit == "1":
+            phys[a], phys[b] = 0, 1
+        else:
+            raise ValidationError(f"invalid logical bit {bit!r}")
+    return int("".join(map(str, phys)), 2)
 
 
 def collective_z(n_ions):

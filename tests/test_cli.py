@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 from dfsqc import cli, gates, noise, tomography
 from dfsqc.cli import main
 from dfsqc.encoding import LogicalRegister, restrict_to_dfs
-from dfsqc.gates import CNOT_LOGICAL, compile_circuit, sequence_unitary
+from dfsqc.gates import (CNOT_LOGICAL, circuit_unitary, compile_circuit,
+                         sequence_unitary)
 
 from reference import max_phase_diff, sequence_from_json
 
@@ -233,6 +234,23 @@ class TestSemanticConfigErrors:
         assert main(["validate", str(path)]) == 2
         assert main(["run", str(path)]) == 2
         assert "control/target" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("experiment", ["bell", "cnot-tomo"])
+    @pytest.mark.parametrize("control, target", [(0, 0), (5, 1)])
+    def test_role_error_names_the_gate(self, tmp_path, capsys, experiment,
+                                       control, target):
+        # the roles are at fault, not the register: the refusal quotes the
+        # first gate without a matrix, and bell's x on the control comes
+        # before its CNOT
+        path, _ = write_config(tmp_path, experiment=experiment,
+                               control=control, target=target)
+        gate = (("x", 5, np.pi / 2) if (experiment, control) == ("bell", 5)
+                else ("cnot", control, target))
+        assert main(["validate", str(path)]) == 2
+        assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count(f"control/target: no gate {gate!r}") == 2
+        assert not (tmp_path / "out").exists()
 
     def test_three_qubit_cnot_tomo_refused_at_once(self, tmp_path, capsys):
         register = {"n_logical": 3, "pairs": [[0, 1], [2, 3], [4, 5]]}
@@ -847,9 +865,8 @@ class TestDumpSequence:
         assert main(["dump-sequence", "--control", "1", "--target", "0"]) == 0
         doc = json.loads(capsys.readouterr().out)
         seq = sequence_from_json(doc)
-        from dfsqc.gates import cnot_logical_matrix
         u = restrict_to_dfs(sequence_unitary(seq), LogicalRegister(2))
-        assert max_phase_diff(cnot_logical_matrix(1, 0), u) < 1e-10
+        assert max_phase_diff(circuit_unitary([("cnot", 1, 0)]), u) < 1e-10
 
 
 def test_cli_import_needs_no_test_extra():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dfsqc import linalg
 from dfsqc.cli import MAX_COHERENCE_RATIO, coherence_ratio
@@ -10,7 +12,16 @@ from dfsqc.errors import DimensionError, EmptySubspaceError, ValidationError
 
 from conftest import random_density_matrix
 from reference import (dense_collective_phase, expm_hermitian,
-                       quadrature_dephasing)
+                       logical_basis_index, quadrature_dephasing)
+
+
+@st.composite
+def registers(draw):
+    """Registers of 1-3 logical qubits on disjoint pairs, each pair in
+    either order, with unused ions among and below them."""
+    n = draw(st.integers(1, 3))
+    ions = draw(st.permutations(range(2 * n + draw(st.integers(0, 3)))))
+    return LogicalRegister(n, tuple(zip(ions[:n], ions[n:2 * n])))
 
 
 class TestRegister:
@@ -45,6 +56,24 @@ class TestEncode:
     def test_length_mismatch(self, register2):
         with pytest.raises(DimensionError):
             encode(register2, "0")
+
+    @settings(max_examples=60, deadline=None)
+    @given(registers())
+    def test_indices_and_encode_match_the_oracle(self, reg):
+        n = reg.n_logical
+        labels = [format(k, f"0{n}b") for k in range(2 ** n)]
+        want = [logical_basis_index(reg, bits) for bits in labels]
+        assert logical_basis_indices(reg) == want
+        for bits, index in zip(labels, want):
+            one_hot = np.zeros(reg.dim, dtype=complex)
+            one_hot[index] = 1.0
+            assert np.array_equal(encode(reg, bits), one_hot)
+
+    @pytest.mark.parametrize("bits", ["0_1", "0b1", " 1", "\u0661", "2"])
+    def test_refuses_bits_that_int_would_read(self, bits):
+        # int(bits, 2) accepts the first four
+        with pytest.raises(ValidationError, match="invalid logical bit"):
+            encode(LogicalRegister(len(bits)), bits)
 
     def test_encode_state_superposition(self, register1):
         v = np.array([1, 1j]) / np.sqrt(2)

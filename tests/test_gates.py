@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -212,10 +213,15 @@ class TestCompileCnot:
         assert max_phase_diff(CNOT_LOGICAL, u) < 1e-10
 
     def test_swapped_roles(self, reg):
-        from dfsqc.gates import cnot_logical_matrix
         seq = compile_cnot(1, 0, reg)
         u = restrict_to_dfs(sequence_unitary(seq), reg)
-        assert max_phase_diff(cnot_logical_matrix(1, 0), u) < 1e-10
+        assert max_phase_diff(circuit_unitary([("cnot", 1, 0)]), u) < 1e-10
+
+    def test_swapped_roles_are_the_swap_conjugation_bit_for_bit(self):
+        swap = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
+        assert np.array_equal(circuit_unitary([("cnot", 1, 0)]),
+                              swap @ CNOT_LOGICAL @ swap)
+        assert np.array_equal(circuit_unitary([("cnot", 0, 1)]), CNOT_LOGICAL)
 
     def test_column_readoff(self):
         # the printed matrix maps |10> to |10> and |11> to i|11>
@@ -335,7 +341,7 @@ class TestCircuits:
     def test_unknown_gate_or_qubit_refused(self, gate):
         # an unknown kind used to fall through to the CNOT, and an x qubit
         # outside {0, 1} to act on qubit 1
-        with pytest.raises(LayoutError):
+        with pytest.raises(LayoutError, match=re.escape(repr(gate))):
             circuit_unitary([gate])
         with pytest.raises(LayoutError):
             compile_circuit([gate], LogicalRegister(2))

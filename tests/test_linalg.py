@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from dfsqc.errors import DimensionError, ValidationError
-from dfsqc.linalg import (ID2, KET0, KET1, SIGMA_X, SIGMA_Z, fidelity, tensor,
-                          z_eigenvalues)
+from dfsqc.linalg import ID2, SIGMA_X, SIGMA_Z, fidelity, tensor, z_eigenvalues
 
 from conftest import random_density_matrix, random_state, random_unitary
 from reference import expm_hermitian, max_phase_diff
+
+KET0 = np.array([1.0, 0.0], dtype=complex)
+KET1 = np.array([0.0, 1.0], dtype=complex)
 
 
 def kron_oracle(a, b):

@@ -1,12 +1,13 @@
 """The package's surface is what its command line uses.
 
-Every module-level function or class of ``src/dfsqc`` (``__init__``
-aside), and every public method or property of such a class, must be
-referenced by name, bare or as an attribute, from ``src/``; references
-from demos and tests and the re-exports of ``__init__`` do not count,
-nor does a function's or method's reference to itself.  The defs kept
-without such a caller are listed by name in ``KEPT_WITHOUT_CALLER`` with
-the reason, so a helper that only demos or tests use cannot land in
+Every module-level function, class or constant of ``src/dfsqc``
+(``__init__`` aside), and every public method or property of such a
+class, must be referenced by name, bare or as an attribute, from
+``src/``; references from demos and tests and the re-exports of
+``__init__`` do not count, nor does a function's or method's reference
+to itself.  The names kept without such a reference are listed in
+``KEPT_WITHOUT_CALLER`` and ``KEPT_WITHOUT_READER`` with the reason, so
+a helper or a constant that only demos or tests use cannot land in
 ``src`` unnoticed.  Every module-level import must be used in its
 module, and every import inside a function in that function.  Pulses are
 built only in ``gates``: every other module reaches them through
@@ -26,6 +27,11 @@ KEPT_WITHOUT_CALLER = {
     "README, demo 02 and the tests of five modules read; moving it would "
     "copy its loop into each",
 }
+#: Constants of ``src/dfsqc`` that no code of ``src/`` reads, and why each stays.
+KEPT_WITHOUT_READER = {
+    "noise.CALIBRATED_NOISE": "the calibrated noise model, which demos, tests "
+    "and the README name and perfbench/workloads.NOISE spells out",
+}
 
 
 def _tree(path: Path) -> ast.Module:
@@ -35,6 +41,15 @@ def _tree(path: Path) -> ast.Module:
 def _defs(tree: ast.Module) -> list:
     return [n.name for n in tree.body
             if isinstance(n, (ast.FunctionDef, ast.ClassDef))]
+
+
+def _constants(tree: ast.Module) -> list:
+    """Names bound by the module-level assignments of ``tree``."""
+    return [n.id for top in tree.body
+            if isinstance(top, (ast.Assign, ast.AnnAssign))
+            for target in (top.targets if isinstance(top, ast.Assign)
+                           else [top.target])
+            for n in ast.walk(target) if isinstance(n, ast.Name)]
 
 
 def _methods(cls: ast.ClassDef) -> list:
@@ -79,6 +94,13 @@ def test_every_module_level_def_has_a_caller():
                  if not any(n == m.name and (p, o, f) != (path, cls.name, m.name)
                             for p, o, f, n in refs)]
     assert sorted(uncalled) == sorted(KEPT_WITHOUT_CALLER)
+
+
+def test_every_module_level_constant_has_a_reader():
+    read = {(p, n) for p, _, _, n in _references()}
+    unread = [f"{path.stem}.{name}" for path in MODULES
+              for name in _constants(_tree(path)) if (path, name) not in read]
+    assert sorted(unread) == sorted(KEPT_WITHOUT_READER)
 
 
 #: The pulse builders of ``gates``, which no other ``src`` module calls.
