@@ -36,14 +36,14 @@ x = pulse_unitary(ms_pulse(np.pi / 2, 0, reg), reg.n_ions)
 print(np.round(restrict_to_dfs(x, reg), 4))
 
 # the compiled CNOT pulse sequence
-seq = compile_cnot(control=0, target=1, register=reg)
+ops = compile_cnot(control=0, target=1, register=reg)
 print("\npulse sequence (control = qubit 0, target = qubit 1):")
-for i, op in enumerate(seq.ops):
+for i, op in enumerate(ops):
     print(f"  {i + 1}. {op.kind:11s} ions {op.targets}  angle "
           f"{op.angle / np.pi:+.2f} pi   duration {op.duration * 1e6:7.1f} us")
-print(f"total duration: {seq.total_duration * 1e6:.1f} us")
+print(f"total duration: {sum(op.duration for op in ops) * 1e6:.1f} us")
 
-u = restrict_to_dfs(sequence_unitary(seq), reg)
+u = restrict_to_dfs(sequence_unitary(ops, reg.n_ions), reg)
 print("\ncomposed unitary on the logical basis (phase canonicalized):")
 print(np.round(canonicalize_phase(u), 6))
 print("\ntarget matrix:")

@@ -15,7 +15,7 @@ from dfsqc.noise import CALIBRATED_NOISE, sample_noisy_channel
 
 reg = LogicalRegister(2)
 bell = [("x", 0, np.pi / 2), ("cnot", 0, 1)]
-seq = compile_circuit(bell, reg)
+ops = compile_circuit(bell, reg)
 # input k's ideal Bell state is column k of the circuit's logical unitary
 ideal = circuit_unitary(bell)
 
@@ -26,14 +26,14 @@ inputs = psi[:, :, None] * psi[:, None, :].conj()
 
 print("noise-free generation")
 print("input   fidelity      permanence")
-ideal_out = sample_noisy_channel(seq, inputs, None)
+ideal_out = sample_noisy_channel(ops, inputs, None)
 for k, (bits, rho) in enumerate(zip(labels, ideal_out)):
     perm, fid, _, _ = dfs_report(rho, ideal[:, k], reg)
     print(f"  {bits}   {fid:.12f}  {perm:.12f}")
 
 print("\ncalibrated noise model:", CALIBRATED_NOISE)
 print("input   fidelity  permanence  overall")
-noisy_out = sample_noisy_channel(seq, inputs, CALIBRATED_NOISE)
+noisy_out = sample_noisy_channel(ops, inputs, CALIBRATED_NOISE)
 for k, (bits, rho) in enumerate(zip(labels, noisy_out)):
     perm, fid, overall, _ = dfs_report(rho, ideal[:, k], reg)
     print(f"  {bits}   {fid:8.4f}  {perm:10.4f}  {overall:7.4f}")

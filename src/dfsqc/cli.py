@@ -220,8 +220,8 @@ def _check_semantics(config) -> dict:
     ``EXPERIMENT_FIELDS`` and build the run's inputs, creating nothing, so that
     no run starts that cannot finish: each top-level field's value or default
     and ``config_hash``; for a CNOT also the built ``noise`` (``None``: ideal),
-    the ``ideal`` unitary of its circuit, and the ``register`` shifted to its
-    light cone with the circuit's ``sequence`` compiled there."""
+    the ``ideal`` unitary of its circuit, the ``register`` shifted to its light
+    cone (its pairs and the ion below them) and its pulse list ``sequence``."""
     experiment = config.get("experiment") if type(config) is dict else None
     fields = EXPERIMENT_FIELDS[experiment] if experiment in EXPERIMENTS else {}
     table = {**COMMON_FIELDS, **fields}
@@ -231,7 +231,7 @@ def _check_semantics(config) -> dict:
     if experiment in ("bell", "cnot-tomo"):
         from .encoding import LogicalRegister
         from .gates import circuit_unitary, compile_circuit
-        from .noise import NoiseModel, string_neighbors
+        from .noise import NoiseModel
         with _field("register"):
             register = (LogicalRegister.from_json(config["register"])
                         if "register" in config else LogicalRegister(2))
@@ -246,14 +246,13 @@ def _check_semantics(config) -> dict:
             circuit.insert(0, ("x", run["control"], math.pi / 2))
         with _field("control/target"):
             run["ideal"] = circuit_unitary(circuit)
+        # only to name the config's own ions in a layout error, e.g. center ions (6, 8)
         with _field("register"):  # roles {0, 1} are valid, so the layout is at fault
-            ops = compile_circuit(circuit, register).ops
-        # Run on the light cone, the ions a noisy pulse touches: every ion
-        # below it stays |0> and none lies above it, so dropping them changes
-        # no decoded figure.  No register.dim is read before the shift, so a
-        # pair at ion 10^18 costs what the 5-ion cone does.
-        shift = min(i for op in ops for i in
-                    op.targets + string_neighbors(op.targets, register.n_ions))
+            compile_circuit(circuit, register)
+        # Run on the light cone, the pairs and the ion below them that crosstalk
+        # reaches: the ions below stay |0> and none lies above, so dropping them
+        # changes no figure; no register.dim is read first, so ion 10^18 is cheap.
+        shift = max(0, min(min(pair) for pair in register.pairs) - 1)
         run["register"] = LogicalRegister(2, tuple(
             (a - shift, b - shift) for a, b in register.pairs))
         run["sequence"] = compile_circuit(circuit, run["register"])
@@ -331,10 +330,10 @@ def run_bell(run: dict, seed: int) -> tuple:
     from . import linalg
     from .encoding import dfs_report, encode
     from .noise import sample_noisy_channel
-    register, seq, ideal = run["register"], run["sequence"], run["ideal"]
+    register, ops, ideal = run["register"], run["sequence"], run["ideal"]
     inputs = [format(k, "02b") for k in range(4)]
     psi = np.stack([encode(register, bits) for bits in inputs])
-    rhos = sample_noisy_channel(seq, psi[:, :, None] * psi[:, None, :].conj(),
+    rhos = sample_noisy_channel(ops, psi[:, :, None] * psi[:, None, :].conj(),
                                 run["noise"])
     reports = []
     for k, rho in enumerate(rhos):  # input k's ideal is column k of the unitary
@@ -454,11 +453,11 @@ def cmd_run(args) -> int:
 def cmd_dump_sequence(args) -> int:
     from .encoding import LogicalRegister
     from .gates import compile_circuit
+    register = LogicalRegister(2)
     with _field("--control/--target"):
-        seq = compile_circuit([("cnot", args.control, args.target)],
-                              LogicalRegister(2))
-    doc = seq.to_json()
-    doc["total_duration_us"] = seq.total_duration * 1e6
+        ops = compile_circuit([("cnot", args.control, args.target)], register)
+    doc = {"register": register.to_json(), "ops": [op.to_json() for op in ops],
+           "total_duration_us": float(sum(op.duration for op in ops)) * 1e6}
     print(json.dumps(doc, indent=2))
     return 0
 

@@ -18,7 +18,9 @@ Three primitives act on the encoded qubits:
   sigma_z)``, a logical ZZ interaction (with reversed sign, absorbed by
   the compiler's angle bookkeeping).
 
-``compile_cnot`` emits a fixed nine-pulse sequence: a Ramsey x pulse on
+A compiled circuit is a plain list of :class:`PulseOp`, ``ops[0]`` first;
+:func:`pulse_unitary` builds a pulse on ``n_ions`` ions, refusing any other.
+``compile_cnot`` emits a fixed nine-pulse list: a Ramsey x pulse on
 the target, the phase gate split into two halves around a spin echo on
 both pairs, a closing echo on the control so its frame returns, and a
 composite z-x-z Ramsey pulse on the target.  The angle table was solved
@@ -97,29 +99,6 @@ class PulseOp:
                 "duration": self.duration}
 
 
-@dataclass
-class PulseSequence:
-    """Ordered pulses on a register; ``ops[0]`` is applied first."""
-
-    ops: list
-    register: LogicalRegister
-
-    def __post_init__(self):
-        n = self.register.n_ions
-        for op in self.ops:
-            if any(t < 0 or t >= n for t in op.targets):
-                raise LayoutError(
-                    f"op targets {op.targets} outside the {n}-ion register")
-
-    @property
-    def total_duration(self) -> float:
-        return float(sum(op.duration for op in self.ops))
-
-    def to_json(self) -> dict:
-        return {"register": self.register.to_json(),
-                "ops": [op.to_json() for op in self.ops]}
-
-
 def pulse_unitary(op: PulseOp, n_ions: int,
                   weights: Optional[dict] = None) -> np.ndarray:
     """Unitary of one pulse whose Pauli ``P`` acts on each ion with a weight.
@@ -135,9 +114,13 @@ def pulse_unitary(op: PulseOp, n_ions: int,
     ``S`` is diagonal, with eigenvalues :func:`~dfsqc.linalg.z_eigenvalues`,
     once every weighted ion is rotated by ``V = Rz(phi) H``
     (``V sigma_z V+ = sigma_phi``), so no eigendecomposition is needed.
+    Any weighted ion outside ``range(n_ions)`` is a :class:`LayoutError`.
     """
     if weights is None:
         weights = {t: 1.0 for t in op.targets}
+    if any(not 0 <= i < n_ions for i in weights):
+        raise LayoutError(
+            f"op targets {op.targets} outside the {n_ions}-ion register")
     s = linalg.z_eigenvalues(n_ions, weights)
     if op.kind in (MS_ROTATION, CP_GATE):
         self_weight = sum(w * w for w in weights.values())
@@ -153,11 +136,11 @@ def pulse_unitary(op: PulseOp, n_ions: int,
     return (v * phases) @ linalg.dag(v)
 
 
-def sequence_unitary(seq: PulseSequence) -> np.ndarray:
-    """Product of the op unitaries, first op rightmost."""
-    u = np.eye(seq.register.dim, dtype=complex)
-    for op in seq.ops:
-        u = pulse_unitary(op, seq.register.n_ions) @ u
+def sequence_unitary(ops: list, n_ions: int) -> np.ndarray:
+    """Product of the pulse unitaries on ``n_ions`` ions, ``ops[0]`` rightmost."""
+    u = np.eye(2 ** n_ions, dtype=complex)
+    for op in ops:
+        u = pulse_unitary(op, n_ions) @ u
     return u
 
 
@@ -211,8 +194,8 @@ CNOT_ANGLES = {
 
 
 def compile_cnot(control: int, target: int,
-                 register: LogicalRegister) -> PulseSequence:
-    """Pulse sequence realizing ``CNOT_LOGICAL`` on (control, target).
+                 register: LogicalRegister) -> list:
+    """The nine pulses realizing ``CNOT_LOGICAL`` on (control, target).
 
     The phase gate is split into two halves around a spin-echo x pulse on
     both logical qubits; a second echo pulse on the control closes its
@@ -225,7 +208,7 @@ def compile_cnot(control: int, target: int,
     if control == target:
         raise LayoutError("control and target must differ")
     a = CNOT_ANGLES
-    ops = [
+    return [
         ms_pulse(a["ramsey_x"], target, register),
         cp_pulse(a["cp_half"], (control, target), register),
         ms_pulse(a["echo"], control, register),
@@ -236,7 +219,6 @@ def compile_cnot(control: int, target: int,
         ms_pulse(a["composite_x"], target, register),
         z_pulse(a["composite_z2"], target, register),
     ]
-    return PulseSequence(ops=ops, register=register)
 
 
 def circuit_unitary(circuit) -> np.ndarray:
@@ -260,13 +242,13 @@ def circuit_unitary(circuit) -> np.ndarray:
     return u
 
 
-def compile_circuit(circuit, register: LogicalRegister) -> PulseSequence:
-    """Pulses of a circuit on ``register``: :func:`ms_pulse` for each x
+def compile_circuit(circuit, register: LogicalRegister) -> list:
+    """Pulse list of a circuit on ``register``: :func:`ms_pulse` for each x
     gate, :func:`compile_cnot`'s for each CNOT, else a :class:`LayoutError`."""
     ops = []
     for kind, q, arg in circuit:
         if kind not in ("x", "cnot"):
             raise LayoutError(f"unknown gate {kind!r}")
         ops += ([ms_pulse(arg, q, register)] if kind == "x"
-                else compile_cnot(q, arg, register).ops)
-    return PulseSequence(ops=ops, register=register)
+                else compile_cnot(q, arg, register))
+    return ops

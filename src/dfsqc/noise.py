@@ -33,8 +33,8 @@ jitter average.  The collective phase acts after the sequence, so it is
 averaged last, by :func:`~dfsqc.encoding.collective_dephasing`.
 :func:`sample_noisy_channel` applies this averaged channel to a density
 matrix or a stack of them; it draws nothing, so its result depends on
-the sequence, model and inputs only.  It is the one place a pulse acts
-on a state: the ideal sequence is its zero model.
+the pulses, model and inputs only.  It is the one place a pulse acts
+on a state: the ideal pulse list is its zero model.
 """
 
 from __future__ import annotations
@@ -47,8 +47,7 @@ import numpy as np
 from . import linalg
 from .encoding import collective_dephasing, gaussian_phase_average
 from .errors import DimensionError, ValidationError
-from .gates import (AC_STARK_Z, CP_GATE, MS_ROTATION, PulseOp,
-                    PulseSequence, pulse_unitary)
+from .gates import AC_STARK_Z, CP_GATE, MS_ROTATION, PulseOp, pulse_unitary
 
 
 @dataclass(frozen=True)
@@ -106,12 +105,13 @@ def pulse_weights(op: PulseOp, n_ions: int, model: NoiseModel) -> dict:
     return weights
 
 
-def sample_noisy_channel(seq: PulseSequence, rho: np.ndarray,
+def sample_noisy_channel(ops: list, rho: np.ndarray,
                          model: Optional[NoiseModel]) -> np.ndarray:
-    """Noise-averaged output of the sequence for one or a stack of inputs.
+    """Noise-averaged output of a pulse list for one or a stack of inputs.
 
-    ``rho`` holds density matrices, shape ``(..., dim, dim)``.  Each pulse
-    conjugates them by its noisy unitary, :func:`~dfsqc.gates.pulse_unitary`
+    ``rho`` holds density matrices of ``n`` ions, shape ``(..., 2^n, 2^n)``,
+    else a :class:`DimensionError`.  Each pulse, first to last, conjugates
+    them by its noisy unitary, :func:`~dfsqc.gates.pulse_unitary`
     of its :func:`pulse_weights`.  A jittered ``ACStarkZ`` pulse with z
     eigenvalues ``s`` is then averaged over its Gaussian angle error: entry
     ``jk`` is multiplied by ``exp(-sigma^2 (s_j - s_k)^2 / 8)``.
@@ -120,13 +120,12 @@ def sample_noisy_channel(seq: PulseSequence, rho: np.ndarray,
     zero model, whose unit weights and zero standard deviations give the
     ideal pulse unitaries bit for bit and masks of exactly 1.0.
     """
-    d, n_ions = seq.register.dim, seq.register.n_ions
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape[-2:] != (d, d):
-        raise DimensionError(
-            f"input shape {rho.shape} does not end in the register's ({d}, {d})")
+    n_ions = rho.shape[-1].bit_length() - 1 if rho.ndim >= 2 else -1
+    if n_ions < 0 or rho.shape[-2:] != (2 ** n_ions,) * 2:
+        raise DimensionError(f"input shape {rho.shape} does not end in (2^n, 2^n)")
     model = model or NoiseModel(0.0, 0.0, 0.0, 0.0)
-    for op in seq.ops:
+    for op in ops:
         weights = pulse_weights(op, n_ions, model)
         u = pulse_unitary(op, n_ions, weights)
         rho = u @ rho @ u.conj().T

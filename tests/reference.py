@@ -39,7 +39,7 @@ import numpy as np
 from dfsqc import linalg
 from dfsqc.encoding import LogicalRegister
 from dfsqc.errors import DimensionError, ValidationError
-from dfsqc.gates import AC_STARK_Z, PulseOp, PulseSequence, pulse_unitary
+from dfsqc.gates import AC_STARK_Z, PulseOp, pulse_unitary
 from dfsqc.noise import pulse_weights
 
 
@@ -168,9 +168,10 @@ def max_phase_diff(a, b):
 
 
 def sequence_from_json(doc):
-    """The pulse sequence a ``PulseSequence.to_json`` document describes."""
-    return PulseSequence(ops=[PulseOp(**op) for op in doc["ops"]],
-                         register=LogicalRegister.from_json(doc["register"]))
+    """``(ops, register)``: the pulse list and register a ``dump-sequence``
+    document describes."""
+    return ([PulseOp(**op) for op in doc["ops"]],
+            LogicalRegister.from_json(doc["register"]))
 
 
 def logical_basis_index(register, logical_bits):
@@ -203,23 +204,23 @@ def dense_collective_phase(n_ions, phi):
     return expm_hermitian(collective_z(n_ions), phi / 2)
 
 
-def shot_unitaries(seq, model, n_samples, seed):
-    """Sequence unitary of each Monte-Carlo jitter shot, one noisy pulse at
-    a time: shot ``i`` draws from ``default_rng((seed, i))`` an angle error
-    per ``ACStarkZ`` pulse in order and rebuilds that pulse at its drawn
-    angle; a model without jitter is one shot."""
-    n_ions = seq.register.n_ions
+def shot_unitaries(ops, n_ions, model, n_samples, seed):
+    """Unitary of the pulse list ``ops`` on ``n_ions`` ions for each
+    Monte-Carlo jitter shot, one noisy pulse at a time: shot ``i`` draws
+    from ``default_rng((seed, i))`` an angle error per ``ACStarkZ`` pulse in
+    order and rebuilds that pulse at its drawn angle; a model without jitter
+    is one shot."""
     jitter = model.ac_stark_phase_jitter_std
 
     def unitary(op):
         return pulse_unitary(op, n_ions, pulse_weights(op, n_ions, model))
 
-    static = [unitary(op) for op in seq.ops]
+    static = [unitary(op) for op in ops]
     shots = []
     for i in range(n_samples if jitter > 0 else 1):
         rng = np.random.default_rng((seed, i))
-        u = np.eye(seq.register.dim, dtype=complex)
-        for op, fixed in zip(seq.ops, static):
+        u = np.eye(2 ** n_ions, dtype=complex)
+        for op, fixed in zip(ops, static):
             if jitter > 0 and op.kind == AC_STARK_Z:
                 fixed = unitary(dataclasses.replace(
                     op, angle=op.angle + rng.normal(0.0, jitter)))
@@ -243,8 +244,9 @@ def quadrature_dephasing(rho, std, n_nodes=100):
     return out
 
 
-def quadrature_channel(seq, rho, model, n_nodes=30):
-    """The noisy channel of ``model`` on a density matrix or a stack, every
+def quadrature_channel(ops, rho, model, n_nodes=30):
+    """The noisy channel of ``model`` and the pulse list ``ops`` on a density
+    matrix or a stack, its ion count read from the shape, every
     Gaussian average by Gauss-Hermite quadrature: the stack is conjugated by
     each noisy pulse in turn, and a jittered ``ACStarkZ`` pulse is the
     weighted sum over ``n_nodes`` rebuilds at the angles ``angle + sqrt(2)
@@ -253,7 +255,7 @@ def quadrature_channel(seq, rho, model, n_nodes=30):
     all jittered pulses.  The collective phase is averaged last by
     :func:`quadrature_dephasing`.  30 nodes integrate the jitter phases to
     1e-15 for ``std * |s_j - s_k| / 2`` up to 4."""
-    n_ions = seq.register.n_ions
+    n_ions = rho.shape[-1].bit_length() - 1
     jitter = model.ac_stark_phase_jitter_std
     x, w = np.polynomial.hermite.hermgauss(n_nodes)
 
@@ -261,7 +263,7 @@ def quadrature_channel(seq, rho, model, n_nodes=30):
         op = dataclasses.replace(op, angle=angle)
         return pulse_unitary(op, n_ions, pulse_weights(op, n_ions, model))
 
-    for op in seq.ops:
+    for op in ops:
         if jitter > 0 and op.kind == AC_STARK_Z:
             out = np.zeros_like(rho)
             for angle, weight in zip(op.angle + np.sqrt(2) * jitter * x,
@@ -275,9 +277,11 @@ def quadrature_channel(seq, rho, model, n_nodes=30):
     return quadrature_dephasing(rho, model.collective_phase_std)
 
 
-def noisy_channel(seq, rho, model, n_samples, seed):
-    """Mean of ``U rho U+`` over :func:`shot_unitaries`, then averaged over
-    the collective phase by :func:`quadrature_dephasing`."""
-    shots = shot_unitaries(seq, model, n_samples, seed)
+def noisy_channel(ops, rho, model, n_samples, seed):
+    """Mean of ``U rho U+`` over :func:`shot_unitaries` on the ions of
+    ``rho``, then averaged over the collective phase by
+    :func:`quadrature_dephasing`."""
+    n_ions = rho.shape[-1].bit_length() - 1
+    shots = shot_unitaries(ops, n_ions, model, n_samples, seed)
     avg = sum(u @ rho @ u.conj().T for u in shots) / len(shots)
     return quadrature_dephasing(avg, model.collective_phase_std)

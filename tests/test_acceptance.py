@@ -46,8 +46,7 @@ def criterion(number, description, budget_s):
 
 def test_criterion_1_cnot_logical_matrix():
     with criterion(1, "compiled CNOT equals the target logical matrix", 1.0):
-        seq = compile_cnot(0, 1, REG)
-        u = sequence_unitary(seq)
+        u = sequence_unitary(compile_cnot(0, 1, REG), REG.n_ions)
         restricted = u[np.ix_(logical_basis_indices(REG),
                               logical_basis_indices(REG))]
         assert max_phase_diff(CNOT_LOGICAL, restricted) < 1e-10
@@ -55,12 +54,12 @@ def test_criterion_1_cnot_logical_matrix():
 
 def test_criterion_2_bell_generation():
     with criterion(2, "Bell generation, noiseless exact and noisy in band", 10.0):
-        seq = compile_circuit(BELL_CIRCUIT, REG)
+        ops = compile_circuit(BELL_CIRCUIT, REG)
         ideal = circuit_unitary(BELL_CIRCUIT)
         outputs = []
         for k in range(4):
             bits = format(k, "02b")
-            out = sequence_unitary(seq) @ encode(REG, bits)
+            out = sequence_unitary(ops, REG.n_ions) @ encode(REG, bits)
             rho = np.outer(out, out.conj())
             perm, fid, _, _ = dfs_report(rho, ideal[:, k], REG)
             assert abs(fid - 1.0) < 1e-10
@@ -72,7 +71,7 @@ def test_criterion_2_bell_generation():
         # calibrated-noise demo: all four fidelities inside [0.85, 0.95]
         labels = [format(k, "02b") for k in range(4)]
         psi = np.stack([encode(REG, bits) for bits in labels])
-        rhos = sample_noisy_channel(seq, psi[:, :, None] * psi[:, None, :],
+        rhos = sample_noisy_channel(ops, psi[:, :, None] * psi[:, None, :],
                                     CALIBRATED_NOISE)
         for k, rho in enumerate(rhos):
             _, fid, _, _ = dfs_report(rho, ideal[:, k], REG)
@@ -130,7 +129,7 @@ def test_criterion_4_motional_closure():
 
 
 def _ideal_physical_cnot_channel():
-    u = sequence_unitary(compile_cnot(0, 1, REG))
+    u = sequence_unitary(compile_cnot(0, 1, REG), REG.n_ions)
     return lambda rho_l: u @ embed_in_dfs(rho_l, REG) @ u.conj().T
 
 

@@ -835,9 +835,9 @@ class TestDumpSequence:
     def test_roundtrip_same_unitary(self, capsys):
         assert main(["dump-sequence"]) == 0
         doc = json.loads(capsys.readouterr().out)
-        seq = sequence_from_json(doc)
-        reg = LogicalRegister(2)
-        u = restrict_to_dfs(sequence_unitary(seq), reg)
+        ops, reg = sequence_from_json(doc)
+        assert reg == LogicalRegister(2)
+        u = restrict_to_dfs(sequence_unitary(ops, reg.n_ions), reg)
         assert max_phase_diff(CNOT_LOGICAL, u) < 1e-10
 
     def test_structure_and_duration(self, capsys):
@@ -864,8 +864,9 @@ class TestDumpSequence:
     def test_swapped_roles(self, capsys):
         assert main(["dump-sequence", "--control", "1", "--target", "0"]) == 0
         doc = json.loads(capsys.readouterr().out)
-        seq = sequence_from_json(doc)
-        u = restrict_to_dfs(sequence_unitary(seq), LogicalRegister(2))
+        ops, reg = sequence_from_json(doc)
+        assert reg == LogicalRegister(2)
+        u = restrict_to_dfs(sequence_unitary(ops, reg.n_ions), reg)
         assert max_phase_diff(circuit_unitary([("cnot", 1, 0)]), u) < 1e-10
 
 

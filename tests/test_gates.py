@@ -10,11 +10,11 @@ from dfsqc import linalg
 from dfsqc.encoding import (LogicalRegister, embed_in_dfs, encode,
                             logical_basis_indices, restrict_to_dfs)
 from dfsqc.errors import LayoutError, ValidationError
-from dfsqc.gates import (CNOT_LOGICAL, TAU_CP, TAU_MS, PulseOp, PulseSequence,
-                         circuit_unitary, compile_circuit, compile_cnot,
-                         cp_pulse, ms_pulse, pulse_unitary, sequence_unitary,
-                         z_pulse)
-from dfsqc.noise import string_neighbors
+from dfsqc.cli import main
+from dfsqc.gates import (CNOT_LOGICAL, TAU_CP, TAU_MS, PulseOp, circuit_unitary,
+                         compile_circuit, compile_cnot, cp_pulse, ms_pulse,
+                         pulse_unitary, sequence_unitary, z_pulse)
+from dfsqc.noise import CALIBRATED_NOISE, sample_noisy_channel, string_neighbors
 
 from conftest import BELL_CIRCUIT, random_state
 from reference import expm_hermitian, max_phase_diff, sequence_from_json
@@ -108,6 +108,19 @@ class TestPulseUnitary:
         ref = expm_hermitian(gen, scale * angle)
         u = pulse_unitary(op, n_ions, weights)
         assert np.max(np.abs(u - ref)) < 1e-12
+
+    @pytest.mark.parametrize("op", [PulseOp("ACStarkZ", (4,), 0.7),
+                                    PulseOp("ACStarkZ", (-1,), 0.7),
+                                    PulseOp("MSRotation", (3, 4), 0.7)],
+                             ids=["stark-above", "stark-below", "ms-straddling"])
+    @pytest.mark.parametrize("model", [None, CALIBRATED_NOISE],
+                             ids=["ideal", "calibrated"])
+    def test_ion_outside_the_register_refused(self, op, model):
+        # these once gave a global phase, or an MS pulse on ion 3 alone
+        with pytest.raises(LayoutError, match="outside the 4-ion register"):
+            pulse_unitary(op, 4)
+        with pytest.raises(LayoutError, match="outside the 4-ion register"):
+            sample_noisy_channel([op], np.eye(16) / 16, model)
 
 
 class TestZRotation:
@@ -208,13 +221,13 @@ class TestCPGate:
 
 class TestCompileCnot:
     def test_matches_target_matrix(self, reg):
-        seq = compile_cnot(0, 1, reg)
-        u = restrict_to_dfs(sequence_unitary(seq), reg)
+        ops = compile_cnot(0, 1, reg)
+        u = restrict_to_dfs(sequence_unitary(ops, reg.n_ions), reg)
         assert max_phase_diff(CNOT_LOGICAL, u) < 1e-10
 
     def test_swapped_roles(self, reg):
-        seq = compile_cnot(1, 0, reg)
-        u = restrict_to_dfs(sequence_unitary(seq), reg)
+        ops = compile_cnot(1, 0, reg)
+        u = restrict_to_dfs(sequence_unitary(ops, reg.n_ions), reg)
         assert max_phase_diff(circuit_unitary([("cnot", 1, 0)]), u) < 1e-10
 
     def test_swapped_roles_are_the_swap_conjugation_bit_for_bit(self):
@@ -239,29 +252,28 @@ class TestCompileCnot:
         # squaring the target matrix leaves residual phases, not identity
         sq = CNOT_LOGICAL @ CNOT_LOGICAL
         assert np.allclose(sq, np.diag([-1j, -1j, 1, -1]))
-        seq = compile_cnot(0, 1, LogicalRegister(2))
-        u = restrict_to_dfs(sequence_unitary(seq), LogicalRegister(2))
+        ops = compile_cnot(0, 1, LogicalRegister(2))
+        u = restrict_to_dfs(sequence_unitary(ops, 4), LogicalRegister(2))
         assert max_phase_diff(sq, u @ u) < 1e-10
 
     def test_structure(self, reg):
-        seq = compile_cnot(0, 1, reg)
-        kinds = [op.kind for op in seq.ops]
+        ops = compile_cnot(0, 1, reg)
+        kinds = [op.kind for op in ops]
         assert kinds.count("CPGate") == 2
         # spin echo pulses appear on both pairs
-        echo_targets = {op.targets for op in seq.ops
+        echo_targets = {op.targets for op in ops
                         if op.kind == "MSRotation" and op.angle == np.pi}
         assert (0, 1) in echo_targets and (2, 3) in echo_targets
 
     def test_permanence_preserved(self, reg):
-        seq = compile_cnot(0, 1, reg)
-        u = sequence_unitary(seq)
+        u = sequence_unitary(compile_cnot(0, 1, reg), reg.n_ions)
         psi = encode(reg, "01")
         out = u @ psi
         assert dfs_weight(out, reg) == pytest.approx(
             1.0, abs=1e-10)
 
     def test_restriction_unitary(self, reg):
-        u = restrict_to_dfs(sequence_unitary(compile_cnot(0, 1, reg)), reg)
+        u = restrict_to_dfs(sequence_unitary(compile_cnot(0, 1, reg), 4), reg)
         assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < 1e-10
 
     def test_same_target_rejected(self, reg):
@@ -271,8 +283,8 @@ class TestCompileCnot:
     def test_frozen_angle_table(self, reg):
         # golden regression of the solved pulse table; any change here
         # must re-derive the composition against CNOT_LOGICAL
-        seq = compile_cnot(0, 1, reg)
-        table = [(op.kind, op.targets, op.angle / np.pi) for op in seq.ops]
+        table = [(op.kind, op.targets, op.angle / np.pi)
+                 for op in compile_cnot(0, 1, reg)]
         assert table == [
             ("MSRotation", (2, 3), -0.5),
             ("CPGate", (1, 2), 0.25),
@@ -288,11 +300,11 @@ class TestCompileCnot:
 
 class TestBellGeneration:
     def test_four_orthogonal_bell_states(self, reg):
-        seq = compile_circuit(BELL_CIRCUIT, reg)
+        ops = compile_circuit(BELL_CIRCUIT, reg)
         outputs = []
         for k in range(4):
             bits = format(k, "02b")
-            out = sequence_unitary(seq) @ encode(reg, bits)
+            out = sequence_unitary(ops, reg.n_ions) @ encode(reg, bits)
             idx = logical_basis_indices(reg)
             logical = out[idx]
             ideal = circuit_unitary(BELL_CIRCUIT)[:, k]
@@ -331,8 +343,8 @@ class TestCircuits:
            pairs=st.sampled_from([((0, 1), (2, 3)), ((1, 2), (3, 4))]))
     def test_compiled_dfs_block_is_the_circuit_unitary(self, circuit, pairs):
         reg = LogicalRegister(2, pairs)
-        seq = compile_circuit(circuit, reg)
-        block = restrict_to_dfs(sequence_unitary(seq), reg)
+        ops = compile_circuit(circuit, reg)
+        block = restrict_to_dfs(sequence_unitary(ops, reg.n_ions), reg)
         assert max_phase_diff(circuit_unitary(circuit), block) < 1e-10
         assert np.max(np.abs(block.conj().T @ block - np.eye(4))) < 1e-10
 
@@ -350,43 +362,48 @@ class TestCircuits:
 class TestApplySequence:
     def test_empty_sequence(self, reg, rng):
         psi = random_state(16, rng)
-        seq = PulseSequence(ops=[], register=reg)
-        assert np.allclose(sequence_unitary(seq) @ psi, psi)
+        assert np.allclose(sequence_unitary([], 4) @ psi, psi)
 
     def test_norm_preserved(self, reg, rng):
         psi = random_state(16, rng)
-        out = sequence_unitary(compile_cnot(0, 1, reg)) @ psi
+        out = sequence_unitary(compile_cnot(0, 1, reg), 4) @ psi
         assert abs(np.linalg.norm(out) - 1) < 1e-12
 
     def test_matches_product_oracle(self, reg):
-        seq = compile_cnot(0, 1, reg)
+        ops = compile_cnot(0, 1, reg)
         psi = encode(reg, "10")
         expected = psi
-        for op in seq.ops:
+        for op in ops:
             expected = pulse_unitary(op, 4) @ expected
-        assert np.allclose(sequence_unitary(seq) @ psi, expected)
+        assert np.allclose(sequence_unitary(ops, 4) @ psi, expected)
 
     def test_dim_mismatch(self, reg):
         with pytest.raises(Exception):
-            sequence_unitary(compile_cnot(0, 1, reg)) @ np.zeros(4, complex)
+            sequence_unitary(compile_cnot(0, 1, reg), 4) @ np.zeros(4, complex)
+
+
+@pytest.fixture
+def dumped(capsys):
+    """The ``dump-sequence`` document of the default CNOT."""
+    assert main(["dump-sequence"]) == 0
+    return json.loads(capsys.readouterr().out)
 
 
 class TestSerialization:
-    def test_sequence_roundtrip_same_unitary(self, reg):
-        seq = compile_cnot(0, 1, reg)
-        restored = sequence_from_json(json.loads(json.dumps(seq.to_json())))
-        assert np.allclose(sequence_unitary(seq), sequence_unitary(restored))
+    def test_sequence_roundtrip_same_unitary(self, reg, dumped):
+        ops, register = sequence_from_json(dumped)
+        assert register == reg
+        assert np.allclose(sequence_unitary(compile_cnot(0, 1, reg), 4),
+                           sequence_unitary(ops, register.n_ions))
 
-    def test_duration_sum(self, reg):
-        seq = compile_cnot(0, 1, reg)
-        total = sum(op.duration for op in seq.ops)
-        assert seq.total_duration == pytest.approx(total)
+    def test_duration_sum(self, reg, dumped):
+        total = sum(op.duration for op in compile_cnot(0, 1, reg))
+        assert dumped["total_duration_us"] == pytest.approx(total * 1e6)
         # five collective pulses at 142.9 us plus two phase-gate halves
         # at 470 us each
-        assert seq.total_duration * 1e6 == pytest.approx(
+        assert dumped["total_duration_us"] == pytest.approx(
             5 * 1e6 / 7000 + 2 * 470, abs=1e-6)
 
-    def test_json_units_are_si(self, reg):
-        doc = json.loads(json.dumps(compile_cnot(0, 1, reg).to_json()))
-        ms_ops = [o for o in doc["ops"] if o["kind"] == "MSRotation"]
+    def test_json_units_are_si(self, dumped):
+        ms_ops = [o for o in dumped["ops"] if o["kind"] == "MSRotation"]
         assert all(0 < o["duration"] < 1e-3 for o in ms_ops)

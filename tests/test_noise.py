@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from dfsqc.encoding import (LogicalRegister, collective_dephasing, encode,
                             logical_basis_indices, restrict_to_dfs)
 from dfsqc.errors import DimensionError, ValidationError
-from dfsqc.gates import (PulseSequence, circuit_unitary, compile_circuit,
-                         compile_cnot, cp_pulse, ms_pulse, pulse_unitary,
-                         sequence_unitary, z_pulse)
+from dfsqc.gates import (circuit_unitary, compile_circuit, compile_cnot,
+                         cp_pulse, ms_pulse, pulse_unitary, sequence_unitary,
+                         z_pulse)
 from dfsqc.noise import (CALIBRATED_NOISE, NoiseModel, pulse_weights,
                          sample_noisy_channel, string_neighbors)
 
@@ -179,11 +179,11 @@ class TestImbalance:
 
 class TestSampledChannel:
     def test_deterministic_model_gives_rank_one(self, reg):
-        seq = compile_cnot(0, 1, reg)
+        ops = compile_cnot(0, 1, reg)
         model = NoiseModel(addressing_ratio=0.0)
         psi = encode(reg, "00")
-        rho = sample_noisy_channel(seq, np.outer(psi, psi), model)
-        ideal = sequence_unitary(seq) @ psi
+        rho = sample_noisy_channel(ops, np.outer(psi, psi), model)
+        ideal = sequence_unitary(ops, reg.n_ions) @ psi
         assert np.max(np.abs(rho - np.outer(ideal, ideal.conj()))) < 1e-12
         evals = np.linalg.eigvalsh(rho)
         assert evals[-1] == pytest.approx(1.0, abs=1e-10)
@@ -191,25 +191,25 @@ class TestSampledChannel:
     def test_collective_phase_invisible_in_subspace(self, reg):
         # the compiled CNOT keeps DFS inputs inside the subspace, so pure
         # collective-phase noise must act as the identity channel
-        seq = compile_cnot(0, 1, reg)
+        ops = compile_cnot(0, 1, reg)
         model = NoiseModel(addressing_ratio=0.0, collective_phase_std=1.5)
         psi = encode(reg, "10")
-        rho = sample_noisy_channel(seq, np.outer(psi, psi), model)
-        ideal = sequence_unitary(seq) @ psi
+        rho = sample_noisy_channel(ops, np.outer(psi, psi), model)
+        ideal = sequence_unitary(ops, reg.n_ions) @ psi
         assert np.max(np.abs(rho - np.outer(ideal, ideal.conj()))) < 1e-10
 
     def test_trace_preserving_and_positive(self, reg):
-        seq = compile_cnot(0, 1, reg)
-        rho = sample_noisy_channel(seq, encoded_inputs(reg, ["11"])[0],
+        ops = compile_cnot(0, 1, reg)
+        rho = sample_noisy_channel(ops, encoded_inputs(reg, ["11"])[0],
                                    CALIBRATED_NOISE)
         assert abs(np.trace(rho) - 1) < 1e-10
         assert np.min(np.linalg.eigvalsh((rho + rho.conj().T) / 2)) > -1e-9
 
     def test_reproducible_bit_exact(self, reg):
-        seq = compile_cnot(0, 1, reg)
+        ops = compile_cnot(0, 1, reg)
         rho = encoded_inputs(reg, ["00"])[0]
-        a = sample_noisy_channel(seq, rho, CALIBRATED_NOISE)
-        b = sample_noisy_channel(seq, rho, CALIBRATED_NOISE)
+        a = sample_noisy_channel(ops, rho, CALIBRATED_NOISE)
+        b = sample_noisy_channel(ops, rho, CALIBRATED_NOISE)
         assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("model", [NoiseModel(), NoiseModel(
@@ -217,15 +217,15 @@ class TestSampledChannel:
     def test_no_seed_needed_without_jitter(self, reg, model):
         # without jitter the channel is one conjugation by the product of
         # the noisy pulses, then the collective mask
-        seq = compile_cnot(0, 1, reg)
+        ops = compile_cnot(0, 1, reg)
         rho = encoded_inputs(reg, ["00", "11"])
         u = np.eye(reg.dim)
-        for op in seq.ops:
+        for op in ops:
             u = pulse_unitary(op, reg.n_ions,
                               pulse_weights(op, reg.n_ions, model)) @ u
         want = collective_dephasing(u @ rho @ u.conj().T,
                                     model.collective_phase_std)
-        out = sample_noisy_channel(seq, rho, model)
+        out = sample_noisy_channel(ops, rho, model)
         assert np.max(np.abs(out - want)) < 1e-14
 
     @pytest.mark.parametrize("jitter", [1e200, 1.7e308])
@@ -233,37 +233,37 @@ class TestSampledChannel:
         # the mask of a z pulse on ion 3, with crosstalk on ion 2, keeps
         # only the coherences between states that agree on ions 2 and 3
         # (the two low bits), with no NaN and no warning
-        seq = PulseSequence(ops=[z_pulse(0.3, 1, reg)], register=reg)
+        ops = [z_pulse(0.3, 1, reg)]
         rho = random_density_matrix(reg.dim, rng)
-        out = sample_noisy_channel(seq, rho, NoiseModel(
+        out = sample_noisy_channel(ops, rho, NoiseModel(
             ac_stark_phase_jitter_std=jitter))
         low = np.arange(reg.dim) & 3
         assert np.all(np.isfinite(out))
         assert np.array_equal(out != 0, low[:, None] == low[None, :])
 
     def test_stack_matches_single_inputs_bit_exact(self, reg, rng):
-        seq = compile_cnot(0, 1, reg)
+        ops = compile_cnot(0, 1, reg)
         psi = rng.normal(size=(3, 16)) + 1j * rng.normal(size=(3, 16))
         rhos = np.stack([np.outer(v, v.conj()) / np.vdot(v, v) for v in psi])
         stack = np.stack([rhos, encoded_inputs(reg, ["00", "01", "11"])])
-        out = sample_noisy_channel(seq, stack, CALIBRATED_NOISE)
+        out = sample_noisy_channel(ops, stack, CALIBRATED_NOISE)
         assert out.shape == (2, 3, 16, 16)
         for idx in np.ndindex(2, 3):
-            single = sample_noisy_channel(seq, stack[idx], CALIBRATED_NOISE)
+            single = sample_noisy_channel(ops, stack[idx], CALIBRATED_NOISE)
             assert np.array_equal(out[idx], single)
 
     def test_no_model_is_the_ideal_sequence(self, reg, rng):
-        seq = compile_cnot(1, 0, reg)
+        ops = compile_cnot(1, 0, reg)
         psi = rng.normal(size=16) + 1j * rng.normal(size=16)
         rho = np.outer(psi, psi.conj()) / np.vdot(psi, psi)
-        u = sequence_unitary(seq)
-        out = sample_noisy_channel(seq, rho, None)
+        u = sequence_unitary(ops, reg.n_ions)
+        out = sample_noisy_channel(ops, rho, None)
         assert np.max(np.abs(out - u @ rho @ u.conj().T)) < 1e-14
 
     def test_state_vector_input_rejected(self, reg):
-        seq = compile_cnot(0, 1, reg)
+        ops = compile_cnot(0, 1, reg)
         with pytest.raises(DimensionError):
-            sample_noisy_channel(seq, encode(reg, "00"), CALIBRATED_NOISE)
+            sample_noisy_channel(ops, encode(reg, "00"), CALIBRATED_NOISE)
 
 
 STDS = st.just(0.0) | st.floats(0.05, 1.5)
@@ -273,10 +273,10 @@ MODELS = st.builds(NoiseModel, st.floats(0.0, 0.3), st.floats(-0.3, 0.3),
 
 @st.composite
 def noisy_sequences(draw, max_ions=8):
-    """A pulse sequence on 1-3 logical qubits whose pairs sit after 0-2
-    spectator ions, on at most ``max_ions`` ions: a CNOT, or a Bell
-    preparation and CNOT, between adjacent logical qubits, then a few z and
-    MS pulses."""
+    """``(ops, register)``: a register of 1-3 logical qubits whose pairs sit
+    after 0-2 spectator ions, on at most ``max_ions`` ions, and a pulse list
+    on it: a CNOT, or a Bell preparation and CNOT, between adjacent logical
+    qubits, then a few z and MS pulses."""
     n_logical = draw(st.integers(1, min(3, max_ions // 2)))
     offset = draw(st.integers(0, min(2, max_ions - 2 * n_logical)))
     reg = LogicalRegister(n_logical, tuple((offset + 2 * j, offset + 2 * j + 1)
@@ -286,53 +286,54 @@ def noisy_sequences(draw, max_ions=8):
         q = draw(st.integers(0, n_logical - 2))
         control, target = draw(st.permutations([q, q + 1]))
         circuit = [("x", control, np.pi / 2)] if draw(st.booleans()) else []
-        ops += compile_circuit(circuit + [("cnot", control, target)], reg).ops
+        ops += compile_circuit(circuit + [("cnot", control, target)], reg)
     angle = st.floats(-np.pi, np.pi)
     for kind, q, theta in draw(st.lists(
             st.tuples(st.sampled_from([z_pulse, ms_pulse]),
                       st.integers(0, n_logical - 1), angle),
             min_size=0 if ops else 1, max_size=3)):
         ops.append(kind(theta, q, reg))
-    return PulseSequence(ops=ops, register=reg)
+    return ops, reg
 
 
 def bell_sequence(reg):
-    """X(pi/2) on logical qubit 0, then the compiled CNOT (0, 1)."""
+    """The pulses of X(pi/2) on logical qubit 0, then the CNOT (0, 1)."""
     return compile_circuit(BELL_CIRCUIT, reg)
 
 
 class TestNoisyChannel:
     @settings(deadline=None, max_examples=30)
-    @given(seq=noisy_sequences(), model=MODELS, seed=st.integers(0, 2 ** 32))
-    def test_matches_quadrature_reference(self, seq, model, seed):
+    @given(drawn=noisy_sequences(), model=MODELS, seed=st.integers(0, 2 ** 32))
+    def test_matches_quadrature_reference(self, drawn, model, seed):
         # the jitter and collective masks against Gauss-Hermite quadrature
         # over every jittered pulse's angle and the dense collective phase,
         # on full density matrices, so every coherence is tested
+        ops, reg = drawn
         rng = np.random.default_rng(seed)
-        rho = np.stack([random_density_matrix(seq.register.dim, rng)
-                        for _ in range(2)])
-        got = sample_noisy_channel(seq, rho, model)
-        want = quadrature_channel(seq, rho, model)
+        rho = np.stack([random_density_matrix(reg.dim, rng) for _ in range(2)])
+        got = sample_noisy_channel(ops, rho, model)
+        want = quadrature_channel(ops, rho, model)
         assert np.max(np.abs(got - want)) < 1e-12
 
     @settings(deadline=None, max_examples=20)
-    @given(seq=noisy_sequences(), seed=st.integers(0, 2 ** 32))
-    def test_no_model_is_the_zero_model_bit_exact(self, seq, seed):
+    @given(drawn=noisy_sequences(), seed=st.integers(0, 2 ** 32))
+    def test_no_model_is_the_zero_model_bit_exact(self, drawn, seed):
+        ops, reg = drawn
         rng = np.random.default_rng(seed)
-        rho = np.stack([random_density_matrix(seq.register.dim, rng)
-                        for _ in range(2)])
-        assert np.array_equal(sample_noisy_channel(seq, rho, None),
-                              sample_noisy_channel(seq, rho, NoiseModel(
+        rho = np.stack([random_density_matrix(reg.dim, rng) for _ in range(2)])
+        assert np.array_equal(sample_noisy_channel(ops, rho, None),
+                              sample_noisy_channel(ops, rho, NoiseModel(
                                   0.0, 0.0, 0.0, 0.0)))
 
     @settings(deadline=None, max_examples=20)
-    @given(seq=noisy_sequences(max_ions=5), model=MODELS)
-    def test_completely_positive_and_trace_preserving(self, seq, model):
+    @given(drawn=noisy_sequences(max_ions=5), model=MODELS)
+    def test_completely_positive_and_trace_preserving(self, drawn, model):
         # the Choi matrix sum_jk |j><k| (x) E(|j><k|), from the d^2 matrix
         # units sent through the channel as one stack
-        d = seq.register.dim
+        ops, reg = drawn
+        d = reg.dim
         units = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
-        out = sample_noisy_channel(seq, units, model).reshape(d, d, d, d)
+        out = sample_noisy_channel(ops, units, model).reshape(d, d, d, d)
         choi = out.transpose(0, 2, 1, 3).reshape(d * d, d * d)
         assert np.max(np.abs(choi - choi.conj().T)) < 1e-12
         assert np.linalg.eigvalsh(choi)[0] > -1e-10
@@ -343,10 +344,10 @@ class TestNoisyChannel:
     def test_monte_carlo_mean_converges_to_the_exact_channel(self, reg, seed):
         # 3000 shots, each pulse rebuilt at its drawn angle, sit at the
         # 1/sqrt(3000) distance from the exact calibrated Bell outputs
-        seq = bell_sequence(reg)
+        ops = bell_sequence(reg)
         rho = encoded_inputs(reg, ["00", "01", "10", "11"])
-        exact = sample_noisy_channel(seq, rho, CALIBRATED_NOISE)
-        sampled = noisy_channel(seq, rho, CALIBRATED_NOISE, 3000, seed)
+        exact = sample_noisy_channel(ops, rho, CALIBRATED_NOISE)
+        sampled = noisy_channel(ops, rho, CALIBRATED_NOISE, 3000, seed)
         assert np.max(np.abs(sampled - exact)) < 0.005
 
 

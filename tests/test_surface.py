@@ -10,7 +10,8 @@ to itself.  The names kept without such a reference are listed in
 a helper or a constant that only demos or tests use cannot land in
 ``src`` unnoticed.  Every module-level import must be used in its
 module, and every import inside a function in that function.  Pulses are
-built only in ``gates``: every other module reaches them through
+built only in ``gates``: no other module constructs a ``PulseOp`` or calls
+a pulse builder, and each reaches its pulses through
 ``gates.compile_circuit``.
 """
 
@@ -23,7 +24,7 @@ MODULES = sorted(p for p in (ROOT / "src" / "dfsqc").glob("*.py")
 
 #: Defs of ``src/dfsqc`` that no code of ``src/`` calls, and why each stays.
 KEPT_WITHOUT_CALLER = {
-    "gates.sequence_unitary": "the composed unitary of a sequence, which the "
+    "gates.sequence_unitary": "the composed unitary of a pulse list, which the "
     "README, demo 02 and the tests of five modules read; moving it would "
     "copy its loop into each",
 }
@@ -103,9 +104,9 @@ def test_every_module_level_constant_has_a_reader():
     assert sorted(unread) == sorted(KEPT_WITHOUT_READER)
 
 
-#: The pulse builders of ``gates``, which no other ``src`` module calls.
-PULSE_BUILDERS = {"ms_pulse", "z_pulse", "cp_pulse", "compile_cnot",
-                  "PulseSequence"}
+#: The pulse builders of ``gates`` and the pulse class, which no other
+#: ``src`` module calls.
+PULSE_BUILDERS = {"ms_pulse", "z_pulse", "cp_pulse", "compile_cnot", "PulseOp"}
 
 
 def test_pulses_are_built_only_in_gates():

@@ -60,7 +60,7 @@ def gate_fidelity(chi, ideal):
 
 
 def ideal_cnot_channel(register):
-    u = sequence_unitary(compile_cnot(0, 1, register))
+    u = sequence_unitary(compile_cnot(0, 1, register), register.n_ions)
     return lambda rho_l: u @ embed_in_dfs(rho_l, register) @ u.conj().T
 
 
@@ -316,7 +316,7 @@ class TestStateReconstruction:
     def test_exact_encoded_bell(self):
         reg = LogicalRegister(2)
         full = compile_circuit(BELL_CIRCUIT, reg)
-        psi = sequence_unitary(full) @ encode(reg, "00")
+        psi = sequence_unitary(full, reg.n_ions) @ encode(reg, "00")
         rho = np.outer(psi, psi.conj())
         rho_hat = linear_inversion(acquire_dataset(rho, None))
         assert linalg.fidelity(rho_hat, psi) == pytest.approx(1.0, abs=1e-9)
@@ -326,7 +326,7 @@ class TestStateReconstruction:
         # low 0.9s; the median over seeds is the stable summary
         reg = LogicalRegister(2)
         full = compile_circuit(BELL_CIRCUIT, reg)
-        psi = sequence_unitary(full) @ encode(reg, "00")
+        psi = sequence_unitary(full, reg.n_ions) @ encode(reg, "00")
         rho = np.outer(psi, psi.conj())
         fids = []
         for seed in range(11):
