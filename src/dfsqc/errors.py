@@ -32,7 +32,7 @@ class EmptySubspaceError(DfsqcError, ValueError):
 
 
 class ConditioningError(DfsqcError, RuntimeError):
-    """A reconstruction linear system is numerically singular."""
+    """``project_chi_cp``'s eigenvalue clip left a chi of no weight."""
 
 
 class ConfigError(DfsqcError, ValueError):

@@ -12,7 +12,9 @@ matrix ``chi`` defined by
 
     E(rho) = sum_mn chi_mn A_m rho A_n+
 
-over the fixed logical Pauli basis ``A = {I,X,Y,Z} (x) {I,X,Y,Z}``.
+over the fixed logical Pauli basis ``A = {I,X,Y,Z} (x) {I,X,Y,Z}``, by a
+fixed per-qubit contraction of the 16 output blocks: each qubit's inputs
+``|0>, |1>, |+>, |+i>`` span its operators, with a known inverse frame.
 Every step is linear in the outcome frequencies, so ``chi`` estimates the
 trace-decreasing map ``rho_L -> P E(rho_L) P`` onto the encoded block, and
 ``tr chi`` is the mean permanence (Nielsen, quant-ph/0205035).  A ``chi``
@@ -44,7 +46,6 @@ the mean gate fidelity is their ratio, the fidelity within the subspace.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from typing import Callable, Optional, Sequence
 
@@ -75,6 +76,20 @@ _EFFECTS = _ROT.conj()[:, :, :, None] * _ROT[:, :, None, :]
 # E[s, b, j, i] = conj(E[s, b, i, j]), and the dual 3E - 1.
 _BORN = _EFFECTS.conj()
 _DUAL = (3.0 * _EFFECTS - linalg.ID2).transpose(2, 3, 0, 1)
+
+_PAULI = np.stack([linalg.PAULIS[c] for c in "IXYZ"])
+#: Per-qubit frame of the preparation states ``rho_q`` (``|0>, |1>, |+>,
+#: |+i>``): ``|j><l| = sum_q F[j, l, q] rho_q``.
+_FRAME = np.array([[(1, 0, 0, 0), (-(1 + 1j) / 2, -(1 + 1j) / 2, 1, 1j)],
+                   [(-(1 - 1j) / 2, -(1 - 1j) / 2, 1, -1j), (0, 1, 0, 0)]])
+# Tables of _contract_ions: the chi fit, axes (m, n, (q, i), k), summing
+# conj(A_m[i, j]) F[j, l, q] A_n[k, l] / 4 over (j, l), and the Pauli
+# coefficients conj(A_m[i, j]) / 2 of a unitary, axes (m, 0, i, j).
+_CHI = (_PAULI.conj()[:, None, None, :, None, :, None]
+        * _FRAME.transpose(2, 0, 1)[:, None, None, :, :]
+        * _PAULI[:, None, None, :, None, :]).sum(axis=(5, 6)).reshape(
+            4, 4, 8, 2) / 4
+_COEFF = _PAULI.conj()[:, None] / 2
 
 
 def _contract_ions(t: np.ndarray, tables: Sequence[np.ndarray]) -> np.ndarray:
@@ -190,9 +205,7 @@ def acquire_dataset(rho: np.ndarray, shots: Optional[int],
     """
     if shots is not None and seed is None:
         raise ValidationError("a seed is required for reproducible sampling")
-    n = rho.shape[0].bit_length() - 1
-    if rho.shape != (2 ** n, 2 ** n):
-        raise DimensionError(f"state dim {rho.shape} does not match {n} ions")
+    n = _n_qubits(rho.shape, 2, 2)
     probs = np.real(_contract_ions(rho, [_BORN] * n))
     if probs.min() < -1e-9:
         raise ValidationError(
@@ -204,13 +217,13 @@ def acquire_dataset(rho: np.ndarray, shots: Optional[int],
     return _draw_counts(probs, shots, seed) / shots
 
 
-def _n_ions(freq: np.ndarray) -> int:
-    """Ion count of a frequency array, which must have shape ``(3^n, 2^n)``."""
-    n = freq.shape[-1].bit_length() - 1 if freq.ndim == 2 else 0
-    if n < 1 or freq.shape != (3 ** n, 2 ** n):
-        raise DimensionError(
-            f"frequencies of shape {freq.shape} are not one row of 2^n "
-            f"outcomes for each of the 3^n settings")
+def _n_qubits(shape: tuple, *bases: int) -> int:
+    """The ``n >= 1`` of a shape that must be ``(b^n for b in bases)``, the
+    last base a power of two: ``(3, 2)`` for frequencies."""
+    n = ((shape[-1].bit_length() - 1) // (bases[-1].bit_length() - 1)
+         if len(shape) == len(bases) else 0)
+    if n < 1 or shape != tuple(b ** n for b in bases):
+        raise DimensionError(f"shape {shape} is not {bases}^n for an n >= 1")
     return n
 
 
@@ -221,7 +234,7 @@ def linear_inversion(freq: np.ndarray) -> np.ndarray:
     basis letters match on the string's support; with exact frequencies
     the result equals the true state.
     """
-    n = _n_ions(freq)
+    n = _n_qubits(freq.shape, 3, 2)
     return _contract_ions(freq, [_DUAL] * n) / 3 ** n
 
 
@@ -232,18 +245,11 @@ def chi_basis_labels(n_logical: int = 2) -> list:
     return ["".join(c) for c in itertools.product("IXYZ", repeat=n_logical)]
 
 
-def chi_basis(n_logical: int = 2) -> np.ndarray:
-    """Operator basis of the chi representation, shape (4^n, 2^n, 2^n)."""
-    return np.stack([linalg.pauli_string(lbl)
-                     for lbl in chi_basis_labels(n_logical)])
-
-
 def chi_from_unitary(u: np.ndarray) -> np.ndarray:
-    """Rank-one chi matrix of a unitary channel (outer product of its
-    Pauli expansion coefficients)."""
-    d = u.shape[0]
-    ops = chi_basis(d.bit_length() - 1)
-    coeff = np.array([np.trace(linalg.dag(op) @ u) / d for op in ops])
+    """Rank-one chi matrix of a unitary channel: the outer product of its
+    Pauli coefficients ``tr(A_m+ u) / d``, one :data:`_COEFF` per qubit."""
+    n = _n_qubits(u.shape, 2, 2)
+    coeff = _contract_ions(u, [_COEFF] * n)[:, 0]
     return np.outer(coeff, coeff.conj())
 
 
@@ -263,6 +269,7 @@ def process_fidelity(chi: np.ndarray, chi_ideal: np.ndarray) -> float:
     """Process fidelity ``tr(chi_ideal chi) / tr chi`` against a unitary's
     trace-one ``chi_ideal``: the overlap within the encoded block, whatever
     weight leaks out of it."""
+    _n_qubits(chi.shape + chi_ideal.shape, 4, 4, 4, 4)  # one n for both
     return float(np.real(np.trace(chi_ideal @ chi) / np.trace(chi)))
 
 
@@ -275,24 +282,17 @@ def preparation_states(n_logical: int = 2) -> np.ndarray:
                      in itertools.product(single, repeat=n_logical)])
 
 
-def chi_linear_solve(inputs: Sequence[np.ndarray],
-                     outputs: Sequence[np.ndarray]) -> np.ndarray:
-    """Least-squares chi from (input, output) density-matrix pairs of ``n``
-    qubits, ``n`` read from their shape: the superoperator ``vec(out) = S
-    vec(in)`` fitted on the inputs' ``d^2`` columns, then ``chi_mn = sum
-    conj(A_m[i, j]) S[(i, k), (j, l)] A_n[k, l] / d^2``, a change of basis
-    that is ``d`` times unitary and so keeps the least squares of ``sum_mn
-    chi_mn A_m rho A_n+`` for any input count."""
-    ins = np.asarray(inputs, dtype=complex)
-    d = ins.shape[-1]
-    ops = chi_basis(d.bit_length() - 1)
-    outs = np.asarray(outputs, dtype=complex).reshape(-1, d * d)
-    s_t, _, rank, _ = np.linalg.lstsq(ins.reshape(-1, d * d), outs, rcond=None)
-    if rank < d * d:
-        raise ConditioningError(
-            f"chi reconstruction system is rank deficient ({rank}/{d * d})")
-    return np.einsum("mij,jlik,nkl->mn", ops.conj(), s_t.reshape(d, d, d, d),
-                     ops, optimize=True) / d ** 2  # s_t[(j, l), (i, k)] is S^T
+def chi_linear_solve(outputs: np.ndarray) -> np.ndarray:
+    """The one chi whose ``sum_mn chi_mn A_m rho_q A_n+`` is ``outputs[q]``
+    for each input ``rho_q`` of :func:`preparation_states`, the stack
+    ``outputs`` of shape ``(4^n, 2^n, 2^n)``: per qubit ``|j><l| = sum_q
+    F[j, l, q] rho_q`` (:data:`_FRAME`), so ``E(|j><l|)`` is that sum of
+    outputs, and ``chi_mn = sum conj(A_m[i, j]) E(|j><l|)[i, k] A_n[k, l] /
+    d^2`` is one per-qubit contraction (:data:`_CHI`)."""
+    n = _n_qubits(outputs.shape, 4, 2, 2)
+    t = outputs.reshape((4,) * n + (2,) * (2 * n)).transpose(
+        *[a for k in range(n) for a in (k, n + k)], *range(2 * n, 3 * n))
+    return _contract_ions(t, [_CHI] * n)
 
 
 def process_tomography(channel: Callable[[np.ndarray], np.ndarray],
@@ -308,7 +308,7 @@ def process_tomography(channel: Callable[[np.ndarray], np.ndarray],
     used exactly.  Each output's block on the encoded subspace, neither
     projected nor renormalized, is the data of the chi fit, and its trace
     the input's permanence.  Returns ``(chi, permanences)``: the linear
-    chi estimate, a ``(4^n, 4^n)`` array over :func:`chi_basis`, and the
+    chi estimate, a ``(4^n, 4^n)`` Pauli-basis array, and the
     permanence of each input in :func:`preparation_states` order.  The
     fit is linear in the frequencies, so chi may carry small negative
     eigenvalues, and ``tr chi`` is the mean permanence.
@@ -328,7 +328,7 @@ def process_tomography(channel: Callable[[np.ndarray], np.ndarray],
             out = linear_inversion(acquire_dataset(out, shots, seed=(seed, k)))
         blocks.append(restrict_to_dfs(out, register))
     blocks = np.stack(blocks)
-    chi = chi_linear_solve(inputs, blocks)
+    chi = chi_linear_solve(blocks)
     weight = float(np.real(np.trace(chi)))  # the mean permanence
     if weight < MIN_PERMANENCE:  # every figure divides by it
         raise EmptySubspaceError(
@@ -352,12 +352,12 @@ def haar_report(chi: np.ndarray, chi_ideal: np.ndarray) -> dict:
     permanence at or below ``MIN_PERMANENCE``, which a shot-noisy ``chi``
     can give, raises :class:`EmptySubspaceError`.
     """
+    d = 2 ** _n_qubits(chi.shape + chi_ideal.shape, 4, 4, 4, 4)  # one n
     mean_perm = float(np.real(np.trace(chi)))
     if mean_perm <= MIN_PERMANENCE:  # the gate fidelity divides by it
         raise EmptySubspaceError(
             f"Haar mean permanence {mean_perm:.3e} is not above {MIN_PERMANENCE}",
             permanence=max(mean_perm, 0.0))
-    d = math.isqrt(len(chi))
     fid = (d * process_fidelity(chi, chi_ideal) + 1) / (d + 1)
     return {"mean_gate_fidelity": fid, "mean_permanence": mean_perm,
             "mean_overall": mean_perm * fid}

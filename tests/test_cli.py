@@ -1016,6 +1016,7 @@ def test_layer_functions_looked_up_at_call_time(tmp_path, monkeypatch):
     calls = []
     for module, name in [(noise, "sample_noisy_channel"),
                          (tomography, "process_tomography"),
+                         (tomography, "chi_linear_solve"),
                          (gates, "compile_cnot")]:
         def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
             calls.append(_name)
@@ -1030,7 +1031,7 @@ def test_layer_functions_looked_up_at_call_time(tmp_path, monkeypatch):
                            shots=None, n_haar_samples=1000)
     assert main(["run", str(path)]) == 0
     assert {"sample_noisy_channel", "process_tomography",
-            "compile_cnot"} <= set(calls)
+            "chi_linear_solve", "compile_cnot"} <= set(calls)
 
 
 @pytest.mark.parametrize("workload, index", [("tomo", 0), ("bell", 0),

@@ -14,8 +14,7 @@ from dfsqc import linalg
 from dfsqc.cli import main
 from dfsqc.encoding import (MIN_PERMANENCE, LogicalRegister, dfs_report,
                             embed_in_dfs, encode)
-from dfsqc.errors import (ConditioningError, DimensionError,
-                          EmptySubspaceError, ValidationError)
+from dfsqc.errors import DimensionError, EmptySubspaceError, ValidationError
 from dfsqc.gates import (CNOT_LOGICAL, circuit_unitary, compile_circuit,
                          compile_cnot, sequence_unitary)
 from dfsqc.noise import CALIBRATED_NOISE
@@ -450,10 +449,21 @@ class TestChiMatrix:
         assert np.max(np.abs(apply_chi(chi, rho[0]) - expected[0])) < 1e-12
         assert np.max(np.abs(apply_chi(chi, rho) - expected)) < 1e-12
 
-    def test_rank_deficient_inputs_rejected(self):
-        rho = np.eye(4, dtype=complex) / 4
-        with pytest.raises(ConditioningError):
-            chi_linear_solve([rho] * 16, [rho] * 16)
+    @pytest.mark.parametrize("fn, shapes", [
+        (chi_from_unitary, [(8, 4)]), (chi_from_unitary, [(4, 2)]),
+        (chi_from_unitary, [(1, 1)]), (chi_from_unitary, [(4,)]),
+        (chi_linear_solve, [(16, 4, 2)]), (chi_linear_solve, [(15, 4, 4)]),
+        (chi_linear_solve, [(4, 4, 4)]), (chi_linear_solve, [(16, 16)]),
+        (process_fidelity, [(15, 15), (15, 15)]),
+        (process_fidelity, [(16, 16), (4, 4)]),
+        (haar_report, [(15, 15), (15, 15)]), (haar_report, [(8, 8), (8, 8)]),
+        (haar_report, [(16, 16), (64, 64)])],
+        ids=lambda a: "_".join("x".join(map(str, s)) for s in a)
+        if isinstance(a, list) else a.__name__)
+    def test_wrong_shape_rejected(self, fn, shapes):
+        # a square array's trace is one, so only its shape is at fault
+        with pytest.raises(DimensionError):
+            fn(*[np.full(s, 1.0 / s[-1], dtype=complex) for s in shapes])
 
     def test_cp_projection(self, rng):
         h = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
@@ -485,6 +495,26 @@ class TestChiMatrix:
         chi = decode_matrix(doc["chi"]["entries"])
         assert np.max(np.abs(chi - chi.conj().T)) < 1e-12
         assert abs(np.trace(chi) - 1) < 1e-12
+
+    @pytest.mark.parametrize("shots", [100, None])
+    def test_cnot_tomo_calls_no_lapack_but_eigh(self, tmp_path, monkeypatch,
+                                                shots):
+        # chi comes from the fixed frame of the preparation states, so a
+        # run calls no least-squares solve or einsum; the CP projection's
+        # eigh is the one LAPACK routine left
+        def refuse(*args, **kwargs):
+            raise AssertionError("refused call")
+
+        for name in ("lstsq", "solve", "inv", "pinv", "svd"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        monkeypatch.setattr(np, "einsum", refuse)
+        with pytest.raises(AssertionError, match="refused"):
+            np.einsum("ii", np.eye(2))
+        config = {"experiment": "cnot-tomo", "seed": 7, "shots": shots,
+                  "output_dir": str(tmp_path / "out"),
+                  "noise": asdict(CALIBRATED_NOISE)}
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        assert main(["run", str(tmp_path / "config.json")]) == 0
 
     def test_preparation_states_informationally_complete(self):
         for n in (1, 2, 3):

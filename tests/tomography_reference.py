@@ -14,7 +14,8 @@ import random
 import numpy as np
 
 from dfsqc import linalg
-from dfsqc.tomography import BASIS_LETTERS, MEASUREMENT_ROTATIONS, chi_basis
+from dfsqc.tomography import (BASIS_LETTERS, MEASUREMENT_ROTATIONS,
+                              chi_basis_labels)
 
 
 def all_settings(n_ions):
@@ -106,6 +107,12 @@ def linear_inversion(freq):
         expval = float(np.mean(freq[matching] @ signs))
         rho += expval * linalg.pauli_string("".join(letters))
     return rho / dim
+
+
+def chi_basis(n_logical):
+    """Operator basis of the chi representation, shape (4^n, 2^n, 2^n)."""
+    return np.stack([linalg.pauli_string(lbl)
+                     for lbl in chi_basis_labels(n_logical)])
 
 
 def superoperator(entries, n_logical):
