@@ -70,9 +70,9 @@ def _integers(low: int, high: float = math.inf) -> FieldSpec:
 
 _INTEGER, _REAL = FieldSpec(_integer, "an integer"), FieldSpec(_real, "a number")
 # Sample counts are capped by the time a run takes on its light cone of at
-# most 5 ions: a jittering cnot-tomo with every count at its cap takes about
-# 1.65 s on a 2-core Intel Xeon host with one BLAS thread (median of 5 fresh
-# processes), 1.2-1.4 s of it drawing and binning the shots.
+# most 5 ions: a calibrated cnot-tomo on pairs [[1, 2], [3, 4]] with every
+# count at its cap takes 1.6-1.8 s on a 2-core Intel Xeon host with one BLAS
+# thread (medians of 5 fresh processes), most of it drawing shots.
 _COUNT = _integers(1, 10 ** 4)  # noise_samples and shots
 # Nested objects get types only: LogicalRegister and NoiseModel, which
 # _check_semantics builds, check their bounds.

@@ -177,8 +177,6 @@ def collective_dephasing(rho: np.ndarray, phi_std: float) -> np.ndarray:
     if not 0 <= phi_std < np.inf:
         raise ValidationError("phi_std must be finite and non-negative")
     rho = np.asarray(rho, dtype=complex)
-    n_ions = rho.shape[-1].bit_length() - 1 if rho.ndim >= 2 else -1
-    if n_ions < 0 or rho.shape[-2:] != (2 ** n_ions,) * 2:
-        raise DimensionError("collective dephasing needs 2^n dimensional states")
+    n_ions = linalg.n_qubits(rho.shape[-2:], 2, 2)
     lam = linalg.z_eigenvalues(n_ions, dict.fromkeys(range(n_ions), 1.0))
     return gaussian_phase_average(rho, lam, phi_std)

@@ -20,8 +20,9 @@ class LayoutError(DfsqcError, ValueError):
 
 
 class EmptySubspaceError(DfsqcError, ValueError):
-    """The state has (numerically) no weight inside the protected
-    subspace, so the renormalized logical state is undefined.
+    """The state, or a channel's chi on average over inputs, has
+    (numerically) no weight inside the protected subspace, so the
+    renormalized logical state, or every figure of chi, is undefined.
 
     The measured subspace weight is still available as ``permanence``.
     """
@@ -29,10 +30,6 @@ class EmptySubspaceError(DfsqcError, ValueError):
     def __init__(self, message: str, permanence: float = 0.0):
         super().__init__(message)
         self.permanence = permanence
-
-
-class ConditioningError(DfsqcError, RuntimeError):
-    """``project_chi_cp``'s eigenvalue clip left a chi of no weight."""
 
 
 class ConfigError(DfsqcError, ValueError):

@@ -77,6 +77,16 @@ def fidelity(rho: np.ndarray, psi: np.ndarray) -> float:
     return float(val.real)
 
 
+def n_qubits(shape: tuple, *bases: int) -> int:
+    """The ``n >= 1`` of a shape that must be ``(b^n for b in bases)``, the
+    last base a power of two: ``(3, 2)`` for frequencies."""
+    n = ((shape[-1].bit_length() - 1) // (bases[-1].bit_length() - 1)
+         if len(shape) == len(bases) else 0)
+    if n < 1 or shape != tuple(b ** n for b in bases):
+        raise DimensionError(f"shape {shape} is not {bases}^n for an n >= 1")
+    return n
+
+
 def matrix_to_json(m: np.ndarray) -> list:
     """Row-major nested list of [re, im] pairs."""
     return [[[float(x.real), float(x.imag)] for x in row] for row in np.asarray(m)]

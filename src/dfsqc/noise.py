@@ -46,7 +46,7 @@ import numpy as np
 
 from . import linalg
 from .encoding import collective_dephasing, gaussian_phase_average
-from .errors import DimensionError, ValidationError
+from .errors import ValidationError
 from .gates import AC_STARK_Z, CP_GATE, MS_ROTATION, PulseOp, pulse_unitary
 
 
@@ -109,9 +109,9 @@ def sample_noisy_channel(ops: list, rho: np.ndarray,
                          model: Optional[NoiseModel]) -> np.ndarray:
     """Noise-averaged output of a pulse list for one or a stack of inputs.
 
-    ``rho`` holds density matrices of ``n`` ions, shape ``(..., 2^n, 2^n)``,
-    else a :class:`DimensionError`.  Each pulse, first to last, conjugates
-    them by its noisy unitary, :func:`~dfsqc.gates.pulse_unitary`
+    ``rho`` holds density matrices of ``n >= 1`` ions, shape ``(..., 2^n,
+    2^n)``, else a :class:`DimensionError`.  Each pulse, first to last,
+    conjugates them by its noisy unitary, :func:`~dfsqc.gates.pulse_unitary`
     of its :func:`pulse_weights`.  A jittered ``ACStarkZ`` pulse with z
     eigenvalues ``s`` is then averaged over its Gaussian angle error: entry
     ``jk`` is multiplied by ``exp(-sigma^2 (s_j - s_k)^2 / 8)``.
@@ -121,9 +121,7 @@ def sample_noisy_channel(ops: list, rho: np.ndarray,
     ideal pulse unitaries bit for bit and masks of exactly 1.0.
     """
     rho = np.asarray(rho, dtype=complex)
-    n_ions = rho.shape[-1].bit_length() - 1 if rho.ndim >= 2 else -1
-    if n_ions < 0 or rho.shape[-2:] != (2 ** n_ions,) * 2:
-        raise DimensionError(f"input shape {rho.shape} does not end in (2^n, 2^n)")
+    n_ions = linalg.n_qubits(rho.shape[-2:], 2, 2)
     model = model or NoiseModel(0.0, 0.0, 0.0, 0.0)
     for op in ops:
         weights = pulse_weights(op, n_ions, model)

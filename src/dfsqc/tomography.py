@@ -53,8 +53,7 @@ import numpy as np
 
 from . import linalg
 from .encoding import MIN_PERMANENCE, LogicalRegister, restrict_to_dfs
-from .errors import (ConditioningError, DimensionError, EmptySubspaceError,
-                     ValidationError)
+from .errors import DimensionError, EmptySubspaceError, ValidationError
 
 BASIS_LETTERS = "XYZ"
 
@@ -203,9 +202,7 @@ def acquire_dataset(rho: np.ndarray, shots: Optional[int],
     uniforms ``i*shots`` to ``(i+1)*shots - 1``, and its row is ``counts /
     shots``, so sampling needs a seed.
     """
-    if shots is not None and seed is None:
-        raise ValidationError("a seed is required for reproducible sampling")
-    n = _n_qubits(rho.shape, 2, 2)
+    n = linalg.n_qubits(rho.shape, 2, 2)
     probs = np.real(_contract_ions(rho, [_BORN] * n))
     if probs.min() < -1e-9:
         raise ValidationError(
@@ -217,16 +214,6 @@ def acquire_dataset(rho: np.ndarray, shots: Optional[int],
     return _draw_counts(probs, shots, seed) / shots
 
 
-def _n_qubits(shape: tuple, *bases: int) -> int:
-    """The ``n >= 1`` of a shape that must be ``(b^n for b in bases)``, the
-    last base a power of two: ``(3, 2)`` for frequencies."""
-    n = ((shape[-1].bit_length() - 1) // (bases[-1].bit_length() - 1)
-         if len(shape) == len(bases) else 0)
-    if n < 1 or shape != tuple(b ** n for b in bases):
-        raise DimensionError(f"shape {shape} is not {bases}^n for an n >= 1")
-    return n
-
-
 def linear_inversion(freq: np.ndarray) -> np.ndarray:
     """Raw density matrix ``3^-n sum_sb f[s, b] (x)_k (3 E[s_k, b_k] - 1)``.
 
@@ -234,7 +221,7 @@ def linear_inversion(freq: np.ndarray) -> np.ndarray:
     basis letters match on the string's support; with exact frequencies
     the result equals the true state.
     """
-    n = _n_qubits(freq.shape, 3, 2)
+    n = linalg.n_qubits(freq.shape, 3, 2)
     return _contract_ions(freq, [_DUAL] * n) / 3 ** n
 
 
@@ -248,19 +235,32 @@ def chi_basis_labels(n_logical: int = 2) -> list:
 def chi_from_unitary(u: np.ndarray) -> np.ndarray:
     """Rank-one chi matrix of a unitary channel: the outer product of its
     Pauli coefficients ``tr(A_m+ u) / d``, one :data:`_COEFF` per qubit."""
-    n = _n_qubits(u.shape, 2, 2)
+    n = linalg.n_qubits(u.shape, 2, 2)
     coeff = _contract_ions(u, [_COEFF] * n)[:, 0]
     return np.outer(coeff, coeff.conj())
+
+
+def _mean_permanence(chi: np.ndarray) -> float:
+    """``Re tr chi``, the mean permanence, which every figure of ``chi``
+    divides by; at or below ``MIN_PERMANENCE``, :class:`EmptySubspaceError`."""
+    w = float(np.real(np.trace(chi)))
+    if w <= MIN_PERMANENCE:
+        raise EmptySubspaceError(
+            f"mean permanence {w:.3e} is not above {MIN_PERMANENCE}",
+            permanence=max(w, 0.0))
+    return w
 
 
 def project_chi_cp(chi: np.ndarray) -> tuple:
     """Nearest completely positive chi of trace one: Hermitian part,
     eigenvalue clip, trace renormalized.  Returns it and the negative
-    eigenvalue mass the clip dropped, over ``tr chi``."""
+    eigenvalue mass the clip dropped, over ``tr chi``.  Shape and mean
+    permanence are refused as by :func:`process_fidelity`, so the clip
+    always keeps positive weight."""
+    linalg.n_qubits(chi.shape, 4, 4)
+    _mean_permanence(chi)
     evals, evecs = np.linalg.eigh((chi + linalg.dag(chi)) / 2)
     kept = np.clip(evals, 0.0, None)
-    if kept.sum() <= 0:
-        raise ConditioningError("chi projection collapsed to zero")
     return ((evecs * (kept / kept.sum())) @ linalg.dag(evecs),
             float((kept - evals).sum() / evals.sum()))
 
@@ -268,8 +268,11 @@ def project_chi_cp(chi: np.ndarray) -> tuple:
 def process_fidelity(chi: np.ndarray, chi_ideal: np.ndarray) -> float:
     """Process fidelity ``tr(chi_ideal chi) / tr chi`` against a unitary's
     trace-one ``chi_ideal``: the overlap within the encoded block, whatever
-    weight leaks out of it."""
-    _n_qubits(chi.shape + chi_ideal.shape, 4, 4, 4, 4)  # one n for both
+    weight leaks out of it.  Two chi not both ``(4^n, 4^n)`` raise
+    :class:`DimensionError`, a mean permanence ``tr chi`` at or below
+    ``MIN_PERMANENCE`` :class:`EmptySubspaceError`."""
+    linalg.n_qubits(chi.shape + chi_ideal.shape, 4, 4, 4, 4)  # one n for both
+    _mean_permanence(chi)
     return float(np.real(np.trace(chi_ideal @ chi) / np.trace(chi)))
 
 
@@ -289,7 +292,7 @@ def chi_linear_solve(outputs: np.ndarray) -> np.ndarray:
     F[j, l, q] rho_q`` (:data:`_FRAME`), so ``E(|j><l|)`` is that sum of
     outputs, and ``chi_mn = sum conj(A_m[i, j]) E(|j><l|)[i, k] A_n[k, l] /
     d^2`` is one per-qubit contraction (:data:`_CHI`)."""
-    n = _n_qubits(outputs.shape, 4, 2, 2)
+    n = linalg.n_qubits(outputs.shape, 4, 2, 2)
     t = outputs.reshape((4,) * n + (2,) * (2 * n)).transpose(
         *[a for k in range(n) for a in (k, n + k)], *range(2 * n, 3 * n))
     return _contract_ions(t, [_CHI] * n)
@@ -329,11 +332,7 @@ def process_tomography(channel: Callable[[np.ndarray], np.ndarray],
         blocks.append(restrict_to_dfs(out, register))
     blocks = np.stack(blocks)
     chi = chi_linear_solve(blocks)
-    weight = float(np.real(np.trace(chi)))  # the mean permanence
-    if weight < MIN_PERMANENCE:  # every figure divides by it
-        raise EmptySubspaceError(
-            f"mean permanence {weight:.3e} is below {MIN_PERMANENCE}",
-            permanence=max(weight, 0.0))
+    _mean_permanence(chi)
     return chi, np.real(np.trace(blocks, axis1=1, axis2=2))
 
 
@@ -350,14 +349,11 @@ def haar_report(chi: np.ndarray, chi_ideal: np.ndarray) -> dict:
     and the mean overall fidelity ``<U psi| E(psi) |U psi>`` is their
     product, ``(d tr(chi_ideal chi) + tr chi) / (d + 1)``.  A mean
     permanence at or below ``MIN_PERMANENCE``, which a shot-noisy ``chi``
-    can give, raises :class:`EmptySubspaceError`.
+    can give, raises :class:`EmptySubspaceError`, and a wrong shape
+    :class:`DimensionError`, as in :func:`process_fidelity`.
     """
-    d = 2 ** _n_qubits(chi.shape + chi_ideal.shape, 4, 4, 4, 4)  # one n
-    mean_perm = float(np.real(np.trace(chi)))
-    if mean_perm <= MIN_PERMANENCE:  # the gate fidelity divides by it
-        raise EmptySubspaceError(
-            f"Haar mean permanence {mean_perm:.3e} is not above {MIN_PERMANENCE}",
-            permanence=max(mean_perm, 0.0))
+    d = 2 ** linalg.n_qubits(chi.shape + chi_ideal.shape, 4, 4, 4, 4)  # one n
+    mean_perm = _mean_permanence(chi)
     fid = (d * process_fidelity(chi, chi_ideal) + 1) / (d + 1)
     return {"mean_gate_fidelity": fid, "mean_permanence": mean_perm,
             "mean_overall": mean_perm * fid}

@@ -356,7 +356,7 @@ class TestSemanticConfigErrors:
 
     def test_sample_counts_at_their_caps_validate(self, tmp_path):
         # the heaviest cnot-tomo that validates: jittering noise on a 5-ion
-        # light cone and every count at its cap, about 1.65 s to run
+        # light cone and every count at its cap, about 1.7 s to run
         path, _ = write_config(
             tmp_path, experiment="cnot-tomo", noise=CALIBRATED,
             register={"n_logical": 2, "pairs": [[1, 2], [3, 4]]},

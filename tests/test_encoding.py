@@ -179,7 +179,7 @@ class TestCollectiveDephasing:
             assert np.array_equal(got, collective_dephasing(rho, 0.7))
 
     @pytest.mark.parametrize("shape", [(), (4,), (0, 0), (3, 3), (2, 6, 6),
-                                       (4, 2)])
+                                       (4, 2), (1, 1)])
     def test_non_power_of_two_refused(self, shape):
         with pytest.raises(DimensionError):
             collective_dephasing(np.zeros(shape), 1.0)

@@ -265,6 +265,10 @@ class TestSampledChannel:
         with pytest.raises(DimensionError):
             sample_noisy_channel(ops, encode(reg, "00"), CALIBRATED_NOISE)
 
+    def test_register_of_no_ions_rejected(self):
+        with pytest.raises(DimensionError):
+            sample_noisy_channel([], np.ones((1, 1)), None)
+
 
 STDS = st.just(0.0) | st.floats(0.05, 1.5)
 MODELS = st.builds(NoiseModel, st.floats(0.0, 0.3), st.floats(-0.3, 0.3),

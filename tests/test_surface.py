@@ -12,7 +12,8 @@ a helper or a constant that only demos or tests use cannot land in
 module, and every import inside a function in that function.  Pulses are
 built only in ``gates``: no other module constructs a ``PulseOp`` or calls
 a pulse builder, and each reaches its pulses through
-``gates.compile_circuit``.
+``gates.compile_circuit``.  The permanence floor ``MIN_PERMANENCE`` is
+read in two functions only.
 """
 
 import ast
@@ -102,6 +103,15 @@ def test_every_module_level_constant_has_a_reader():
     unread = [f"{path.stem}.{name}" for path in MODULES
               for name in _constants(_tree(path)) if (path, name) not in read]
     assert sorted(unread) == sorted(KEPT_WITHOUT_READER)
+
+
+def test_the_permanence_floor_is_read_in_two_places():
+    # a state's weight in dfs_report, a chi's mean weight in _mean_permanence;
+    # every other guard goes through one of the two
+    readers = {(p.stem, o) for p, o, _, n in _references()
+               if n == "MIN_PERMANENCE"}
+    assert readers == {("encoding", "dfs_report"),
+                       ("tomography", "_mean_permanence")}
 
 
 #: The pulse builders of ``gates`` and the pulse class, which no other

@@ -457,13 +457,28 @@ class TestChiMatrix:
         (process_fidelity, [(15, 15), (15, 15)]),
         (process_fidelity, [(16, 16), (4, 4)]),
         (haar_report, [(15, 15), (15, 15)]), (haar_report, [(8, 8), (8, 8)]),
-        (haar_report, [(16, 16), (64, 64)])],
+        (haar_report, [(16, 16), (64, 64)]),
+        (project_chi_cp, [(15, 15)]), (project_chi_cp, [(8, 8)])],
         ids=lambda a: "_".join("x".join(map(str, s)) for s in a)
         if isinstance(a, list) else a.__name__)
     def test_wrong_shape_rejected(self, fn, shapes):
         # a square array's trace is one, so only its shape is at fault
         with pytest.raises(DimensionError):
             fn(*[np.full(s, 1.0 / s[-1], dtype=complex) for s in shapes])
+
+    @pytest.mark.parametrize("fn", [
+        process_fidelity, lambda chi, _: project_chi_cp(chi)],
+        ids=["process_fidelity", "project_chi_cp"])
+    @pytest.mark.parametrize("diagonal", [
+        [0.0], [MIN_PERMANENCE], [1.0, -2.0]], ids=["zero", "floor", "negative"])
+    def test_mean_permanence_at_the_floor_refused(self, fn, diagonal):
+        # every figure divides by tr chi; at the floor a direct caller gets
+        # the error, not nan or a negative mass
+        chi = np.diag(np.pad(diagonal, (0, 16 - len(diagonal)))).astype(complex)
+        with pytest.raises(EmptySubspaceError,
+                           match="mean permanence") as refused:
+            fn(chi, chi_from_unitary(CNOT_LOGICAL))
+        assert 0.0 <= refused.value.permanence <= MIN_PERMANENCE
 
     def test_cp_projection(self, rng):
         h = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
