@@ -25,10 +25,11 @@ Reports are reproducible: the same (config, seed) gives the same bytes.
 
 Only ``run`` and ``validate`` of ``bell`` and ``cnot-tomo``, and
 ``dump-sequence``, import numpy; ``coherence``, the scans and ``--version``
-start without it.  ``config_hash`` uses the interpreter's built-in
-SHA-256, not ``hashlib``, and ``cnot-tomo`` draws its shots from a
-SplitMix64 stream in plain numpy, so no command loads ``numpy.random``
-or OpenSSL's libcrypto.
+start without it.  Only ``run`` of a scan imports ``motional`` and
+``csv``; no command imports the data-class module.  ``config_hash`` uses
+the interpreter's built-in SHA-256, not ``hashlib``, and ``cnot-tomo``
+draws its shots from a SplitMix64 stream in plain numpy, so no command
+loads ``numpy.random`` or OpenSSL's libcrypto.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ import os
 import sys
 import tempfile
 
-from . import __version__, motional
+from . import __version__
 from .errors import (ConfigError, DfsqcError, EmptySubspaceError, LayoutError,
                      ValidationError)
 
@@ -71,9 +72,10 @@ def _integers(low: int, high: float = math.inf) -> FieldSpec:
 _INTEGER, _REAL = FieldSpec(_integer, "an integer"), FieldSpec(_real, "a number")
 # Sample counts are capped by the time a run takes on its light cone of at
 # most 5 ions: a calibrated cnot-tomo on pairs [[1, 2], [3, 4]] with every
-# count at its cap takes 1.6-1.8 s on a 2-core Intel Xeon host with one BLAS
-# thread (medians of 5 fresh processes), most of it drawing shots.
-_COUNT = _integers(1, 10 ** 4)  # noise_samples and shots
+# count at its cap takes 0.6-0.7 s on a 2-core Intel Xeon host with one BLAS
+# thread (medians of 5 fresh processes), most of it drawing shots; a scan of
+# 10^4 timing fractions takes 0.25 s.
+_COUNT = _integers(1, 10 ** 4)  # noise_samples, shots, timing_fractions' length
 # Nested objects get types only: LogicalRegister and NoiseModel, which
 # _check_semantics builds, check their bounds.
 _CNOT_FIELDS = {
@@ -93,9 +95,9 @@ _CNOT_FIELDS = {
 _SCAN_FIELDS = {
     "spin_phase": FieldSpec(lambda v: _real(v) and v > 0, "a number > 0", math.pi / 8),
     "timing_fractions": FieldSpec(
-        lambda v: type(v) is list and v != []
+        lambda v: type(v) is list and _COUNT.test(len(v))
         and all(_real(f) and -0.5 < f < 0.5 for f in v),
-        "a non-empty list of numbers in (-0.5, 0.5)",
+        "a list of 1 to 10000 numbers in (-0.5, 0.5)",
         (0.0, 0.01, 0.02, 0.05, 0.1, 0.2)),
 }
 #: The fields each experiment reads besides ``COMMON_FIELDS``, with what
@@ -406,6 +408,7 @@ def run_coherence(run: dict, seed: int) -> tuple:
 
 
 def run_scan(run: dict, seed: int, kind: str) -> tuple:
+    from . import motional
     spin_phase = run["spin_phase"]
     rows = motional.off_resonant_error_scan(spin_phase, run["timing_fractions"])
     metrics = {"spin_phase": spin_phase,

@@ -21,7 +21,7 @@ by default and logical bit strings are ordered with qubit 0 first;
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import collections
 
 import numpy as np
 
@@ -32,30 +32,29 @@ from .errors import DimensionError, EmptySubspaceError, ValidationError
 MIN_PERMANENCE = 1e-9
 
 
-@dataclass(frozen=True)
-class LogicalRegister:
-    """Layout of logical qubits on an ion string.
+class LogicalRegister(collections.namedtuple("LogicalRegister", "n_logical pairs")):
+    """Layout of logical qubits on an ion string; a tuple checked when
+    built (``_replace`` and ``_make`` check nothing).
 
-    ``pairs[j]`` gives the two physical ions of logical qubit ``j``; the
-    first ion of a pair holds ``|1>_P`` in the logical ``|0>_L`` state.
+    ``pairs[j]`` gives the two physical ions of logical qubit ``j``, by
+    default ``(2j, 2j + 1)``; the first ion of a pair holds ``|1>_P`` in the
+    logical ``|0>_L`` state.
     """
 
-    n_logical: int
-    pairs: tuple = field(default=None)  # type: ignore[assignment]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n_logical < 1:
+    def __new__(cls, n_logical: int, pairs=None):
+        if n_logical < 1:
             raise ValidationError("register needs at least one logical qubit")
-        pairs = self.pairs
         if pairs is None:
-            pairs = tuple((2 * j, 2 * j + 1) for j in range(self.n_logical))
+            pairs = tuple((2 * j, 2 * j + 1) for j in range(n_logical))
         pairs = tuple((int(a), int(b)) for a, b in pairs)
-        if len(pairs) != self.n_logical:
+        if len(pairs) != n_logical:
             raise ValidationError("one ion pair required per logical qubit")
         flat = [i for p in pairs for i in p]
         if len(set(flat)) != len(flat) or min(flat) < 0:
             raise ValidationError("ion pairs must be disjoint and non-negative")
-        object.__setattr__(self, "pairs", pairs)
+        return super().__new__(cls, n_logical, pairs)
 
     @property
     def n_ions(self) -> int:

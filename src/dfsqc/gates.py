@@ -32,7 +32,7 @@ with the rows and columns of ``|01>`` and ``|10>`` exchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import collections
 from typing import Optional
 
 import numpy as np
@@ -66,32 +66,28 @@ TAU_MS = 2 * np.pi / (2 * np.pi * 7_000.0)
 TAU_CP = 2 * np.pi / (2 * np.pi / 470e-6)
 
 
-@dataclass(frozen=True)
-class PulseOp:
-    """One physical pulse: kind, addressed ions, angle and axis phase.
+class PulseOp(collections.namedtuple("PulseOp", "kind targets angle phase duration")):
+    """One physical pulse: kind, addressed ions, angle and axis phase; a
+    tuple checked when built (``_replace`` and ``_make`` check nothing).
 
     ``duration`` is timing metadata for sequence reports; the unitary of
     the op does not depend on it.
     """
 
-    kind: str
-    targets: tuple
-    angle: float
-    phase: float = 0.0
-    duration: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValidationError(f"unknown pulse kind {self.kind!r}")
-        targets = tuple(int(t) for t in self.targets)
-        object.__setattr__(self, "targets", targets)
-        if self.kind == AC_STARK_Z:
+    def __new__(cls, kind: str, targets, angle: float, phase: float = 0.0,
+                duration: float = 0.0):
+        if kind not in _KINDS:
+            raise ValidationError(f"unknown pulse kind {kind!r}")
+        targets = tuple(int(t) for t in targets)
+        if kind == AC_STARK_Z:
             if len(targets) != 1:
-                raise ValidationError(f"{self.kind} addresses exactly one ion")
+                raise ValidationError(f"{kind} addresses exactly one ion")
         else:
             if len(targets) != 2 or abs(targets[0] - targets[1]) != 1:
-                raise ValidationError(
-                    f"{self.kind} addresses exactly two adjacent ions")
+                raise ValidationError(f"{kind} addresses exactly two adjacent ions")
+        return super().__new__(cls, kind, targets, angle, phase, duration)
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "targets": list(self.targets),

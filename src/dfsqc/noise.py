@@ -39,7 +39,7 @@ on a state: the ideal pulse list is its zero model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import collections
 from typing import Optional
 
 import numpy as np
@@ -50,24 +50,26 @@ from .errors import ValidationError
 from .gates import AC_STARK_Z, CP_GATE, MS_ROTATION, PulseOp, pulse_unitary
 
 
-@dataclass(frozen=True)
-class NoiseModel:
-    """Error-channel parameters attachable to any pulse sequence."""
+class NoiseModel(collections.namedtuple(
+        "NoiseModel", "addressing_ratio intensity_imbalance "
+        "ac_stark_phase_jitter_std collective_phase_std")):
+    """Error-channel parameters attachable to any pulse sequence; a tuple
+    checked when built (``_replace`` and ``_make`` check nothing)."""
 
-    addressing_ratio: float = 0.05
-    intensity_imbalance: float = 0.0
-    ac_stark_phase_jitter_std: float = 0.0
-    collective_phase_std: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0.0 <= self.addressing_ratio < 1.0:
+    def __new__(cls, addressing_ratio=0.05, intensity_imbalance=0.0,
+                ac_stark_phase_jitter_std=0.0, collective_phase_std=0.0):
+        if not 0.0 <= addressing_ratio < 1.0:
             raise ValidationError("addressing_ratio must lie in [0, 1)")
-        if not -1.0 < self.intensity_imbalance < 1.0:
+        if not -1.0 < intensity_imbalance < 1.0:
             raise ValidationError("intensity_imbalance must lie in (-1, 1)")
-        if not (0 <= self.ac_stark_phase_jitter_std < np.inf
-                and 0 <= self.collective_phase_std < np.inf):
+        if not (0 <= ac_stark_phase_jitter_std < np.inf
+                and 0 <= collective_phase_std < np.inf):
             raise ValidationError(
                 "jitter standard deviations must be finite and >= 0")
+        return super().__new__(cls, addressing_ratio, intensity_imbalance,
+                               ac_stark_phase_jitter_std, collective_phase_std)
 
     @classmethod
     def from_json(cls, obj: dict) -> "NoiseModel":

@@ -30,12 +30,12 @@ so state tomography is a per-ion contraction with the single-ion effects
 inverse-CDF sampling, so rounding of the state moves a count only at a
 bin edge, and all settings of one state share one random stream, each
 taking its own fixed run of ``shots`` uniforms; they are binned a block
-of settings at a time, by one vectorised comparison per bin edge, with
-no loop over settings.  The stream is counter-based SplitMix64 (Steele,
-Lea & Flood, OOPSLA 2014) in numpy: uniform ``i`` is a fixed mix of
-``key + (i + 1) * gamma``, with the 64-bit ``key`` hashed by ``random``
-from the seed's text, so drawing needs neither ``numpy.random`` nor
-OpenSSL.
+of settings at a time, by one sort and one binary search of all bin
+edges, with no loop over settings.  The stream is counter-based
+SplitMix64 (Steele, Lea & Flood, OOPSLA 2014) in numpy: uniform ``i`` is
+a fixed mix of ``key + (i + 1) * gamma``, with the 64-bit ``key`` hashed
+by ``random`` from the seed's text, so drawing needs neither
+``numpy.random`` nor OpenSSL.
 
 The Haar figures average the permanence ``tr E(psi)`` and the overall
 fidelity ``<U psi| E(psi) |U psi>`` over pure logical inputs.  Both means
@@ -102,10 +102,9 @@ def _contract_ions(t: np.ndarray, tables: Sequence[np.ndarray]) -> np.ndarray:
     return t.reshape(-1, np.prod(t.shape[n:], dtype=int))
 
 
-#: Uniforms :func:`_draw_counts` holds at once, but at least one row's:
-#: 512 kB, with a boolean temporary of 64 kB.
+#: Draws :func:`_draw_counts` holds at once, 512 kB, but at least one row's.
 _DRAW_CHUNK = 2 ** 16
-#: Uniforms :func:`_stream_uniforms` mixes at once, in two 64 kB buffers.
+#: Draws :func:`_stream_uniforms` mixes at once, with a 64 kB buffer.
 _MIX_BLOCK = 2 ** 13
 #: SplitMix64's increment, the odd integer nearest ``2^64`` over the golden
 #: ratio, and the two multipliers of its finaliser.
@@ -129,29 +128,27 @@ def _stream_key(seed) -> int:
 
 
 def _stream_uniforms(key: int, start: int, out: np.ndarray) -> None:
-    """Fill the flat float array ``out`` with uniforms ``start`` onwards of
+    """Fill the flat uint64 array ``out`` with draws ``start`` onwards of
     the counter-based SplitMix64 stream of ``key`` (Steele, Lea & Flood,
-    OOPSLA 2014): uniform ``i`` is ``(mix(key + (i + 1) * gamma) >> 11) *
-    2^-53`` in ``[0, 1)``, with ``mix`` the generator's finaliser and all
-    arithmetic modulo ``2^64``.  Each uniform depends on its index alone,
-    so any window of the stream is computed on its own.  Every uint64
-    operation is on arrays, which wrap without the warning a numpy scalar
-    gives on overflow."""
-    z = np.empty(min(out.size, _MIX_BLOCK), dtype=np.uint64)
-    t = np.empty_like(z)
+    OOPSLA 2014): draw ``i`` is the 53-bit integer ``k = mix(key + (i + 1)
+    * gamma) >> 11``, the uniform ``k * 2^-53`` in ``[0, 1)``, with ``mix``
+    the generator's finaliser and all arithmetic modulo ``2^64``.  Each draw
+    depends on its index alone, so any window of the stream is computed on
+    its own.  Every uint64 operation is on arrays, which wrap without the
+    warning a numpy scalar gives on overflow."""
+    t = np.empty(min(out.size, _MIX_BLOCK), dtype=np.uint64)
     for lo in range(0, out.size, _MIX_BLOCK):
-        m = min(_MIX_BLOCK, out.size - lo)
-        zm, tm = z[:m], t[:m]
+        z = out[lo:lo + _MIX_BLOCK]
+        tz = t[:z.size]
         base = (key + (start + lo) * _GAMMA) % 2 ** 64
-        np.add(_RAMP[:m], np.uint64(base), out=zm)
+        np.add(_RAMP[:z.size], np.uint64(base), out=z)
         for shift, mult in ((30, _MIX1), (27, _MIX2)):
-            np.right_shift(zm, shift, out=tm)
-            zm ^= tm
-            zm *= np.uint64(mult)
-        np.right_shift(zm, 31, out=tm)
-        zm ^= tm
-        zm >>= 11  # below 2^53, so the int64 view converts exactly
-        np.multiply(zm.view(np.int64), 2.0 ** -53, out=out[lo:lo + m])
+            np.right_shift(z, shift, out=tz)
+            z ^= tz
+            z *= np.uint64(mult)
+        np.right_shift(z, 31, out=tz)
+        z ^= tz
+        z >>= 11
 
 
 def _draw_counts(probs: np.ndarray, shots: int, seed) -> np.ndarray:
@@ -164,27 +161,33 @@ def _draw_counts(probs: np.ndarray, shots: int, seed) -> np.ndarray:
     (the sum may fall short of one) go to the last outcome of nonzero
     probability.
 
-    Rows are binned a block at a time by one comparison per edge: with
-    ``past[j]`` the draws at or above the cumulative sum ending at outcome
-    ``j - 1`` (all of them for ``j = 0``), outcome ``j`` counts
-    ``past[j] - past[j + 1]``.  An outcome of zero probability repeats the
-    edge before it and so counts nothing.  Each block's uniforms are
-    computed from their indices, so the block size moves no count."""
+    A uniform ``k 2^-53`` is at or above a cumulative sum ``e`` exactly when
+    ``k >= ceil(e 2^53)``.  Up to 1024 rows at a time, each row's ``k`` are
+    sorted and lifted by ``r 2^54`` (row ``r`` of the block), so one
+    ``searchsorted`` of the lifted edges, clipped to ``[0, 2^53]``, counts
+    the draws below every edge.  With ``past[j]`` the draws at or above the
+    edge ending at outcome ``j - 1``, outcome ``j`` counts ``past[j] -
+    past[j + 1]``; a zero-probability outcome repeats the edge before it and
+    so counts nothing.  The block size moves no count."""
     if shots < 1:
         raise ValidationError("shots must be at least 1")
     key = _stream_key(seed)
     rows, n = probs.shape
-    edges = np.cumsum(probs, axis=1)
+    edges = np.clip(np.ceil(np.cumsum(probs, axis=1) * 2.0 ** 53), 0, 2.0 ** 53)
+    edges = edges.astype(np.uint64)
     past = np.empty((rows, n + 1), dtype=np.int64)
     past[:, 0] = shots
-    step = max(1, _DRAW_CHUNK // shots)
-    u = np.empty((min(step, rows), shots))
+    step = min(2 ** 10, max(1, _DRAW_CHUNK // shots))
+    lift = np.arange(step, dtype=np.uint64)[:, None] << np.uint64(54)
+    k = np.empty((min(step, rows), shots), dtype=np.uint64)
     for lo in range(0, rows, step):
-        block = u[:rows - lo]
+        block = k[:rows - lo]
+        m = len(block)
         _stream_uniforms(key, lo * shots, block.reshape(-1))
-        for j in range(n):
-            past[lo:lo + step, j + 1] = np.count_nonzero(
-                block >= edges[lo:lo + step, j, None], axis=1)
+        block.sort(axis=1)
+        block += lift[:m]
+        below = np.searchsorted(block.reshape(-1), edges[lo:lo + m] + lift[:m])
+        past[lo:lo + m, 1:] = np.arange(shots, (m + 1) * shots, shots)[:, None] - below
     counts = past[:, :-1] - past[:, 1:]
     top = n - 1 - np.argmax(probs[:, ::-1] > 0, axis=1)
     counts[np.arange(rows), top] = past[np.arange(rows), top]

@@ -31,7 +31,6 @@ spells out one encoded basis index ion by ion; the tests check
 on; the package itself writes every unitary in closed form.
 """
 
-import dataclasses
 from collections import namedtuple
 
 import numpy as np
@@ -222,8 +221,9 @@ def shot_unitaries(ops, n_ions, model, n_samples, seed):
         u = np.eye(2 ** n_ions, dtype=complex)
         for op, fixed in zip(ops, static):
             if jitter > 0 and op.kind == AC_STARK_Z:
-                fixed = unitary(dataclasses.replace(
-                    op, angle=op.angle + rng.normal(0.0, jitter)))
+                fixed = unitary(PulseOp(op.kind, op.targets,
+                                        op.angle + rng.normal(0.0, jitter),
+                                        op.phase, op.duration))
             u = fixed @ u
         shots.append(u)
     return shots
@@ -260,7 +260,7 @@ def quadrature_channel(ops, rho, model, n_nodes=30):
     x, w = np.polynomial.hermite.hermgauss(n_nodes)
 
     def unitary(op, angle):
-        op = dataclasses.replace(op, angle=angle)
+        op = PulseOp(op.kind, op.targets, angle, op.phase, op.duration)
         return pulse_unitary(op, n_ions, pulse_weights(op, n_ions, model))
 
     for op in ops:

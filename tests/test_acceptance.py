@@ -4,7 +4,6 @@ PASS/FAIL line with its runtime (run with ``pytest -s`` to see them)."""
 import json
 import time
 from contextlib import contextmanager
-from dataclasses import asdict
 
 import numpy as np
 
@@ -198,7 +197,7 @@ def test_criterion_8_reproducibility(tmp_path):
             "experiment": "bell",
             "seed": 31,
             "output_dir": str(tmp_path / "out"),
-            "noise": asdict(CALIBRATED_NOISE),
+            "noise": CALIBRATED_NOISE._asdict(),
             "noise_samples": 64,
         }
         path = tmp_path / "config.json"

@@ -380,6 +380,22 @@ class TestSemanticConfigErrors:
         assert "timing_fractions" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_timing_fractions_capped_at_the_count_cap(self, tmp_path, capsys):
+        # a scan row per fraction, so the list is bounded like a sample count
+        fractions = [(k % 999 - 499) / 1000 for k in range(10 ** 4)]
+        path, _ = write_config(tmp_path, "long.json", experiment="ms-scan",
+                               timing_fractions=fractions + [0.0])
+        assert main(["validate", str(path)]) == 2
+        assert main(["run", str(path)]) == 2
+        assert "timing_fractions: must be a list of 1 to 10000" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        path, _ = write_config(tmp_path, experiment="ms-scan",
+                               timing_fractions=fractions)
+        assert main(["run", str(path)]) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert len(report["metrics"]["rows"]) == 10 ** 4
+
     @pytest.mark.parametrize("under", ["", "sub"], ids=["file", "under-file"])
     def test_output_dir_blocked_by_file_refused(self, tmp_path, capsys, under):
         blocker = tmp_path / "blocker"
@@ -973,7 +989,8 @@ if sys.argv[2:]:
     except SystemExit as exc:  # --version
         code = exc.code
     assert code == 0, code
-print("numpy" in sys.modules, "dfsqc.tomography" in sys.modules)
+print(*(name in sys.modules for name in (
+    "numpy", "dfsqc.tomography", "dataclasses", "csv", "dfsqc.motional")))
 """
 
 
@@ -995,7 +1012,8 @@ def test_numpy_loaded_only_where_used(tmp_path, command, experiment,
     # the scans, coherence and most validations compute without numpy, so
     # they must not pay for importing it; validate of bell shows the probe
     # can see it.
-    # Only cnot-tomo reads tomography, so no command here imports it
+    # Only cnot-tomo reads tomography, so no command here imports it; no
+    # command imports dataclasses, and only a scan's run imports motional
     module, argv = "dfsqc.cli", [command]
     if command.startswith("import"):
         module, argv = command.split()[1], []
@@ -1007,7 +1025,9 @@ def test_numpy_loaded_only_where_used(tmp_path, command, experiment,
     proc = subprocess.run([sys.executable, "-c", NUMPY_PROBE, module, *argv],
                           env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split()[-2:] == [str(loads_numpy), "False"]
+    scan = command == "run" and experiment in ("ms-scan", "cp-scan")
+    assert proc.stdout.split()[-5:] == [str(loads_numpy), "False", "False",
+                                        str(scan), str(scan)]
 
 
 def test_layer_functions_looked_up_at_call_time(tmp_path, monkeypatch):

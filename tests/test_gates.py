@@ -14,7 +14,8 @@ from dfsqc.cli import main
 from dfsqc.gates import (CNOT_LOGICAL, TAU_CP, TAU_MS, PulseOp, circuit_unitary,
                          compile_circuit, compile_cnot, cp_pulse, ms_pulse,
                          pulse_unitary, sequence_unitary, z_pulse)
-from dfsqc.noise import CALIBRATED_NOISE, sample_noisy_channel, string_neighbors
+from dfsqc.noise import (CALIBRATED_NOISE, NoiseModel, sample_noisy_channel,
+                         string_neighbors)
 
 from conftest import BELL_CIRCUIT, random_state
 from reference import expm_hermitian, max_phase_diff, sequence_from_json
@@ -64,6 +65,29 @@ class TestPulseOp:
     def test_json_roundtrip(self):
         op = PulseOp("MSRotation", (2, 3), -np.pi / 2, 0.1, 1e-4)
         assert PulseOp(**op.to_json()) == op
+
+
+@pytest.mark.parametrize("make, fields, text", [
+    (lambda: LogicalRegister(2), "n_logical pairs",
+     "LogicalRegister(n_logical=2, pairs=((0, 1), (2, 3)))"),
+    (lambda: PulseOp("ACStarkZ", [np.int64(3)], 0.5),
+     "kind targets angle phase duration",
+     "PulseOp(kind='ACStarkZ', targets=(3,), angle=0.5, phase=0.0, duration=0.0)"),
+    (lambda: NoiseModel(0.05, 0.08, 0.3, 0.3),
+     "addressing_ratio intensity_imbalance ac_stark_phase_jitter_std "
+     "collective_phase_std",
+     "NoiseModel(addressing_ratio=0.05, intensity_imbalance=0.08, "
+     "ac_stark_phase_jitter_std=0.3, collective_phase_std=0.3)"),
+], ids=["LogicalRegister", "PulseOp", "NoiseModel"])
+def test_records_are_frozen_values(make, fields, text):
+    # a record is checked once, when built, so no field may change after;
+    # records of equal fields are interchangeable, as dict keys too
+    record, twin = make(), make()
+    for name in fields.split():
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+    assert record is not twin and record == twin and hash(record) == hash(twin)
+    assert repr(record) == text
 
 
 def dense_pulse_generator(op, n_ions, weights):

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -74,7 +72,7 @@ class TestModel:
 
     def test_json_roundtrip(self):
         m = NoiseModel(0.05, 0.08, 0.3, 0.3)
-        assert NoiseModel.from_json(dataclasses.asdict(m)) == m
+        assert NoiseModel.from_json(m._asdict()) == m
 
 
 class TestNeighbors:

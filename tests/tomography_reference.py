@@ -64,13 +64,18 @@ def stream_key(seed):
     return random.Random("/".join(str(p) for p in parts)).getrandbits(64)
 
 
+def stream_integers(seed, start, n):
+    """Draws ``start`` to ``start + n - 1`` of the shot stream of ``seed``:
+    draw ``i`` is the 53-bit integer ``mix(key + (i + 1) * gamma) >> 11``."""
+    key = stream_key(seed)
+    return np.array([splitmix64((key + (i + 1) * GAMMA) & MASK64) >> 11
+                     for i in range(start, start + n)], dtype=np.uint64)
+
+
 def stream_uniforms(seed, start, n):
     """Uniforms ``start`` to ``start + n - 1`` of the shot stream of
-    ``seed``: uniform ``i`` is ``(mix(key + (i + 1) * gamma) >> 11) *
-    2^-53``."""
-    key = stream_key(seed)
-    return np.array([(splitmix64((key + (i + 1) * GAMMA) & MASK64) >> 11)
-                     * 2.0 ** -53 for i in range(start, start + n)])
+    ``seed``: uniform ``i`` is draw ``i`` times ``2^-53``."""
+    return stream_integers(seed, start, n) * 2.0 ** -53
 
 
 def inverse_cdf_counts(probs, uniforms):
