@@ -22,11 +22,14 @@ Subcommands
 
 ``--seed`` overrides the config seed and, like it, must be non-negative.
 Reports are reproducible: the same (config, seed) gives the same bytes.
+:func:`parse_args` reads the command line by ``COMMANDS``: options as
+``--opt N`` or ``--opt=N`` in any position, never abbreviated.
 
 Only ``run`` and ``validate`` of ``bell`` and ``cnot-tomo``, and
 ``dump-sequence``, import numpy; ``coherence``, the scans and ``--version``
-start without it.  Only ``run`` of a scan imports ``motional`` and
-``csv``; no command imports the data-class module.  ``config_hash`` uses
+start without it.  Only ``run`` of a scan imports ``motional``.  No
+command imports the standard library's option parsers, ``gettext``,
+``locale``, ``csv`` or the data-class module.  ``config_hash`` uses
 the interpreter's built-in SHA-256, not ``hashlib``, and ``cnot-tomo``
 draws its shots from a SplitMix64 stream in plain numpy, so no command
 loads ``numpy.random`` or OpenSSL's libcrypto.
@@ -34,7 +37,6 @@ loads ``numpy.random`` or OpenSSL's libcrypto.
 
 from __future__ import annotations
 
-import argparse
 import collections
 import contextlib
 import importlib
@@ -424,11 +426,11 @@ def run_experiment(run: dict, seed: int) -> tuple:
     return runs[kind](run, seed)
 
 
-def cmd_run(args) -> int:
-    run = load_config(args.config)
-    if args.seed is not None and args.seed < 0:
-        raise ConfigError(f"--seed must be non-negative, got {args.seed}")
-    seed = args.seed if args.seed is not None else run["seed"]
+def cmd_run(config: str, seed: int | None = None) -> int:
+    run = load_config(config)
+    if seed is not None and seed < 0:
+        raise ConfigError(f"--seed must be non-negative, got {seed}")
+    seed = seed if seed is not None else run["seed"]
     out_dir = run["output_dir"]
     try:
         os.makedirs(out_dir, exist_ok=True)
@@ -453,58 +455,92 @@ def cmd_run(args) -> int:
     return 0
 
 
-def cmd_dump_sequence(args) -> int:
+def cmd_dump_sequence(control: int = 0, target: int = 1) -> int:
     from .encoding import LogicalRegister
     from .gates import compile_circuit
     register = LogicalRegister(2)
     with _field("--control/--target"):
-        ops = compile_circuit([("cnot", args.control, args.target)], register)
+        ops = compile_circuit([("cnot", control, target)], register)
     doc = {"register": register.to_json(), "ops": [op.to_json() for op in ops],
            "total_duration_us": float(sum(op.duration for op in ops)) * 1e6}
     print(json.dumps(doc, indent=2))
     return 0
 
 
-def cmd_validate(args) -> int:
-    load_config(args.config)
+def cmd_validate(config: str) -> int:
+    load_config(config)
     print("config ok")
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="dfsqc",
-        description="Simulate and characterize encoded trapped-ion gates.",
-        epilog=(
-            "Scan experiments emit CSV files with columns (fraction, "
-            "infidelity); bell and cnot-tomo write matrices.json with "
-            "row-major [re, im] matrix entries."))
-    parser.add_argument("--version", action="version",
-                        version=f"dfsqc {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+#: Each command's function, its positional arguments and its integer
+#: options, all passed by name: an option left out takes its default there.
+COMMANDS = {
+    "run": (cmd_run, ("config",), ("--seed",)),
+    "dump-sequence": (cmd_dump_sequence, (), ("--control", "--target")),
+    "validate": (cmd_validate, ("config",), ()),
+}
 
-    p_run = sub.add_parser("run", help="run an experiment config")
-    p_run.add_argument("config", help="path to a JSON experiment config")
-    p_run.add_argument("--seed", type=int, default=None,
-                       help="override the config seed")
-    p_run.set_defaults(fn=cmd_run)
+USAGE = """\
+usage: dfsqc run <config.json> [--seed N]
+       dfsqc dump-sequence [--control N --target M]
+       dfsqc validate <config.json>
+       dfsqc -h | --help | --version
 
-    p_dump = sub.add_parser("dump-sequence",
-                            help="print the compiled CNOT pulse sequence")
-    p_dump.add_argument("--control", type=int, default=0)
-    p_dump.add_argument("--target", type=int, default=1)
-    p_dump.set_defaults(fn=cmd_dump_sequence)
+Simulate and characterize encoded trapped-ion gates: run an experiment
+config (--seed N overrides its seed), print the compiled CNOT pulse
+sequence, or check a config.  Scan experiments emit CSV files with
+columns (fraction, infidelity); bell and cnot-tomo write matrices.json
+with row-major [re, im] matrix entries."""
 
-    p_val = sub.add_parser("validate", help="check a config file")
-    p_val.add_argument("config")
-    p_val.set_defaults(fn=cmd_validate)
-    return parser
+
+def parse_args(argv: list) -> tuple:
+    """The function of the command ``argv`` names in ``COMMANDS`` and the
+    keyword arguments to call it with.  A usage error (no command, an
+    unknown command or option, a missing or extra argument, a missing or
+    non-integer option value) raises :class:`ConfigError` naming the
+    option or argument at fault."""
+    words, positional, options = list(argv), [], {}
+    while words:
+        word = words.pop(0)
+        if word.startswith("-"):
+            name, given, value = word.partition("=")
+            if not positional or name not in COMMANDS[positional[0]][2]:
+                raise ConfigError(f"{name}: not an option of "
+                                  f"{positional[0] if positional else 'dfsqc'}")
+            if not (given or words):
+                raise ConfigError(f"{name}: needs an integer value")
+            value = value if given else words.pop(0)
+            try:
+                options[name[2:]] = int(value)
+            except ValueError:
+                raise ConfigError(f"{name}: must be an integer, "
+                                  f"got {_shown(repr(value))}") from None
+        elif positional or word in COMMANDS:
+            positional.append(word)
+        else:
+            raise ConfigError(f"{word}: unknown command, expected one of "
+                              + ", ".join(COMMANDS))
+    if not positional:
+        raise ConfigError("no command given, expected one of " + ", ".join(COMMANDS))
+    command, args = positional[0], positional[1:]
+    fn, names, _ = COMMANDS[command]
+    if len(args) > len(names):
+        raise ConfigError(f"{args[len(names)]}: unexpected argument to {command}")
+    if len(args) < len(names):
+        raise ConfigError(f"{command}: missing the {names[len(args)]} argument")
+    return fn, {**dict(zip(names, args)), **options}
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    asked = [word for word in argv if word in ("-h", "--help", "--version")]
+    if asked:  # answered wherever it stands, the first one asked
+        print(f"dfsqc {__version__}" if asked[0] == "--version" else USAGE)
+        return 0
     try:
-        return args.fn(args)
+        fn, kwargs = parse_args(argv)
+        return fn(**kwargs)
     except DfsqcError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, ConfigError) else 1

@@ -22,6 +22,7 @@ by default and logical bit strings are ordered with qubit 0 first;
 from __future__ import annotations
 
 import collections
+import operator
 
 import numpy as np
 
@@ -44,11 +45,19 @@ class LogicalRegister(collections.namedtuple("LogicalRegister", "n_logical pairs
     __slots__ = ()
 
     def __new__(cls, n_logical: int, pairs=None):
+        try:
+            n_logical = operator.index(n_logical)
+        except TypeError:
+            raise ValidationError("n_logical must be an integer, "
+                                  f"got {n_logical!r}") from None
         if n_logical < 1:
             raise ValidationError("register needs at least one logical qubit")
         if pairs is None:
             pairs = tuple((2 * j, 2 * j + 1) for j in range(n_logical))
-        pairs = tuple((int(a), int(b)) for a, b in pairs)
+        try:
+            pairs = tuple((operator.index(a), operator.index(b)) for a, b in pairs)
+        except (TypeError, ValueError):
+            raise ValidationError("pairs must be [ion, ion] integer pairs") from None
         if len(pairs) != n_logical:
             raise ValidationError("one ion pair required per logical qubit")
         flat = [i for p in pairs for i in p]
@@ -71,8 +80,10 @@ class LogicalRegister(collections.namedtuple("LogicalRegister", "n_logical pairs
 
     @classmethod
     def from_json(cls, obj: dict) -> "LogicalRegister":
-        return cls(n_logical=int(obj["n_logical"]),
-                   pairs=tuple(tuple(p) for p in obj["pairs"]))
+        missing = [name for name in cls._fields if name not in obj]
+        if missing:
+            raise ValidationError(f"{', '.join(missing)}: required")
+        return cls(obj["n_logical"], obj["pairs"])
 
 
 def logical_basis_indices(register: LogicalRegister) -> list:

@@ -45,8 +45,6 @@ kind, and not on the detuning.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from typing import Sequence
 
@@ -80,10 +78,9 @@ def off_resonant_error_scan(spin_phase: float, fractions: Sequence[float]):
 
 
 def scan_csv_text(rows) -> str:
-    """``(fraction, infidelity)`` rows as two-column CSV text."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["fraction", "infidelity"])
-    for f, infid in rows:
-        writer.writerow([repr(float(f)), repr(float(infid))])
-    return buf.getvalue()
+    """``(fraction, infidelity)`` rows as two-column CSV text: a header,
+    then each row's ``repr`` floats, every line ended by ``\\r\\n``.  No
+    field needs quoting, so these are the bytes ``csv.writer`` writes."""
+    lines = ["fraction,infidelity"]
+    lines += [f"{float(f)!r},{float(infid)!r}" for f, infid in rows]
+    return "".join(line + "\r\n" for line in lines)

@@ -73,6 +73,10 @@ class NoiseModel(collections.namedtuple(
 
     @classmethod
     def from_json(cls, obj: dict) -> "NoiseModel":
+        unknown = [name for name in obj if name not in cls._fields]
+        if unknown:
+            raise ValidationError(f"{', '.join(map(str, unknown))}: not a field "
+                                  f"of NoiseModel, which has {', '.join(cls._fields)}")
         return cls(**{k: float(v) for k, v in obj.items()})
 
 #: Parameter set used by the noisy demos: crosstalk at the measured 5%

@@ -886,6 +886,66 @@ class TestDumpSequence:
         assert max_phase_diff(circuit_unitary([("cnot", 1, 0)]), u) < 1e-10
 
 
+class TestUsage:
+    @pytest.mark.parametrize("argv, named", [
+        ([], "command"),
+        (["bogus"], "bogus"),
+        (["{config}"], "{config}"),
+        (["run"], "config"),
+        (["validate"], "config"),
+        (["run", "{config}", "extra"], "extra"),
+        (["dump-sequence", "extra"], "extra"),
+        (["run", "{config}", "--se", "5"], "--se"),
+        (["run", "{config}", "--control", "1"], "--control"),
+        (["validate", "{config}", "--seed", "1"], "--seed"),
+        (["--seed", "1", "run", "{config}"], "--seed"),
+        (["run", "{config}", "-s", "1"], "-s"),
+        (["run", "{config}", "--seed"], "--seed"),
+        (["run", "{config}", "--seed", "x"], "--seed"),
+        (["run", "{config}", "--seed=1.5"], "--seed"),
+        (["dump-sequence", "--target="], "--target"),
+        (["dump-sequence", "--control", "one"], "--control"),
+    ])
+    def test_usage_error_exits_2_naming_the_word(self, tmp_path, capsys, argv,
+                                                 named):
+        # refused before anything runs, as an invalid config is
+        path, _ = write_config(tmp_path)
+        argv = [word.format(config=path) for word in argv]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert named.format(config=path) in captured.err
+        assert not (tmp_path / "out").exists()
+
+    def test_option_value_after_equals_sign(self, tmp_path):
+        path, _ = write_config(tmp_path, seed=5)
+        assert main(["run", "--seed=7", str(path)]) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["seed"] == 7
+
+    def test_dump_sequence_options_after_equals_sign(self, capsys):
+        assert main(["dump-sequence", "--control=1", "--target=0"]) == 0
+        joined = capsys.readouterr()
+        assert main(["dump-sequence", "--target", "0", "--control", "1"]) == 0
+        assert joined == capsys.readouterr()
+
+    @pytest.mark.parametrize("argv", [["--help"], ["-h"], ["run", "--help"],
+                                      ["bogus", "-h"]])
+    def test_help_prints_the_usage(self, capsys, argv):
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith(
+            "usage: dfsqc run <config.json> [--seed N]\n")
+        assert "dfsqc dump-sequence [--control N --target M]" in captured.out
+        assert "Scan experiments emit CSV files" in captured.out
+        assert captured.err == ""
+
+    def test_version(self, capsys):
+        assert main(["--version"]) == 0
+        assert capsys.readouterr().out == "dfsqc 0.1.0\n"
+
+
 def test_cli_import_needs_no_test_extra():
     # scipy, hypothesis and pytest are the `test` extra of pyproject.toml;
     # jsonschema is no dependency at all
@@ -941,19 +1001,24 @@ print(json.dumps(loaded))
 """
 
 
-def modules_after_validate_and_run(tmp_path, experiment, names):
-    """Which of ``names`` are loaded after ``validate``, then after ``run``,
-    of the experiment's default config, in a fresh process."""
-    path = str(write_config(tmp_path, experiment=experiment)[0])
+def modules_after(argvs, names):
+    """Which of ``names`` are loaded after each argument list of ``argvs``,
+    run in turn in one fresh process."""
     src = str(ROOT / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, "-c", MODULE_PROBE,
-                           json.dumps([["validate", path], ["run", path]]),
-                           json.dumps(names)],
+                           json.dumps(argvs), json.dumps(names)],
                           env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def modules_after_validate_and_run(tmp_path, experiment, names):
+    """Which of ``names`` are loaded after ``validate``, then after ``run``,
+    of the experiment's default config, in a fresh process."""
+    path = str(write_config(tmp_path, experiment=experiment)[0])
+    return modules_after([["validate", path], ["run", path]], names)
 
 
 @pytest.mark.parametrize("experiment", cli.EXPERIMENTS)
@@ -962,6 +1027,20 @@ def test_no_openssl_loaded(tmp_path, experiment):
     # leave libcrypto unloaded
     assert modules_after_validate_and_run(
         tmp_path, experiment, ["_hashlib"]) == [[], []]
+
+
+@pytest.mark.parametrize("command", [*cli.EXPERIMENTS, "dump-sequence",
+                                     "--version", "--help"])
+def test_no_option_parser_or_csv_loaded(tmp_path, command):
+    # cli.parse_args reads the command line and motional joins the scan CSV
+    # itself, so no command pays for argparse, the gettext and locale
+    # modules its messages load, getopt (which loads gettext too) or csv
+    names = ["argparse", "getopt", "gettext", "locale", "csv"]
+    if command in cli.EXPERIMENTS:
+        assert modules_after_validate_and_run(
+            tmp_path, command, names) == [[], []]
+    else:
+        assert modules_after([[command]], names) == [[]]
 
 
 @pytest.mark.parametrize("experiment", cli.EXPERIMENTS)
@@ -984,10 +1063,7 @@ import importlib, sys
 importlib.import_module(sys.argv[1])
 if sys.argv[2:]:
     from dfsqc import cli
-    try:
-        code = cli.main(sys.argv[2:])
-    except SystemExit as exc:  # --version
-        code = exc.code
+    code = cli.main(sys.argv[2:])
     assert code == 0, code
 print(*(name in sys.modules for name in (
     "numpy", "dfsqc.tomography", "dataclasses", "csv", "dfsqc.motional")))
@@ -1013,7 +1089,8 @@ def test_numpy_loaded_only_where_used(tmp_path, command, experiment,
     # they must not pay for importing it; validate of bell shows the probe
     # can see it.
     # Only cnot-tomo reads tomography, so no command here imports it; no
-    # command imports dataclasses, and only a scan's run imports motional
+    # command imports dataclasses or csv, and only a scan's run imports
+    # motional
     module, argv = "dfsqc.cli", [command]
     if command.startswith("import"):
         module, argv = command.split()[1], []
@@ -1027,7 +1104,7 @@ def test_numpy_loaded_only_where_used(tmp_path, command, experiment,
     assert proc.returncode == 0, proc.stderr
     scan = command == "run" and experiment in ("ms-scan", "cp-scan")
     assert proc.stdout.split()[-5:] == [str(loads_numpy), "False", "False",
-                                        str(scan), str(scan)]
+                                        "False", str(scan)]
 
 
 def test_layer_functions_looked_up_at_call_time(tmp_path, monkeypatch):

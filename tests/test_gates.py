@@ -90,6 +90,18 @@ def test_records_are_frozen_values(make, fields, text):
     assert repr(record) == text
 
 
+@pytest.mark.parametrize("make, field", [
+    (lambda: LogicalRegister("2"), "n_logical"),
+    (lambda: LogicalRegister(2, [[0, 1, 2], [3, 4, 5]]), "pairs"),
+    (lambda: LogicalRegister.from_json({"n_logical": 2}), "pairs"),
+    (lambda: NoiseModel.from_json({"seed": 1}), "seed"),
+], ids=["n_logical", "pairs", "missing_pairs", "unknown_noise_field"])
+def test_malformed_record_refused_naming_the_field(make, field):
+    # the library refuses what the CLI's field table refuses, in its terms
+    with pytest.raises(ValidationError, match=field):
+        make()
+
+
 def dense_pulse_generator(op, n_ions, weights):
     """Reference generator and exponent scale of a weighted pulse, written
     out as dense Kronecker sums: ``S = sum_i w_i P_i`` for single-ion

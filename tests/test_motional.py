@@ -1,6 +1,9 @@
+import csv
+import io
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dfsqc import linalg
@@ -173,6 +176,20 @@ class TestTimingScan:
         assert lines[0] == "fraction,infidelity"
         assert len(lines) == 3
         assert float(lines[1].split(",")[0]) == 0.0
+
+    @settings(deadline=None, max_examples=200)
+    @given(rows=st.lists(st.tuples(
+        st.floats(-0.5, 0.5, exclude_min=True, exclude_max=True) | st.floats(),
+        st.floats(allow_subnormal=True)), max_size=8))
+    @example(rows=[(-0.0, 5e-324), (1e16, -2.2250738585072014e-308),
+                   (0.49999999999999994, 1e-7)])
+    def test_csv_matches_the_csv_module(self, rows):
+        # the text is joined by hand; csv.writer is the reference for its bytes
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(["fraction", "infidelity"])
+        writer.writerows(rows)
+        assert scan_csv_text(rows) == buf.getvalue()
 
     @settings(deadline=None, max_examples=40)
     @given(make=st.sampled_from([model_sz, model_sx]),
