@@ -1,4 +1,6 @@
-"""Exception hierarchy for dfsqc."""
+"""Exception hierarchy for dfsqc, and the check of a record's number fields."""
+
+import math
 
 
 class DfsqcError(Exception):
@@ -35,3 +37,15 @@ class EmptySubspaceError(DfsqcError, ValueError):
 class ConfigError(DfsqcError, ValueError):
     """An experiment configuration, or a command-line option, cannot be
     run; the message names the field at fault."""
+
+
+def finite(name: str, value):
+    """``value`` if it is a finite real number, else a
+    :class:`ValidationError` naming the field ``name``: a string, ``None``,
+    NaN or an infinity is refused, and nothing is converted."""
+    try:
+        if math.isfinite(value):
+            return value
+    except TypeError:
+        pass
+    raise ValidationError(f"{name} must be a finite number, got {value!r}")

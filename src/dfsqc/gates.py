@@ -33,13 +33,14 @@ with the rows and columns of ``|01>`` and ``|10>`` exchanged.
 from __future__ import annotations
 
 import collections
+import operator
 from typing import Optional
 
 import numpy as np
 
 from . import linalg
 from .encoding import LogicalRegister
-from .errors import LayoutError, ValidationError
+from .errors import LayoutError, ValidationError, finite
 
 AC_STARK_Z = "ACStarkZ"
 MS_ROTATION = "MSRotation"
@@ -80,7 +81,14 @@ class PulseOp(collections.namedtuple("PulseOp", "kind targets angle phase durati
                 duration: float = 0.0):
         if kind not in _KINDS:
             raise ValidationError(f"unknown pulse kind {kind!r}")
-        targets = tuple(int(t) for t in targets)
+        try:
+            targets = tuple(map(operator.index, targets))
+        except TypeError:
+            raise ValidationError("targets must be integer ion indices, "
+                                  f"got {targets!r}") from None
+        finite("angle", angle)
+        finite("phase", phase)
+        finite("duration", duration)
         if kind == AC_STARK_Z:
             if len(targets) != 1:
                 raise ValidationError(f"{kind} addresses exactly one ion")

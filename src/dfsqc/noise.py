@@ -46,7 +46,7 @@ import numpy as np
 
 from . import linalg
 from .encoding import collective_dephasing, gaussian_phase_average
-from .errors import ValidationError
+from .errors import ValidationError, finite
 from .gates import AC_STARK_Z, CP_GATE, MS_ROTATION, PulseOp, pulse_unitary
 
 
@@ -60,16 +60,18 @@ class NoiseModel(collections.namedtuple(
 
     def __new__(cls, addressing_ratio=0.05, intensity_imbalance=0.0,
                 ac_stark_phase_jitter_std=0.0, collective_phase_std=0.0):
-        if not 0.0 <= addressing_ratio < 1.0:
+        values = (addressing_ratio, intensity_imbalance,
+                  ac_stark_phase_jitter_std, collective_phase_std)
+        self = super().__new__(cls, *(float(finite(name, value))
+                                      for name, value in zip(cls._fields, values)))
+        if not 0.0 <= self.addressing_ratio < 1.0:
             raise ValidationError("addressing_ratio must lie in [0, 1)")
-        if not -1.0 < intensity_imbalance < 1.0:
+        if not -1.0 < self.intensity_imbalance < 1.0:
             raise ValidationError("intensity_imbalance must lie in (-1, 1)")
-        if not (0 <= ac_stark_phase_jitter_std < np.inf
-                and 0 <= collective_phase_std < np.inf):
+        if self.ac_stark_phase_jitter_std < 0 or self.collective_phase_std < 0:
             raise ValidationError(
                 "jitter standard deviations must be finite and >= 0")
-        return super().__new__(cls, addressing_ratio, intensity_imbalance,
-                               ac_stark_phase_jitter_std, collective_phase_std)
+        return self
 
     @classmethod
     def from_json(cls, obj: dict) -> "NoiseModel":
@@ -77,7 +79,7 @@ class NoiseModel(collections.namedtuple(
         if unknown:
             raise ValidationError(f"{', '.join(map(str, unknown))}: not a field "
                                   f"of NoiseModel, which has {', '.join(cls._fields)}")
-        return cls(**{k: float(v) for k, v in obj.items()})
+        return cls(**obj)
 
 #: Parameter set used by the noisy demos: crosstalk at the measured 5%
 #: Rabi ratio plus jitter magnitudes tuned so the encoded Bell states

@@ -95,7 +95,21 @@ def test_records_are_frozen_values(make, fields, text):
     (lambda: LogicalRegister(2, [[0, 1, 2], [3, 4, 5]]), "pairs"),
     (lambda: LogicalRegister.from_json({"n_logical": 2}), "pairs"),
     (lambda: NoiseModel.from_json({"seed": 1}), "seed"),
-], ids=["n_logical", "pairs", "missing_pairs", "unknown_noise_field"])
+    (lambda: PulseOp("MSRotation", (0, 1), "x"), "angle"),
+    (lambda: PulseOp("MSRotation", (0, 1), np.nan), "angle"),
+    (lambda: PulseOp("MSRotation", (0, 1), 1.0, None), "phase"),
+    (lambda: PulseOp("ACStarkZ", (0,), 1.0, 0.0, np.inf), "duration"),
+    (lambda: PulseOp("MSRotation", (0, "a"), 1.0), "targets"),
+    (lambda: PulseOp("ACStarkZ", (1.0,), 1.0), "targets"),
+    (lambda: NoiseModel(addressing_ratio="x"), "addressing_ratio"),
+    (lambda: NoiseModel(collective_phase_std=1j), "collective_phase_std"),
+    (lambda: NoiseModel.from_json({"addressing_ratio": None}), "addressing_ratio"),
+    (lambda: NoiseModel.from_json({"intensity_imbalance": "0.05"}),
+     "intensity_imbalance"),
+], ids=["n_logical", "pairs", "missing_pairs", "unknown_noise_field",
+        "string_angle", "nan_angle", "null_phase", "infinite_duration",
+        "string_target", "float_target", "string_ratio", "complex_std",
+        "null_ratio", "numeric_string"])
 def test_malformed_record_refused_naming_the_field(make, field):
     # the library refuses what the CLI's field table refuses, in its terms
     with pytest.raises(ValidationError, match=field):
