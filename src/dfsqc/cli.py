@@ -3,16 +3,16 @@
 Subcommands
 -----------
 ``dfsqc run <config.json>``
-    Run one experiment described by a JSON config (fields in
-    ``EXPERIMENT_FIELDS`` below) and write ``report.json``,
+    Run one experiment described by a JSON config, a row of ``EXPERIMENTS``
+    below (its fields, circuit and run function), and write ``report.json``,
     ``matrices.json`` and any scan CSV files into the configured output
     directory, each atomically.  :func:`load_config` checks the config
     and returns the run's inputs, built once: the run functions read
     only those.  Exit code 2 flags an invalid config, found before any
-    computation.  ``bell`` runs the circuit ``X(pi/2)`` on the control then
-    the CNOT, ``cnot-tomo`` the CNOT alone, each on its light cone, the at
-    most 5 ions its noisy pulses touch, wherever the pairs sit on the
-    string; each sample count has a fixed range, so every config that
+    computation.  A row's circuit (``bell``: ``X(pi/2)`` on the control
+    then the CNOT; ``cnot-tomo``: the CNOT alone) runs on its light cone,
+    the at most 5 ions its noisy pulses touch, wherever the pairs sit on
+    the string; each sample count has a fixed range, so every config that
     validates runs in seconds.
 ``dfsqc dump-sequence [--control N --target M]``
     Print the compiled CNOT pulse sequence as JSON (durations in seconds,
@@ -47,6 +47,7 @@ import math
 import os
 import sys
 import tempfile
+from types import SimpleNamespace as Experiment
 
 from . import __version__
 from .errors import (ConfigError, DfsqcError, EmptySubspaceError, LayoutError,
@@ -104,30 +105,8 @@ _SCAN_FIELDS = {
         "a list of 1 to 10000 numbers in (-0.5, 0.5)",
         (0.0, 0.01, 0.02, 0.05, 0.1, 0.2)),
 }
-#: The fields each experiment reads besides ``COMMON_FIELDS``, with what
-#: each must be and its default; an object is a nested table of the
-#: sub-fields read.  A config that sets any other field is refused.
-EXPERIMENT_FIELDS = {
-    "bell": _CNOT_FIELDS,
-    "cnot-tomo": {**_CNOT_FIELDS,
-                  "shots": FieldSpec(lambda v: v is None or _COUNT.test(v),
-                                     f"null or {_COUNT.what}", 100),
-                  # n_haar_samples is range-checked but read by nothing: the
-                  # Haar figures are exact.  perfbench/workloads.request_config
-                  # still sets it, so refusing it waits for the benchmark to
-                  # drop the field.
-                  "n_haar_samples": _integers(1000, 2 ** 20)._replace(
-                      default=200_000)},
-    "coherence": {"phi_std": FieldSpec(lambda v: _real(v) and v >= 0,
-                                       "a number >= 0", math.pi)},
-    "ms-scan": _SCAN_FIELDS,
-    "cp-scan": _SCAN_FIELDS,
-}
-EXPERIMENTS = tuple(EXPERIMENT_FIELDS)
-#: Fields every experiment reads.
+#: Fields every experiment reads besides ``experiment``, a key of ``EXPERIMENTS``.
 COMMON_FIELDS = {
-    "experiment": FieldSpec(lambda v: v in EXPERIMENTS,
-                            "one of " + ", ".join(EXPERIMENTS), _REQUIRED),
     "seed": _integers(0)._replace(default=_REQUIRED),
     "output_dir": FieldSpec(lambda v: type(v) is str and v != "",
                             "a non-empty string", _REQUIRED),
@@ -222,19 +201,21 @@ def _check_fields(value, table: dict, path: str, experiment) -> None:
 
 
 def _check_semantics(config) -> dict:
-    """Check the config against ``COMMON_FIELDS`` and its experiment's
-    ``EXPERIMENT_FIELDS`` and build the run's inputs, creating nothing, so that
-    no run starts that cannot finish: each top-level field's value or default
-    and ``config_hash``; for a CNOT also the built ``noise`` (``None``: ideal),
-    the ``ideal`` unitary of its circuit, the ``register`` shifted to its light
+    """Check the config against ``COMMON_FIELDS`` and its row of ``EXPERIMENTS``
+    and build the run's inputs, creating nothing, so that no run starts that
+    cannot finish: each top-level field's value or default and ``config_hash``;
+    for a row with a circuit also the built ``noise`` (``None``: ideal), the
+    ``ideal`` unitary of the circuit, the ``register`` shifted to its light
     cone (its pairs and the ion below them) and its pulse list ``sequence``."""
     experiment = config.get("experiment") if type(config) is dict else None
-    fields = EXPERIMENT_FIELDS[experiment] if experiment in EXPERIMENTS else {}
-    table = {**COMMON_FIELDS, **fields}
+    row = EXPERIMENTS.get(experiment) if type(experiment) is str else None
+    table = {"experiment": FieldSpec(lambda v: type(v) is str and v in EXPERIMENTS,
+                                     "one of " + ", ".join(EXPERIMENTS), _REQUIRED),
+             **COMMON_FIELDS, **(row.fields if row else {})}
     _check_fields(config, table, "", experiment)
     run = {name: getattr(spec, "default", None) for name, spec in table.items()}
     run.update(config, config_hash=config_hash(config))
-    if experiment in ("bell", "cnot-tomo"):
+    if row.circuit is not None:
         from .encoding import LogicalRegister
         from .gates import circuit_unitary, compile_circuit
         from .noise import NoiseModel
@@ -247,9 +228,7 @@ def _check_semantics(config) -> dict:
         with _field("noise"):
             run["noise"] = (NoiseModel.from_json(config["noise"])
                             if "noise" in config else None)
-        circuit = [("cnot", run["control"], run["target"])]
-        if experiment == "bell":
-            circuit.insert(0, ("x", run["control"], math.pi / 2))
+        circuit = row.circuit(run["control"], run["target"])
         with _field("control/target"):
             run["ideal"] = circuit_unitary(circuit)
         # only to name the config's own ions in a layout error, e.g. center ions (6, 8)
@@ -411,21 +390,41 @@ def run_coherence(run: dict, seed: int) -> tuple:
     return metrics, {}, []
 
 
-def run_scan(run: dict, seed: int, kind: str) -> tuple:
+def run_scan(run: dict, seed: int) -> tuple:
     from . import motional
-    spin_phase = run["spin_phase"]
+    spin_phase, kind = run["spin_phase"], run["experiment"].removesuffix("-scan")
     rows = motional.off_resonant_error_scan(spin_phase, run["timing_fractions"])
     metrics = {"spin_phase": spin_phase,
                "rows": [{"fraction": f, "infidelity": i} for f, i in rows]}
     return metrics, {}, [(f"{kind}_scan.csv", motional.scan_csv_text(rows))]
 
 
+#: Each experiment's row, ``Experiment(fields=..., circuit=..., run=...)``: the
+#: fields it reads besides ``COMMON_FIELDS`` (what each must be and its default;
+#: an object is a nested table of the sub-fields read, and any other field is
+#: refused), its gate list on ``(control, target)`` or ``None``, and its run
+#: function.  A namespace: a named-tuple class would add 0.1 MB of peak RSS.
+EXPERIMENTS = {
+    "bell": Experiment(fields=_CNOT_FIELDS, circuit=lambda c, t: [
+        ("x", c, math.pi / 2), ("cnot", c, t)], run=run_bell),
+    "cnot-tomo": Experiment(fields={
+        **_CNOT_FIELDS, "shots": FieldSpec(lambda v: v is None or _COUNT.test(v),
+                                           f"null or {_COUNT.what}", 100),
+        # n_haar_samples is range-checked but read by nothing: the Haar figures
+        # are exact.  perfbench/workloads.request_config still sets it, so
+        # refusing it waits for the benchmark to drop the field.
+        "n_haar_samples": _integers(1000, 2 ** 20)._replace(default=200_000),
+    }, circuit=lambda c, t: [("cnot", c, t)], run=run_cnot_tomo),
+    "coherence": Experiment(fields={"phi_std": FieldSpec(
+        lambda v: _real(v) and v >= 0, "a number >= 0", math.pi)},
+        circuit=None, run=run_coherence),
+    "ms-scan": Experiment(fields=_SCAN_FIELDS, circuit=None, run=run_scan),
+    "cp-scan": Experiment(fields=_SCAN_FIELDS, circuit=None, run=run_scan),
+}
+
+
 def run_experiment(run: dict, seed: int) -> tuple:
-    kind = run["experiment"]
-    if kind in ("ms-scan", "cp-scan"):
-        return run_scan(run, seed, kind[:2])
-    runs = {"bell": run_bell, "cnot-tomo": run_cnot_tomo, "coherence": run_coherence}
-    return runs[kind](run, seed)
+    return EXPERIMENTS[run["experiment"]].run(run, seed)
 
 
 def cmd_run(config: str, seed: int | None = None) -> int:

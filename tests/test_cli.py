@@ -161,8 +161,9 @@ class TestStrictJson:
         assert not (tmp_path / "out").exists()
 
     def test_non_finite_output_not_written(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "run_coherence", lambda config, seed: (
-            {"coherence_ratio": float("nan")}, {}, []))
+        monkeypatch.setattr(cli.EXPERIMENTS["coherence"], "run",
+                            lambda config, seed: (
+                                {"coherence_ratio": float("nan")}, {}, []))
         path, _ = write_config(tmp_path, experiment="coherence")
         assert main(["run", str(path)]) != 0
         assert not (tmp_path / "out" / "report.json").exists()
@@ -365,7 +366,7 @@ class TestSemanticConfigErrors:
 
     @pytest.mark.parametrize("overrides", [
         {"experiment": "cnot-tomo", **{
-            name: cli.EXPERIMENT_FIELDS["cnot-tomo"][name].default
+            name: cli.EXPERIMENTS["cnot-tomo"].fields[name].default
             for name in ("shots", "n_haar_samples")}},
     ])
     def test_default_sample_counts_validate(self, tmp_path, overrides):
@@ -439,7 +440,7 @@ class TestFieldDefaults:
     def test_table_default_is_what_an_unset_field_runs(self, tmp_path,
                                                        experiment):
         defaults = {name: spec.default
-                    for name, spec in cli.EXPERIMENT_FIELDS[experiment].items()
+                    for name, spec in cli.EXPERIMENTS[experiment].fields.items()
                     if isinstance(spec, cli.FieldSpec)}
         assert defaults and None not in defaults.values()
         outputs = []
@@ -453,6 +454,52 @@ class TestFieldDefaults:
                      if p.name != "report.json"}
             outputs.append((report["metrics"], files))
         assert outputs[0] == outputs[1]
+
+
+class TestExperimentTable:
+    def test_patched_row_is_a_whole_experiment(self, tmp_path, capsys,
+                                               monkeypatch):
+        # one row adds an experiment: its fields are checked, it runs, and
+        # the refusal of an unknown experiment lists it
+        gain = cli.FieldSpec(lambda v: type(v) is int, "an integer", 2)
+        monkeypatch.setitem(cli.EXPERIMENTS, "echo", cli.Experiment(
+            fields={"knob": {"gain": gain}}, circuit=None,
+            run=lambda run, seed: ({"knob": run["knob"], "seed": seed}, {}, [])))
+        path, _ = write_config(tmp_path, experiment="echo", knob={"gain": 3})
+        assert main(["validate", str(path)]) == 0
+        assert main(["run", str(path)]) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["metrics"] == {"knob": {"gain": 3}, "seed": 17}
+        capsys.readouterr()
+        path, _ = write_config(tmp_path, experiment="echo",
+                               knob={"gain": 3, "typo": 1})
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: knob.typo: not read by the echo experiment\n")
+        path, _ = write_config(tmp_path, experiment="nope")
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: experiment: must be one of bell, cnot-tomo, coherence, "
+            "ms-scan, cp-scan, echo, got \"nope\"\n")
+
+    def test_patched_circuit_runs_through_the_one_cnot_build(self, tmp_path,
+                                                               monkeypatch):
+        # bell's run function on the circuit X(pi/2) alone: the ideal it is
+        # judged against is that circuit's, so every input is perfect
+        monkeypatch.setitem(cli.EXPERIMENTS, "x-half", cli.Experiment(
+            fields=cli.EXPERIMENTS["bell"].fields,
+            circuit=lambda c, t: [("x", c, np.pi / 2)], run=cli.run_bell))
+        logical = []
+        for experiment in ("x-half", "bell"):
+            path, _ = write_config(tmp_path, experiment=experiment,
+                                   output_dir=str(tmp_path / experiment))
+            assert main(["run", str(path)]) == 0
+            out = tmp_path / experiment
+            metrics = json.loads((out / "report.json").read_text())["metrics"]
+            assert metrics["fidelity"] == pytest.approx([1.0] * 4, abs=1e-10)
+            assert metrics["permanence"] == pytest.approx([1.0] * 4, abs=1e-10)
+            logical.append(json.loads((out / "matrices.json").read_text()))
+        assert logical[0] != logical[1]
 
 
 class TestRunBell:

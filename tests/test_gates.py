@@ -1,3 +1,4 @@
+import itertools
 import json
 import re
 
@@ -407,6 +408,41 @@ class TestCircuits:
             circuit_unitary([gate])
         with pytest.raises(LayoutError):
             compile_circuit([gate], LogicalRegister(2))
+
+
+class TestUniversality:
+    def test_pulse_generators_span_su4_on_the_dfs(self, reg):
+        # the paper's gate set is universal on two logical qubits: the z and
+        # MS pulses on each qubit and the phase gate keep the DFS, and the
+        # traceless parts of their blocks there, closed under commutators,
+        # span a 15-dimensional real Lie algebra, all of su(4)
+        ops = [z_pulse(1.0, q, reg) for q in (0, 1)]
+        ops += [ms_pulse(1.0, q, reg) for q in (0, 1)] + [cp_pulse(1.0, (0, 1), reg)]
+        idx = logical_basis_indices(reg)
+        outside = np.setdiff1d(np.arange(reg.dim), idx)
+        paulis = [linalg.pauli_string(a + b) for a in "IXYZ" for b in "IXYZ"][1:]
+
+        def rank(matrices):  # of their real coordinates on the 15 Paulis
+            coords = [[np.trace(p @ m).real for p in paulis] for m in matrices]
+            return np.linalg.matrix_rank(np.array(coords), tol=1e-9)
+
+        algebra = []
+        for op in ops:
+            gen, _ = dense_pulse_generator(op, reg.n_ions,
+                                           dict.fromkeys(op.targets, 1.0))
+            assert np.max(np.abs(gen[np.ix_(outside, idx)])) == 0  # no leak
+            block = restrict_to_dfs(gen, reg)
+            algebra.append(block - np.trace(block) / 4 * np.eye(4))
+        assert rank(algebra) == 5
+        grown = True
+        while grown:
+            grown = False
+            for a, b in itertools.combinations(list(algebra), 2):
+                c = 1j * (a @ b - b @ a)
+                if rank(algebra + [c]) > len(algebra):
+                    algebra.append(c / np.linalg.norm(c))
+                    grown = True
+        assert len(algebra) == 15
 
 
 class TestApplySequence:
