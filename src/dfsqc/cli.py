@@ -77,9 +77,9 @@ def _integers(low: int, high: float = math.inf) -> FieldSpec:
 _INTEGER, _REAL = FieldSpec(_integer, "an integer"), FieldSpec(_real, "a number")
 # Sample counts are capped by the time a run takes on its light cone of at
 # most 5 ions: a calibrated cnot-tomo on pairs [[1, 2], [3, 4]] with every
-# count at its cap takes 0.6-0.7 s on a 2-core Intel Xeon host with one BLAS
-# thread (medians of 5 fresh processes), most of it drawing shots; a scan of
-# 10^4 timing fractions takes 0.25 s.
+# count at its cap takes 0.60-0.62 s on a 2-core Intel Xeon host with one
+# BLAS thread (medians of 26 fresh processes), most of it drawing shots; a
+# scan of 10^4 timing fractions takes 0.25 s.
 _COUNT = _integers(1, 10 ** 4)  # noise_samples, shots, timing_fractions' length
 # Nested objects get types only: LogicalRegister and NoiseModel, which
 # _check_semantics builds, check their bounds.
@@ -144,7 +144,8 @@ def _reject_overflow(text: str) -> str:
 def _reject_duplicates(pairs: list) -> dict:
     obj = dict(pairs)
     if len(obj) < len(pairs):
-        twice = [n for n in obj if [k for k, _ in pairs].count(n) > 1]
+        counts = collections.Counter(k for k, _ in pairs)
+        twice = [n for n in obj if counts[n] > 1]
         raise ConfigError(f"{', '.join(twice)}: duplicate key in config")
     return obj
 
@@ -168,6 +169,8 @@ def load_config(path: str) -> dict:
         raise ConfigError(
             f"config is not valid JSON (line {exc.lineno}, column {exc.colno}): "
             f"{exc.msg}") from exc
+    except RecursionError:  # the parser recurses once per array or object
+        raise ConfigError("config is nested too deeply to parse") from None
     return _check_semantics(config)
 
 

@@ -29,13 +29,13 @@ so state tomography is a per-ion contraction with the single-ion effects
 (Huang, Kueng & Preskill, arXiv:2002.08953).  Shots are drawn by
 inverse-CDF sampling, so rounding of the state moves a count only at a
 bin edge, and all settings of one state share one random stream, each
-taking its own fixed run of ``shots`` uniforms; they are binned a block
-of settings at a time, by one sort and one binary search of all bin
-edges, with no loop over settings.  The stream is counter-based
-SplitMix64 (Steele, Lea & Flood, OOPSLA 2014) in numpy: uniform ``i`` is
-a fixed mix of ``key + (i + 1) * gamma``, with the 64-bit ``key`` hashed
-by ``random`` from the seed's text, so drawing needs neither
-``numpy.random`` nor OpenSSL.
+taking its own fixed run of ``shots`` uniforms; they are drawn and
+binned a block of settings at a time, at most ``2^13`` draws but at
+least one setting, by one sort and one binary search of the block's bin
+edges.  The stream is counter-based SplitMix64 (Steele, Lea & Flood,
+OOPSLA 2014) in numpy: uniform ``i`` is a fixed mix of ``key + (i + 1) *
+gamma``, with the 64-bit ``key`` hashed by ``random`` from the seed's
+text, so drawing needs neither ``numpy.random`` nor OpenSSL.
 
 The Haar figures average the permanence ``tr E(psi)`` and the overall
 fidelity ``<U psi| E(psi) |U psi>`` over pure logical inputs.  Both means
@@ -102,16 +102,11 @@ def _contract_ions(t: np.ndarray, tables: Sequence[np.ndarray]) -> np.ndarray:
     return t.reshape(-1, np.prod(t.shape[n:], dtype=int))
 
 
-#: Draws :func:`_draw_counts` holds at once, 512 kB, but at least one row's.
-_DRAW_CHUNK = 2 ** 16
-#: Draws :func:`_stream_uniforms` mixes at once, with a 64 kB buffer.
-_MIX_BLOCK = 2 ** 13
+#: Draws :func:`_draw_counts` bins at once, 64 kB, but at least one row's.
+_DRAW_CHUNK = 2 ** 13
 #: SplitMix64's increment, the odd integer nearest ``2^64`` over the golden
 #: ratio, and the two multipliers of its finaliser.
 _GAMMA, _MIX1, _MIX2 = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
-#: ``(j + 1) * gamma`` modulo ``2^64``, the state offset of uniform ``j`` of
-#: a block.
-_RAMP = np.arange(1, _MIX_BLOCK + 1, dtype=np.uint64) * np.uint64(_GAMMA)
 
 
 def _stream_key(seed) -> int:
@@ -127,28 +122,27 @@ def _stream_key(seed) -> int:
     return random.Random("/".join(str(int(p)) for p in parts)).getrandbits(64)
 
 
-def _stream_uniforms(key: int, start: int, out: np.ndarray) -> None:
-    """Fill the flat uint64 array ``out`` with draws ``start`` onwards of
-    the counter-based SplitMix64 stream of ``key`` (Steele, Lea & Flood,
-    OOPSLA 2014): draw ``i`` is the 53-bit integer ``k = mix(key + (i + 1)
-    * gamma) >> 11``, the uniform ``k * 2^-53`` in ``[0, 1)``, with ``mix``
-    the generator's finaliser and all arithmetic modulo ``2^64``.  Each draw
+def _stream_uniforms(key: int, start: int, size: int) -> np.ndarray:
+    """Draws ``start`` to ``start + size - 1``, a flat uint64 array, of the
+    counter-based SplitMix64 stream of ``key`` (Steele, Lea & Flood, OOPSLA
+    2014): draw ``i`` is the 53-bit integer ``k = mix(key + (i + 1) * gamma)
+    >> 11``, the uniform ``k * 2^-53`` in ``[0, 1)``, with ``mix`` the
+    generator's finaliser and all arithmetic modulo ``2^64``.  Each draw
     depends on its index alone, so any window of the stream is computed on
     its own.  Every uint64 operation is on arrays, which wrap without the
     warning a numpy scalar gives on overflow."""
-    t = np.empty(min(out.size, _MIX_BLOCK), dtype=np.uint64)
-    for lo in range(0, out.size, _MIX_BLOCK):
-        z = out[lo:lo + _MIX_BLOCK]
-        tz = t[:z.size]
-        base = (key + (start + lo) * _GAMMA) % 2 ** 64
-        np.add(_RAMP[:z.size], np.uint64(base), out=z)
-        for shift, mult in ((30, _MIX1), (27, _MIX2)):
-            np.right_shift(z, shift, out=tz)
-            z ^= tz
-            z *= np.uint64(mult)
-        np.right_shift(z, 31, out=tz)
-        z ^= tz
-        z >>= 11
+    z = np.arange(1, size + 1, dtype=np.uint64)
+    z *= np.uint64(_GAMMA)
+    z += np.uint64((key + start * _GAMMA) % 2 ** 64)
+    t = np.empty_like(z)
+    for shift, mult in ((30, _MIX1), (27, _MIX2)):
+        np.right_shift(z, shift, out=t)
+        z ^= t
+        z *= np.uint64(mult)
+    np.right_shift(z, 31, out=t)
+    z ^= t
+    z >>= 11
+    return z
 
 
 def _draw_counts(probs: np.ndarray, shots: int, seed) -> np.ndarray:
@@ -179,11 +173,9 @@ def _draw_counts(probs: np.ndarray, shots: int, seed) -> np.ndarray:
     past[:, 0] = shots
     step = min(2 ** 10, max(1, _DRAW_CHUNK // shots))
     lift = np.arange(step, dtype=np.uint64)[:, None] << np.uint64(54)
-    k = np.empty((min(step, rows), shots), dtype=np.uint64)
     for lo in range(0, rows, step):
-        block = k[:rows - lo]
-        m = len(block)
-        _stream_uniforms(key, lo * shots, block.reshape(-1))
+        m = min(step, rows - lo)
+        block = _stream_uniforms(key, lo * shots, m * shots).reshape(m, shots)
         block.sort(axis=1)
         block += lift[:m]
         below = np.searchsorted(block.reshape(-1), edges[lo:lo + m] + lift[:m])
@@ -255,11 +247,13 @@ def _mean_permanence(chi: np.ndarray) -> float:
 
 
 def project_chi_cp(chi: np.ndarray) -> tuple:
-    """Nearest completely positive chi of trace one: Hermitian part,
-    eigenvalue clip, trace renormalized.  Returns it and the negative
-    eigenvalue mass the clip dropped, over ``tr chi``.  Shape and mean
-    permanence are refused as by :func:`process_fidelity`, so the clip
-    always keeps positive weight."""
+    """A completely positive chi of trace one: the Hermitian part with its
+    negative eigenvalues clipped to zero, rescaled to trace one.  That is
+    not the nearest such chi, which shifts every eigenvalue (a projection
+    onto the simplex).  Returns it and the negative eigenvalue mass the
+    clip dropped, over ``tr chi``.  Shape and mean permanence are refused
+    as by :func:`process_fidelity`, so the clip always keeps positive
+    weight."""
     linalg.n_qubits(chi.shape, 4, 4)
     _mean_permanence(chi)
     evals, evecs = np.linalg.eigh((chi + linalg.dag(chi)) / 2)

@@ -1,18 +1,20 @@
 """Golden corpus of ``dfsqc`` commands: what each one prints and writes.
 
 Usage: ``PYTHONPATH=src python tests/goldens/record.py`` writes
-``corpus.json`` next to this file again.  Do that only when a change
-means to move outputs, and list each entry it changes.
+``corpus.json`` next to this file again and prints each entry whose
+record changed, with its largest figure change.  Do that only when a
+change means to move outputs, and list those entries with the change.
 
 Each entry is one command line, run in process through ``cli.main`` in
 a directory of its own, with its config (if any) written there as
 ``config.json`` and every ``output_dir`` the same relative ``out``,
 since ``config_hash`` covers it.  :func:`record` keeps the exit code,
 stderr, the SHA-256 of stdout and of each file written, and the figures:
-every number of the report's metrics, or of a JSON stdout.  The
-SHA-256s hold only for the numpy, BLAS, machine and CPU stored with them
-(:func:`platform_key`); ``tests/test_goldens.py`` checks everything else
-on every host.
+every number of the report's metrics, or of a JSON stdout, and of
+``matrices.json``.  The SHA-256s hold only for the numpy, BLAS, machine
+and CPU stored with them (:func:`platform_key`); ``tests/test_goldens.py``
+checks everything else on every host.  ``corpus.json`` keeps one figure
+a line, so that its diff shows each figure that moved.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import io
 import json
 import os
 import platform
+import re
 import sys
 import tempfile
 from hashlib import sha256
@@ -60,17 +63,25 @@ def _entries() -> list:
                             seed=seed, control=control, target=target,
                             **noise_fields, **register))
     calibrated = noises["calibrated"]
+    for experiment, where, pairs in (("bell", "far", [[10, 11], [12, 13]]),
+                                     ("bell", "reversed", [[3, 2], [1, 0]]),
+                                     ("cnot-tomo", "reversed", [[3, 2], [1, 0]])):
+        for seed in (7, 8, 9):
+            for control, target in ((0, 1), (1, 0)):
+                # seed 7 in roles 01 keeps the name and config it was first
+                # recorded with
+                roles = ({} if (seed, control) == (7, 0) else
+                         {"seed": seed, "control": control, "target": target})
+                suffix = f" seed {seed} roles {control}{target}" if roles else ""
+                entries.append(_run(
+                    f"{experiment} calibrated {where} pairs{suffix}", experiment,
+                    **calibrated, **roles, register={"n_logical": 2, "pairs": pairs}))
     bell = {"experiment": "bell", "seed": 7, "output_dir": OUT}
     entries += [
         _run("cnot-tomo shots null", "cnot-tomo", shots=None, **calibrated),
         _run("cnot-tomo shots 100", "cnot-tomo", shots=100, **calibrated),
         _run("cnot-tomo --seed 9 over seed 7", "cnot-tomo", "--seed", "9",
              **calibrated),
-        _run("bell calibrated far pairs", "bell", **calibrated,
-             register={"n_logical": 2, "pairs": [[10, 11], [12, 13]]}),
-        *(_run(f"{experiment} calibrated reversed pairs", experiment, **calibrated,
-               register={"n_logical": 2, "pairs": [[3, 2], [1, 0]]})
-          for experiment in ("bell", "cnot-tomo")),
         _run("coherence phi_std 0.5", "coherence", phi_std=0.5),
         _run("ms-scan fractions", "ms-scan", timing_fractions=[-0.3, 0.0, 0.25]),
         _run("cp-scan spin_phase", "cp-scan", spin_phase=0.5,
@@ -137,6 +148,9 @@ def record(entry: dict, workdir: str) -> dict:
             figures = _figures(json.loads(stdout.getvalue()))
         else:
             figures = []
+        if (Path(OUT) / "matrices.json").exists():
+            figures += _figures(json.loads((Path(OUT) / "matrices.json").read_text()),
+                                "matrices.json")
     finally:
         os.chdir(here)
     return {**entry, "exit": code, "stderr": stderr.getvalue(),
@@ -163,13 +177,44 @@ def platform_key() -> dict:
             "cpu": cpu}
 
 
+def _change(was: dict | None, now: dict) -> str:
+    """What moved between two records of one entry, ``""`` if nothing.
+    A figure only added is no change: it reads an output the record
+    already held by its SHA-256."""
+    if was is None:
+        return "new entry"
+    after = dict(now["figures"])
+    moved = [abs(after[path] - v) for path, v in was["figures"]
+             if path in after and after[path] != v]
+    gone = [path for path, _ in was["figures"] if path not in after]
+    parts = [f"{key} changed" for key in now
+             if key != "figures" and now[key] != was.get(key)]
+    if moved:
+        parts.append(f"{len(moved)} figures moved, the largest by {max(moved):.3g}")
+    if gone:
+        parts.append(f"{len(gone)} figures gone")
+    return "; ".join(parts)
+
+
 def main() -> int:
+    was = ({e["name"]: e for e in json.loads(CORPUS.read_text())["entries"]}
+           if CORPUS.exists() else {})
     results = []
     for entry in _entries():
         with tempfile.TemporaryDirectory() as workdir:
             results.append(record(entry, workdir))
-    corpus = {**platform_key(), "entries": results}
-    CORPUS.write_text(json.dumps(corpus, indent=1) + "\n")
+    names = {r["name"] for r in results}
+    for name in was:
+        if name not in names:
+            print(f"{name}: entry removed")
+    for result in results:
+        change = _change(was.get(result["name"]), result)
+        if change:
+            print(f"{result['name']}: {change}")
+    # one [path, number] figure a line
+    text = re.sub(r'\[\n\s+("[^"]*"),\n\s+(\S+)\n\s+\]', r"[\1, \2]",
+                  json.dumps({**platform_key(), "entries": results}, indent=1))
+    CORPUS.write_text(text + "\n")
     print(f"wrote {len(results)} entries to {CORPUS}")
     return 0
 

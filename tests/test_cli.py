@@ -102,6 +102,33 @@ class TestValidate:
         assert f"{key}: duplicate key" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_duplicate_among_many_keys_refused_fast(self, tmp_path, capsys):
+        # the keys are counted once, not once per key
+        path = tmp_path / "c.json"
+        text = json.dumps(dict.fromkeys((f"k{i}" for i in range(10 ** 5)), 1))
+        path.write_text(text[:-1] + ', "k7": 2}')
+        start = time.perf_counter()
+        assert main(["validate", str(path)]) == 2
+        assert time.perf_counter() - start < 5
+        assert capsys.readouterr().err == "error: k7: duplicate key in config\n"
+
+    @pytest.mark.parametrize("text", [
+        "[" * 10 ** 5 + "]" * 10 ** 5,
+        '{"a": ' * 10 ** 5 + "1" + "}" * 10 ** 5,
+        '{"experiment": "coherence", "seed": 7, "output_dir": "out", '
+        '"phi_std": ' + "[" * 10 ** 5 + "1" + "]" * 10 ** 5 + "}",
+    ], ids=["array", "object", "field"])
+    def test_deeply_nested_config_refused(self, tmp_path, capsys, monkeypatch,
+                                          text):
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "c.json"
+        path.write_text(text)
+        assert main(["validate", str(path)]) == 2
+        assert main(["run", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: config is nested too deeply to parse\n" * 2)
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("config, field", [
         ([1, 2], "config: must be an object"),
         ({"seed": 1, "output_dir": "out"}, "experiment: required"),
@@ -357,7 +384,7 @@ class TestSemanticConfigErrors:
 
     def test_sample_counts_at_their_caps_validate(self, tmp_path):
         # the heaviest cnot-tomo that validates: jittering noise on a 5-ion
-        # light cone and every count at its cap, about 1.7 s to run
+        # light cone and every count at its cap, about 0.6 s to run
         path, _ = write_config(
             tmp_path, experiment="cnot-tomo", noise=CALIBRATED,
             register={"n_logical": 2, "pairs": [[1, 2], [3, 4]]},

@@ -162,7 +162,7 @@ class TestMeasurement:
         finally:
             tracemalloc.stop()
         assert np.array_equal(counts.sum(axis=1), np.full(243, 10 ** 4))
-        assert peak < 1e6
+        assert peak < 5e5
 
 
 SEED_PARTS = st.integers(-2 ** 70, 2 ** 70)
@@ -171,9 +171,7 @@ STREAM_SEEDS = st.one_of(SEED_PARTS, st.tuples(SEED_PARTS),
 
 
 def stream(key, n, start=0):
-    out = np.empty(n, dtype=np.uint64)
-    tomography._stream_uniforms(key, start, out)
-    return out
+    return tomography._stream_uniforms(key, start, n)
 
 
 class TestShotStream:
@@ -192,7 +190,7 @@ class TestShotStream:
            start=st.one_of(st.integers(0, 2 ** 20), st.integers(0, 2 ** 64)),
            n=st.one_of(st.integers(0, 20), st.integers(0, 3 * 2 ** 13 + 5)))
     def test_window_matches_the_integer_oracle(self, seed, start, n):
-        # bit for bit at any start, across mixing blocks and the 2^64 wrap
+        # bit for bit at any start and size, across the 2^64 wrap
         key = tomography._stream_key(seed)
         assert key == ref.stream_key(seed)
         assert np.array_equal(stream(key, n, start),
