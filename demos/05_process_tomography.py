@@ -15,8 +15,8 @@ import numpy as np
 from dfsqc.encoding import LogicalRegister, embed_in_dfs
 from dfsqc.gates import CNOT_LOGICAL, compile_cnot
 from dfsqc.noise import CALIBRATED_NOISE, sample_noisy_channel
-from dfsqc.tomography import (chi_from_unitary, haar_report, process_fidelity,
-                              process_tomography, project_chi_cp)
+from dfsqc.tomography import (chi_from_unitary, chi_negative_mass, haar_report,
+                              process_fidelity, process_tomography)
 
 reg = LogicalRegister(2)
 cnot = compile_cnot(0, 1, reg)
@@ -45,7 +45,7 @@ print("  input permanences: mean %.4f, min %.4f, max %.4f"
       % (perms.mean(), perms.min(), perms.max()))
 print("  tr chi: %.4f" % np.trace(noisy).real)
 print("  negative eigenvalue mass of chi, over tr chi: %.4f"
-      % project_chi_cp(noisy)[1])
+      % chi_negative_mass(noisy))
 
 report = haar_report(noisy, chi_ideal)
 print("  mean gate fidelity (in subspace): %.4f" % report["mean_gate_fidelity"])

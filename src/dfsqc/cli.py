@@ -126,8 +126,8 @@ REFERENCE_EXPERIMENT = {
 }
 
 
-def _shown(text: str) -> str:
-    return text if len(text) <= 24 else f"{text[:20]}... ({len(text)} characters)"
+def _shown(text: str) -> str:  # a value, key or word, whole up to a path's length
+    return text if len(text) <= 120 else f"{text[:100]}... ({len(text)} characters)"
 
 
 def _reject_constant(name: str):
@@ -141,12 +141,16 @@ def _reject_overflow(text: str) -> str:
     return text
 
 
-def _reject_duplicates(pairs: list) -> dict:
+class _Repeats(dict):
+    """A config object with keys ``repeated``, refused by :func:`_check_fields`."""
+
+
+def _note_duplicates(pairs: list) -> dict:
     obj = dict(pairs)
     if len(obj) < len(pairs):
         counts = collections.Counter(k for k, _ in pairs)
-        twice = [n for n in obj if counts[n] > 1]
-        raise ConfigError(f"{', '.join(twice)}: duplicate key in config")
+        obj = _Repeats(obj)
+        obj.repeated = [n for n in obj if counts[n] > 1]
     return obj
 
 
@@ -162,7 +166,7 @@ def load_config(path: str) -> dict:
     try:
         config = json.loads(
             text, parse_constant=_reject_constant,
-            object_pairs_hook=_reject_duplicates,
+            object_pairs_hook=_note_duplicates,
             parse_float=lambda t: float(_reject_overflow(t)),
             parse_int=lambda t: int(_reject_overflow(t)))
     except json.JSONDecodeError as exc:
@@ -183,9 +187,12 @@ def _field(name: str):
 
 
 def _check_fields(value, table: dict, path: str, experiment) -> None:
-    """Check an object against a field table, naming a field at fault by
-    its dotted path: a required field missing, a value not what the table
-    says, or a field the table does not list."""
+    """Check an object against a field table, naming a field at fault by its
+    dotted path: a key repeated, a required field missing, a value not what
+    the table says (only a nested table takes an object), or a field not listed."""
+    if isinstance(value, _Repeats):
+        raise ConfigError(f"{', '.join(path + _shown(k) for k in value.repeated)}: "
+                          "duplicate key in config")
     if type(value) is not dict:
         raise ConfigError(f"{path[:-1] or 'config'}: must be an object")
     for name, spec in table.items():
@@ -197,7 +204,7 @@ def _check_fields(value, table: dict, path: str, experiment) -> None:
         elif not spec.test(value[name]):
             raise ConfigError(f"{path}{name}: must be {spec.what}, "
                               f"got {_shown(json.dumps(value[name]))}")
-    unread = [path + name for name in value if name not in table]
+    unread = [path + _shown(name) for name in value if name not in table]
     if unread:
         raise ConfigError(f"{', '.join(unread)}: not read by the "
                           f"{experiment} experiment")
@@ -339,19 +346,16 @@ def run_cnot_tomo(run: dict, seed: int) -> tuple:
     from . import linalg
     from .encoding import embed_in_dfs
     from .noise import sample_noisy_channel
-    from .tomography import (chi_basis_labels, chi_from_unitary, haar_report,
-                             process_fidelity, process_tomography,
-                             project_chi_cp)
+    from .tomography import (chi_basis_labels, chi_from_unitary, chi_negative_mass,
+                             haar_report, process_fidelity, process_tomography)
     register, shots = run["register"], run["shots"]
 
     def channel(rho_l):
         return sample_noisy_channel(run["sequence"],
                                     embed_in_dfs(rho_l, register), run["noise"])
 
-    chi, permanences = process_tomography(channel, register, shots=shots,
-                                          seed=seed)
+    chi, permanences = process_tomography(channel, register, shots=shots, seed=seed)
     chi_ideal = chi_from_unitary(run["ideal"])
-    chi_cp, negative_mass = project_chi_cp(chi)
     report = haar_report(chi, chi_ideal)
     gap = abs(report["mean_overall"]
               - report["mean_permanence"] * report["mean_gate_fidelity"])
@@ -360,12 +364,12 @@ def run_cnot_tomo(run: dict, seed: int) -> tuple:
         "process_fidelity": process_fidelity(chi, chi_ideal),
         "input_permanences": [float(p) for p in permanences],
         "consistency_gap": gap,
-        "chi_negative_mass": negative_mass,
+        "chi_negative_mass": chi_negative_mass(chi),
         **report,
     }
     matrices = {name: {"basis": chi_basis_labels(),
                        "entries": linalg.matrix_to_json(m)}
-                for name, m in (("chi", chi_cp), ("chi_ideal", chi_ideal))}
+                for name, m in (("chi", chi), ("chi_ideal", chi_ideal))}
     return metrics, matrices, []
 
 
@@ -510,7 +514,7 @@ def parse_args(argv: list) -> tuple:
         if word.startswith("-"):
             name, given, value = word.partition("=")
             if not positional or name not in COMMANDS[positional[0]][2]:
-                raise ConfigError(f"{name}: not an option of "
+                raise ConfigError(f"{_shown(name)}: not an option of "
                                   f"{positional[0] if positional else 'dfsqc'}")
             if not (given or words):
                 raise ConfigError(f"{name}: needs an integer value")
@@ -523,14 +527,15 @@ def parse_args(argv: list) -> tuple:
         elif positional or word in COMMANDS:
             positional.append(word)
         else:
-            raise ConfigError(f"{word}: unknown command, expected one of "
+            raise ConfigError(f"{_shown(word)}: unknown command, expected one of "
                               + ", ".join(COMMANDS))
     if not positional:
         raise ConfigError("no command given, expected one of " + ", ".join(COMMANDS))
     command, args = positional[0], positional[1:]
     fn, names, _ = COMMANDS[command]
     if len(args) > len(names):
-        raise ConfigError(f"{args[len(names)]}: unexpected argument to {command}")
+        raise ConfigError(
+            f"{_shown(args[len(names)])}: unexpected argument to {command}")
     if len(args) < len(names):
         raise ConfigError(f"{command}: missing the {names[len(args)]} argument")
     return fn, {**dict(zip(names, args)), **options}

@@ -246,20 +246,14 @@ def _mean_permanence(chi: np.ndarray) -> float:
     return w
 
 
-def project_chi_cp(chi: np.ndarray) -> tuple:
-    """A completely positive chi of trace one: the Hermitian part with its
-    negative eigenvalues clipped to zero, rescaled to trace one.  That is
-    not the nearest such chi, which shifts every eigenvalue (a projection
-    onto the simplex).  Returns it and the negative eigenvalue mass the
-    clip dropped, over ``tr chi``.  Shape and mean permanence are refused
-    as by :func:`process_fidelity`, so the clip always keeps positive
-    weight."""
+def chi_negative_mass(chi: np.ndarray) -> float:
+    """Negative eigenvalue mass of the Hermitian part of ``chi`` over its
+    trace, ``0.0`` for a completely positive ``chi``; shape and mean
+    permanence are refused as by :func:`process_fidelity`."""
     linalg.n_qubits(chi.shape, 4, 4)
     _mean_permanence(chi)
-    evals, evecs = np.linalg.eigh((chi + linalg.dag(chi)) / 2)
-    kept = np.clip(evals, 0.0, None)
-    return ((evecs * (kept / kept.sum())) @ linalg.dag(evecs),
-            float((kept - evals).sum() / evals.sum()))
+    evals = np.linalg.eigh((chi + linalg.dag(chi)) / 2)[0]
+    return float((np.clip(evals, 0.0, None) - evals).sum() / evals.sum())
 
 
 def process_fidelity(chi: np.ndarray, chi_ideal: np.ndarray) -> float:

@@ -91,15 +91,15 @@ class TestValidate:
 
     @pytest.mark.parametrize("key, text", [
         ("noise_samples", '"noise_samples": 10, "noise_samples": 20'),
-        ("collective_phase_std", '"noise": {"collective_phase_std": 0.1, '
-                                 '"collective_phase_std": 0.2}'),
+        ("noise.collective_phase_std", '"noise": {"collective_phase_std": 0.1, '
+                                       '"collective_phase_std": 0.2}'),
     ], ids=["top", "nested"])
     def test_duplicate_key_refused(self, tmp_path, capsys, key, text):
         path, _ = write_config(tmp_path)
         path.write_text(path.read_text()[:-1] + ", " + text + "}")
         assert main(["validate", str(path)]) == 2
         assert main(["run", str(path)]) == 2
-        assert f"{key}: duplicate key" in capsys.readouterr().err
+        assert f"error: {key}: duplicate key" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_duplicate_among_many_keys_refused_fast(self, tmp_path, capsys):
@@ -111,6 +111,26 @@ class TestValidate:
         assert main(["validate", str(path)]) == 2
         assert time.perf_counter() - start < 5
         assert capsys.readouterr().err == "error: k7: duplicate key in config\n"
+
+    @pytest.mark.parametrize("argv, config, echoed", [
+        (["W"], None, "W"), (["run", "--W=1"], None, "--W"),
+        (["validate", "c.json", "W"], None, "W"),
+        (["validate", "c.json"], '"W": 1', "W"),
+        (["validate", "c.json"], '"W": 1, "W": 2', "W"),
+    ], ids=["command", "option", "argument", "unread_key", "duplicate_key"])
+    def test_long_word_refused_shortened(self, tmp_path, capsys, monkeypatch,
+                                         argv, config, echoed):
+        # a refusal names a 10^5-character word by its first 100 characters
+        word = "s" * 10 ** 5
+        monkeypatch.chdir(tmp_path)
+        if config is not None:
+            fields = json.dumps({"experiment": "bell", "seed": 7, "output_dir": "out"})
+            Path("c.json").write_text(f"{fields[:-1]}, {config.replace('W', word)}}}")
+        assert main([a.replace("W", word) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert len(err.encode()) < 300 and err.count("\n") == 1
+        assert err.startswith(f"error: {cli._shown(echoed.replace('W', word))}: ")
+        assert cli._shown(word) == "s" * 100 + "... (100000 characters)"
 
     @pytest.mark.parametrize("text", [
         "[" * 10 ** 5 + "]" * 10 ** 5,

@@ -20,10 +20,10 @@ from dfsqc.noise import CALIBRATED_NOISE
 from dfsqc import tomography
 from dfsqc.tomography import (acquire_dataset, chi_basis_labels,
                               chi_from_unitary, chi_linear_solve,
-                              haar_report, linear_inversion,
-                              preparation_states,
+                              chi_negative_mass, haar_report,
+                              linear_inversion, preparation_states,
                               process_fidelity, process_tomography,
-                              project_chi_cp, _draw_counts)
+                              _draw_counts)
 
 from conftest import BELL_CIRCUIT, random_density_matrix, random_unitary
 
@@ -415,16 +415,13 @@ class TestChiMatrix:
         assert np.max(np.abs(chi_mix - combo)) < 1e-8
 
     def test_chi_hermitian_psd(self):
-        # the linear estimate is Hermitian; its CP projection, the chi
-        # that matrices.json carries, is also positive semidefinite
+        # the linear estimate, the chi that matrices.json carries, is
+        # Hermitian; at 100 shots it is not positive semidefinite
         reg = LogicalRegister(2)
         chi, _ = process_tomography(ideal_cnot_channel(reg), shots=100, seed=8,
                                     register=reg)
         assert np.max(np.abs(chi - chi.conj().T)) < 1e-9
-        chi_cp, negative_mass = project_chi_cp(chi)
-        assert np.max(np.abs(chi_cp - chi_cp.conj().T)) < 1e-9
-        assert np.linalg.eigvalsh(chi_cp).min() > -1e-8
-        assert negative_mass > 0  # 100 shots leave negative eigenvalues
+        assert chi_negative_mass(chi) > 0  # 100 shots leave negative eigenvalues
 
     def test_block_not_renormalized(self):
         # half the weight leaks out of the subspace: chi is half the
@@ -456,7 +453,7 @@ class TestChiMatrix:
         (process_fidelity, [(16, 16), (4, 4)]),
         (haar_report, [(15, 15), (15, 15)]), (haar_report, [(8, 8), (8, 8)]),
         (haar_report, [(16, 16), (64, 64)]),
-        (project_chi_cp, [(15, 15)]), (project_chi_cp, [(8, 8)])],
+        (chi_negative_mass, [(15, 15)]), (chi_negative_mass, [(8, 8)])],
         ids=lambda a: "_".join("x".join(map(str, s)) for s in a)
         if isinstance(a, list) else a.__name__)
     def test_wrong_shape_rejected(self, fn, shapes):
@@ -465,8 +462,8 @@ class TestChiMatrix:
             fn(*[np.full(s, 1.0 / s[-1], dtype=complex) for s in shapes])
 
     @pytest.mark.parametrize("fn", [
-        process_fidelity, lambda chi, _: project_chi_cp(chi)],
-        ids=["process_fidelity", "project_chi_cp"])
+        process_fidelity, lambda chi, _: chi_negative_mass(chi)],
+        ids=["process_fidelity", "chi_negative_mass"])
     @pytest.mark.parametrize("diagonal", [
         [0.0], [MIN_PERMANENCE], [1.0, -2.0]], ids=["zero", "floor", "negative"])
     def test_mean_permanence_at_the_floor_refused(self, fn, diagonal):
@@ -478,43 +475,46 @@ class TestChiMatrix:
             fn(chi, chi_from_unitary(CNOT_LOGICAL))
         assert 0.0 <= refused.value.permanence <= MIN_PERMANENCE
 
-    def test_cp_projection(self, rng):
+    def test_chi_negative_mass(self, rng):
         h = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
-        chi, negative_mass = project_chi_cp(h)
-        assert np.linalg.eigvalsh(chi).min() >= -1e-12
-        assert np.trace(chi).real == pytest.approx(1.0, abs=1e-12)
         evals = np.linalg.eigvalsh((h + h.conj().T) / 2)
-        assert negative_mass == pytest.approx(
+        assert chi_negative_mass(h) == pytest.approx(
             -evals[evals < 0].sum() / evals.sum(), rel=1e-12)
 
-    def test_cp_projection_of_a_cp_chi_drops_nothing(self):
-        chi, negative_mass = project_chi_cp(0.9 * depolarizing_chi(0.3))
-        assert np.max(np.abs(chi - depolarizing_chi(0.3))) < 1e-12
-        assert negative_mass == 0.0
+    def test_chi_negative_mass_of_a_cp_chi_is_zero(self):
+        assert chi_negative_mass(0.9 * depolarizing_chi(0.3)) == 0.0
 
     def test_matrices_json_chi_reads_back(self, tmp_path):
-        # a calibrated cnot-tomo run writes the CP-projected chi and the
-        # ideal CNOT's, each with the Pauli basis labels
-        config = {"experiment": "cnot-tomo", "seed": 7, "shots": None,
-                  "output_dir": str(tmp_path / "out"),
-                  "noise": CALIBRATED_NOISE._asdict()}
-        (tmp_path / "config.json").write_text(json.dumps(config))
-        assert main(["run", str(tmp_path / "config.json")]) == 0
-        doc = json.loads((tmp_path / "out" / "matrices.json").read_text())
-        for name in ("chi", "chi_ideal"):
-            assert doc[name]["basis"] == chi_basis_labels(2)
+        # a calibrated cnot-tomo run writes the chi estimate that its
+        # report's figures come from, and the ideal CNOT's, each with the
+        # Pauli basis labels
         ideal = chi_from_unitary(circuit_unitary([("cnot", 0, 1)]))
-        assert np.array_equal(decode_matrix(doc["chi_ideal"]["entries"]), ideal)
-        chi = decode_matrix(doc["chi"]["entries"])
-        assert np.max(np.abs(chi - chi.conj().T)) < 1e-12
-        assert abs(np.trace(chi) - 1) < 1e-12
+        for shots in (100, None):
+            out = tmp_path / str(shots)
+            config = {"experiment": "cnot-tomo", "seed": 7, "shots": shots,
+                      "output_dir": str(out), "noise": CALIBRATED_NOISE._asdict()}
+            (tmp_path / "config.json").write_text(json.dumps(config))
+            assert main(["run", str(tmp_path / "config.json")]) == 0
+            doc = json.loads((out / "matrices.json").read_text())
+            metrics = json.loads((out / "report.json").read_text())["metrics"]
+            for name in ("chi", "chi_ideal"):
+                assert doc[name]["basis"] == chi_basis_labels(2)
+            assert np.array_equal(decode_matrix(doc["chi_ideal"]["entries"]),
+                                  ideal)
+            chi = decode_matrix(doc["chi"]["entries"])
+            assert np.max(np.abs(chi - chi.conj().T)) < 1e-12
+            read_back = {"process_fidelity": process_fidelity(chi, ideal),
+                         **haar_report(chi, ideal)}
+            assert abs(np.trace(chi) - metrics["mean_permanence"]) < 1e-12
+            for key, value in read_back.items():
+                assert abs(value - metrics[key]) < 1e-12, (shots, key)
 
     @pytest.mark.parametrize("shots", [100, None])
     def test_cnot_tomo_calls_no_lapack_but_eigh(self, tmp_path, monkeypatch,
                                                 shots):
         # chi comes from the fixed frame of the preparation states, so a
-        # run calls no least-squares solve or einsum; the CP projection's
-        # eigh is the one LAPACK routine left
+        # run calls no least-squares solve or einsum; the eigh of
+        # chi_negative_mass is the one LAPACK routine left
         def refuse(*args, **kwargs):
             raise AssertionError("refused call")
 
